@@ -28,9 +28,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import k2
-from .k2 import (FinPartialFn, Oracle, PartialResult, RecordingOracle,
-                 SpecError, TableOracle, decode_pair, decode_seq, encode_pair,
-                 encode_seq, seq_length, star, cons)
+from .k2 import (FinPartialFn, Oracle, PartialResult, PrefixCodeTrie,
+                 RecordingOracle, SpecError, TableOracle, decode_pair,
+                 decode_seq, encode_pair, encode_seq, seq_length, star, cons)
 from .naming import (MetricNaming, NameSequence, PointedSpace, ProductSpace,
                      Space, metric_naming, star_extension)
 
@@ -570,10 +570,13 @@ def realizer_from_base(base: CompactnessBase,
     scanning the sequence below the bound, so it does not depend on which
     member certified.  Fuel counts avoidance-name queries; prefixes longer
     than ``max_prefix_len`` are never queried, since their codes grow
-    doubly exponentially with length.
+    doubly exponentially with length.  The prefix codes come from one
+    trie that lives as long as the realizer, so the members of a base, and
+    repeated evaluations, share the codes of their common prefixes.
     """
     if pointed is None:
         pointed = star_extension(base.space)
+    trie = PrefixCodeTrie()
 
     def evaluate(seq: NameSequence, h: AvoidanceName, fuel: int) -> EvalOutcome:
         oracle = h.h if isinstance(h, AvoidanceName) else h
@@ -590,11 +593,13 @@ def realizer_from_base(base: CompactnessBase,
                                    malformed=tuple(malformed))
             for atom in atom_stream:
                 found = None
-                for length in range(min(atom.sigma.initial_run, max_prefix_len) + 1):
+                run = min(atom.sigma.initial_run, max_prefix_len)
+                codes = trie.codes(v for _, v in atom.sigma.entries[:run])
+                for _ in range(run + 1):
                     if spent >= fuel:
                         return EvalOutcome(PartialResult.exhausted(spent),
                                            malformed=tuple(malformed))
-                    code = atom.sigma.prefix_code(length)
+                    code = next(codes)
                     spent += 1
                     v = oracle(code)
                     if v > 0:

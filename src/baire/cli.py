@@ -35,6 +35,18 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
+def _code_doc(code: int) -> dict:
+    """Result document for a sequence code, refused with exit 3 when the
+    code has more decimal digits than Python will convert to a string."""
+    # interpreters older than the digit limit (before 3.10.7) have none
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and code >= 10 ** limit:
+        raise Exhaustion({"result": {
+            "error": f"code has more than {limit} decimal digits",
+            "reason": "depth", "code_bits": code.bit_length()}})
+    return {"result": {"code": code}}
+
+
 def _json_arg(text: str):
     try:
         return json.loads(text)
@@ -50,12 +62,12 @@ def _json_arg(text: str):
 def _cmd_k2(args) -> dict:
     if args.op == "encode":
         values = [int(v) for v in args.seq.split(",")] if args.seq else []
-        return {"result": {"code": k2.encode_seq(values)}}
+        return _code_doc(k2.encode_seq(values))
     if args.op == "decode":
         return {"result": {"seq": list(k2.decode_seq(args.code))}}
     if args.op == "bar":
         f = k2.parse_oracle_spec(_json_arg(args.f))
-        return {"result": {"code": k2.bar(f, args.n)}}
+        return _code_doc(k2.bar(f, args.n))
     if args.op == "star":
         f = k2.parse_oracle_spec(_json_arg(args.f))
         g = k2.parse_oracle_spec(_json_arg(args.g))

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class HorizonError(Exception):
@@ -98,6 +99,52 @@ def decode_pair(code: int) -> Optional[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
+# Shared prefix codes
+#
+# A trie node maps a value a to (code of the node's prefix extended by a,
+# child node).  Codes are built only by cantor_pair, one pairing per node.
+# ---------------------------------------------------------------------------
+
+# The largest realizer trie in the test suite holds about 235 kbit of
+# codes, so this bound only keeps a long-lived realizer from growing
+# without end.
+PREFIX_TRIE_MAX_BITS = 1 << 20
+
+
+class PrefixCodeTrie:
+    """Sequence codes stored along the prefixes they share.
+
+    Walking a sequence through the trie costs one pairing per prefix that
+    no earlier walk reached, and a dict lookup per prefix that one did.
+    ``bits`` is the total bit length of the codes held.  A walk that
+    starts with ``bits`` past ``PREFIX_TRIE_MAX_BITS`` first drops every
+    node, so the trie holds at most that bound plus one walk.
+    """
+
+    def __init__(self):
+        self._root: dict[int, tuple[int, dict]] = {}
+        self.bits = 0
+
+    def codes(self, values: Iterable[int]) -> Iterator[int]:
+        """Lazily yield the code of every prefix of ``values``, the empty
+        prefix first; each code is built only when it is asked for."""
+        if self.bits > PREFIX_TRIE_MAX_BITS:
+            self._root, self.bits = {}, 0
+        node = self._root
+        code = 0
+        yield code
+        for a in values:
+            hit = node.get(a)
+            if hit is None:
+                if a < 0:
+                    raise ValueError("sequence entries must be naturals")
+                hit = node[a] = (cantor_pair(code, a) + 1, {})
+                self.bits += hit[0].bit_length()
+            code, node = hit
+            yield code
+
+
+# ---------------------------------------------------------------------------
 # Finite partial functions
 # ---------------------------------------------------------------------------
 
@@ -150,7 +197,7 @@ class FinPartialFn:
     def agrees_with_oracle(self, f: "Oracle") -> bool:
         return all(f(k) == v for k, v in self.entries)
 
-    @property
+    @cached_property
     def initial_run(self) -> int:
         """Largest L with [0, L) contained in the domain."""
         run = 0
@@ -172,12 +219,9 @@ class FinPartialFn:
 
     def prefix_code(self, length: int) -> int:
         """Code of the length-``length`` initial restriction (must exist)."""
-        if length > self.initial_run:
+        if not 0 <= length <= self.initial_run:
             raise ValueError("not defined on that initial segment")
-        vals = self.to_seq() if self.is_sequence else tuple(
-            v for k, v in self.entries if k < length
-        )
-        return encode_seq(vals[:length])
+        return encode_seq(v for _, v in self.entries[:length])
 
     # Pairing of partial functions by even/odd interleaving.  The pair of
     # two finite sequences is a finite partial function, possibly with a

@@ -1,6 +1,6 @@
 import json
 
-from baire import cli
+from baire import cli, k2
 
 
 def run_cli(capsys, *argv):
@@ -159,3 +159,27 @@ def test_missing_modulus_oracle_rejected(capsys):
     code, _, err = run_cli(capsys, "pc", "realize", "--x", '{"prefix":["1"]}',
                            "--f", "identity", "--g", "const:0", "--n", "1")
     assert code == 2  # g below the identity
+
+
+def test_k2_bar_past_the_digit_limit_is_refused(capsys):
+    for n in (15, 16, 17):
+        code, doc, _ = run_cli(capsys, "k2", "bar", "--f", "const:1",
+                               "--n", str(n))
+        assert code == 3
+        assert doc["schema_version"] == "1"
+        assert doc["result"]["reason"] == "depth"
+        assert doc["result"]["code_bits"] == k2.bar(k2.constant(1), n).bit_length()
+    code, doc, _ = run_cli(capsys, "k2", "bar", "--f", "const:1", "--n", "14")
+    assert code == 0 and doc["result"]["code"] == k2.bar(k2.constant(1), 14)
+
+
+def test_k2_encode_past_the_digit_limit_is_refused(capsys):
+    for length in (16, 18):
+        seq = [1] * length
+        code, doc, _ = run_cli(capsys, "k2", "encode",
+                               "--seq", ",".join(map(str, seq)))
+        assert code == 3
+        assert doc["result"]["reason"] == "depth"
+        assert doc["result"]["code_bits"] == k2.encode_seq(seq).bit_length()
+    code, doc, _ = run_cli(capsys, "k2", "encode", "--seq", "1,1,1,1,1,1,1,1,1,1")
+    assert code == 0 and doc["result"]["code"] == k2.encode_seq([1] * 10)

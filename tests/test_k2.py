@@ -1,10 +1,14 @@
+import itertools
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from baire import k2
-from baire.k2 import (FinPartialFn, bar, bullet, cons, constant, decode_seq,
-                      encode_seq, identity_oracle, star, with_usage_tracking)
+from baire.k2 import (FinPartialFn, PrefixCodeTrie, bar, bullet, cons, constant,
+                      decode_seq, encode_seq, identity_oracle, star,
+                      with_usage_tracking)
 
 
 # --- codec ---------------------------------------------------------------
@@ -209,6 +213,22 @@ def test_initial_run_and_sequences():
     assert gappy.initial_run == 1 and not gappy.is_sequence
 
 
+@given(st.dictionaries(st.integers(min_value=0, max_value=9),
+                       st.integers(min_value=0, max_value=9), max_size=8))
+def test_prefix_code_encodes_the_initial_run(d):
+    f = FinPartialFn.from_dict(d)
+    run = 0
+    while run in d:
+        run += 1
+    assert f.initial_run == run
+    for length in range(run + 1):
+        assert f.prefix_code(length) == encode_seq([d[i] for i in range(length)])
+    with pytest.raises(ValueError):
+        f.prefix_code(run + 1)
+    with pytest.raises(ValueError):
+        f.prefix_code(-1)
+
+
 def test_interleave_of_uneven_sequences():
     left = FinPartialFn.from_seq([7])
     right = FinPartialFn.from_seq([8, 9])
@@ -254,3 +274,58 @@ def test_horizon_error():
     assert f(3) == 3
     with pytest.raises(k2.HorizonError):
         f(4)
+
+
+# --- shared prefix codes ------------------------------------------------------
+
+def reference_codes(values):
+    return [encode_seq(values[:depth]) for depth in range(len(values) + 1)]
+
+
+walks = st.lists(st.tuples(st.lists(st.integers(min_value=0, max_value=5),
+                                    max_size=9),
+                           st.integers(min_value=0, max_value=10)),
+                 min_size=1, max_size=10)
+
+
+def check_walks(trie, drawn):
+    """Walk each sequence as far as its stop depth, then check the codes."""
+    for values, stop in drawn:
+        got = list(itertools.islice(trie.codes(values), stop))
+        assert got == reference_codes(values)[:stop]
+
+
+@given(walks)
+def test_trie_codes_match_encode_seq_cold_and_warm(drawn):
+    trie = PrefixCodeTrie()
+    check_walks(trie, drawn)          # cold: every walk builds its own nodes
+    check_walks(trie, drawn)          # warm: the same walks reuse them
+    check_walks(trie, drawn[::-1])
+
+
+@given(walks)
+def test_trie_codes_survive_frequent_restarts(drawn):
+    with mock.patch.object(k2, "PREFIX_TRIE_MAX_BITS", 40):
+        trie = PrefixCodeTrie()
+        check_walks(trie, drawn)
+        check_walks(trie, drawn)
+
+
+def test_trie_drops_and_restarts_past_the_bits_bound():
+    values = [1] * 20
+    want = reference_codes(values)
+    held = sum(c.bit_length() for c in want)
+    assert held > k2.PREFIX_TRIE_MAX_BITS
+    trie = PrefixCodeTrie()
+    assert list(trie.codes(values)) == want
+    assert trie.bits == held
+    # the next walk finds the trie past its bound and starts from empty
+    assert list(trie.codes(values[:3])) == want[:4]
+    assert trie.bits == sum(c.bit_length() for c in want[:4])
+    assert list(trie.codes(values)) == want
+    assert trie.bits == held
+
+
+def test_trie_rejects_negative_entries():
+    with pytest.raises(ValueError):
+        list(PrefixCodeTrie().codes([1, -1]))
