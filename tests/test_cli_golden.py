@@ -1,0 +1,128 @@
+"""Golden outputs of the command line: exact stdout bytes and exit codes.
+
+Each case runs ``baire.cli.run`` in process and compares what it prints,
+byte for byte, and the exit code it returns against
+``tests/golden/<case>.out`` and ``tests/golden/exit_codes.json``.  The
+cases are every command line example of the README plus the commands that
+cross the space, base and realizer code.  ``baire selftest`` is left out:
+it prints timings.
+
+To record the goldens again after a deliberate change of output:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from baire import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+EXIT_CODES = GOLDEN / "exit_codes.json"
+
+PRODUCT = ('{"kind":"product","left":{"kind":"cantor"},'
+           '"right":{"kind":"finite","n":2}}')
+
+CASES = {
+    # the README examples, in README order
+    "readme-k2-star-exhausted": [
+        "k2", "star", "--f", "const:0", "--g", "const:0", "--fuel", "10"],
+    "readme-k2-encode": ["k2", "encode", "--seq", "3,1,4"],
+    "readme-reals-from-rational": [
+        "reals", "from-rational", "--q", "1/3", "--prec", "10"],
+    "readme-reals-max": [
+        "reals", "max", "--x", '{"rational":"0"}', "--y", '{"rational":"1"}',
+        "--prec", "5"],
+    "readme-spaces-dist": [
+        "spaces", "dist", "--space", '{"kind":"cantor"}',
+        "--f", '{"table":[[0,1]],"tail":{"kind":"constant","value":2}}',
+        "--g", "const:1"],
+    "readme-antispecker-demo": [
+        "antispecker", "demo", "--space", '{"kind":"cantor"}',
+        "--sequence", "all-star"],
+    "readme-antispecker-probe": [
+        "antispecker", "probe", "--space", '{"kind":"finite","n":2}',
+        "--budget", "200"],
+    "readme-splitter-run": [
+        "splitter", "run", "--x", '{"prefix":["1"],"tail":{"kind":"zero"}}',
+        "--b", "dyadic", "--stages", "1", "--verify"],
+    "readme-rpt-fabar": [
+        "rpt", "fabar",
+        "--a", '{"prefix":["1"],"tail":{"kind":"constant","value":"1"}}',
+        "--n", "3"],
+    "readme-pc-realize": [
+        "pc", "realize",
+        "--x", '{"prefix":[],"tail":{"kind":"geometric","base":"1","ratio":"1/2"}}',
+        "--f", '{"tail":{"kind":"registry","name":"identity"}}',
+        "--g", "identity", "--n", "4"],
+    "readme-bdn-adversary": ["bdn", "adversary", "--alpha", "const:3"],
+    # spaces
+    "spaces-check-product": [
+        "spaces", "check", "--space", PRODUCT,
+        "--name", '{"table":[[0,1],[1,2]],"tail":{"kind":"constant","value":2}}'],
+    "spaces-check-product-outside": [
+        "spaces", "check", "--space", PRODUCT, "--name", "const:3"],
+    "spaces-dist-product": [
+        "spaces", "dist", "--space", PRODUCT,
+        "--f", '{"table":[[0,2],[2,1]],"tail":{"kind":"constant","value":2}}',
+        "--g", "const:2", "--prec", "12"],
+    "spaces-dist-star-name": [
+        "spaces", "dist", "--space", '{"kind":"cantor"}',
+        "--f", "const:0", "--g", "const:1"],
+    # antispecker
+    "antispecker-demo-product": [
+        "antispecker", "demo", "--space", PRODUCT,
+        "--sequence", '{"names":["const:1",{"table":[[0,2],[1,1]],'
+                      '"tail":{"kind":"constant","value":1}},"star"],'
+                      '"tail":"star"}',
+        "--avoidance", '{"kind":"onset","depth":2,"radius_exp":1}'],
+    "antispecker-demo-product-exhausted": [
+        "antispecker", "demo", "--space", PRODUCT,
+        "--avoidance", '{"kind":"onset","depth":3}', "--fuel", "5"],
+    "antispecker-covers-cantor": [
+        "antispecker", "covers", "--space", '{"kind":"cantor"}',
+        "--theta", '[{"sigma":[[0,1]],"n":1},{"sigma":[[0,2]],"n":1}]'],
+    "antispecker-covers-product-witness": [
+        "antispecker", "covers", "--space", PRODUCT,
+        "--theta", '[{"sigma":[[0,1]],"n":1},{"sigma":[[0,2],[1,1]],"n":1}]'],
+    "antispecker-probe-product": [
+        "antispecker", "probe", "--space", PRODUCT, "--budget", "40"],
+    # usage tracking
+    "k2-star-track": [
+        "k2", "star",
+        "--f", '{"tail":{"kind":"registry","name":"depth_answer",'
+               '"params":{"depth":2,"n":0,"m":1}}}',
+        "--g", "identity", "--fuel", "8", "--track"],
+}
+
+
+def _run(argv, capsys) -> tuple[int, bytes]:
+    code = cli.run(list(argv))
+    return code, capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_cli_golden(name, capsys):
+    code, out = _run(CASES[name], capsys)
+    assert code == json.loads(EXIT_CODES.read_text())[name]
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def _record() -> None:
+    import contextlib
+    import io
+
+    codes = {}
+    for name, argv in CASES.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), \
+                contextlib.redirect_stderr(io.StringIO()):
+            codes[name] = cli.run(list(argv))
+        (GOLDEN / f"{name}.out").write_bytes(buf.getvalue().encode())
+    EXIT_CODES.write_text(json.dumps(codes, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    _record()
