@@ -15,8 +15,8 @@ from baire import k2, naming
 
 def main() -> None:
     rng = random.Random(2024)
-    mc, mf = naming.cantor_space(), naming.finite_space(2)
-    prod = naming.product_metric_naming(mc, mf)
+    mc, mf = naming.CantorSpace(), naming.FiniteSpace(2)
+    prod = naming.ProductSpace(mc, mf)
     pointed = naming.star_extension(prod)
 
     t0 = time.time()
@@ -27,12 +27,11 @@ def main() -> None:
     print(f"probed and combined in {time.time() - t0:.1f}s")
 
     oracle = aspk.direct_scan_realizer(pointed)
-    sp = prod.space
     agreements = 0
     for i in range(20):
         entries = tuple(
             k2.star_name() if rng.random() < 0.4
-            else sp.canonical_name(sp.sample_point(rng))
+            else prod.canonical_name(prod.sample_point(rng))
             for _ in range(rng.randrange(0, 8)))
         seq = naming.NameSequence(entries, "star")
         h = aspk.make_avoidance_name(seq, pointed, answer_depth=i % 4)

@@ -28,6 +28,11 @@ class CriterionResult:
     seconds: float
     limit: float
 
+    @property
+    def passed(self) -> bool:
+        """The verdict of the pytest gate: correct, and inside the limit."""
+        return self.ok and self.seconds < self.limit
+
     def to_json(self) -> dict:
         return {"name": self.name, "ok": self.ok, "detail": self.detail,
                 "seconds": round(self.seconds, 3), "limit": self.limit}
@@ -132,24 +137,22 @@ def criterion_metric_coherence() -> CriterionResult:
     start = time.time()
     rng = random.Random(303)
     msgs: list[str] = []
-    spaces = [naming.cantor_space(), naming.finite_space(5),
-              naming.product_metric_naming(naming.cantor_space(),
-                                           naming.cantor_space())]
+    spaces = [naming.CantorSpace(), naming.FiniteSpace(5),
+              naming.ProductSpace(naming.CantorSpace(), naming.CantorSpace())]
     eps = Fraction(1, 2 ** 20)
-    for m in spaces:
-        sp = m.space
+    for sp in spaces:
         for _ in range(100):
             p, q = sp.sample_point(rng), sp.sample_point(rng)
-            exact = m.dist(p, q)
-            stream = m.dist_hat(sp.canonical_name(p), sp.canonical_name(q))
+            exact = sp.dist(p, q)
+            stream = sp.dist_hat(sp.canonical_name(p), sp.canonical_name(q))
             if abs(stream.approx(20) - exact) > eps:
                 _fail(msgs, f"{sp.space_id}: stream disagrees on {p!r},{q!r}")
                 break
         for _ in range(100):
             p, q, r = (sp.sample_point(rng) for _ in range(3))
-            dpq, dqp = m.dist(p, q), m.dist(q, p)
-            if dpq != dqp or m.dist(p, p) != 0 or dpq > 1 \
-                    or m.dist(p, r) > dpq + m.dist(q, r):
+            dpq, dqp = sp.dist(p, q), sp.dist(q, p)
+            if dpq != dqp or sp.dist(p, p) != 0 or dpq > 1 \
+                    or sp.dist(p, r) > dpq + sp.dist(q, r):
                 _fail(msgs, f"{sp.space_id}: metric axiom failed")
                 break
     detail = msgs[0] if msgs else "3 spaces, 100 pairs at 2^-20, 100 exact triples"
@@ -182,8 +185,8 @@ def build_exactness_suite(rng: random.Random):
     """The shared suite: 25 sequences per space, 5 avoidance names each,
     depths up to 3 (including the deliberately deep answerers)."""
     suite = []
-    for m in (naming.cantor_space(), naming.finite_space(3)):
-        pointed = naming.star_extension(m)
+    for sp in (naming.CantorSpace(), naming.FiniteSpace(3)):
+        pointed = naming.star_extension(sp)
         cases = []
         for _ in range(25):
             seq = _random_star_sequence(rng, pointed)
@@ -191,20 +194,20 @@ def build_exactness_suite(rng: random.Random):
                                               answer_depth=d)
                      for d, r in _SUITE_SHAPES]
             cases.append((seq, names))
-        suite.append((m, pointed, cases))
+        suite.append((sp, pointed, cases))
     return suite
 
 
 def _suite_agreement(realizers: dict, suite, fuel: int) -> Optional[str]:
-    for m, pointed, cases in suite:
-        realizer = realizers[m.space.space_id]
+    for sp, pointed, cases in suite:
+        realizer = realizers[sp.space_id]
         oracle = aspk.direct_scan_realizer(pointed)
         for ci, (seq, names) in enumerate(cases):
             want = oracle.evaluate(seq, names[0], fuel).result.value
             for ni, h in enumerate(names):
                 got = realizer.evaluate(seq, h, fuel)
                 if not got.result.is_value or got.result.value != want:
-                    return (f"{m.space.space_id} case {ci} name {ni}: "
+                    return (f"{sp.space_id} case {ci} name {ni}: "
                             f"{got.result.to_json()} != {want}")
     return None
 
@@ -213,9 +216,9 @@ def criterion_settling_exactness() -> CriterionResult:
     start = time.time()
     rng = random.Random(404)
     suite = build_exactness_suite(rng)
-    realizers = {m.space.space_id:
-                 aspk.realizer_from_base(aspk.builtin_base(m), pointed)
-                 for m, pointed, _ in suite}
+    realizers = {sp.space_id:
+                 aspk.realizer_from_base(aspk.builtin_base(sp), pointed)
+                 for sp, pointed, _ in suite}
     bad = _suite_agreement(realizers, suite, fuel=4000)
     detail = bad or "50 sequences x 5 names, exact, both spaces"
     return CriterionResult("4-settling-exactness", bad is None, detail,
@@ -229,18 +232,18 @@ def criterion_base_round_trip() -> CriterionResult:
     msgs: list[str] = []
 
     rederived = {}
-    for m, pointed, _ in suite:
-        direct = aspk.realizer_from_base(aspk.builtin_base(m), pointed)
+    for sp, pointed, _ in suite:
+        direct = aspk.realizer_from_base(aspk.builtin_base(sp), pointed)
         probed = aspk.base_from_realizer(direct, pointed, probe_budget=400)
         if not probed.members:
-            _fail(msgs, f"{m.space.space_id}: probe harvested nothing")
+            _fail(msgs, f"{sp.space_id}: probe harvested nothing")
             continue
         for theta in probed.members:
-            if not aspk.covers(theta, m).covered:
-                _fail(msgs, f"{m.space.space_id}: non-covering member emitted")
-        rederived[m.space.space_id] = aspk.realizer_from_base(probed, pointed)
+            if not aspk.covers(theta, sp).covered:
+                _fail(msgs, f"{sp.space_id}: non-covering member emitted")
+        rederived[sp.space_id] = aspk.realizer_from_base(probed, pointed)
 
-    fin2 = naming.finite_space(2)
+    fin2 = naming.FiniteSpace(2)
     pointed2 = naming.star_extension(fin2)
     probed2 = aspk.base_from_realizer(
         aspk.realizer_from_base(aspk.builtin_base(fin2), pointed2),
@@ -268,9 +271,9 @@ def criterion_product() -> CriterionResult:
     start = time.time()
     rng = random.Random(505)
     msgs: list[str] = []
-    mc = naming.cantor_space()
-    mf = naming.finite_space(2)
-    prod = naming.product_metric_naming(mc, mf)
+    mc = naming.CantorSpace()
+    mf = naming.FiniteSpace(2)
+    prod = naming.ProductSpace(mc, mf)
     pointed_prod = naming.star_extension(prod)
     realizer = aspk.product_anti_specker(
         aspk.realizer_from_base(aspk.builtin_base(mc), naming.star_extension(mc)),

@@ -31,8 +31,8 @@ from . import k2
 from .k2 import (FinPartialFn, Oracle, PartialResult, PrefixCodeTrie,
                  RecordingOracle, SpecError, TableOracle, decode_pair,
                  decode_seq, encode_pair, encode_seq, seq_length, star, cons)
-from .naming import (MetricNaming, NameSequence, PointedSpace, ProductSpace,
-                     Space, metric_naming, star_extension)
+from .naming import (NameSequence, PointedSpace, ProductSpace, Space,
+                     star_extension)
 
 
 class InsufficientDepth(Exception):
@@ -171,7 +171,7 @@ def default_cover_depth(theta: Theta) -> int:
     return max(a.n for a in theta.atoms) + 1
 
 
-def covers(theta: Theta, space: MetricNaming | Space,
+def covers(theta: Theta, space: Space,
            depth: Optional[int] = None) -> CoversReport:
     """Decide whether the atoms of theta cover the whole registry space.
 
@@ -180,14 +180,13 @@ def covers(theta: Theta, space: MetricNaming | Space,
     is neither inside some atom nor excluded from all raises
     InsufficientDepth.
     """
-    sp = space.space if isinstance(space, MetricNaming) else space
     if depth is None:
         depth = default_cover_depth(theta)
-    for cell in sp.cells(depth):
+    for cell in space.cells(depth):
         hit = False
         undecided = False
         for atom in theta.atoms:
-            r = _cell_in_atom(sp, cell, atom)
+            r = _cell_in_atom(space, cell, atom)
             if r is True:
                 hit = True
                 break
@@ -341,12 +340,16 @@ def _cylinder_clearance(space: Space, sigma: FinPartialFn, point) -> Fraction:
 
 
 class CompactnessBase:
-    """An enumerable family of covering descriptors for a registry space."""
+    """An enumerable family of covering descriptors for a registry space.
 
-    space: MetricNaming
+    A subclass defines ``enumerate_theta`` or ``iter_atoms``; each of the
+    two defaults to the other.
+    """
+
+    space: Space
 
     def enumerate_theta(self, i: int) -> Theta:
-        raise NotImplementedError
+        return Theta(tuple(self.iter_atoms(i)))
 
     def iter_atoms(self, i: int) -> Iterable[CoverAtom]:
         """Stream member i's atoms without materializing the member; the
@@ -359,48 +362,35 @@ class CompactnessBase:
 
 
 class BuiltinBase(CompactnessBase):
-    """The canonical base of a registry space.
+    """The canonical base of Cantor space or of a finite space.
 
     Cantor: member k is every total {1,2}-valued sigma on [0, k) at radius
     exponent k.  Finite space: member k is one point-identifying atom per
-    point, the constant sequence of length k+1 at exponent k.  Products
-    combine the factor bases.
+    point, the constant sequence of length k+1 at exponent k.
     """
 
-    def __init__(self, space: MetricNaming):
+    def __init__(self, space: Space):
+        if space.kind not in ("cantor", "finite"):
+            raise ValueError(f"no builtin base for {space.kind}")
         self.space = space
-        kind = space.space.kind
-        if kind == "product":
-            left = metric_naming(space.space.left)
-            right = metric_naming(space.space.right)
-            self._delegate = ProductBase(BuiltinBase(left), BuiltinBase(right))
-        elif kind not in ("cantor", "finite"):
-            raise ValueError(f"no builtin base for {kind}")
-        else:
-            self._delegate = None
 
     def iter_atoms(self, i: int):
-        if self._delegate is not None:
-            yield from self._delegate.iter_atoms(i)
-            return
-        sp = self.space.space
-        if sp.kind == "cantor":
+        if self.space.kind == "cantor":
             for word in itertools.product((1, 2), repeat=i):
                 yield CoverAtom(FinPartialFn.from_seq(word), i)
         else:
-            for c in range(1, sp.n + 1):
+            for c in range(1, self.space.n + 1):
                 yield CoverAtom(FinPartialFn.from_seq((c,) * (i + 1)), i)
 
-    def enumerate_theta(self, i: int) -> Theta:
-        if self._delegate is not None:
-            return self._delegate.enumerate_theta(i)
-        return Theta(tuple(self.iter_atoms(i)))
-
     def to_json(self) -> dict:
-        return {"kind": "builtin", "space": self.space.space.to_json()}
+        return {"kind": "builtin", "space": self.space.to_json()}
 
 
-def builtin_base(space: MetricNaming) -> CompactnessBase:
+def builtin_base(space: Space) -> CompactnessBase:
+    """The canonical base of a registry space; products combine the
+    canonical bases of their factors."""
+    if space.kind == "product":
+        return ProductBase(builtin_base(space.left), builtin_base(space.right))
     return BuiltinBase(space)
 
 
@@ -420,7 +410,7 @@ class ProductBase(CompactnessBase):
     def __init__(self, bx: CompactnessBase, by: CompactnessBase):
         self.bx = bx
         self.by = by
-        self.space = metric_naming(ProductSpace(bx.space.space, by.space.space))
+        self.space = ProductSpace(bx.space, by.space)
         # members are cached as (left index, right index | per-atom tuple)
         self._specs: list[tuple[int, object]] = []
         self._gen = self._generate_specs()
@@ -450,9 +440,6 @@ class ProductBase(CompactnessBase):
             for atom_y in self.by.iter_atoms(b):
                 yield product_atom(atom_x, atom_y)
 
-    def enumerate_theta(self, i: int) -> Theta:
-        return Theta(tuple(self.iter_atoms(i)))
-
     def to_json(self) -> dict:
         return {"kind": "product", "left": self.bx.to_json(),
                 "right": self.by.to_json()}
@@ -478,7 +465,7 @@ class ProbedBase(CompactnessBase):
     past the end.  ``exhausted`` records that the probe budget cut the
     enumeration off."""
 
-    def __init__(self, space: MetricNaming, members: Sequence[Theta],
+    def __init__(self, space: Space, members: Sequence[Theta],
                  exhausted: bool, evals_spent: int):
         self.space = space
         self.members = tuple(members)
@@ -691,7 +678,7 @@ def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
     """
     cfg = config if config is not None else ProbeConfig(budget=probe_budget)
     all_star = NameSequence((), "star")
-    space = pointed.base
+    space = pointed.space
     emissions: list[Theta] = []
     seen: set = set()
     evals = 0

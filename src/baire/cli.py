@@ -127,16 +127,15 @@ def _cmd_reals(args) -> dict:
 
 def _cmd_spaces(args) -> dict:
     space = naming.parse_space_spec(_json_arg(args.space))
-    m = naming.metric_naming(space)
     if args.op == "check":
         f = k2.parse_oracle_spec(_json_arg(args.name))
-        ok = m.naming.contains(f, args.horizon)
+        ok = space.contains_name(f, args.horizon)
         return {"result": {"in_domain": ok}}
     if args.op == "dist":
         f = k2.parse_oracle_spec(_json_arg(args.f))
         g = k2.parse_oracle_spec(_json_arg(args.g))
-        exact = m.dist(m.naming.point_of(f), m.naming.point_of(g))
-        stream = m.dist_hat(f, g).approx(args.prec)
+        exact = space.dist(space.point_of(f), space.point_of(g))
+        stream = space.dist_hat(f, g).approx(args.prec)
         return {"result": {"dist": reals.format_rational(exact),
                            "dist_stream_approx": reals.format_rational(stream)}}
     raise k2.SpecError(f"unknown spaces op {args.op!r}")
@@ -160,23 +159,22 @@ def _parse_avoidance(spec, seq, pointed) -> aspk.AvoidanceName:
 
 def _cmd_antispecker(args) -> dict:
     space = naming.parse_space_spec(_json_arg(args.space))
-    m = naming.metric_naming(space)
-    pointed = naming.star_extension(m)
+    pointed = naming.star_extension(space)
     if args.op == "covers":
         theta = aspk.parse_theta(_json_arg(args.theta))
-        report = aspk.covers(theta, m, args.depth)
+        report = aspk.covers(theta, space, args.depth)
         return {"result": report.to_json()}
     if args.op == "demo":
         seq = naming.parse_name_sequence(_json_arg(args.sequence))
         h = _parse_avoidance(args.avoidance, seq, pointed)
-        realizer = aspk.realizer_from_base(aspk.builtin_base(m), pointed)
+        realizer = aspk.realizer_from_base(aspk.builtin_base(space), pointed)
         out = realizer.evaluate(seq, h, args.fuel)
         doc = {"result": out.to_json()}
         if not out.result.is_value:
             raise Exhaustion(doc)
         return doc
     if args.op == "probe":
-        realizer = aspk.realizer_from_base(aspk.builtin_base(m), pointed)
+        realizer = aspk.realizer_from_base(aspk.builtin_base(space), pointed)
         probed = aspk.base_from_realizer(realizer, pointed, args.budget)
         return {"result": probed.to_json()}
     raise k2.SpecError(f"unknown antispecker op {args.op!r}")
@@ -276,10 +274,10 @@ def _cmd_selftest(args) -> dict:
     from . import acceptance
     results = acceptance.run_all(only=args.only)
     for r in results:
-        status = "pass" if r.ok else "FAIL"
+        status = "pass" if r.passed else "FAIL"
         sys.stderr.write(f"[{status}] {r.name} ({r.seconds:.2f}s) {r.detail}\n")
     return {"result": {"criteria": [r.to_json() for r in results],
-                       "all_pass": all(r.ok for r in results)}}
+                       "all_pass": all(r.passed for r in results)}}
 
 
 # ---------------------------------------------------------------------------

@@ -372,32 +372,10 @@ class UsageMeter:
     def touched(self) -> bool:
         return self.count > 0
 
-    @property
-    def segment_length(self) -> int:
-        """Length of the observed initial segment: max index + 1, 0 if untouched."""
-        return self._max + 1 if self._max >= 0 else 0
-
-
-class TrackedOracle(Oracle):
-    def __init__(self, inner: Oracle, meter: UsageMeter):
-        self.inner = inner
-        self.meter = meter
-        super().__init__(inner, label=f"tracked({inner.label})")
-
-    def __call__(self, k: int) -> int:
-        if k < 0:
-            raise ValueError("oracle indices are naturals")
-        self.meter.note(k)
-        return self.inner(k)
-
-
-def with_usage_tracking(f: Oracle) -> tuple[Oracle, UsageMeter]:
-    meter = UsageMeter()
-    return TrackedOracle(f, meter), meter
-
 
 class RecordingOracle(Oracle):
-    """Tracking plus a transcript of (index, value) reads in query order."""
+    """An oracle read through a usage meter and a transcript of its
+    (index, value) reads in query order."""
 
     def __init__(self, inner: Oracle):
         self.inner = inner
@@ -406,10 +384,18 @@ class RecordingOracle(Oracle):
         super().__init__(inner, label=f"recorded({inner.label})")
 
     def __call__(self, k: int) -> int:
+        if k < 0:
+            raise ValueError("oracle indices are naturals")
         self.meter.note(k)
         v = self.inner(k)
         self.transcript.append((k, v))
         return v
+
+
+def with_usage_tracking(f: Oracle) -> tuple[RecordingOracle, UsageMeter]:
+    """f read through a recording oracle, and that oracle's meter."""
+    rec = RecordingOracle(f)
+    return rec, rec.meter
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
-"""Namings of concrete metric spaces over the oracle universe.
+"""Concrete metric spaces over the oracle universe, one object per space.
 
-A naming is a (partial) surjection from a set of oracles onto the points
-of a space; a metric naming additionally carries the exact point-level
-metric and a name-level distance stream agreeing with it at every
-precision.  Rather than arbitrary metric spaces, a small registry of
-concrete compact spaces is provided: Cantor space, finite discrete
-spaces, and their products.  Each registry space has canonical names, so
-points are represented by canonical finite descriptions and every
-name-level computation has an exact oracle to be tested against.
+A space here is represented by its names (Weihrauch, *Computable
+Analysis*, 2000): a partial surjection from oracles onto its points.  Each
+registry space is a single ``Space`` object that carries all of it at
+once: the horizon-bounded domain test, the point decoding, the exact
+point-level metric and a name-level distance stream agreeing with that
+metric at every precision.  Rather than arbitrary metric spaces, a small
+registry of concrete compact spaces is provided: Cantor space, finite
+discrete spaces, and their products.  Each registry space has canonical
+names, so points are represented by canonical finite descriptions and
+every name-level computation has an exact oracle to be tested against.
 
 All registry names are everywhere positive, which is what lets the added
-point of the one-point extension be the constant zero function, detected
-by inspecting index 0 alone.
+point of the one-point extension (``PointedSpace``) be the constant zero
+function, detected by inspecting index 0 alone.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import k2, reals
-from .k2 import (FinPartialFn, Oracle, TableOracle, SpecError, cons,
-                 pair_names, project_names, star, star_name)
+from .k2 import (Oracle, TableOracle, SpecError, cons, pair_names,
+                 project_names, star, star_name)
 from .reals import SignedDigitReal, first_diff_real, from_rational, max_star
 
 STAR_POINT = "*"
@@ -61,7 +63,8 @@ Point = Union[CantorPoint, int, tuple]
 
 
 class Space:
-    """Shared interface of registry space descriptors."""
+    """A registry space: its names and their decoding into points, the
+    exact metric on points and the distance stream on names."""
 
     kind: str
     space_id: str
@@ -275,71 +278,40 @@ class ProductSpace(Space):
 
 
 def parse_space_spec(spec) -> Space:
+    """The registry space a JSON document describes; SpecError when the
+    document is malformed."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise SpecError("space spec must be an object with a kind")
     kind = spec["kind"]
     if kind == "cantor":
         return CantorSpace(recode_swap=bool(spec.get("swapped", False)))
     if kind == "finite":
-        return FiniteSpace(int(spec.get("n", 0)))
+        try:
+            n = int(spec.get("n", 0))
+        except (TypeError, ValueError) as e:
+            raise SpecError(f"bad finite space size: {e}")
+        return FiniteSpace(n)
     if kind == "product":
+        if "left" not in spec or "right" not in spec:
+            raise SpecError("product space spec needs a left and a right")
         return ProductSpace(parse_space_spec(spec["left"]),
                             parse_space_spec(spec["right"]))
     raise SpecError(f"unknown space kind: {kind!r}")
 
 
-# ---------------------------------------------------------------------------
-# Namings
-# ---------------------------------------------------------------------------
+# Constructor functions; the benchmark workloads call the spaces by these names.
 
 
-@dataclass(frozen=True)
-class Naming:
-    """A named set: horizon-bounded domain test plus the point decoding."""
-
-    space_id: str
-    contains: Callable[[Oracle, int], bool]
-    point_of: Callable[[Oracle], object]
+def cantor_space(recode_swap: bool = False) -> CantorSpace:
+    return CantorSpace(recode_swap=recode_swap)
 
 
-@dataclass(frozen=True)
-class MetricNaming:
-    """A named metric space: naming, exact metric, name-level distance stream."""
-
-    naming: Naming
-    dist: Callable[[Point, Point], Fraction]
-    dist_hat: Callable[[Oracle, Oracle], SignedDigitReal]
-    space: Space
-    names_positive: bool = True
+def finite_space(n: int) -> FiniteSpace:
+    return FiniteSpace(n)
 
 
-def nat_naming() -> Naming:
-    """Names of naturals: value at index 0, zero tail required."""
-    def contains(f: Oracle, horizon: int) -> bool:
-        return all(f(k) == 0 for k in range(1, max(horizon, 1)))
-
-    return Naming("nat", contains, lambda f: f(0))
-
-
-def metric_naming(space: Space) -> MetricNaming:
-    return MetricNaming(
-        naming=Naming(space.space_id, space.contains_name, space.point_of),
-        dist=space.dist,
-        dist_hat=space.dist_hat,
-        space=space,
-    )
-
-
-def cantor_space(recode_swap: bool = False) -> MetricNaming:
-    return metric_naming(CantorSpace(recode_swap=recode_swap))
-
-
-def finite_space(n: int) -> MetricNaming:
-    return metric_naming(FiniteSpace(n))
-
-
-def product_metric_naming(mx: MetricNaming, my: MetricNaming) -> MetricNaming:
-    return metric_naming(ProductSpace(mx.space, my.space))
+def product_metric_naming(left: Space, right: Space) -> ProductSpace:
+    return ProductSpace(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +321,14 @@ def product_metric_naming(mx: MetricNaming, my: MetricNaming) -> MetricNaming:
 
 @dataclass(frozen=True)
 class PointedSpace:
-    """A registry metric naming extended with the added point.
+    """A registry space extended with the added point.
 
     The added point's name is the constant zero function; every real name
     is positive at index 0, so membership of the added point is decided by
     one query.  Distance from any real point to the added point is 1.
     """
 
-    base: MetricNaming
-    star: TableOracle
-
-    @property
-    def space(self) -> Space:
-        return self.base.space
+    space: Space
 
     def is_star(self, f: Oracle) -> bool:
         return f(0) == 0
@@ -372,7 +339,7 @@ class PointedSpace:
             return ZERO
         if p_star or q_star:
             return ONE
-        return self.base.dist(p, q)
+        return self.space.dist(p, q)
 
     def dist_hat(self, f: Oracle, g: Oracle) -> SignedDigitReal:
         f_star, g_star = self.is_star(f), self.is_star(g)
@@ -380,18 +347,14 @@ class PointedSpace:
             return from_rational(ZERO)
         if f_star or g_star:
             return from_rational(ONE)
-        return self.base.dist_hat(f, g)
+        return self.space.dist_hat(f, g)
 
     def point_of(self, f: Oracle):
-        return STAR_POINT if self.is_star(f) else self.base.naming.point_of(f)
+        return STAR_POINT if self.is_star(f) else self.space.point_of(f)
 
 
-def star_extension(m: MetricNaming) -> PointedSpace:
-    if not m.names_positive:
-        raise ValueError(
-            f"naming {m.naming.space_id} admits a name vanishing at 0; "
-            "it cannot host the added point")
-    return PointedSpace(base=m, star=star_name())
+def star_extension(space: Space) -> PointedSpace:
+    return PointedSpace(space)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +435,7 @@ class ReductionReport:
         return out
 
 
-def verify_reduction(h: Oracle, src: MetricNaming | Naming, dst: MetricNaming | Naming,
+def verify_reduction(h: Oracle, src: Space, dst: Space,
                      samples: Sequence[Oracle], fuel: int,
                      horizon: int = 16) -> ReductionReport:
     """Check that h translates src-names to dst-names of the same point.
@@ -481,10 +444,6 @@ def verify_reduction(h: Oracle, src: MetricNaming | Naming, dst: MetricNaming | 
     the horizon under the given fuel; the first counterexample is reported,
     fuel exhaustion makes the report inconclusive rather than a failure.
     """
-    src_n = src.naming if isinstance(src, MetricNaming) else src
-    dst_n = dst.naming if isinstance(dst, MetricNaming) else dst
-    dst_space = dst.space if isinstance(dst, MetricNaming) else None
-
     for si, f in enumerate(samples):
         values = []
         for kk in range(horizon):
@@ -493,22 +452,14 @@ def verify_reduction(h: Oracle, src: MetricNaming | Naming, dst: MetricNaming | 
                 return ReductionReport(False, si, inconclusive=True)
             values.append(r.value)
         translated = k2.from_values(values, tail_value=values[-1] if values else 0)
-        if not dst_n.contains(translated, horizon):
+        if not dst.contains_name(translated, horizon):
             return ReductionReport(False, si, counterexample={
                 "sample": si, "reason": "translate leaves the target domain",
                 "values": values})
-        expected_point = src_n.point_of(f)
-        if dst_space is not None:
-            want = [dst_space.name_value_of_point(expected_point, kk)
-                    for kk in range(horizon)]
-        else:
-            got_point = dst_n.point_of(translated)
-            want = None
-            if got_point != expected_point:
-                return ReductionReport(False, si, counterexample={
-                    "sample": si, "reason": "wrong point",
-                    "got": got_point, "want": expected_point})
-        if want is not None and values != want:
+        expected_point = src.point_of(f)
+        want = [dst.name_value_of_point(expected_point, kk)
+                for kk in range(horizon)]
+        if values != want:
             bad = next(kk for kk in range(horizon) if values[kk] != want[kk])
             return ReductionReport(False, si, counterexample={
                 "sample": si, "reason": "wrong point", "index": bad,

@@ -195,11 +195,6 @@ def max_star(x: SignedDigitReal, y: SignedDigitReal) -> SignedDigitReal:
                           label=f"max({x.label},{y.label})")
 
 
-def real_spec_json(x: SignedDigitReal, prefix_len: int = 8) -> dict:
-    return {"int": x.integer_part, "digits": x.digit_prefix(prefix_len),
-            "tail": "opaque"}
-
-
 def parse_real_spec(spec) -> SignedDigitReal:
     """(integer part, finite digit prefix, tail rule) documents.
 

@@ -65,11 +65,11 @@ def test_insufficient_depth_flagged():
 
 
 def test_point_membership_in_atoms():
-    p = CANTOR.space.point_of(from_values([1, 2], tail_value=1))
-    assert point_in_atom(CANTOR.space, p, atom({0: 1, 1: 2}, 4))
-    assert not point_in_atom(CANTOR.space, p, atom({1: 1}, 4))
+    p = CANTOR.point_of(from_values([1, 2], tail_value=1))
+    assert point_in_atom(CANTOR, p, atom({0: 1, 1: 2}, 4))
+    assert not point_in_atom(CANTOR, p, atom({1: 1}, 4))
     # constraints past the radius exponent do not matter
-    assert point_in_atom(CANTOR.space, p, atom({0: 1, 5: 1}, 0))
+    assert point_in_atom(CANTOR, p, atom({0: 1, 5: 1}, 0))
 
 
 # --- subcovers -----------------------------------------------------------------
@@ -141,11 +141,11 @@ def test_onset_avoidance_name_checks_against_metric():
     seq = seq_of(name)
     h = make_avoidance_name(seq, P_CANTOR)
     n, m = k2.decode_pair(h.h(0) - 1)
-    point = CANTOR.space.point_of(name)
+    point = CANTOR.point_of(name)
     for i in range(m, seq.horizon):
         entry = seq.entry(i)
         if not P_CANTOR.is_star(entry):
-            d = CANTOR.dist(point, CANTOR.space.point_of(entry))
+            d = CANTOR.dist(point, CANTOR.point_of(entry))
             assert d >= Fraction(1, 2 ** n)
 
 
@@ -221,7 +221,7 @@ def test_exactness_on_random_sequences():
     for m, pointed in ((CANTOR, P_CANTOR), (FIN3, P_FIN3)):
         realizer = realizer_from_base(builtin_base(m), pointed)
         oracle = direct_scan_realizer(pointed)
-        sp = m.space
+        sp = m
         for _ in range(20):
             entries = tuple(
                 k2.star_name() if rng.random() < 0.4
@@ -258,7 +258,7 @@ def test_round_trip_value_equality():
     realizer = realizer_from_base(builtin_base(CANTOR), P_CANTOR)
     probed = base_from_realizer(realizer, P_CANTOR, probe_budget=300)
     again = realizer_from_base(probed, P_CANTOR)
-    sp = CANTOR.space
+    sp = CANTOR
     for _ in range(10):
         entries = tuple(sp.canonical_name(sp.sample_point(rng))
                         for _ in range(rng.randrange(0, 5)))
@@ -290,10 +290,10 @@ def test_product_atom_membership_factorizes():
     ay = atom({0: 1}, 1)
     combined = product_atom(ax, ay)
     for _ in range(40):
-        p = prod.space.sample_point(rng)
-        inside = point_in_atom(prod.space, p, combined)
-        parts = (point_in_atom(CANTOR.space, p[0], ax)
-                 and point_in_atom(FIN2.space, p[1], ay))
+        p = prod.sample_point(rng)
+        inside = point_in_atom(prod, p, combined)
+        parts = (point_in_atom(CANTOR, p[0], ax)
+                 and point_in_atom(FIN2, p[1], ay))
         assert inside == parts
 
 
@@ -311,7 +311,7 @@ def test_product_base_finite_square():
     assert len(theta.atoms) == 4
     for c in (1, 2):
         for d in (1, 2):
-            assert any(point_in_atom(prod.space, (c, d), a) for a in theta.atoms)
+            assert any(point_in_atom(prod, (c, d), a) for a in theta.atoms)
     assert covers(theta, prod).covered
 
 
@@ -347,7 +347,7 @@ def test_product_realizer_matches_direct_scan():
     reference = realizer_from_base(
         product_base(builtin_base(CANTOR), builtin_base(FIN2)), pointed)
     rng = random.Random(31)
-    sp = prod.space
+    sp = prod
     for _ in range(10):
         entries = tuple(
             k2.star_name() if rng.random() < 0.4
@@ -375,7 +375,7 @@ def test_transport_with_identity_trackings():
     realizer = realizer_from_base(builtin_base(CANTOR), P_CANTOR)
     moved = transport_realizer(realizer, _id_tracking(), _id_tracking(), P_CANTOR)
     rng = random.Random(77)
-    sp = CANTOR.space
+    sp = CANTOR
     for _ in range(8):
         entries = tuple(sp.canonical_name(sp.sample_point(rng))
                         for _ in range(rng.randrange(0, 5)))
@@ -393,7 +393,7 @@ def test_transport_across_digit_swap():
                                p_swapped)
     oracle = direct_scan_realizer(p_swapped)
     rng = random.Random(78)
-    sp = swapped.space
+    sp = swapped
     for _ in range(10):
         entries = tuple(
             k2.star_name() if rng.random() < 0.3

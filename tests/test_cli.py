@@ -1,6 +1,8 @@
 import json
 
-from baire import cli, k2
+import pytest
+
+from baire import acceptance, cli, k2
 
 
 def run_cli(capsys, *argv):
@@ -183,3 +185,43 @@ def test_k2_encode_past_the_digit_limit_is_refused(capsys):
         assert doc["result"]["code_bits"] == k2.encode_seq(seq).bit_length()
     code, doc, _ = run_cli(capsys, "k2", "encode", "--seq", "1,1,1,1,1,1,1,1,1,1")
     assert code == 0 and doc["result"]["code"] == k2.encode_seq([1] * 10)
+
+
+MALFORMED_SPACES = [
+    '{"kind":"product"}',
+    '{"kind":"product","left":{"kind":"cantor"}}',
+    '{"kind":"product","left":{"kind":"cantor"},"right":{"kind":"finite","n":{}}}',
+    '{"kind":"finite","n":[1]}',
+    '{"kind":"finite","n":null}',
+    '{"kind":"finite","n":"x"}',
+    '{"kind":"finite","n":0}',
+    '{"kind":"torus"}',
+    '"cantor"',
+]
+
+
+@pytest.mark.parametrize("command", [
+    ["spaces", "dist", "--f", "const:1", "--g", "const:1"],
+    ["spaces", "check", "--name", "const:1"],
+    ["antispecker", "demo"],
+], ids=lambda c: " ".join(c[:2]))
+@pytest.mark.parametrize("space", MALFORMED_SPACES)
+def test_malformed_space_spec_is_exit_two(capsys, command, space):
+    code, doc, err = run_cli(capsys, *command, "--space", space)
+    assert code == 2 and doc is None
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _criterion_over_its_limit():
+    return acceptance.CriterionResult("over-limit", True, "correct but slow",
+                                      seconds=2.0, limit=1.0)
+
+
+def test_selftest_fails_a_criterion_over_its_time_limit(capsys, monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [("over-limit", _criterion_over_its_limit)])
+    code, doc, err = run_cli(capsys, "selftest")
+    assert code == 1
+    assert doc["result"]["all_pass"] is False
+    assert doc["result"]["criteria"][0]["ok"] is True
+    assert err.startswith("[FAIL] over-limit")

@@ -190,6 +190,14 @@ def test_tracking_is_transparent():
     assert [tracked(i) for i in range(6)] == [base(i) for i in range(6)]
 
 
+def test_recording_oracle_rejects_negative_index_before_metering():
+    rec, meter = with_usage_tracking(constant(2))
+    with pytest.raises(ValueError):
+        rec(-1)
+    assert meter.count == 0 and rec.transcript == []
+    assert rec(3) == 2 and rec.transcript == [(3, 2)] and meter.max_index == 3
+
+
 def test_star_reads_argument_below_firing_index():
     f = k2.Oracle(lambda c: 3 if len(decode_seq(c)) >= 2 else 0)
     g, meter = with_usage_tracking(constant(1))

@@ -8,27 +8,8 @@ from hypothesis import strategies as st
 from baire import k2, naming
 from baire.k2 import FinPartialFn, constant, from_values, pair_names, project_names
 from baire.naming import (CantorPoint, NameSequence, cantor_space, finite_space,
-                          nat_naming, product_metric_naming, star_extension,
+                          product_metric_naming, star_extension,
                           verify_reduction)
-
-
-# --- naturals -------------------------------------------------------------
-
-def test_nat_naming_reads_head():
-    nat = nat_naming()
-    f = from_values([5], tail_value=0)
-    assert nat.contains(f, 16)
-    assert nat.point_of(f) == 5
-
-
-def test_nat_naming_rejects_noisy_tail():
-    nat = nat_naming()
-    assert not nat.contains(from_values([5, 1], tail_value=0), 16)
-
-
-def test_nat_naming_zero():
-    nat = nat_naming()
-    assert nat.point_of(constant(0)) == 0
 
 
 # --- registry spaces -------------------------------------------------------
@@ -37,7 +18,7 @@ def test_cantor_first_difference_metric():
     m = cantor_space()
     f = from_values([1, 2], tail_value=2)
     g = constant(1)
-    assert m.dist(m.naming.point_of(f), m.naming.point_of(g)) == Fraction(1, 2)
+    assert m.dist(m.point_of(f), m.point_of(g)) == Fraction(1, 2)
 
 
 def test_cantor_equal_names_have_zero_distance_stream():
@@ -57,9 +38,9 @@ def test_finite_discrete_metric():
 
 def test_finite_space_domain():
     m = finite_space(3)
-    assert m.naming.contains(constant(2), 16)
-    assert not m.naming.contains(constant(4), 16)
-    assert not m.naming.contains(from_values([1, 2], tail_value=1), 16)
+    assert m.contains_name(constant(2), 16)
+    assert not m.contains_name(constant(4), 16)
+    assert not m.contains_name(from_values([1, 2], tail_value=1), 16)
 
 
 def test_finite_space_needs_a_point():
@@ -96,10 +77,10 @@ SPACES = [cantor_space(), finite_space(5),
           product_metric_naming(cantor_space(), cantor_space())]
 
 
-@pytest.mark.parametrize("m", SPACES, ids=lambda m: m.space.space_id)
+@pytest.mark.parametrize("m", SPACES, ids=lambda m: m.space_id)
 def test_stream_matches_exact_metric(m):
     rng = random.Random(7)
-    sp = m.space
+    sp = m
     for _ in range(25):
         p, q = sp.sample_point(rng), sp.sample_point(rng)
         exact = m.dist(p, q)
@@ -107,10 +88,10 @@ def test_stream_matches_exact_metric(m):
         assert abs(stream.approx(20) - exact) <= Fraction(1, 2 ** 20)
 
 
-@pytest.mark.parametrize("m", SPACES, ids=lambda m: m.space.space_id)
+@pytest.mark.parametrize("m", SPACES, ids=lambda m: m.space_id)
 def test_metric_axioms(m):
     rng = random.Random(8)
-    sp = m.space
+    sp = m
     for _ in range(40):
         p, q, r = (sp.sample_point(rng) for _ in range(3))
         assert m.dist(p, q) == m.dist(q, p)
@@ -132,7 +113,7 @@ def test_product_metric_is_max():
 def test_product_stream_on_random_pairs():
     rng = random.Random(9)
     prod = product_metric_naming(cantor_space(), cantor_space())
-    sp = prod.space
+    sp = prod
     for _ in range(50):
         p, q = sp.sample_point(rng), sp.sample_point(rng)
         exact = prod.dist(p, q)
@@ -145,8 +126,8 @@ def test_product_stream_on_random_pairs():
 def test_star_distance_is_one():
     pointed = star_extension(cantor_space())
     name = from_values([1, 2], tail_value=1)
-    assert pointed.dist_hat(name, pointed.star).approx(6) == 1
-    assert pointed.dist(naming.STAR_POINT, pointed.base.naming.point_of(name)) == 1
+    assert pointed.dist_hat(name, k2.star_name()).approx(6) == 1
+    assert pointed.dist(naming.STAR_POINT, pointed.space.point_of(name)) == 1
 
 
 def test_star_detection_reads_one_query():
@@ -155,14 +136,6 @@ def test_star_detection_reads_one_query():
     assert pointed.is_star(meter_star) and m1.max_index == 0 and m1.count == 1
     meter_real, m2 = k2.with_usage_tracking(constant(1))
     assert not pointed.is_star(meter_real) and m2.count == 1
-
-
-def test_star_extension_rejects_vanishing_names():
-    m = cantor_space()
-    bad = naming.MetricNaming(m.naming, m.dist, m.dist_hat, m.space,
-                              names_positive=False)
-    with pytest.raises(ValueError):
-        star_extension(bad)
 
 
 # --- sequences ---------------------------------------------------------------
@@ -217,7 +190,7 @@ def test_wrong_point_reduction_caught():
 def test_digit_swap_reduction():
     rng = random.Random(11)
     std, swapped = cantor_space(), cantor_space(recode_swap=True)
-    samples = [std.space.canonical_name(std.space.sample_point(rng))
+    samples = [std.canonical_name(std.sample_point(rng))
                for _ in range(20)]
     report = verify_reduction(_swap_name(), std, swapped, samples,
                               fuel=24, horizon=8)

@@ -84,7 +84,7 @@ def reference_realizer(base, pointed, max_prefix_len=16):
 
 
 def random_sequence(rng, m):
-    sp = m.space
+    sp = m
     return NameSequence(tuple(
         k2.star_name() if rng.random() < 0.3
         else sp.canonical_name(sp.sample_point(rng))
