@@ -4,7 +4,8 @@ Each case runs ``baire.cli.run`` in process and compares what it prints,
 byte for byte, and the exit code it returns against
 ``tests/golden/<case>.out`` and ``tests/golden/exit_codes.json``.  The
 cases are every command line example of the README plus the commands that
-cross the space, base and realizer code.  ``baire selftest`` is left out:
+cross the space, base and realizer code, the protected splitter and the
+window search.  ``baire selftest`` is left out:
 it prints timings.
 
 To record the goldens again after a deliberate change of output:
@@ -24,6 +25,9 @@ EXIT_CODES = GOLDEN / "exit_codes.json"
 
 PRODUCT = ('{"kind":"product","left":{"kind":"cantor"},'
            '"right":{"kind":"finite","n":2}}')
+# steps 1/2, 1/16, 1/64: blocks of 3, 3 and 3 entries
+THREE_STEPS = '{"prefix":["1/2","9/16","37/64"],"tail":{"kind":"constant","value":"37/64"}}'
+CYCLES = '{"table":[[0,4],[4,8],[8,0],[1,2],[2,1],[10,11],[11,10]]}'
 
 CASES = {
     # the README examples, in README order
@@ -89,6 +93,23 @@ CASES = {
         "--theta", '[{"sigma":[[0,1]],"n":1},{"sigma":[[0,2],[1,1]],"n":1}]'],
     "antispecker-probe-product": [
         "antispecker", "probe", "--space", PRODUCT, "--budget", "40"],
+    # protected splitting: two templates of the split benchmark, one with
+    # geometric and one with constant targets
+    "splitter-run-3-stages-geometric": [
+        "splitter", "run", "--x", '{"prefix":["1/3","1/8","1/32"]}',
+        "--b", '{"prefix":[],"tail":{"kind":"geometric","base":"1","ratio":"1/3"}}',
+        "--stages", "3", "--verify"],
+    "splitter-run-4-stages-constant": [
+        "splitter", "run", "--x", '{"prefix":["2","0","1/5","1/32"]}',
+        "--b", '{"prefix":[],"tail":{"kind":"constant","value":"2"}}',
+        "--stages", "4", "--verify"],
+    # window search on a sequence with three positive steps, rearranged
+    "rpt-fabar-three-steps": [
+        "rpt", "fabar", "--a", THREE_STEPS, "--p", CYCLES, "--n", "3"],
+    "rpt-decide-three-steps-window": [
+        "rpt", "decide", "--a", THREE_STEPS, "--p", CYCLES, "--m", "6", "--n", "4"],
+    "rpt-decide-three-steps-tail": [
+        "rpt", "decide", "--a", THREE_STEPS, "--p", CYCLES, "--m", "0", "--n", "2"],
     # usage tracking
     "k2-star-track": [
         "k2", "star",
