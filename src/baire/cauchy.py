@@ -17,12 +17,21 @@ plus a tail rule, together with Cauchy moduli.  On top of them sit:
 
 * the window-diameter realizer for partially Cauchy sequences.
 
-Everything is exact rational arithmetic; nothing here approximates.
+Everything is exact rational arithmetic; nothing here approximates.  The
+hot loops run on integers: the splitter, its clearance check and the
+window search hold every rational multiplied by a common denominator.
+The splitter also compresses its state by class: a protected pair's gap,
+clearance floor and stage-end clearance depend only on its subset sum,
+its target index and its protection, so each is computed once per class
+and counted with the class's size.  Its mask-level ledger is still built
+in full, since callers read it pair by pair.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -339,6 +348,12 @@ class ClearanceViolation(Exception):
 class StageBudgetExceeded(Exception):
     """The projected per-stage classification state is too large."""
 
+    def __init__(self, stage: int, width: int):
+        self.stage = stage
+        self.width = width
+        super().__init__(
+            f"stage {stage}: 2^{width} subset sums exceed the configured cap")
+
 
 @dataclass
 class StageRecord:
@@ -439,6 +454,60 @@ def positive_stage_count(x: RationalSeq, stages: int) -> int:
     return sum(1 for i in range(min(stages, len(x.prefix))) if x.value_at(i) > 0)
 
 
+class _ScaledState:
+    """The integer state of ``protected_split``.
+
+    Every rational v in play is held as the integer v * scale.  The scale
+    is twice the lcm of every denominator admitted so far, so half of any
+    gap between held values is an integer too; admitting a new denominator
+    multiplies the held integers up.  The subset-sum table is kept at its
+    own scale and brought up to date only when a positive stage reads it.
+    """
+
+    def __init__(self):
+        self.scale = 2
+        self.flat: list[int] = []
+        self.total = 0
+        self.b: list[int] = []
+        # (subset sum, n, protection) -> number of protected pairs
+        self.classes: Counter = Counter()
+        self.sums = [0]
+        self.sums_scale = 2
+
+    def admit(self, q: Fraction) -> int:
+        """Grow the scale until q * scale / 2 is an integer; returns the
+        factor it grew by (1 when it already was)."""
+        half = self.scale // 2
+        d = q.denominator
+        grow = d // math.gcd(half, d)
+        if grow > 1:
+            self.scale *= grow
+            self.flat = [v * grow for v in self.flat]
+            self.total *= grow
+            self.b = [v * grow for v in self.b]
+            self.classes = Counter({(v * grow, n, r * grow): c
+                                    for (v, n, r), c in self.classes.items()})
+        return grow
+
+    def held(self, q: Fraction) -> int:
+        return q.numerator * (self.scale // q.denominator)
+
+    def table(self, width: int) -> list[int]:
+        """Subset sums of the first ``width`` entries, indexed by mask."""
+        if self.sums_scale != self.scale:
+            grow = self.scale // self.sums_scale
+            self.sums = [v * grow for v in self.sums]
+            self.sums_scale = self.scale
+        sums = self.sums
+        for idx in range(len(sums).bit_length() - 1, width):
+            v = self.flat[idx]
+            if v:
+                sums += [u + v for u in sums]
+            else:
+                sums *= 2
+        return sums
+
+
 def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
                     max_state_bits: int = 22) -> SplitterLedger:
     """Split x into signed blocks keeping rearranged partial sums clear of b.
@@ -454,10 +523,17 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
     the protection x_s / (2k).  Before advancing, the clearance invariant
     (every protected pair strictly clears its protection) is re-checked;
     a violation aborts with the ledger attached.
+
+    The arithmetic runs on ``_ScaledState`` integers.  A pair's gap, floor
+    and clearance depend only on its class (subset sum, n, protection), so
+    each is computed once per class and weighed by the class's size; only
+    the ledger's mask-level protections and a failure message are built
+    pair by pair.
     """
     if not x.is_nonneg or not b.is_nonneg:
         raise ValueError("both sequences must be non-negative")
     ledger = SplitterLedger(x=x, b=b)
+    st = _ScaledState()
 
     for s in range(stages):
         xs = x.value_at(s)
@@ -466,58 +542,78 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
                 stage=s, x=xs, positive=False, k=1, y=(Fraction(0),), t=None))
             ledger.block_start.append(len(ledger.flat))
             ledger.flat.append(Fraction(0))
+            st.flat.append(0)
             continue
 
         width = len(ledger.flat)
         if width > max_state_bits:
-            raise StageBudgetExceeded(
-                f"stage {s}: 2^{width} subset sums exceed the configured cap")
+            raise StageBudgetExceeded(s, width)
+        for n in range(len(st.b), s + 1):
+            bn = b.value_at(n)
+            st.admit(bn)
+            st.b.append(st.held(bn))
+        sums = st.table(width)
+        total = st.total
+        scale = st.scale
+        classes = st.classes
 
-        # subset sums over the current entries, shared by every check below
-        sums = [Fraction(0)] * (1 << width)
-        for idx in range(width):
-            v = ledger.flat[idx]
-            bit = 1 << idx
-            for mask in range(bit):
-                sums[bit | mask] = sums[mask] + v
-        total = sums[(1 << width) - 1] if width else Fraction(0)
-
+        # after the last positive stage s' at width w', exactly the pairs
+        # [0, 2^w') x [0, s'] are protected
+        last = ledger.last_positive_stage
+        done = 1 << ledger.block_start[last] if last is not None else 0
+        counts = {}
         case2: list[tuple[int, int]] = []
         case3: list[tuple[int, int]] = []
-        b_vals = [b.value_at(n) for n in range(s + 1)]
+        waiting: list[tuple[int, int, int]] = []   # (sum, n, pairs) on b_n
+        halves: dict[int, Fraction] = {}
         for n in range(s + 1):
-            bn = b_vals[n]
-            for mask in range(1 << width):
-                key = (mask, n)
-                if key in ledger.protections:
-                    continue
-                gap = abs(abs(total - sums[mask]) - bn)
-                if gap != 0:
-                    ledger.protections[key] = gap / 2
-                    case2.append(key)
+            lo = done if last is not None and n <= last else 0
+            if lo not in counts:
+                counts[lo] = Counter(sums[lo:])
+            bn = st.b[n]
+            half_gap: dict[int, Fraction] = {}   # subset sum -> protection
+            for v, c in counts[lo].items():
+                gap = abs(abs(total - v) - bn)
+                if gap:
+                    r = gap // 2
+                    classes[(v, n, r)] += c
+                    if r not in halves:
+                        halves[r] = Fraction(r, scale)
+                    half_gap[v] = halves[r]
                 else:
+                    waiting.append((v, n, c))
+            keys = list(zip(range(lo, len(sums)), itertools.repeat(n)))
+            if len(half_gap) == len(counts[lo]):
+                ledger.protections.update(
+                    zip(keys, map(half_gap.__getitem__, sums[lo:])))
+                case2 += keys
+                continue
+            for key in keys:
+                r = half_gap.get(sums[key[0]])
+                if r is None:
                     case3.append(key)
+                else:
+                    ledger.protections[key] = r
+                    case2.append(key)
 
         # worst clearance floor over everything protected so far
         t: Optional[Fraction] = None
-        for (mask, n), r in ledger.protections.items():
-            margin = abs(abs(total - sums[mask]) - b.value_at(n)) - r
-            if t is None or margin < t:
-                t = margin
-        if t is not None and t <= 0:
-            raise ClearanceViolation(ledger, f"stage {s}: clearance floor {t} <= 0")
-
-        if t is None:
-            k = 1
+        if classes:
+            floor = min(abs(abs(total - v) - st.b[n]) - r for v, n, r in classes)
+            t = Fraction(floor, scale)
+            if floor <= 0:
+                raise ClearanceViolation(ledger, f"stage {s}: clearance floor {t} <= 0")
+            # least odd k with x_s / k < t / 2, i.e. 2 x_s scale < k floor
+            k = 2 * xs.numerator * scale // (floor * xs.denominator) + 1
+            k += 1 - k % 2
         else:
             k = 1
-            while Fraction(xs, 1) / k >= t / 2:
-                k += 2
         piece = xs / k
         block = tuple(piece if j % 2 == 0 else -piece for j in range(k))
 
+        half_piece = piece / 2
         for key in case3:
-            ledger.protections[key] = piece / 2
+            ledger.protections[key] = half_piece
 
         ledger.stages.append(StageRecord(
             stage=s, x=xs, positive=True, k=k, y=block, t=t,
@@ -526,20 +622,37 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
         ledger.flat.extend(block)
         ledger.last_positive_stage = s
 
+        grow = st.admit(piece)
+        held = st.held(piece)
+        for v, n, c in waiting:
+            st.classes[(v * grow, n, held // 2)] += c
+        st.flat += [held if j % 2 == 0 else -held for j in range(k)]
+        st.total += held
+
         # stage-end invariant: strict clearance for every protected pair
         checked = 0
-        new_total = total + piece
-        for (mask, n), r in ledger.protections.items():
-            clear = abs(abs(new_total - sums[mask]) - b.value_at(n))
-            checked += 1
-            if not clear > r:
-                raise ClearanceViolation(
-                    ledger,
-                    f"stage {s}: pair (A={_mask_indices(mask)}, n={n}) has "
-                    f"clearance {clear} <= protection {r}")
+        new_total = st.total
+        for (v, n, r), c in st.classes.items():
+            if not abs(abs(new_total - v) - st.b[n]) > r:
+                _raise_first_violation(ledger, st, s)
+            checked += c
         ledger.stages[-1].checked = checked
 
     return ledger
+
+
+def _raise_first_violation(ledger: SplitterLedger, st: _ScaledState, s: int):
+    """Scan the protected pairs in ledger order and raise on the first one
+    that fails the stage-end invariant."""
+    sums = st.table(ledger.block_start[-1])
+    for (mask, n), r in ledger.protections.items():
+        clear = abs(abs(st.total - sums[mask]) - st.b[n])
+        if not clear > st.held(r):
+            raise ClearanceViolation(
+                ledger,
+                f"stage {s}: pair (A={_mask_indices(mask)}, n={n}) has "
+                f"clearance {Fraction(clear, st.scale)} <= protection {r}")
+    raise AssertionError("a protection class failed but no pair does")
 
 
 @dataclass(frozen=True)
@@ -562,20 +675,46 @@ def verify_clearances(ledger: SplitterLedger,
     Ignores all cached sums.  With a declared bound on the absolute sum of
     the not-yet-split remainder, pairs whose clearance exceeds the bound
     are additionally certified to keep the limit inequality.
+
+    The recomputation scales the entries, the targets and the bound to
+    one common denominator and builds its own subset-sum table; it shares
+    no state or code with ``protected_split``.
     """
-    failures: list[dict] = []
+    protections = ledger.protections
+    targets = {n: ledger.b.value_at(n) for n in {n for _, n in protections}}
+    rationals = [*ledger.flat, *targets.values()]
+    if extra_tail_bound is not None:
+        rationals.append(extra_tail_bound)
+    scale = math.lcm(*(q.denominator for q in rationals))
+
+    def held(q: Fraction) -> int:
+        return q.numerator * (scale // q.denominator)
+
+    entries = [held(v) for v in ledger.flat]
+    total = sum(entries)
+    b_held = {n: held(bn) for n, bn in targets.items()}
+    width = max((mask for mask, _ in protections), default=0).bit_length()
+    sums = [0]
+    for v in entries[:width]:
+        sums += [u + v for u in sums]
+
+    failed: list[tuple[int, int]] = []
     certified = 0
-    total = sum(ledger.flat, Fraction(0))
-    for (mask, n), r in sorted(ledger.protections.items()):
-        included = total - ledger.subset_sum(mask)
-        clear = abs(abs(included) - ledger.b.value_at(n))
-        if not clear > r:
-            failures.append({"A": _mask_indices(mask), "n": n,
-                             "r": format_rational(r),
-                             "clearance": format_rational(clear)})
-        if extra_tail_bound is not None and clear - extra_tail_bound > 0:
+    bound = held(extra_tail_bound) if extra_tail_bound is not None else None
+    for (mask, n), r in protections.items():
+        clear = abs(abs(total - sums[mask]) - b_held[n])
+        # clear / scale > r, cross-multiplied
+        if not clear * r.denominator > r.numerator * scale:
+            failed.append((mask, n))
+        if bound is not None and clear > bound:
             certified += 1
-    return ClearanceReport(not failures, len(ledger.protections), certified,
+    failures = []
+    for mask, n in sorted(failed):
+        clear = abs(abs(total - sums[mask]) - b_held[n])
+        failures.append({"A": _mask_indices(mask), "n": n,
+                         "r": format_rational(protections[(mask, n)]),
+                         "clearance": format_rational(Fraction(clear, scale))})
+    return ClearanceReport(not failures, len(protections), certified,
                            tuple(failures))
 
 
@@ -589,6 +728,7 @@ class PermutationSpec:
     """A permutation given by a finite table, identity beyond its support."""
 
     table: tuple[tuple[int, int], ...]
+    _index: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = dict(self.table)
@@ -598,6 +738,7 @@ class PermutationSpec:
             raise ValueError("table is not a bijection on its support")
         if any(k < 0 or v < 0 for k, v in d.items()):
             raise ValueError("permutations act on naturals")
+        object.__setattr__(self, "_index", d)
 
     @classmethod
     def identity(cls) -> "PermutationSpec":
@@ -616,10 +757,7 @@ class PermutationSpec:
         return cls(tuple(sorted((k, v) for k, v in mapping.items() if k != v)))
 
     def __call__(self, k: int) -> int:
-        for i, v in self.table:
-            if i == k:
-                return v
-        return k
+        return self._index.get(k, k)
 
     def inverse(self) -> "PermutationSpec":
         return PermutationSpec(tuple(sorted((v, i) for i, v in self.table)))
@@ -723,6 +861,71 @@ def split_series_for(a: RationalSeq, stages: Optional[int] = None) -> SplitSerie
     return SplitSeries(ledger)
 
 
+def _ceil_held(q: Fraction, scale: int) -> int:
+    """ceil(q * scale): for an integer a, a >= q * scale iff a >= this."""
+    return -(-q.numerator * scale // q.denominator)
+
+
+class _WindowScan:
+    """The rearranged series z(p(0)), z(p(1)), ... in integers.
+
+    Values are held multiplied by the lcm of the split's denominators.
+    Past ``scan_end`` every rearranged value is zero, so ``prefix`` (the
+    partial sums, ``prefix[j]`` over the first j values) stops there.
+    Each row's first reaching window is found once and shared by every
+    round and every start index that scans it.
+    """
+
+    def __init__(self, z: SplitSeries, p: PermutationSpec, n: int):
+        flat = z.ledger.flat
+        self.scale = math.lcm(*(v.denominator for v in flat))
+        entries = [v.numerator * (self.scale // v.denominator) for v in flat]
+        self.scan_end = max(z.built_end, p.support_end)
+        row = [entries[k] if k < len(entries) else 0
+               for k in map(p, range(self.scan_end + 1))]
+        self.prefix = [0, *itertools.accumulate(row)]
+        self.abs_prefix = [0, *itertools.accumulate(map(abs, row))]
+        self.bound = Fraction(1, 2 ** n)
+        self.reach = _ceil_held(self.bound, self.scale)
+        self._first: dict[int, Optional[int]] = {}
+
+    def first_reaching(self, i: int) -> Optional[int]:
+        """Least j >= i with |sum of values i..j| >= 2^-n, if any."""
+        if i not in self._first:
+            prefix, reach = self.prefix, self.reach
+            base = prefix[i]
+            found = None
+            for j in range(i, len(prefix) - 1):
+                d = prefix[j + 1] - base
+                if d >= reach or -d >= reach:
+                    found = j
+                    break
+            self._first[i] = found
+        return self._first[i]
+
+    def tail_abs(self, k0: int) -> int:
+        """Absolute mass of the rearranged series from index k0 on."""
+        ap = self.abs_prefix
+        return ap[-1] - ap[min(k0, len(ap) - 1)]
+
+    def windows_clear(self, m: int, k0: int, margin: int) -> bool:
+        """Whether every window [i, j] with m <= i <= j < k0 has absolute
+        sum below margin / scale."""
+        if margin <= 0:
+            return m >= k0
+        # windows past scan_end add only zeros
+        end = min(k0, len(self.prefix) - 1)
+        prefix = self.prefix
+        hi = lo = prefix[end]
+        for i in range(end - 1, m - 1, -1):
+            base = prefix[i]
+            if hi - base >= margin or base - lo >= margin:
+                return False
+            hi = max(hi, base)
+            lo = min(lo, base)
+        return True
+
+
 def classify_windows(z: SplitSeries, p: PermutationSpec, m: int, n: int,
                      f: Modulus, budget: int = 10 ** 6
                      ) -> Union[WindowWitness, TailCertificate]:
@@ -736,23 +939,35 @@ def classify_windows(z: SplitSeries, p: PermutationSpec, m: int, n: int,
     has covered the blocks below n1; the certificate holds when every
     window below k0 clears 2^-n with 2^-n0 to spare and the rearranged
     tail past k0 stays below 2^-n0.
+
+    Round r of the witness scan sums every window [i, j] with
+    m <= i <= j <= m + 8(r + 1), row by row, and ``budget`` caps the
+    window steps summed over all rounds.
     """
-    bound = Fraction(1, 2 ** n)
-    scan_end = max(z.built_end, p.support_end)
+    return _classify(_WindowScan(z, p, n), z, p, m, n, f, budget)
+
+
+def _classify(scan: _WindowScan, z: SplitSeries, p: PermutationSpec, m: int,
+              n: int, f: Modulus, budget: int
+              ) -> Union[WindowWitness, TailCertificate]:
+    scan_end = scan.scan_end
     steps = 0
+
+    def spend(count: int) -> None:
+        nonlocal steps
+        steps += count
+        if steps > budget:
+            raise SearchBudgetExceeded(f"after {max(budget, 0) + 1} window steps")
 
     for round_no in itertools.count():
         # (a) widen the witness scan
         hi = min(m + (round_no + 1) * 8, scan_end)
         for i in range(m, hi + 1):
-            acc = Fraction(0)
-            for j in range(i, hi + 1):
-                acc += z.value_at(p(j))
-                steps += 1
-                if steps > budget:
-                    raise SearchBudgetExceeded(f"after {steps} window steps")
-                if abs(acc) >= bound:
-                    return WindowWitness(i, j)
+            j = scan.first_reaching(i)
+            if j is not None and j <= hi:
+                spend(j - i + 1)
+                return WindowWitness(i, j)
+            spend(hi - i + 1)
 
         # (b) try the next tail certificate; exponents below n + 1 can never
         # certify, so the search starts there
@@ -761,9 +976,8 @@ def classify_windows(z: SplitSeries, p: PermutationSpec, m: int, n: int,
         k0 = _permutation_cover_index(z, p, n1)
         if k0 is not None:
             fine = Fraction(1, 2 ** n0)
-            tail = z.total_abs() - sum(
-                (abs(z.value_at(p(kk))) for kk in range(k0)), Fraction(0))
-            if tail < fine and _windows_clear(z, p, m, k0, bound - fine):
+            if scan.tail_abs(k0) < _ceil_held(fine, scan.scale) and \
+                    scan.windows_clear(m, k0, _ceil_held(scan.bound - fine, scan.scale)):
                 return TailCertificate(n0, n1, k0)
 
         if hi >= scan_end and round_no > 200:
@@ -771,6 +985,17 @@ def classify_windows(z: SplitSeries, p: PermutationSpec, m: int, n: int,
             # valid inputs never reach this
             raise SearchBudgetExceeded(
                 f"no witness below {scan_end} and no certificate through n0={n0}")
+
+
+def settling_index(z: SplitSeries, p: PermutationSpec, n: int, f: Modulus,
+                   budget: int = 10 ** 6) -> int:
+    """The least m past which every window of the rearranged series stays
+    strictly below 2^-n in absolute sum."""
+    scan = _WindowScan(z, p, n)
+    for m in itertools.count():
+        verdict = _classify(scan, z, p, m, n, f, budget)
+        if isinstance(verdict, TailCertificate):
+            return m
 
 
 def _permutation_cover_index(z: SplitSeries, p: PermutationSpec,
@@ -788,29 +1013,6 @@ def _permutation_cover_index(z: SplitSeries, p: PermutationSpec,
             if seen == need:
                 return k + 1
     return 0 if need == 0 else None
-
-
-def _windows_clear(z: SplitSeries, p: PermutationSpec, m: int, k0: int,
-                   margin: Fraction) -> bool:
-    if margin <= 0:
-        return m >= k0
-    for i in range(m, k0):
-        acc = Fraction(0)
-        for j in range(i, k0):
-            acc += z.value_at(p(j))
-            if abs(acc) >= margin:
-                return False
-    return True
-
-
-def settling_index(z: SplitSeries, p: PermutationSpec, n: int, f: Modulus,
-                   budget: int = 10 ** 6) -> int:
-    """The least m past which every window of the rearranged series stays
-    strictly below 2^-n in absolute sum."""
-    for m in itertools.count():
-        verdict = classify_windows(z, p, m, n, f, budget)
-        if isinstance(verdict, TailCertificate):
-            return m
 
 
 def modulus_from_abs_sums(ledger: SplitterLedger, g: Modulus) -> Modulus:

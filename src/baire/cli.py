@@ -151,9 +151,13 @@ def _parse_avoidance(spec, seq, pointed) -> aspk.AvoidanceName:
         return aspk.make_avoidance_name(seq, pointed)
     doc = _json_arg(spec)
     if isinstance(doc, dict) and doc.get("kind") == "onset":
+        try:
+            radius_exp = int(doc.get("radius_exp", 0))
+            answer_depth = int(doc.get("depth", 0))
+        except (TypeError, ValueError) as e:
+            raise k2.SpecError(f"bad onset avoidance: {e}")
         return aspk.make_avoidance_name(
-            seq, pointed, radius_exp=int(doc.get("radius_exp", 0)),
-            answer_depth=int(doc.get("depth", 0)))
+            seq, pointed, radius_exp=radius_exp, answer_depth=answer_depth)
     return aspk.AvoidanceName(k2.parse_oracle_spec(doc), "cli")
 
 
@@ -197,7 +201,8 @@ def _cmd_splitter(args) -> dict:
     try:
         ledger = cauchy.protected_split(x, b, args.stages)
     except cauchy.StageBudgetExceeded as e:
-        raise k2.SpecError(str(e))
+        raise Exhaustion({"result": {"error": str(e), "reason": "state",
+                                     "width": e.width}})
     doc = {"result": ledger.to_json()}
     if args.verify:
         tail = None

@@ -573,14 +573,26 @@ def parse_oracle_spec(spec) -> Oracle:
     except (TypeError, ValueError) as e:
         raise SpecError(f"bad oracle table: {e}")
     tail = spec.get("tail", {"kind": "constant", "value": 0})
+    if not isinstance(tail, dict):
+        raise SpecError("oracle tail must be an object")
     kind = tail.get("kind")
     if kind == "constant":
-        return TableOracle(table, int(tail.get("value", 0)), label="spec")
+        try:
+            value = int(tail.get("value", 0))
+        except (TypeError, ValueError) as e:
+            raise SpecError(f"bad constant tail: {e}")
+        return TableOracle(table, value, label="spec")
     if kind == "registry":
         name = tail.get("name")
-        if name not in ORACLE_REGISTRY:
+        if not isinstance(name, str) or name not in ORACLE_REGISTRY:
             raise SpecError(f"unknown registry formula: {name!r}")
-        base = ORACLE_REGISTRY[name](tail.get("params", {}))
+        params = tail.get("params", {})
+        if not isinstance(params, dict):
+            raise SpecError("registry params must be an object")
+        try:
+            base = ORACLE_REGISTRY[name](params)
+        except (TypeError, ValueError) as e:
+            raise SpecError(f"bad registry params: {e}")
         return Oracle(lambda k: table[k] if k in table else base(k),
                       label=f"spec:{name}")
     raise SpecError(f"unknown tail kind: {kind!r}")

@@ -411,8 +411,14 @@ def parse_name_sequence(spec) -> NameSequence:
         return NameSequence((), "star")
     if not isinstance(spec, dict):
         raise SpecError("sequence spec must be an object or 'all-star'")
-    names = tuple(k2.parse_oracle_spec(s) for s in spec.get("names", []))
-    return NameSequence(names, spec.get("tail", "star"))
+    names = spec.get("names", [])
+    if not isinstance(names, list):
+        raise SpecError("sequence names must be a list of oracle specs")
+    prefix = tuple(k2.parse_oracle_spec(s) for s in names)
+    try:
+        return NameSequence(prefix, spec.get("tail", "star"))
+    except ValueError as e:
+        raise SpecError(f"bad name sequence: {e}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,188 @@
+"""The exact-`Fraction` splitter, clearance check and window search.
+
+These are the mask-by-mask `Fraction` versions of ``protected_split``,
+``verify_clearances``, ``classify_windows`` and ``settling_index`` that
+``baire.cauchy`` ran before it moved to integer-scaled, class-compressed
+state.  They stay here as the oracle the fast versions are tested against
+(``tests/test_cauchy_reference.py``).  The only edit is the raise of
+``StageBudgetExceeded``, which now takes the stage and the width.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from typing import Optional, Union
+
+from baire.cauchy import (ClearanceReport, ClearanceViolation, Modulus,
+                          PermutationSpec, RationalSeq, SearchBudgetExceeded,
+                          SplitSeries, SplitterLedger, StageBudgetExceeded,
+                          StageRecord, TailCertificate, WindowWitness,
+                          _mask_indices, _permutation_cover_index)
+from baire.reals import format_rational
+
+
+def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
+                    max_state_bits: int = 22) -> SplitterLedger:
+    if not x.is_nonneg or not b.is_nonneg:
+        raise ValueError("both sequences must be non-negative")
+    ledger = SplitterLedger(x=x, b=b)
+
+    for s in range(stages):
+        xs = x.value_at(s)
+        if xs == 0:
+            ledger.stages.append(StageRecord(
+                stage=s, x=xs, positive=False, k=1, y=(Fraction(0),), t=None))
+            ledger.block_start.append(len(ledger.flat))
+            ledger.flat.append(Fraction(0))
+            continue
+
+        width = len(ledger.flat)
+        if width > max_state_bits:
+            raise StageBudgetExceeded(s, width)
+
+        # subset sums over the current entries, shared by every check below
+        sums = [Fraction(0)] * (1 << width)
+        for idx in range(width):
+            v = ledger.flat[idx]
+            bit = 1 << idx
+            for mask in range(bit):
+                sums[bit | mask] = sums[mask] + v
+        total = sums[(1 << width) - 1] if width else Fraction(0)
+
+        case2: list[tuple[int, int]] = []
+        case3: list[tuple[int, int]] = []
+        b_vals = [b.value_at(n) for n in range(s + 1)]
+        for n in range(s + 1):
+            bn = b_vals[n]
+            for mask in range(1 << width):
+                key = (mask, n)
+                if key in ledger.protections:
+                    continue
+                gap = abs(abs(total - sums[mask]) - bn)
+                if gap != 0:
+                    ledger.protections[key] = gap / 2
+                    case2.append(key)
+                else:
+                    case3.append(key)
+
+        # worst clearance floor over everything protected so far
+        t: Optional[Fraction] = None
+        for (mask, n), r in ledger.protections.items():
+            margin = abs(abs(total - sums[mask]) - b.value_at(n)) - r
+            if t is None or margin < t:
+                t = margin
+        if t is not None and t <= 0:
+            raise ClearanceViolation(ledger, f"stage {s}: clearance floor {t} <= 0")
+
+        if t is None:
+            k = 1
+        else:
+            k = 1
+            while Fraction(xs, 1) / k >= t / 2:
+                k += 2
+        piece = xs / k
+        block = tuple(piece if j % 2 == 0 else -piece for j in range(k))
+
+        for key in case3:
+            ledger.protections[key] = piece / 2
+
+        ledger.stages.append(StageRecord(
+            stage=s, x=xs, positive=True, k=k, y=block, t=t,
+            case2=tuple(case2), case3=tuple(case3)))
+        ledger.block_start.append(len(ledger.flat))
+        ledger.flat.extend(block)
+        ledger.last_positive_stage = s
+
+        # stage-end invariant: strict clearance for every protected pair
+        checked = 0
+        new_total = total + piece
+        for (mask, n), r in ledger.protections.items():
+            clear = abs(abs(new_total - sums[mask]) - b.value_at(n))
+            checked += 1
+            if not clear > r:
+                raise ClearanceViolation(
+                    ledger,
+                    f"stage {s}: pair (A={_mask_indices(mask)}, n={n}) has "
+                    f"clearance {clear} <= protection {r}")
+        ledger.stages[-1].checked = checked
+
+    return ledger
+
+
+def verify_clearances(ledger: SplitterLedger,
+                      extra_tail_bound: Optional[Fraction] = None) -> ClearanceReport:
+    failures: list[dict] = []
+    certified = 0
+    total = sum(ledger.flat, Fraction(0))
+    for (mask, n), r in sorted(ledger.protections.items()):
+        included = total - ledger.subset_sum(mask)
+        clear = abs(abs(included) - ledger.b.value_at(n))
+        if not clear > r:
+            failures.append({"A": _mask_indices(mask), "n": n,
+                             "r": format_rational(r),
+                             "clearance": format_rational(clear)})
+        if extra_tail_bound is not None and clear - extra_tail_bound > 0:
+            certified += 1
+    return ClearanceReport(not failures, len(ledger.protections), certified,
+                           tuple(failures))
+
+
+def classify_windows(z: SplitSeries, p: PermutationSpec, m: int, n: int,
+                     f: Modulus, budget: int = 10 ** 6
+                     ) -> Union[WindowWitness, TailCertificate]:
+    bound = Fraction(1, 2 ** n)
+    scan_end = max(z.built_end, p.support_end)
+    steps = 0
+
+    for round_no in itertools.count():
+        # (a) widen the witness scan
+        hi = min(m + (round_no + 1) * 8, scan_end)
+        for i in range(m, hi + 1):
+            acc = Fraction(0)
+            for j in range(i, hi + 1):
+                acc += z.value_at(p(j))
+                steps += 1
+                if steps > budget:
+                    raise SearchBudgetExceeded(f"after {steps} window steps")
+                if abs(acc) >= bound:
+                    return WindowWitness(i, j)
+
+        # (b) try the next tail certificate; exponents below n + 1 can never
+        # certify, so the search starts there
+        n0 = n + 1 + round_no
+        n1 = f(n0 + 1) + 1
+        k0 = _permutation_cover_index(z, p, n1)
+        if k0 is not None:
+            fine = Fraction(1, 2 ** n0)
+            tail = z.total_abs() - sum(
+                (abs(z.value_at(p(kk))) for kk in range(k0)), Fraction(0))
+            if tail < fine and _windows_clear(z, p, m, k0, bound - fine):
+                return TailCertificate(n0, n1, k0)
+
+        if hi >= scan_end and round_no > 200:
+            # the witness scan is complete and certificates keep failing;
+            # valid inputs never reach this
+            raise SearchBudgetExceeded(
+                f"no witness below {scan_end} and no certificate through n0={n0}")
+
+
+def _windows_clear(z: SplitSeries, p: PermutationSpec, m: int, k0: int,
+                   margin: Fraction) -> bool:
+    if margin <= 0:
+        return m >= k0
+    for i in range(m, k0):
+        acc = Fraction(0)
+        for j in range(i, k0):
+            acc += z.value_at(p(j))
+            if abs(acc) >= margin:
+                return False
+    return True
+
+
+def settling_index(z: SplitSeries, p: PermutationSpec, n: int, f: Modulus,
+                   budget: int = 10 ** 6) -> int:
+    for m in itertools.count():
+        verdict = classify_windows(z, p, m, n, f, budget)
+        if isinstance(verdict, TailCertificate):
+            return m

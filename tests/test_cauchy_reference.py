@@ -1,0 +1,301 @@
+"""The integer-scaled splitter and window search against the `Fraction` code.
+
+``tests/cauchy_reference.py`` keeps the mask-by-mask `Fraction` versions of
+``protected_split``, ``verify_clearances``, ``classify_windows`` and
+``settling_index``.  The fast versions in ``baire.cauchy`` must build equal
+ledgers (field by field, protections in the same insertion order), equal
+clearance reports, the same verdicts, and raise the same exceptions with
+the same messages.
+"""
+
+import random
+from fractions import Fraction as Q
+from functools import lru_cache
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import cauchy_reference as ref
+from baire import cauchy
+from baire.cauchy import PermutationSpec, RationalSeq
+
+mk = RationalSeq.make
+
+DYADIC = ("geometric", Q(1), Q(1, 2))
+CONST_THIRD = ("constant", Q(1, 3))
+CONST_TWO = ("constant", Q(2))
+GEO_THIRDS = ("geometric", Q(1), Q(1, 3))
+GEO_QUARTERS = ("geometric", Q(3, 2), Q(1, 4))
+
+# the split benchmark's templates, by classification width
+SPLIT_TEMPLATES = {
+    8: [(("2", "1/5", "1/32"), CONST_TWO), (("2", "1/5", "1/64"), CONST_TWO),
+        (("1/3", "1/16", "1/32"), GEO_QUARTERS), (("1/3", "1/8", "1/32"), GEO_THIRDS),
+        (("1/3", "1/16", "1/32"), CONST_THIRD), (("1/3", "1/16", "1/64"), CONST_THIRD)],
+    9: [(("2", "0", "1/5", "1/32"), CONST_TWO), (("2", "0", "1/5", "1/64"), CONST_TWO),
+        (("1/3", "0", "1/16", "1/64"), CONST_THIRD), (("1/3", "0", "1/16", "1/32"), CONST_THIRD),
+        (("2", "0", "0", "1/8"), GEO_QUARTERS), (("2", "0", "0", "1/5"), GEO_QUARTERS)],
+    10: [(("3/2", "1/16", "1/64"), GEO_QUARTERS), (("2", "0", "1/16"), DYADIC),
+         (("1", "1/16", "1/64"), GEO_QUARTERS), (("1", "1/16", "1/32"), GEO_QUARTERS),
+         (("1/2", "1/16", "1/32"), GEO_QUARTERS)],
+    11: [(("1", "0", "1/16", "1/64"), GEO_QUARTERS), (("1/2", "0", "1/16", "1/32"), GEO_QUARTERS),
+         (("1", "0", "1/16", "1/32"), GEO_QUARTERS), (("1/3", "0", "1/8", "1/64"), CONST_THIRD)],
+}
+TEMPLATES = [(w, i) for w, ts in SPLIT_TEMPLATES.items() for i in range(len(ts))]
+SCALES = (Q(1, 4), Q(1, 2), Q(1), Q(2), Q(4))
+
+
+def _targets(tail, c=Q(1)) -> RationalSeq:
+    if tail[0] == "constant":
+        return mk([], "constant", tail[1] * c)
+    return mk([], "geometric", tail[1] * c, tail[2])
+
+
+def _template(width, idx, c=Q(1)):
+    xs, tail = SPLIT_TEMPLATES[width][idx]
+    return mk([Q(v) * c for v in xs]), _targets(tail, c), len(xs)
+
+
+def assert_same_ledger(got, want):
+    assert got.x == want.x and got.b == want.b
+    assert len(got.stages) == len(want.stages)
+    for g, w in zip(got.stages, want.stages):
+        assert g == w, (g.stage, w.stage)
+    assert got.flat == want.flat
+    assert got.block_start == want.block_start
+    assert list(got.protections.items()) == list(want.protections.items())
+    assert got.last_positive_stage == want.last_positive_stage
+
+
+def _outcome(fn, *args, **kwargs):
+    """A result, or the type, message and attached ledger of what was raised."""
+    try:
+        return "value", fn(*args, **kwargs)
+    except (ValueError, cauchy.StageBudgetExceeded, cauchy.ClearanceViolation,
+            cauchy.SearchBudgetExceeded) as e:
+        return type(e), str(e), getattr(e, "ledger", None)
+
+
+def assert_same_split(x, b, stages, **kwargs):
+    got = _outcome(cauchy.protected_split, x, b, stages, **kwargs)
+    want = _outcome(ref.protected_split, x, b, stages, **kwargs)
+    assert got[0] == want[0]
+    if got[0] == "value":
+        assert_same_ledger(got[1], want[1])
+        for bound in (None, Q(0), Q(1, 64)):
+            assert cauchy.verify_clearances(got[1], bound) == \
+                ref.verify_clearances(want[1], bound)
+        return got[1]
+    assert got[1] == want[1]
+    if want[2] is not None:
+        assert_same_ledger(got[2], want[2])
+    return None
+
+
+# --- the benchmark templates -------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _reference_at_unit_scale(width, idx):
+    x, b, stages = _template(width, idx)
+    ledger = ref.protected_split(x, b, stages)
+    return ledger, ref.verify_clearances(ledger, Q(0))
+
+
+def _scaled_ledger(ledger, x, b, c):
+    """The ledger of the same split with x and b scaled by c > 0: the
+    construction is homogeneous, so every entry, floor and protection
+    scales by c while k and each pair's case stay."""
+    out = cauchy.SplitterLedger(x=x, b=b)
+    for rec in ledger.stages:
+        out.stages.append(cauchy.StageRecord(
+            stage=rec.stage, x=rec.x * c, positive=rec.positive, k=rec.k,
+            y=tuple(v * c for v in rec.y),
+            t=rec.t * c if rec.t is not None else None,
+            case2=rec.case2, case3=rec.case3, checked=rec.checked))
+    out.flat = [v * c for v in ledger.flat]
+    out.block_start = list(ledger.block_start)
+    out.protections = {key: r * c for key, r in ledger.protections.items()}
+    out.last_positive_stage = ledger.last_positive_stage
+    return out
+
+
+@pytest.mark.parametrize("width,idx", TEMPLATES)
+@pytest.mark.parametrize("c", SCALES, ids=str)
+def test_benchmark_templates_match_reference(width, idx, c):
+    # the reference runs once per template; other scales follow by
+    # homogeneity, and width 8 runs the reference at every scale too
+    x, b, stages = _template(width, idx, c)
+    ledger = cauchy.protected_split(x, b, stages)
+    want, report = _reference_at_unit_scale(width, idx)
+    assert_same_ledger(ledger, _scaled_ledger(want, x, b, c))
+    assert cauchy.verify_clearances(ledger, Q(0)) == report
+    assert report.ok and report.limit_certified == report.pairs_checked
+    if width == 8:
+        assert_same_split(x, b, stages)
+
+
+# --- hand traces ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x,b,stages", [
+    (mk([1]), mk([], "constant", 1), 1),
+    (mk([1]), mk([]), 1),
+    (mk([1]), cauchy.dyadic_targets(), 2),
+    (mk([0, 1]), cauchy.dyadic_targets(), 2),
+    (mk([Q(2, 3), 0, Q(1, 16)]), cauchy.dyadic_targets(), 4),
+    (mk([1, 0, Q(1, 16)]), cauchy.dyadic_targets(), 4),
+    (mk([]), cauchy.dyadic_targets(), 3),
+    (mk([Q(1, 2), Q(1, 16), Q(1, 64)]), cauchy.dyadic_targets(), 3),
+    (mk([], "geometric", 1, Q(1, 2)), cauchy.dyadic_targets(), 2),
+    (mk([1, Q(1, 4), Q(1, 8), Q(1, 16)]), cauchy.dyadic_targets(), 4),
+    (mk([-1]), cauchy.dyadic_targets(), 1),
+])
+def test_hand_traces_match_reference(x, b, stages):
+    assert_same_split(x, b, stages, max_state_bits=12)
+
+
+def test_state_cap_matches_reference():
+    x = mk([1, Q(1, 4), Q(1, 8), Q(1, 16)])
+    for bits in (0, 5, 6, 9):
+        assert_same_split(x, cauchy.dyadic_targets(), 4, max_state_bits=bits)
+
+
+def test_stage_end_fallback_names_the_first_failing_pair():
+    # valid inputs cannot fail the stage-end check (the floor keeps every
+    # piece below a quarter of each positive target), so feed the pair
+    # scan a corrupted ledger directly
+    ledger = cauchy.protected_split(mk([1, 0, Q(1, 16)]), cauchy.dyadic_targets(), 3)
+    keys = list(ledger.protections)
+    ledger.protections[keys[7]] = ledger.protections[keys[9]] = Q(3)
+    state = cauchy._ScaledState()
+    for v in [*ledger.flat, Q(1), Q(1, 2), Q(1, 4)]:
+        state.admit(v)
+    state.flat = [state.held(v) for v in ledger.flat]
+    state.total = sum(state.flat)
+    state.b = [state.held(Q(1, 2 ** n)) for n in range(3)]
+    mask, n = keys[7]
+    clear = abs(abs(sum(ledger.flat) - ledger.subset_sum(mask)) - Q(1, 2 ** n))
+    with pytest.raises(cauchy.ClearanceViolation) as e:
+        cauchy._raise_first_violation(ledger, state, 2)
+    assert str(e.value) == (f"stage 2: pair (A={cauchy._mask_indices(mask)}, n={n}) "
+                            f"has clearance {clear} <= protection 3")
+
+
+# --- random inputs ---------------------------------------------------------------------
+
+rationals = st.builds(Q, st.integers(0, 6), st.integers(1, 9))
+
+
+@st.composite
+def sequences(draw, max_prefix):
+    prefix = draw(st.lists(st.one_of(st.just(Q(0)), rationals), max_size=max_prefix))
+    kind = draw(st.sampled_from(["zero", "constant", "geometric"]))
+    if kind == "zero":
+        return mk(prefix)
+    value = draw(rationals)
+    if kind == "constant":
+        return mk(prefix, "constant", value)
+    return mk(prefix, "geometric", value, Q(1, draw(st.integers(2, 5))))
+
+
+@given(sequences(4), sequences(3), st.integers(1, 5))
+def test_random_splits_match_reference(x, b, stages):
+    assert_same_split(x, b, stages, max_state_bits=12)
+
+
+# --- the clearance check on corrupted ledgers ----------------------------------------------
+
+
+def test_corrupted_protection_is_reported_alike():
+    x, b, stages = _template(8, 3)
+    fast = cauchy.protected_split(x, b, stages)
+    slow = ref.protected_split(x, b, stages)
+    keys = list(fast.protections)
+    rng = random.Random(17)
+    for key in [keys[0], keys[-1], *rng.sample(keys, 3)]:
+        kept = fast.protections[key]
+        for bad in (Q(5), Q(-1), Q(1, 3)):
+            fast.protections[key] = slow.protections[key] = bad
+            for bound in (None, Q(1, 7)):
+                assert cauchy.verify_clearances(fast, bound) == \
+                    ref.verify_clearances(slow, bound)
+        fast.protections[key] = slow.protections[key] = kept
+    fast.protections[keys[3]] = fast.protections[keys[5]] = Q(9)
+    report = cauchy.verify_clearances(fast, Q(0))
+    assert not report.ok and len(report.failures) == 2
+
+
+def test_tampered_entry_is_reported_alike():
+    x, b = mk([1, 0, Q(1, 16)]), cauchy.dyadic_targets()
+    fast = cauchy.protected_split(x, b, 4)
+    slow = ref.protected_split(x, b, 4)
+    fast.flat[2] += Q(2, 5)
+    slow.flat[2] += Q(2, 5)
+    assert cauchy.verify_clearances(fast, Q(0)) == ref.verify_clearances(slow, Q(0))
+    assert not cauchy.verify_clearances(fast, Q(0)).ok
+
+
+# --- window search --------------------------------------------------------------------------
+
+SETTLE_DELTAS = [("1/2", "1/32"), ("1/3", "1/16"), ("1/2", "0", "1/32"), ("1", "1/16"),
+                 ("3/4", "0", "3/32"), ("1/3", "1/5"), ("1",), ("1/2", "1/16", "1/64")]
+
+
+def _increasing(deltas):
+    acc, prefix = Q(0), []
+    for d in deltas:
+        acc += Q(d)
+        prefix.append(acc)
+    return mk(prefix, "constant", prefix[-1])
+
+
+@lru_cache(maxsize=None)
+def _series(deltas):
+    a = _increasing(deltas)
+    return cauchy.split_series_for(a), cauchy.exact_modulus(a, len(deltas) + 4)
+
+
+def _permutation(rng, size):
+    idx = list(range(size))
+    rng.shuffle(idx)
+    return PermutationSpec.from_mapping({i: v for i, v in enumerate(idx)})
+
+
+@pytest.mark.parametrize("deltas", SETTLE_DELTAS, ids="-".join)
+def test_window_search_matches_reference(deltas):
+    z, f = _series(deltas)
+    rng = random.Random(len(deltas) * 1000 + z.built_end)
+    perms = [PermutationSpec.identity()] + [
+        _permutation(rng, rng.randrange(2, z.built_end + 6)) for _ in range(4)]
+    for p in perms:
+        for n in range(7):
+            assert _outcome(cauchy.settling_index, z, p, n, f) == \
+                _outcome(ref.settling_index, z, p, n, f)
+            for m in range(0, z.built_end + 3, 2):
+                for budget in (0, 3, 40, 10 ** 6):
+                    assert _outcome(cauchy.classify_windows, z, p, m, n, f, budget) == \
+                        _outcome(ref.classify_windows, z, p, m, n, f, budget)
+
+
+@given(st.sampled_from(SETTLE_DELTAS), st.integers(0, 10 ** 6),
+       st.integers(0, 8), st.integers(0, 24))
+def test_random_window_search_matches_reference(deltas, seed, n, m):
+    z, f = _series(deltas)
+    rng = random.Random(seed)
+    p = _permutation(rng, rng.randrange(0, 24))
+    assert _outcome(cauchy.classify_windows, z, p, m, n, f) == \
+        _outcome(ref.classify_windows, z, p, m, n, f)
+    assert _outcome(cauchy.settling_index, z, p, n, f, 400) == \
+        _outcome(ref.settling_index, z, p, n, f, 400)
+
+
+def test_permutation_lookup_matches_table_scan():
+    rng = random.Random(3)
+    for _ in range(20):
+        p = _permutation(rng, rng.randrange(0, 30))
+        for k in range(40):
+            want = next((v for i, v in p.table if i == k), k)
+            assert p(k) == want
+        assert PermutationSpec(p.table) == p and hash(PermutationSpec(p.table)) == hash(p)

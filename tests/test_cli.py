@@ -225,3 +225,40 @@ def test_selftest_fails_a_criterion_over_its_time_limit(capsys, monkeypatch):
     assert doc["result"]["all_pass"] is False
     assert doc["result"]["criteria"][0]["ok"] is True
     assert err.startswith("[FAIL] over-limit")
+
+
+def test_splitter_state_cap_is_exit_three(capsys):
+    code, doc, err = run_cli(
+        capsys, "splitter", "run", "--x", '{"prefix":["1","1/4","1/16","1/64"]}',
+        "--b", "dyadic", "--stages", "4")
+    assert code == 3 and "Traceback" not in err
+    assert doc["result"] == {
+        "error": "stage 3: 2^73 subset sums exceed the configured cap",
+        "reason": "state", "width": 73}
+
+
+MALFORMED_NAME_SPECS = [
+    ("--sequence", '{"names":5}'),
+    ("--sequence", '{"names":null}'),
+    ("--sequence", '{"names":[5]}'),
+    ("--sequence", '{"names":[{"tail":5}]}'),
+    ("--sequence", '{"names":[{"tail":{"kind":"constant","value":[1]}}]}'),
+    ("--sequence", '{"names":[{"tail":{"kind":"registry","name":["identity"]}}]}'),
+    ("--sequence", '{"names":[{"tail":{"kind":"registry","name":"depth_answer",'
+                   '"params":{"depth":[2]}}}]}'),
+    ("--sequence", '{"names":["const:x"]}'),
+    ("--sequence", '{"names":[],"tail":"repeat"}'),
+    ("--sequence", '{"names":["const:1"],"tail":[1]}'),
+    ("--avoidance", '{"kind":"onset","depth":[1]}'),
+    ("--avoidance", '{"kind":"onset","radius_exp":"x"}'),
+    ("--avoidance", '{"tail":{"kind":"constant","value":[1]}}'),
+    ("--avoidance", '{"tail":{"kind":"registry","name":"depth_answer","params":7}}'),
+]
+
+
+@pytest.mark.parametrize("flag,spec", MALFORMED_NAME_SPECS)
+def test_malformed_sequence_and_avoidance_specs_are_exit_two(capsys, flag, spec):
+    code, doc, err = run_cli(capsys, "antispecker", "demo",
+                             "--space", '{"kind":"cantor"}', flag, spec)
+    assert code == 2 and doc is None
+    assert err.startswith("error: ") and "Traceback" not in err
