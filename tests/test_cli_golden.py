@@ -4,9 +4,9 @@ Each case runs ``baire.cli.run`` in process and compares what it prints,
 byte for byte, and the exit code it returns against
 ``tests/golden/<case>.out`` and ``tests/golden/exit_codes.json``.  The
 cases are every command line example of the README plus the commands that
-cross the space, base and realizer code, the protected splitter and the
-window search.  ``baire selftest`` is left out:
-it prints timings.
+cross the space, base and realizer code, the protected splitter, the
+window search, scans that run out of fuel and long approximations of
+reals.  ``baire selftest`` is left out: it prints timings.
 
 To record the goldens again after a deliberate change of output:
 
@@ -25,6 +25,7 @@ EXIT_CODES = GOLDEN / "exit_codes.json"
 
 PRODUCT = ('{"kind":"product","left":{"kind":"cantor"},'
            '"right":{"kind":"finite","n":2}}')
+NESTED_PRODUCT = '{"kind":"product","left":{"kind":"cantor"},"right":' + PRODUCT + '}'
 # steps 1/2, 1/16, 1/64: blocks of 3, 3 and 3 entries
 THREE_STEPS = '{"prefix":["1/2","9/16","37/64"],"tail":{"kind":"constant","value":"37/64"}}'
 CYCLES = '{"table":[[0,4],[4,8],[8,0],[1,2],[2,1],[10,11],[11,10]]}'
@@ -116,6 +117,23 @@ CASES = {
         "--f", '{"tail":{"kind":"registry","name":"depth_answer",'
                '"params":{"depth":2,"n":0,"m":1}}}',
         "--g", "identity", "--fuel", "8", "--track"],
+    # exhausted scans: g_max pins the read of g(fuel - 1)
+    "k2-star-track-exhausted": [
+        "k2", "star", "--f", "const:0", "--g", "identity", "--fuel", "7",
+        "--track"],
+    "k2-bullet-exhausted": [
+        "k2", "bullet", "--f", "const:0", "--g", "const:1", "--k", "2",
+        "--fuel", "9"],
+    # long approximations of non-dyadic rationals and nested maxima
+    "reals-max-prec-300": [
+        "reals", "max", "--x", '{"rational":"1/3"}', "--y", '{"rational":"10/31"}',
+        "--prec", "300"],
+    "reals-from-rational-negative-prec-200": [
+        "reals", "from-rational", "--q=-37/11", "--prec", "200"],
+    "spaces-dist-nested-product-prec-80": [
+        "spaces", "dist", "--space", NESTED_PRODUCT,
+        "--f", '{"table":[[10,1],[17,1]],"tail":{"kind":"constant","value":2}}',
+        "--g", "const:2", "--prec", "80"],
 }
 
 
