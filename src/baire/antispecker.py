@@ -463,7 +463,7 @@ def product_base(bx: CompactnessBase, by: CompactnessBase) -> CompactnessBase:
 class ProbedBase(CompactnessBase):
     """A finite base prefix harvested from a realizer; cycles when indexed
     past the end.  ``exhausted`` records that the probe budget cut the
-    enumeration off."""
+    enumeration off before every candidate was evaluated."""
 
     def __init__(self, space: Space, members: Sequence[Theta],
                  exhausted: bool, evals_spent: int):
@@ -673,8 +673,9 @@ def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
     sequence of the same length or longer, then freezes the queried
     restriction as the determining table; this is how deep members are
     reached at all, since blind enumeration cannot.  Every member is
-    emitted only after passing the covering check; the budget cutting the
-    enumeration off is recorded on the returned base.
+    emitted only after passing the covering check.  The returned base is
+    ``exhausted`` when the budget stopped the enumeration with a candidate
+    still unevaluated.
     """
     cfg = config if config is not None else ProbeConfig(budget=probe_budget)
     all_star = NameSequence((), "star")
@@ -682,6 +683,7 @@ def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
     emissions: list[Theta] = []
     seen: set = set()
     evals = 0
+    exhausted = False
 
     def harvest(answered: dict[int, int]) -> Optional[Theta]:
         """Atoms at the prefix-minimal answered sequences."""
@@ -712,6 +714,7 @@ def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
     # Phase one: blind table enumeration.
     for table in _blind_candidates(cfg.blind_size_cap):
         if evals >= cfg.budget:
+            exhausted = True
             break
         h_tau = RecordingOracle(Oracle(
             lambda c, d=table.as_dict(): d.get(c, 0), label="probe-table"))
@@ -729,6 +732,7 @@ def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
         for n_ans in cfg.radius_grid:
             for m_ans in cfg.onset_grid:
                 if evals >= cfg.budget:
+                    exhausted = True
                     break
                 answer = encode_pair(n_ans, m_ans) + 1
                 h_probe = RecordingOracle(Oracle(
@@ -742,7 +746,7 @@ def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
                 frozen = {code: v for code, v in h_probe.transcript}
                 consider(harvest(frozen))
 
-    return ProbedBase(space, emissions, exhausted=True, evals_spent=evals)
+    return ProbedBase(space, emissions, exhausted=exhausted, evals_spent=evals)
 
 
 # ---------------------------------------------------------------------------

@@ -47,14 +47,16 @@ class ExtractionFailed(Exception):
 
 def extract_bound(g: Oracle, h: IntensionalName | Oracle, fuel: int) -> int:
     """Upper bound for g from an intensional name: feed identity prefixes
-    until the name answers v+1 at length t, then return max(t, v)."""
+    until the name answers v+1 at length t, then return max(t, v).  A
+    failed extraction builds only the codes it queries: fuel-1 pairings."""
     oracle = h.h if isinstance(h, IntensionalName) else h
     code = 0
     for t in range(fuel):
         v = oracle(code)
         if v > 0:
             return max(t, v - 1)
-        code = cantor_pair(code, t) + 1
+        if t + 1 < fuel:
+            code = cantor_pair(code, t) + 1
     raise ExtractionFailed(fuel)
 
 
@@ -110,17 +112,23 @@ _SCAN_DEPTH_CAP = 20  # sequence codes grow doubly exponentially with depth
 
 
 def _star_tank(f: Oracle, g: Oracle, tank: _Tank) -> tuple[int, int]:
-    """star with a shared budget; returns (value, fired_at)."""
+    """star with a shared budget; returns (value, fired_at).
+
+    Each round draws from the tank and checks the depth cap before it
+    queries f.  The round that reads g(n) builds the code of the next
+    prefix only when the next round will pass both checks; otherwise no
+    query reads that code."""
     code = 0
     n = 0
-    while True:
-        if not tank.draw() or n > _SCAN_DEPTH_CAP:
-            raise _OutOfFuel
+    while tank.draw() and n <= _SCAN_DEPTH_CAP:
         v = f(code)
         if v > 0:
             return v - 1, n
-        code = cantor_pair(code, g(n)) + 1
+        a = g(n)
         n += 1
+        if tank.left > 0 and n <= _SCAN_DEPTH_CAP:
+            code = cantor_pair(code, a) + 1
+    raise _OutOfFuel
 
 
 @dataclass

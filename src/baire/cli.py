@@ -221,7 +221,11 @@ def _cmd_splitter(args) -> dict:
 def _cmd_rpt(args) -> dict:
     a = cauchy.parse_seq_spec(_json_arg(args.a))
     p = cauchy.parse_permutation_spec(_json_arg(args.p))
-    series = cauchy.split_series_for(a, stages=args.stages)
+    try:
+        series = cauchy.split_series_for(a, stages=args.stages)
+    except cauchy.StageBudgetExceeded as e:
+        raise Exhaustion({"result": {"error": str(e), "reason": "state",
+                                     "width": e.width}})
     f = cauchy.exact_modulus(a, horizon=len(a.prefix) + 4)
     if args.op == "fabar":
         try:

@@ -8,9 +8,12 @@ space a partial applicative structure.
 
 Partiality is finitized: a search that the classical definition leaves
 undefined is an ``Exhausted`` result here, never nontermination.  All
-arithmetic is exact (arbitrary-precision ints); sequence codes grow
-roughly quadratically per appended element, so prefix scans must stay
-shallow (depth ~20 is the practical ceiling).
+arithmetic is exact (arbitrary-precision ints); each appended element
+squares a sequence code (its bit length doubles), so prefix scans must
+stay shallow (depth ~20 is the practical ceiling).  A pairing is one
+squaring of the sum of its arguments, and a scan that runs out of fuel
+still reads its argument at the last index but does not build the code
+of that prefix, which no query would read.
 """
 
 from __future__ import annotations
@@ -48,7 +51,9 @@ class SpecError(ValueError):
 
 
 def cantor_pair(x: int, y: int) -> int:
-    return (x + y) * (x + y + 1) // 2 + y
+    # s * s rather than s * (s + 1): CPython squares faster than it multiplies
+    s = x + y
+    return (s * s + s >> 1) + y
 
 
 def cantor_unpair(z: int) -> tuple[int, int]:
@@ -450,7 +455,10 @@ def cons(n: int, g: Oracle) -> Oracle:
 
 def star(f: Oracle, g: Oracle, fuel: int) -> PartialResult:
     """Apply a function name to an argument: f(prefix-code of g) - 1 at the
-    least prefix length where f answers positively, scanning lengths < fuel."""
+    least prefix length where f answers positively, scanning lengths < fuel.
+
+    An exhausted scan reads g at 0..fuel-1 but builds only the codes that
+    f is queried on: fuel-1 pairings, not fuel."""
     if fuel < 0:
         raise ValueError("fuel must be a natural")
     code = 0
@@ -458,7 +466,9 @@ def star(f: Oracle, g: Oracle, fuel: int) -> PartialResult:
         v = f(code)
         if v > 0:
             return PartialResult.of(v - 1, spent=n + 1, fired_at=n)
-        code = cantor_pair(code, g(n)) + 1
+        a = g(n)
+        if n + 1 < fuel:
+            code = cantor_pair(code, a) + 1
     return PartialResult.exhausted(fuel)
 
 

@@ -9,6 +9,14 @@ lifted lazily, and no floating point appears anywhere.
 Digit streams are memoized so repeated approximations are consistent
 and cheap.  Streams built here obey a locality bound: digit n of a
 derived stream reads at most digits 0..n+2 of its inputs.
+
+Approximations are incremental.  A real keeps the integer numerator N of
+its highest approximation so far, over 2^top, and extends it digit by
+digit (N = 2N + d); approx(k) is then one Fraction N / 2^k.  Asking for
+nondecreasing precisions, as from_estimates, max_star, compare_prec and
+dist_hat do, reads each digit once; a lower precision is rebuilt from the
+integer part in integer steps.  Only that one numerator is kept, so a
+real holds O(k) bits beyond its digits.
 """
 
 from __future__ import annotations
@@ -42,6 +50,10 @@ class SignedDigitReal:
         self._digit_fn = digit_fn
         self._digits: dict[int, int] = {}
         self.label = label
+        # the highest precision approximated so far, and its numerator
+        # over 2^top
+        self._top = 0
+        self._top_numerator = integer_part
 
     def digit(self, n: int) -> int:
         if n < 1:
@@ -56,15 +68,23 @@ class SignedDigitReal:
 
     def approx(self, k: int) -> Fraction:
         """integer part + sum of the first k digit weights; within 2^-k of
-        the represented value."""
+        the represented value.
+
+        The numerator over 2^k is extended digit by digit from the highest
+        precision asked for so far, so a run of nondecreasing precisions
+        reads each digit once; a lower precision is rebuilt from the
+        integer part."""
         if k < 0:
             raise ValueError("precision must be a natural")
-        total = Fraction(self.integer_part)
-        for n in range(1, k + 1):
-            d = self.digit(n)
-            if d:
-                total += Fraction(d, 2 ** n)
-        return total
+        if k >= self._top:
+            start, numerator = self._top, self._top_numerator
+        else:
+            start, numerator = 0, self.integer_part
+        for n in range(start + 1, k + 1):
+            numerator = 2 * numerator + self.digit(n)
+        if k > self._top:
+            self._top, self._top_numerator = k, numerator
+        return Fraction(numerator, 1 << k)
 
     def digit_prefix(self, k: int) -> list[int]:
         return [self.digit(n) for n in range(1, k + 1)]

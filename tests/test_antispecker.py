@@ -240,9 +240,23 @@ def test_exactness_on_random_sequences():
 def test_probe_harvests_coverings():
     realizer = realizer_from_base(builtin_base(CANTOR), P_CANTOR)
     probed = base_from_realizer(realizer, P_CANTOR, probe_budget=300)
-    assert probed.members and probed.exhausted
+    # 300 evaluations are more than the 163 candidates, so none is left out
+    assert probed.members and not probed.exhausted
     for theta in probed.members:
         assert covers(theta, CANTOR).covered
+
+
+def test_probe_is_exhausted_exactly_when_the_budget_leaves_a_candidate():
+    pointed = star_extension(FIN2)
+    realizer = realizer_from_base(builtin_base(FIN2), pointed)
+    full = base_from_realizer(realizer, pointed, probe_budget=5000)
+    every = full.evals_spent                 # one evaluation per candidate
+    assert not full.exhausted and every < 5000
+    assert not base_from_realizer(realizer, pointed, probe_budget=every).exhausted
+    # cut off in phase two (the last candidate) and in phase one
+    for budget in (every - 1, 3, 0):
+        cut = base_from_realizer(realizer, pointed, probe_budget=budget)
+        assert cut.exhausted and cut.evals_spent == budget
 
 
 def test_probe_finite_space_covers_both_points():

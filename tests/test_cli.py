@@ -237,6 +237,20 @@ def test_splitter_state_cap_is_exit_three(capsys):
         "reason": "state", "width": 73}
 
 
+# steps 1/4, 1/16, 1/64: the split's third stage outgrows the state cap
+DEEP_STEPS = '{"prefix":["1","5/4","21/16","85/64"],"tail":{"kind":"constant","value":"85/64"}}'
+
+
+@pytest.mark.parametrize("argv", [["fabar", "--n", "3"],
+                                  ["decide", "--m", "2", "--n", "3"]])
+def test_rpt_state_cap_is_exit_three(capsys, argv):
+    code, doc, err = run_cli(capsys, "rpt", argv[0], "--a", DEEP_STEPS, *argv[1:])
+    assert code == 3 and "Traceback" not in err
+    assert doc["result"] == {
+        "error": "stage 3: 2^73 subset sums exceed the configured cap",
+        "reason": "state", "width": 73}
+
+
 MALFORMED_NAME_SPECS = [
     ("--sequence", '{"names":5}'),
     ("--sequence", '{"names":null}'),
