@@ -18,6 +18,13 @@ convert both ways:
 Products are handled by combining bases atom by atom, which is what
 makes the product of two realized-compact spaces realized-compact, and
 realizers transport across namings along a pair of identity trackings.
+
+Nothing is built twice.  The builtin and product bases build a member's
+atoms once, as far as some search has asked for them, and keep them for
+as long as the base lives; a realizer keeps the prefix codes it has paired
+for each atom for as long as its prefix-code trie holds them; and
+``covers`` computes each atom's constraints once per call, not once per
+cell.
 """
 
 from __future__ import annotations
@@ -25,11 +32,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import k2
 from .k2 import (FinPartialFn, Oracle, PartialResult, PrefixCodeTrie,
-                 RecordingOracle, SpecError, TableOracle, decode_pair,
+                 RecordingOracle, SpecError, decode_pair,
                  decode_seq, encode_pair, encode_seq, seq_length, star, cons)
 from .naming import (NameSequence, PointedSpace, ProductSpace, Space,
                      star_extension)
@@ -128,30 +135,21 @@ def _constrained_indices(space: Space, atom: CoverAtom) -> list[int]:
     raise ValueError(f"not a registry space: {kind}")
 
 
+def _atom_constraints(space: Space, atom: CoverAtom
+                      ) -> Optional[tuple[tuple[int, int], ...]]:
+    """The (index, value) pairs a point's name must match to lie in the
+    atom, or None when no name of the space extends sigma."""
+    if not _atom_possibly_inhabited(space, atom):
+        return None
+    sigma = atom.sigma.as_dict()
+    return tuple((i, sigma[i]) for i in _constrained_indices(space, atom))
+
+
 def point_in_atom(space: Space, point, atom: CoverAtom) -> bool:
     """Exact membership of a registry point in the atom's open set."""
-    if not _atom_possibly_inhabited(space, atom):
-        return False
-    sigma = atom.sigma.as_dict()
-    for i in _constrained_indices(space, atom):
-        if space.name_value_of_point(point, i) != sigma[i]:
-            return False
-    return True
-
-
-def _cell_in_atom(space: Space, cell, atom: CoverAtom) -> Optional[bool]:
-    """Three-valued membership of a whole cell; None = undecided at depth."""
-    if not _atom_possibly_inhabited(space, atom):
-        return False
-    sigma = atom.sigma.as_dict()
-    unknown = False
-    for i in _constrained_indices(space, atom):
-        forced = space.cell_value_at(cell, i)
-        if forced is None:
-            unknown = True
-        elif forced != sigma[i]:
-            return False
-    return None if unknown else True
+    pairs = _atom_constraints(space, atom)
+    return pairs is not None and all(
+        space.name_value_of_point(point, i) == v for i, v in pairs)
 
 
 @dataclass(frozen=True)
@@ -182,15 +180,29 @@ def covers(theta: Theta, space: Space,
     """
     if depth is None:
         depth = default_cover_depth(theta)
+    # an atom no name extends contains no cell, so it can neither hit a
+    # cell nor leave one undecided
+    constraints = [pairs for pairs in (_atom_constraints(space, atom)
+                                       for atom in theta.atoms)
+                   if pairs is not None]
+    value_at = space.cell_value_at
     for cell in space.cells(depth):
         hit = False
         undecided = False
-        for atom in theta.atoms:
-            r = _cell_in_atom(space, cell, atom)
-            if r is True:
-                hit = True
-                break
-            if r is None:
+        for pairs in constraints:
+            # the cell is in the atom (True), outside it at the first
+            # mismatch (False), or undecided when a free index stops it
+            unknown = False
+            for i, v in pairs:
+                forced = value_at(cell, i)
+                if forced is None:
+                    unknown = True
+                elif forced != v:
+                    break
+            else:
+                if not unknown:
+                    hit = True
+                    break
                 undecided = True
         if not hit:
             if undecided:
@@ -354,14 +366,71 @@ class CompactnessBase:
     def iter_atoms(self, i: int) -> Iterable[CoverAtom]:
         """Stream member i's atoms without materializing the member; the
         canonical Cantor member k holds 2^k atoms, so searches that abandon
-        a member early must not pay for the whole of it."""
+        a member early must not pay for the whole of it.  The builtin and
+        product bases build each atom once, when some stream first reaches
+        it, and keep it for as long as the base lives."""
         return iter(self.enumerate_theta(i).atoms)
 
     def to_json(self) -> dict:
         raise NotImplementedError
 
 
-class BuiltinBase(CompactnessBase):
+class _KeptMember:
+    """One member's atoms, built from ``source`` as far as some stream has
+    reached and kept; any number of streams may read it at once."""
+
+    __slots__ = ("atoms", "_source", "_failure")
+
+    def __init__(self, source: Iterator[CoverAtom]):
+        self.atoms: list[CoverAtom] = []
+        self._source: Optional[Iterator[CoverAtom]] = source
+        self._failure: Optional[Exception] = None
+
+    def stream(self) -> Iterator[CoverAtom]:
+        if self._source is None:
+            return iter(self.atoms)
+        return self._extend()
+
+    def _extend(self):
+        atoms = self.atoms
+        k = 0
+        while True:
+            if k == len(atoms):
+                if self._failure is not None:
+                    # a rebuilt member would fail at the same atom again
+                    raise self._failure
+                if self._source is None:
+                    return
+                try:
+                    atoms.append(next(self._source))
+                except StopIteration:
+                    self._source = None
+                    return
+                except Exception as e:
+                    self._failure = e
+                    raise
+            yield atoms[k]
+            k += 1
+
+
+class _KeptBase(CompactnessBase):
+    """A base whose ``_build_atoms(i)`` generates member i; each member is
+    built at most once and kept for as long as the base lives."""
+
+    def __init__(self):
+        self._kept: dict[int, _KeptMember] = {}
+
+    def _build_atoms(self, i: int) -> Iterator[CoverAtom]:
+        raise NotImplementedError
+
+    def iter_atoms(self, i: int) -> Iterator[CoverAtom]:
+        member = self._kept.get(i)
+        if member is None:
+            member = self._kept[i] = _KeptMember(self._build_atoms(i))
+        return member.stream()
+
+
+class BuiltinBase(_KeptBase):
     """The canonical base of Cantor space or of a finite space.
 
     Cantor: member k is every total {1,2}-valued sigma on [0, k) at radius
@@ -372,9 +441,10 @@ class BuiltinBase(CompactnessBase):
     def __init__(self, space: Space):
         if space.kind not in ("cantor", "finite"):
             raise ValueError(f"no builtin base for {space.kind}")
+        super().__init__()
         self.space = space
 
-    def iter_atoms(self, i: int):
+    def _build_atoms(self, i: int):
         if self.space.kind == "cantor":
             for word in itertools.product((1, 2), repeat=i):
                 yield CoverAtom(FinPartialFn.from_seq(word), i)
@@ -394,7 +464,7 @@ def builtin_base(space: Space) -> CompactnessBase:
     return BuiltinBase(space)
 
 
-class ProductBase(CompactnessBase):
+class ProductBase(_KeptBase):
     """Members combining a left member with one right member per left atom.
 
     Enumeration is fair but front-loads the members every search here can
@@ -408,6 +478,7 @@ class ProductBase(CompactnessBase):
     MIXED_ATOM_CAP = 4
 
     def __init__(self, bx: CompactnessBase, by: CompactnessBase):
+        super().__init__()
         self.bx = bx
         self.by = by
         self.space = ProductSpace(bx.space, by.space)
@@ -421,7 +492,10 @@ class ProductBase(CompactnessBase):
                 yield (a, total - a)
             if total <= self.MIXED_TOTAL_CAP:
                 for a in range(total + 1):
-                    kx = sum(1 for _ in self.bx.iter_atoms(a))
+                    # one atom past the cap decides it: no need to build
+                    # the 2^a atoms of a large Cantor member
+                    kx = sum(1 for _ in itertools.islice(
+                        self.bx.iter_atoms(a), self.MIXED_ATOM_CAP + 1))
                     if kx > self.MIXED_ATOM_CAP:
                         continue
                     for combo in _compositions(total - a, kx):
@@ -433,7 +507,7 @@ class ProductBase(CompactnessBase):
             self._specs.append(next(self._gen))
         return self._specs[i]
 
-    def iter_atoms(self, i: int):
+    def _build_atoms(self, i: int):
         a, rights = self._spec(i)
         for j, atom_x in enumerate(self.bx.iter_atoms(a)):
             b = rights if isinstance(rights, int) else rights[j]
@@ -559,13 +633,22 @@ def realizer_from_base(base: CompactnessBase,
     than ``max_prefix_len`` are never queried, since their codes grow
     doubly exponentially with length.  The prefix codes come from one
     trie that lives as long as the realizer, so the members of a base, and
-    repeated evaluations, share the codes of their common prefixes.
+    repeated evaluations, share the codes of their common prefixes.  The
+    realizer also keeps, for each atom it has walked, the codes the walk
+    reached, and extends them from the trie only when a walk goes further;
+    it drops them whenever the trie drops its nodes, so it never holds a
+    code that the trie does not.
     """
     if pointed is None:
         pointed = star_extension(base.space)
     trie = PrefixCodeTrie()
+    # (member index, atom position) -> (the values of the atom's run, the
+    # codes of the run's prefixes reached so far, the empty prefix first);
+    # a base's member i is the same every time it is asked for
+    walks: dict[tuple[int, int], tuple[tuple[int, ...], list[int]]] = {}
 
     def evaluate(seq: NameSequence, h: AvoidanceName, fuel: int) -> EvalOutcome:
+        nonlocal trie
         oracle = h.h if isinstance(h, AvoidanceName) else h
         spent = 0
         malformed: list[tuple[int, int]] = []
@@ -578,15 +661,33 @@ def realizer_from_base(base: CompactnessBase,
             except SpecError:
                 return EvalOutcome(PartialResult.exhausted(spent), stage="empty-base",
                                    malformed=tuple(malformed))
-            for atom in atom_stream:
+            for position, atom in enumerate(atom_stream):
+                # the trie's own rule: a walk that starts past the bound
+                # starts from empty, and so do the kept codes
+                if trie.bits > k2.PREFIX_TRIE_MAX_BITS:
+                    trie = PrefixCodeTrie()
+                    walks.clear()
+                walk = walks.get((member_index, position))
+                if walk is None:
+                    run = min(atom.sigma.initial_run, max_prefix_len)
+                    walk = walks[member_index, position] = (
+                        tuple(v for _, v in atom.sigma.entries[:run]), [])
+                values, codes = walk
+                more = None
                 found = None
-                run = min(atom.sigma.initial_run, max_prefix_len)
-                codes = trie.codes(v for _, v in atom.sigma.entries[:run])
-                for _ in range(run + 1):
+                for length in range(len(values) + 1):
                     if spent >= fuel:
                         return EvalOutcome(PartialResult.exhausted(spent),
                                            malformed=tuple(malformed))
-                    code = next(codes)
+                    if length < len(codes):
+                        code = codes[length]
+                    else:
+                        if more is None:
+                            # the kept codes are trie nodes: passing them
+                            # again pairs nothing
+                            more = itertools.islice(trie.codes(values), length, None)
+                        code = next(more)
+                        codes.append(code)
                     spent += 1
                     v = oracle(code)
                     if v > 0:

@@ -34,7 +34,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .k2 import Oracle, SpecError
 from .reals import format_rational, parse_rational
@@ -198,11 +198,6 @@ class Modulus:
         if v < 0:
             raise ValueError("modulus values are naturals")
         return v
-
-    @classmethod
-    def from_table(cls, values: Sequence[int]) -> "Modulus":
-        vals = list(values)
-        return cls(lambda n: vals[n] if n < len(vals) else vals[-1] if vals else 0)
 
     @classmethod
     def from_oracle(cls, f: Oracle) -> "Modulus":
@@ -404,12 +399,6 @@ class SplitterLedger:
 
     def block(self, i: int) -> tuple[Fraction, ...]:
         return self.stages[i].y
-
-    def block_sizes(self) -> list[int]:
-        return [s.k for s in self.stages]
-
-    def flat_value(self, idx: int) -> Fraction:
-        return self.flat[idx]
 
     def subset_sum(self, mask: int) -> Fraction:
         total = Fraction(0)
@@ -743,14 +732,6 @@ class PermutationSpec:
     @classmethod
     def identity(cls) -> "PermutationSpec":
         return cls(())
-
-    @classmethod
-    def from_cycle(cls, cycle: Sequence[int]) -> "PermutationSpec":
-        if not cycle:
-            return cls(())
-        pairs = tuple((cycle[i], cycle[(i + 1) % len(cycle)])
-                      for i in range(len(cycle)))
-        return cls(pairs)
 
     @classmethod
     def from_mapping(cls, mapping: dict[int, int]) -> "PermutationSpec":

@@ -30,21 +30,39 @@ class Exhaustion(Exception):
         super().__init__("exhausted")
 
 
-def _emit(doc: dict) -> None:
+def _emit(doc: dict, status: int) -> int:
+    """Print one result document and return the exit status.  A document
+    holding an int with more decimal digits than Python will convert to a
+    string (a long sequence code) is refused instead, with exit 3."""
     doc = {"schema_version": SCHEMA_VERSION, **doc}
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-
-
-def _code_doc(code: int) -> dict:
-    """Result document for a sequence code, refused with exit 3 when the
-    code has more decimal digits than Python will convert to a string."""
-    # interpreters older than the digit limit (before 3.10.7) have none
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and code >= 10 ** limit:
-        raise Exhaustion({"result": {
+    try:
+        text = json.dumps(doc, indent=2)
+    except ValueError:
+        # interpreters older than the digit limit (before 3.10.7) have none
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        code = _first_int_past(doc, 10 ** limit) if limit else None
+        if code is None:
+            raise
+        text = json.dumps({"schema_version": SCHEMA_VERSION, "result": {
             "error": f"code has more than {limit} decimal digits",
-            "reason": "depth", "code_bits": code.bit_length()}})
-    return {"result": {"code": code}}
+            "reason": "depth", "code_bits": code.bit_length()}}, indent=2)
+        status = EXIT_EXHAUSTED
+    sys.stdout.write(text + "\n")
+    return status
+
+
+def _first_int_past(doc, bound: int):
+    """The first int in the document, in printing order, of absolute value
+    at least ``bound``; None if there is none."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, (list, tuple)):
+        for item in doc:
+            found = _first_int_past(item, bound)
+            if found is not None:
+                return found
+        return None
+    return doc if isinstance(doc, int) and abs(doc) >= bound else None
 
 
 def _json_arg(text: str):
@@ -62,12 +80,12 @@ def _json_arg(text: str):
 def _cmd_k2(args) -> dict:
     if args.op == "encode":
         values = [int(v) for v in args.seq.split(",")] if args.seq else []
-        return _code_doc(k2.encode_seq(values))
+        return {"result": {"code": k2.encode_seq(values)}}
     if args.op == "decode":
         return {"result": {"seq": list(k2.decode_seq(args.code))}}
     if args.op == "bar":
         f = k2.parse_oracle_spec(_json_arg(args.f))
-        return _code_doc(k2.bar(f, args.n))
+        return {"result": {"code": k2.bar(f, args.n)}}
     if args.op == "star":
         f = k2.parse_oracle_spec(_json_arg(args.f))
         g = k2.parse_oracle_spec(_json_arg(args.g))
@@ -389,15 +407,13 @@ def run(argv) -> int:
     try:
         doc = args.run(args)
     except Exhaustion as e:
-        _emit(e.doc)
-        return EXIT_EXHAUSTED
+        return _emit(e.doc, EXIT_EXHAUSTED)
     except (k2.SpecError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_VALIDATION
-    _emit(doc)
     if args.command == "selftest" and not doc["result"]["all_pass"]:
-        return 1
-    return EXIT_OK
+        return _emit(doc, 1)
+    return _emit(doc, EXIT_OK)
 
 
 def main() -> None:

@@ -199,9 +199,6 @@ class FinPartialFn:
         theirs = other.as_dict()
         return all(theirs.get(k) == v for k, v in self.entries)
 
-    def agrees_with_oracle(self, f: "Oracle") -> bool:
-        return all(f(k) == v for k, v in self.entries)
-
     @cached_property
     def initial_run(self) -> int:
         """Largest L with [0, L) contained in the domain."""
@@ -216,11 +213,6 @@ class FinPartialFn:
     @property
     def is_sequence(self) -> bool:
         return self.initial_run == len(self.entries)
-
-    def to_seq(self) -> tuple[int, ...]:
-        if not self.is_sequence:
-            raise ValueError("domain is not an initial segment")
-        return tuple(v for _, v in self.entries)
 
     def prefix_code(self, length: int) -> int:
         """Code of the length-``length`` initial restriction (must exist)."""

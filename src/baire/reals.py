@@ -137,10 +137,6 @@ def from_rational(q: Fraction, label: Optional[str] = None) -> SignedDigitReal:
     return from_estimates(lambda k: q, label=label or f"rat:{q}")
 
 
-def from_int(n: int) -> SignedDigitReal:
-    return SignedDigitReal(n, lambda _: 0, label=f"int:{n}")
-
-
 def from_digits(integer_part: int, digits: Iterable[int],
                 tail_digit: int = 0, label: str = "digits") -> SignedDigitReal:
     ds = list(digits)

@@ -1,0 +1,178 @@
+"""Bases that rebuild every atom, the covering check that recomputes every
+constraint, and the realizer that walks the prefix-code trie per atom.
+
+These are the versions of ``BuiltinBase.iter_atoms``,
+``ProductBase.iter_atoms`` (with its spec enumeration), ``covers`` with
+``_cell_in_atom``, and the evaluator of ``realizer_from_base`` that the
+program ran before bases kept their members, realizers kept each atom's
+prefix codes and ``covers`` computed each atom's constraints once.  They
+stay here as the oracle the fast versions are tested against
+(``tests/test_realizer_reference.py``).  The bodies are unchanged; the
+iterators are methods of subclasses of the program's bases, and
+``reference_builtin_base`` builds a whole tree of them.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Optional
+
+from baire import k2
+from baire.antispecker import (AntiSpeckerRealizer, AvoidanceName, BuiltinBase,
+                               CoverAtom, CoversReport, EvalOutcome,
+                               InsufficientDepth, ProductBase, Theta,
+                               _atom_possibly_inhabited, _compositions,
+                               _constrained_indices, _exact_settling_value,
+                               default_cover_depth, product_atom)
+from baire.k2 import FinPartialFn, PartialResult, PrefixCodeTrie, decode_pair
+from baire.naming import Space, star_extension
+
+
+class ReferenceBuiltinBase(BuiltinBase):
+    """The canonical base, rebuilding member i's atoms on every call."""
+
+    def iter_atoms(self, i: int):
+        if self.space.kind == "cantor":
+            for word in itertools.product((1, 2), repeat=i):
+                yield CoverAtom(FinPartialFn.from_seq(word), i)
+        else:
+            for c in range(1, self.space.n + 1):
+                yield CoverAtom(FinPartialFn.from_seq((c,) * (i + 1)), i)
+
+
+class ReferenceProductBase(ProductBase):
+    """The product base, rebuilding member i's atoms on every call."""
+
+    def _generate_specs(self):
+        for total in itertools.count():
+            for a in range(total + 1):
+                yield (a, total - a)
+            if total <= self.MIXED_TOTAL_CAP:
+                for a in range(total + 1):
+                    kx = sum(1 for _ in self.bx.iter_atoms(a))
+                    if kx > self.MIXED_ATOM_CAP:
+                        continue
+                    for combo in _compositions(total - a, kx):
+                        if len(set(combo)) > 1:
+                            yield (a, combo)
+
+    def iter_atoms(self, i: int):
+        a, rights = self._spec(i)
+        for j, atom_x in enumerate(self.bx.iter_atoms(a)):
+            b = rights if isinstance(rights, int) else rights[j]
+            for atom_y in self.by.iter_atoms(b):
+                yield product_atom(atom_x, atom_y)
+
+
+def reference_builtin_base(space: Space):
+    if space.kind == "product":
+        return ReferenceProductBase(reference_builtin_base(space.left),
+                                    reference_builtin_base(space.right))
+    return ReferenceBuiltinBase(space)
+
+
+def _cell_in_atom(space: Space, cell, atom: CoverAtom) -> Optional[bool]:
+    """Three-valued membership of a whole cell; None = undecided at depth."""
+    if not _atom_possibly_inhabited(space, atom):
+        return False
+    sigma = atom.sigma.as_dict()
+    unknown = False
+    for i in _constrained_indices(space, atom):
+        forced = space.cell_value_at(cell, i)
+        if forced is None:
+            unknown = True
+        elif forced != sigma[i]:
+            return False
+    return None if unknown else True
+
+
+def covers(theta: Theta, space: Space,
+           depth: Optional[int] = None) -> CoversReport:
+    """Decide whether the atoms of theta cover the whole registry space.
+
+    Exhausts the space at the given resolution; sound and complete once
+    depth exceeds every atom's radius exponent (the default).  A cell that
+    is neither inside some atom nor excluded from all raises
+    InsufficientDepth.
+    """
+    if depth is None:
+        depth = default_cover_depth(theta)
+    for cell in space.cells(depth):
+        hit = False
+        undecided = False
+        for atom in theta.atoms:
+            r = _cell_in_atom(space, cell, atom)
+            if r is True:
+                hit = True
+                break
+            if r is None:
+                undecided = True
+        if not hit:
+            if undecided:
+                raise InsufficientDepth(
+                    f"cell {cell!r} undecided at depth {depth}")
+            return CoversReport(False, depth, witness_cell=cell)
+    return CoversReport(True, depth)
+
+
+def trie_walk_realizer(base, pointed=None, max_prefix_len: int = 16):
+    """The base realizer walking every atom's run through one trie."""
+    if pointed is None:
+        pointed = star_extension(base.space)
+    trie = PrefixCodeTrie()
+
+    def evaluate(seq, h, fuel: int) -> EvalOutcome:
+        oracle = h.h if isinstance(h, AvoidanceName) else h
+        spent = 0
+        malformed: list[tuple[int, int]] = []
+        for member_index in itertools.count():
+            bounds: list[int] = []
+            certified_atoms: list[CoverAtom] = []
+            certified = True
+            try:
+                atom_stream = base.iter_atoms(member_index)
+            except k2.SpecError:
+                return EvalOutcome(PartialResult.exhausted(spent), stage="empty-base",
+                                   malformed=tuple(malformed))
+            for atom in atom_stream:
+                found = None
+                run = min(atom.sigma.initial_run, max_prefix_len)
+                codes = trie.codes(v for _, v in atom.sigma.entries[:run])
+                for _ in range(run + 1):
+                    if spent >= fuel:
+                        return EvalOutcome(PartialResult.exhausted(spent),
+                                           malformed=tuple(malformed))
+                    code = next(codes)
+                    spent += 1
+                    v = oracle(code)
+                    if v > 0:
+                        nm = decode_pair(v - 1)
+                        if nm is None:
+                            malformed.append((code, v))
+                            continue
+                        n_ans, m_ans = nm
+                        if n_ans <= atom.n:
+                            found = m_ans
+                            break
+                if found is None:
+                    certified = False
+                    break
+                bounds.append(found)
+                certified_atoms.append(atom)
+            if not certified_atoms:
+                # an empty member certifies nothing; burn a step and move on
+                spent += 1
+                if spent >= fuel:
+                    return EvalOutcome(PartialResult.exhausted(spent),
+                                       malformed=tuple(malformed))
+                continue
+            if certified:
+                bound = max(bounds) if bounds else 0
+                value = _exact_settling_value(seq, pointed, bound)
+                return EvalOutcome(PartialResult.of(value, spent=spent),
+                                   certificate=Theta(tuple(certified_atoms)),
+                                   bound=bound,
+                                   member_index=member_index,
+                                   malformed=tuple(malformed))
+
+    return AntiSpeckerRealizer(evaluate, "trie_walk", pointed)

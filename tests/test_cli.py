@@ -187,6 +187,29 @@ def test_k2_encode_past_the_digit_limit_is_refused(capsys):
     assert code == 0 and doc["result"]["code"] == k2.encode_seq([1] * 10)
 
 
+def test_k2_star_tracking_a_code_past_the_digit_limit_is_refused(capsys):
+    # f_max is the code of a 16-element prefix of g
+    code, doc, _ = run_cli(capsys, "k2", "star", "--f", "const:0", "--g", "const:1",
+                           "--fuel", "17", "--track")
+    assert code == 3
+    assert doc["result"]["reason"] == "depth"
+    assert doc["result"]["code_bits"] == k2.encode_seq([1] * 16).bit_length()
+    code, doc, _ = run_cli(capsys, "k2", "star", "--f", "const:0", "--g", "const:1",
+                           "--fuel", "15", "--track")
+    assert code == 3 and doc["usage"]["f_max"] == k2.encode_seq([1] * 14)
+
+
+def test_emit_refuses_the_first_over_limit_int_anywhere(capsys):
+    big, bigger = 10 ** 5000, -(10 ** 6000)
+    doc = {"result": {"small": [1, 2], "deep": [{"x": (3, big)}, bigger]}}
+    assert cli._emit(doc, 0) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"schema_version": "1", "result": {
+        "error": "code has more than 4300 decimal digits", "reason": "depth",
+        "code_bits": big.bit_length()}}
+    assert cli._emit({"result": {"n": 10 ** 4299}}, 0) == 0
+
+
 MALFORMED_SPACES = [
     '{"kind":"product"}',
     '{"kind":"product","left":{"kind":"cantor"}}',

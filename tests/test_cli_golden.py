@@ -121,6 +121,10 @@ CASES = {
     "k2-star-track-exhausted": [
         "k2", "star", "--f", "const:0", "--g", "identity", "--fuel", "7",
         "--track"],
+    # the tracked f_max is a code past Python's int-to-str digit limit
+    "k2-star-track-past-digit-limit": [
+        "k2", "star", "--f", "const:0", "--g", "const:1", "--fuel", "17",
+        "--track"],
     "k2-bullet-exhausted": [
         "k2", "bullet", "--f", "const:0", "--g", "const:1", "--k", "2",
         "--fuel", "9"],

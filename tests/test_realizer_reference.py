@@ -5,11 +5,25 @@ its evaluations.  The reference below is the evaluator as it was before
 the trie: it builds each code with ``sigma.prefix_code(length)``.  Both
 must make the same queries in the same order and return equal outcomes,
 whether the realizer's trie is cold or warm.
+
+The realizer also keeps each atom's codes, and the builtin and product
+bases keep their members' atoms; ``covers`` computes each atom's
+constraints once.  ``tests/antispecker_reference.py`` holds the versions
+that rebuilt all of these every time, and the later tests compare the two:
+member atoms, covering reports, evaluations, probed bases, and the number
+of objects and pairings each evaluation builds.
 """
 
+import contextlib
 import itertools
 import random
+from unittest import mock
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import antispecker_reference as ref
 from baire import antispecker as aspk
 from baire import k2, naming
 from baire.antispecker import (AntiSpeckerRealizer, AvoidanceName, EvalOutcome,
@@ -163,3 +177,360 @@ def test_probed_bases_match_reference():
                                   config=config)
         assert probed.to_json() == want.to_json()
         assert_same_evaluations(probed, pointed, m, rng, cases=3)
+
+
+# -- kept members, kept codes and the one-pass covering check ------------------
+
+NESTED = naming.product_metric_naming(CANTOR, CANTOR_X_FIN2)
+ALL_SPACES = SPACES + (NESTED,)
+
+
+def reference_pair(m):
+    """The fast realizer over the fast base, and the trie walk over the
+    base that rebuilds its atoms."""
+    pointed = star_extension(m)
+    return (realizer_from_base(builtin_base(m), pointed),
+            ref.trie_walk_realizer(ref.reference_builtin_base(m), pointed))
+
+
+def atom_key(atom):
+    return (atom.sigma.entries, atom.n)
+
+
+@pytest.mark.parametrize("m", ALL_SPACES, ids=lambda m: m.space_id)
+def test_kept_members_match_rebuilt_members(m):
+    fast = builtin_base(m)
+    slow = ref.reference_builtin_base(m)
+    members = 60 if m.kind == "product" else 9
+    for i in range(members):
+        want = [atom_key(a) for a in slow.iter_atoms(i)]
+        # abandon a first stream part way, then read the member twice
+        part = list(itertools.islice(fast.iter_atoms(i), len(want) // 2))
+        assert [atom_key(a) for a in part] == want[:len(part)]
+        first = list(fast.iter_atoms(i))
+        assert [atom_key(a) for a in first] == want
+        again = list(fast.iter_atoms(i))
+        assert all(x is y for x, y in zip(first, again)) and len(again) == len(first)
+        if m.kind == "product":
+            assert fast._spec(i) == slow._spec(i)
+    if m.kind == "product":
+        assert any(not isinstance(fast._spec(i)[1], int) for i in range(members))
+
+
+def test_interleaved_streams_of_one_member_agree():
+    base = builtin_base(CANTOR)
+    slow = ref.reference_builtin_base(CANTOR)
+    want = [atom_key(a) for a in slow.iter_atoms(4)]
+    a, b = base.iter_atoms(4), base.iter_atoms(4)
+    got_a, got_b = [], []
+    for k in range(len(want)):
+        got_a.append(atom_key(next(a)))
+        if k % 3 == 0:
+            got_b.extend(atom_key(x) for x in itertools.islice(b, 2))
+    got_b.extend(atom_key(x) for x in b)
+    assert got_a == want and got_b == want
+    # a product whose two factors are one and the same kept base
+    square = aspk.ProductBase(base, base)
+    slow_square = ref.ReferenceProductBase(slow, slow)
+    for i in range(30):
+        assert ([atom_key(x) for x in square.iter_atoms(i)]
+                == [atom_key(x) for x in slow_square.iter_atoms(i)])
+
+
+def test_a_failing_member_fails_again_at_the_same_atom():
+    empty = aspk.ProbedBase(FIN2, (), exhausted=False, evals_spent=0)
+    for kept in (aspk.ProductBase(builtin_base(FIN2), empty),
+                 aspk.ProductBase(empty, builtin_base(FIN2))):
+        slow = ref.ReferenceProductBase(*((ref.reference_builtin_base(FIN2), empty)
+                                          if kept.by is empty else
+                                          (empty, ref.reference_builtin_base(FIN2))))
+        for _ in range(2):
+            for base in (kept, slow):
+                stream = base.iter_atoms(0)
+                with pytest.raises(k2.SpecError):
+                    list(stream)
+
+
+def random_theta(rng, m):
+    """Atoms over the first few name indices, some with values no name of
+    the space takes, so that every branch of the covering check runs."""
+    atoms = []
+    for _ in range(rng.randrange(1, 7)):
+        entries = {i: rng.choice((0, 1, 1, 2, 2, 3))
+                   for i in rng.sample(range(6), rng.randrange(0, 5))}
+        atoms.append(aspk.CoverAtom(k2.FinPartialFn.from_dict(entries),
+                                    rng.randrange(4)))
+    return Theta(tuple(atoms))
+
+
+def same_covers(theta, m, depth=None):
+    try:
+        want = ref.covers(theta, m, depth)
+    except aspk.InsufficientDepth as e:
+        with pytest.raises(aspk.InsufficientDepth) as got:
+            aspk.covers(theta, m, depth)
+        assert str(got.value) == str(e)
+        return "undecided"
+    got = aspk.covers(theta, m, depth)
+    assert got == want
+    assert got.to_json() == want.to_json()
+    return got.covered
+
+
+@pytest.mark.parametrize("m", ALL_SPACES, ids=lambda m: m.space_id)
+def test_covers_matches_the_per_cell_check(m):
+    rng = random.Random(11)
+    seen = set()
+    thetas = [builtin_base(m).enumerate_theta(i) for i in range(7)]
+    thetas += [random_theta(rng, m) for _ in range(60)]
+    config = ProbeConfig(budget=40, eval_fuel=300, blind_size_cap=3,
+                         depth_cap=3, radius_grid=(0, 1), onset_grid=(0, 2))
+    pointed = star_extension(m)
+    thetas += base_from_realizer(realizer_from_base(builtin_base(m), pointed),
+                                 pointed, config=config).members
+    for theta in thetas:
+        for depth in (None, 0, 1, 2, 3):
+            seen.add(same_covers(theta, m, depth))
+    # a finite space's cells fix every index, so only Cantor factors
+    # leave cells undecided
+    assert seen == ({True, False} if m.kind == "finite"
+                    else {True, False, "undecided"})
+
+
+def test_covers_reports_the_same_witness_cell():
+    theta = Theta((aspk.CoverAtom(k2.FinPartialFn.from_seq((1,)), 1),
+                   aspk.CoverAtom(k2.FinPartialFn.from_seq((2, 1)), 1)))
+    got = aspk.covers(theta, CANTOR)
+    assert got == ref.covers(theta, CANTOR)
+    assert got.witness_cell == (1, 1)
+
+
+@pytest.mark.parametrize("m", ALL_SPACES, ids=lambda m: m.space_id)
+def test_kept_bases_and_codes_match_rebuilding_ones(m):
+    """Warm and cold realizers over kept bases against the trie walk and the
+    per-length encoder over bases that rebuild their atoms."""
+    rng = random.Random(5)
+    pointed = star_extension(m)
+    base, slow_base = builtin_base(m), ref.reference_builtin_base(m)
+    warm = realizer_from_base(base, pointed)
+    walk = ref.trie_walk_realizer(slow_base, pointed)
+    per_length = reference_realizer(slow_base, pointed)
+    for _ in range(4):
+        seq = random_sequence(rng, m)
+        for oracle in avoidance_oracles(rng, seq, pointed):
+            for fuel in (rng.choice(FUELS), rng.randrange(1, 40)):
+                runs = []
+                for r in (warm, realizer_from_base(builtin_base(m), pointed),
+                          walk, per_length):
+                    h = RecordingOracle(oracle)
+                    runs.append((r.evaluate(seq, AvoidanceName(h, "test"), fuel),
+                                 h.transcript))
+                assert all(run == runs[-1] for run in runs)
+
+
+def test_fuel_running_out_mid_atom_of_a_product_member():
+    m = NESTED
+    pointed = star_extension(m)
+    warm = realizer_from_base(builtin_base(m), pointed)
+    slow = ref.trie_walk_realizer(ref.reference_builtin_base(m), pointed)
+    seq = NameSequence((), "star")
+    for depth in range(5):
+        answer = encode_pair(0, 1) + 1
+        oracle = Oracle(lambda c, d=depth: answer if seq_length(c) >= d else 0)
+        for fuel in range(0, 120, 7):
+            h = AvoidanceName(oracle, "test")
+            assert warm.evaluate(seq, h, fuel) == slow.evaluate(seq, h, fuel)
+
+
+def probed_fields(probed):
+    return (probed.space.to_json(), probed.members, probed.exhausted,
+            probed.evals_spent)
+
+
+@pytest.mark.parametrize("m", ALL_SPACES, ids=lambda m: m.space_id)
+def test_probed_bases_match_rebuilding_realizers(m):
+    pointed = star_extension(m)
+    rng = random.Random(7)
+    for config in (ProbeConfig(budget=40, eval_fuel=300, blind_size_cap=4,
+                               depth_cap=3, radius_grid=(0, 1), onset_grid=(0, 2)),
+                   ProbeConfig(budget=25, eval_fuel=45, blind_size_cap=3,
+                               depth_cap=4, radius_grid=(0, 2), onset_grid=(0, 3))):
+        fast, slow = reference_pair(m)
+        probed = base_from_realizer(fast, pointed, config=config)
+        want = base_from_realizer(slow, pointed, config=config)
+        assert probed_fields(probed) == probed_fields(want)
+        # the probed bases, cycled past their end, evaluate alike too
+        warm = realizer_from_base(probed, pointed)
+        walk = ref.trie_walk_realizer(want, pointed)
+        for _ in range(3):
+            seq = random_sequence(rng, m)
+            for oracle in avoidance_oracles(rng, seq, pointed):
+                fuel = rng.choice(FUELS)
+                logs = []
+                for r in (warm, walk):
+                    h = RecordingOracle(oracle)
+                    logs.append((r.evaluate(seq, AvoidanceName(h, "t"), fuel),
+                                 h.transcript))
+                assert logs[0] == logs[1]
+
+
+# -- what an evaluation builds ---------------------------------------------------
+
+
+@contextlib.contextmanager
+def counted_construction():
+    """Count FinPartialFn and CoverAtom instances and pairings made."""
+    log = {"fn": 0, "atom": 0, "pairs": 0}
+    fn_init = k2.FinPartialFn.__init__
+    atom_init = aspk.CoverAtom.__init__
+    pair = k2.cantor_pair
+
+    def counting_fn(self, *args, **kw):
+        log["fn"] += 1
+        fn_init(self, *args, **kw)
+
+    def counting_atom(self, *args, **kw):
+        log["atom"] += 1
+        atom_init(self, *args, **kw)
+
+    def counting_pair(x, y):
+        log["pairs"] += 1
+        return pair(x, y)
+
+    with mock.patch.object(k2.FinPartialFn, "__init__", counting_fn), \
+            mock.patch.object(aspk.CoverAtom, "__init__", counting_atom), \
+            mock.patch.object(k2, "cantor_pair", counting_pair):
+        yield log
+
+
+class FreshCopies(aspk.CompactnessBase):
+    """A base that hands out a new copy of every atom on every call."""
+
+    def __init__(self, base):
+        self.base = base
+        self.space = base.space
+
+    def iter_atoms(self, i):
+        for atom in self.base.iter_atoms(i):
+            yield aspk.CoverAtom(k2.FinPartialFn(atom.sigma.entries), atom.n)
+
+
+def test_a_base_of_fresh_atoms_evaluates_and_pairs_alike():
+    rng = random.Random(17)
+    for m in (CANTOR, CANTOR_X_FIN2):
+        pointed = star_extension(m)
+        fast = realizer_from_base(FreshCopies(builtin_base(m)), pointed)
+        walk = ref.trie_walk_realizer(ref.reference_builtin_base(m), pointed)
+        for _ in range(3):
+            seq = random_sequence(rng, m)
+            for oracle in avoidance_oracles(rng, seq, pointed):
+                fuel = rng.choice(FUELS)
+                runs = []
+                for r in (fast, walk):
+                    h = RecordingOracle(oracle)
+                    with counted_construction() as log:
+                        out = r.evaluate(seq, AvoidanceName(h, "t"), fuel)
+                    runs.append((out, h.transcript, log["pairs"]))
+                assert runs[0] == runs[1]
+
+
+def depth_oracle(depth, n=0, m=1):
+    answer = encode_pair(n, m) + 1
+    return Oracle(lambda c: answer if seq_length(c) >= depth else 0)
+
+
+def counting_cases():
+    probe_config = ProbeConfig(budget=40, eval_fuel=300, blind_size_cap=3,
+                               depth_cap=3, radius_grid=(0, 1), onset_grid=(0, 2))
+    for m in ALL_SPACES:
+        pointed = star_extension(m)
+        yield m, builtin_base(m), ref.reference_builtin_base(m)
+        probed = base_from_realizer(realizer_from_base(builtin_base(m), pointed),
+                                    pointed, config=probe_config)
+        yield m, probed, probed
+
+
+@pytest.mark.parametrize("depth", (0, 2, 4))
+def test_a_warm_evaluation_builds_nothing(depth):
+    for m, base, _ in counting_cases():
+        realizer = realizer_from_base(base, star_extension(m))
+        seq = NameSequence((), "star")
+        for fuel in (5, 37, 600):
+            first = realizer.evaluate(seq, AvoidanceName(depth_oracle(depth), "t"), fuel)
+            name = AvoidanceName(depth_oracle(depth), "t")
+            with counted_construction() as log:
+                again = realizer.evaluate(seq, name, fuel)
+            assert again == first
+            assert log == {"fn": 0, "atom": 0, "pairs": 0}
+
+
+def test_a_cold_realizer_pairs_as_the_trie_walk_does():
+    rng = random.Random(13)
+    for m, base, slow_base in counting_cases():
+        pointed = star_extension(m)
+        fast = realizer_from_base(base, pointed)
+        walk = ref.trie_walk_realizer(slow_base, pointed)
+        seq = random_sequence(rng, m)
+        for oracle in list(avoidance_oracles(rng, seq, pointed)) + [depth_oracle(6)]:
+            fuel = rng.choice(FUELS)
+            pairs = []
+            for r in (fast, walk):
+                with counted_construction() as log:
+                    r.evaluate(seq, AvoidanceName(oracle, "t"), fuel)
+                pairs.append(log["pairs"])
+            assert pairs[0] == pairs[1]
+
+
+def kept_walks(realizer):
+    """The trie and the kept per-atom codes inside a base realizer."""
+    cells = dict(zip(realizer.evaluate.__code__.co_freevars,
+                     (c.cell_contents for c in realizer.evaluate.__closure__)))
+    return cells["trie"], cells["walks"]
+
+
+evaluation_runs = st.lists(
+    st.tuples(st.sampled_from(range(len(ALL_SPACES))),
+              st.integers(min_value=0, max_value=7),     # answer depth
+              st.integers(min_value=0, max_value=2),     # answer radius
+              st.integers(min_value=0, max_value=250)),  # fuel
+    min_size=1, max_size=8)
+
+
+@given(evaluation_runs)
+def test_kept_codes_follow_the_trie_through_restarts(runs):
+    """Under a 40-bit trie bound the trie restarts on nearly every walk.
+    The kept codes must still be the codes ``encode_seq`` gives, a warm
+    realizer must pair exactly as often as the trie walk does, and every
+    kept code must be a node of the current trie: checking them pairs
+    nothing, because the kept lists were dropped with the old nodes."""
+    with mock.patch.object(k2, "PREFIX_TRIE_MAX_BITS", 40):
+        realizers = {}
+        for space_index, depth, radius, fuel in runs:
+            m = ALL_SPACES[space_index]
+            if space_index not in realizers:
+                realizers[space_index] = reference_pair(m)
+            fast, walk = realizers[space_index]
+            oracle = depth_oracle(depth, radius, 1)
+            per_length = reference_realizer(ref.reference_builtin_base(m),
+                                            star_extension(m))
+            logs, pairs = [], []
+            for r in (fast, walk, per_length):
+                h = RecordingOracle(oracle)
+                with counted_construction() as log:
+                    out = r.evaluate(NameSequence((), "star"), AvoidanceName(h, "t"),
+                                     fuel)
+                logs.append((out, h.transcript))
+                pairs.append(log["pairs"])
+            assert logs[0] == logs[1] == logs[2]
+            assert pairs[0] == pairs[1]
+            trie, walks = kept_walks(fast)
+            for values, codes in walks.values():
+                assert codes == [k2.encode_seq(values[:k]) for k in range(len(codes))]
+            # look the kept codes up without letting the trie restart
+            with mock.patch.object(k2, "PREFIX_TRIE_MAX_BITS", 1 << 20), \
+                    counted_construction() as log:
+                for values, codes in walks.values():
+                    assert list(itertools.islice(trie.codes(values), len(codes))) == codes
+            assert log["pairs"] == 0
+            held = {c for _values, codes in walks.values() for c in codes}
+            assert sum(c.bit_length() for c in held) <= trie.bits
