@@ -16,8 +16,7 @@ convert both ways:
   from the answered prefixes.
 
 Products are handled by combining bases atom by atom, which is what
-makes the product of two realized-compact spaces realized-compact, and
-realizers transport across namings along a pair of identity trackings.
+makes the product of two realized-compact spaces realized-compact.
 
 Nothing is built twice.  The builtin and product bases build a member's
 atoms once, as far as some search has asked for them, and keep them for
@@ -31,13 +30,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import k2
 from .k2 import (FinPartialFn, Oracle, PartialResult, PrefixCodeTrie,
-                 RecordingOracle, SpecError, decode_pair,
-                 decode_seq, encode_pair, encode_seq, seq_length, star, cons)
+                 RecordingOracle, SpecError, decode_pair, decode_seq,
+                 encode_pair, seq_length)
 from .naming import (NameSequence, PointedSpace, ProductSpace, Space,
                      star_extension)
 
@@ -213,46 +211,6 @@ def covers(theta: Theta, space: Space,
 
 
 # ---------------------------------------------------------------------------
-# Base coverings and the subcover relation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BaseCovering:
-    """An enumerated sequence of (tau, m) pairs; finite lists repeat."""
-
-    entries: tuple[tuple[FinPartialFn, int], ...]
-
-    def entry(self, i: int) -> tuple[FinPartialFn, int]:
-        return self.entries[i % len(self.entries)]
-
-
-@dataclass(frozen=True)
-class SubcoverReport:
-    ok: bool
-    at_horizon: bool = False
-    missing_atom: Optional[CoverAtom] = None
-
-
-def subcovers(theta: Theta, covering: BaseCovering, horizon: int) -> SubcoverReport:
-    """Whether each atom of theta refines some enumerated entry: an entry
-    (tau, m) with tau a subfunction of the atom's sigma and m <= n."""
-    scan = min(horizon + 1, len(covering.entries))
-    for atom in theta.atoms:
-        found = False
-        for i in range(scan):
-            tau, m = covering.entry(i)
-            if m <= atom.n and tau.is_subfunction_of(atom.sigma):
-                found = True
-                break
-        if not found:
-            return SubcoverReport(False,
-                                  at_horizon=len(covering.entries) > horizon + 1,
-                                  missing_atom=atom)
-    return SubcoverReport(True)
-
-
-# ---------------------------------------------------------------------------
 # Avoidance names
 # ---------------------------------------------------------------------------
 
@@ -283,67 +241,6 @@ def make_avoidance_name(seq: NameSequence, pointed: PointedSpace,
     h = Oracle(lambda c: answer if seq_length(c) >= answer_depth else 0,
                label=f"avoid(d={answer_depth},n={radius_exp},m={onset})")
     return AvoidanceName(h, description=h.label)
-
-
-def make_witnessed_avoidance_name(seq: NameSequence, pointed: PointedSpace,
-                                  witness: dict[FinPartialFn, tuple[int, int]],
-                                  horizon: Optional[int] = None) -> AvoidanceName:
-    """Avoidance name from an explicit per-prefix separation table.
-
-    Each table entry sigma -> (n, m) is verified against the registry
-    metric: every sequence entry from m on (to the horizon) either is the
-    added point or lies at distance >= 2^-n from every point named by an
-    extension of sigma.
-    """
-    space = pointed.space
-    scan = seq.horizon if horizon is None else horizon
-    if seq.tail == "repeat":
-        scan = max(scan, seq.horizon)
-    for sigma, (n, m) in witness.items():
-        if not sigma.is_sequence:
-            raise ValueError("witness keys must be finite sequences")
-        for i in range(m, scan):
-            f_i = seq.entry(i)
-            if pointed.is_star(f_i):
-                continue
-            p_i = space.point_of(f_i)
-            if _cylinder_clearance(space, sigma, p_i) < Fraction(1, 2 ** n):
-                raise ValueError(
-                    f"witness ({sigma.entries}, ({n},{m})) fails at entry {i}")
-    table = {sigma.prefix_code(sigma.initial_run): encode_pair(n, m) + 1
-             for sigma, (n, m) in witness.items()}
-    h = Oracle(lambda c: table.get(c, 0), label="avoid(witnessed)")
-    return AvoidanceName(h, description="witnessed")
-
-
-def _cylinder_clearance(space: Space, sigma: FinPartialFn, point) -> Fraction:
-    """Least distance from the point to any point named by an extension of
-    sigma (registry spaces; 2 when sigma has no extension in the space)."""
-    if not _atom_possibly_inhabited(space, CoverAtom(sigma, 0)):
-        return Fraction(2)
-    kind = space.kind
-    if kind == "cantor":
-        for i in itertools.count():
-            v = sigma.get(i)
-            if v is None:
-                # free position: an extension can copy the point from here on
-                tail_done = all(j < i for j, _ in sigma.entries)
-                if tail_done:
-                    return Fraction(0)
-                continue
-            if v != space.name_value_of_point(point, i):
-                return Fraction(1, 2 ** i)
-        raise AssertionError("unreachable")
-    if kind == "finite":
-        vals = {v for _, v in sigma.entries}
-        if not vals:
-            return Fraction(0)
-        return space.dist(next(iter(vals)), point)
-    if kind == "product":
-        sl, sr = sigma.split()
-        return max(_cylinder_clearance(space.left, sl, point[0]),
-                   _cylinder_clearance(space.right, sr, point[1]))
-    raise ValueError(f"not a registry space: {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -649,61 +546,62 @@ def realizer_from_base(base: CompactnessBase,
 
     def evaluate(seq: NameSequence, h: AvoidanceName, fuel: int) -> EvalOutcome:
         nonlocal trie
-        oracle = h.h if isinstance(h, AvoidanceName) else h
+        oracle = h.h
         spent = 0
         malformed: list[tuple[int, int]] = []
         for member_index in itertools.count():
             bounds: list[int] = []
             certified_atoms: list[CoverAtom] = []
             certified = True
+            # a lazily built member raises on the first atom pulled, not
+            # when its stream is made
             try:
-                atom_stream = base.iter_atoms(member_index)
+                for position, atom in enumerate(base.iter_atoms(member_index)):
+                    # the trie's own rule: a walk that starts past the bound
+                    # starts from empty, and so do the kept codes
+                    if trie.bits > k2.PREFIX_TRIE_MAX_BITS:
+                        trie = PrefixCodeTrie()
+                        walks.clear()
+                    walk = walks.get((member_index, position))
+                    if walk is None:
+                        run = min(atom.sigma.initial_run, max_prefix_len)
+                        walk = walks[member_index, position] = (
+                            tuple(v for _, v in atom.sigma.entries[:run]), [])
+                    values, codes = walk
+                    more = None
+                    found = None
+                    for length in range(len(values) + 1):
+                        if spent >= fuel:
+                            return EvalOutcome(PartialResult.exhausted(spent),
+                                               malformed=tuple(malformed))
+                        if length < len(codes):
+                            code = codes[length]
+                        else:
+                            if more is None:
+                                # the kept codes are trie nodes: passing them
+                                # again pairs nothing
+                                more = itertools.islice(trie.codes(values), length, None)
+                            code = next(more)
+                            codes.append(code)
+                        spent += 1
+                        v = oracle(code)
+                        if v > 0:
+                            nm = decode_pair(v - 1)
+                            if nm is None:
+                                malformed.append((code, v))
+                                continue
+                            n_ans, m_ans = nm
+                            if n_ans <= atom.n:
+                                found = m_ans
+                                break
+                    if found is None:
+                        certified = False
+                        break
+                    bounds.append(found)
+                    certified_atoms.append(atom)
             except SpecError:
                 return EvalOutcome(PartialResult.exhausted(spent), stage="empty-base",
                                    malformed=tuple(malformed))
-            for position, atom in enumerate(atom_stream):
-                # the trie's own rule: a walk that starts past the bound
-                # starts from empty, and so do the kept codes
-                if trie.bits > k2.PREFIX_TRIE_MAX_BITS:
-                    trie = PrefixCodeTrie()
-                    walks.clear()
-                walk = walks.get((member_index, position))
-                if walk is None:
-                    run = min(atom.sigma.initial_run, max_prefix_len)
-                    walk = walks[member_index, position] = (
-                        tuple(v for _, v in atom.sigma.entries[:run]), [])
-                values, codes = walk
-                more = None
-                found = None
-                for length in range(len(values) + 1):
-                    if spent >= fuel:
-                        return EvalOutcome(PartialResult.exhausted(spent),
-                                           malformed=tuple(malformed))
-                    if length < len(codes):
-                        code = codes[length]
-                    else:
-                        if more is None:
-                            # the kept codes are trie nodes: passing them
-                            # again pairs nothing
-                            more = itertools.islice(trie.codes(values), length, None)
-                        code = next(more)
-                        codes.append(code)
-                    spent += 1
-                    v = oracle(code)
-                    if v > 0:
-                        nm = decode_pair(v - 1)
-                        if nm is None:
-                            malformed.append((code, v))
-                            continue
-                        n_ans, m_ans = nm
-                        if n_ans <= atom.n:
-                            found = m_ans
-                            break
-                if found is None:
-                    certified = False
-                    break
-                bounds.append(found)
-                certified_atoms.append(atom)
             if not certified_atoms:
                 # an empty member certifies nothing; burn a step and move on
                 spent += 1
@@ -851,7 +749,7 @@ def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
 
 
 # ---------------------------------------------------------------------------
-# Products and transport
+# Products
 # ---------------------------------------------------------------------------
 
 
@@ -878,65 +776,3 @@ def product_anti_specker(mx: AntiSpeckerRealizer, my: AntiSpeckerRealizer,
         return out
 
     return AntiSpeckerRealizer(evaluate, "product", product_pointed)
-
-
-def _translate_name(psi: Oracle, g: Oracle, pointed_src: PointedSpace,
-                    fuel: int) -> Oracle:
-    """Apply a tracking name to a single sequence entry, star-aware: the
-    added point translates to the added point without consulting psi."""
-    if g(0) == 0:
-        return k2.star_name()
-    return k2.bullet(psi, g).freeze(fuel)
-
-
-def _translate_avoidance(phi: Oracle, h: Oracle, fuel: int) -> Oracle:
-    """Precompose an avoidance name with a tracking: on a source prefix,
-    translate as much of the image prefix as the tracking determines, then
-    take the first answer the original name gives on its restrictions."""
-    def fn(code: int) -> int:
-        s = decode_seq(code)
-        image: list[int] = []
-        f_tau = k2.from_values(list(s), tail_value=0)
-        for idx in range(len(s)):
-            # prefix length n of (idx, f) reads f at 0..n-2, so the value is
-            # determined by s only when the scan fired at n <= len(s) + 1
-            r = star(phi, cons(idx, f_tau), min(fuel, len(s) + 2))
-            if not r.is_value or (r.fired_at is not None and r.fired_at > len(s) + 1):
-                break
-            image.append(r.value)
-        for length in range(len(image), -1, -1):
-            v = h(encode_seq(image[:length]))
-            if v > 0:
-                return v
-        return 0
-    return Oracle(fn, label="transported-avoidance")
-
-
-def transport_realizer(m: AntiSpeckerRealizer, phi: Oracle, psi: Oracle,
-                       target: PointedSpace, fuel: int = 64) -> AntiSpeckerRealizer:
-    """Transport a realizer across namings of the same space along identity
-    trackings: phi from the realizer's naming into the target one, psi the
-    other way.  Sequences translate through psi, avoidance names precompose
-    with phi."""
-
-    def evaluate(seq: NameSequence, h: AvoidanceName, eval_fuel: int) -> EvalOutcome:
-        oracle = h.h if isinstance(h, AvoidanceName) else h
-        try:
-            translated = NameSequence(
-                tuple(_translate_name(psi, g, target, fuel) for g in seq.prefix),
-                seq.tail)
-        except k2.FuelExhausted as e:
-            return EvalOutcome(PartialResult.exhausted(e.spent),
-                               stage="transport-translate")
-        h_new = AvoidanceName(_translate_avoidance(phi, oracle, fuel), "transported")
-        try:
-            out = m.evaluate(translated, h_new, eval_fuel)
-        except k2.FuelExhausted as e:
-            return EvalOutcome(PartialResult.exhausted(e.spent),
-                               stage="transport-translate")
-        if not out.result.is_value and out.stage is None:
-            return EvalOutcome(out.result, malformed=out.malformed,
-                               stage="transport-eval")
-        return out
-
-    return AntiSpeckerRealizer(evaluate, "transported", target)

@@ -48,16 +48,13 @@ class ExtractionFailed(Exception):
 def extract_bound(g: Oracle, h: IntensionalName | Oracle, fuel: int) -> int:
     """Upper bound for g from an intensional name: feed identity prefixes
     until the name answers v+1 at length t, then return max(t, v).  A
-    failed extraction builds only the codes it queries: fuel-1 pairings."""
+    failed extraction builds only the codes it queries: fuel-1 pairings,
+    and a negative fuel scans nothing."""
     oracle = h.h if isinstance(h, IntensionalName) else h
-    code = 0
-    for t in range(fuel):
-        v = oracle(code)
-        if v > 0:
-            return max(t, v - 1)
-        if t + 1 < fuel:
-            code = cantor_pair(code, t) + 1
-    raise ExtractionFailed(fuel)
+    r = k2.star(oracle, k2.identity_oracle(), max(fuel, 0))
+    if not r.is_value:
+        raise ExtractionFailed(fuel)
+    return max(r.fired_at, r.value)
 
 
 def make_valid_realizer(g: Oracle, bound: int, answer_len: int = 0,
@@ -71,21 +68,6 @@ def make_valid_realizer(g: Oracle, bound: int, answer_len: int = 0,
     h = Oracle(lambda c: bound + 1 if seq_length(c) >= answer_len else 0,
                label=f"dom(bound={bound},len={answer_len})")
     return IntensionalName(h, description=h.label)
-
-
-def validate_intensional(g: Oracle, h: IntensionalName | Oracle,
-                         samples: Sequence[Oracle], fuel: int,
-                         horizon: int = 50) -> bool:
-    """Spot-check the answer contract on sample arguments."""
-    oracle = h.h if isinstance(h, IntensionalName) else h
-    for f in samples:
-        r = k2.star(oracle, f, fuel)
-        if not r.is_value:
-            return False
-        for kk in range(r.value, horizon + 1):
-            if not g(f(kk)) < kk:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

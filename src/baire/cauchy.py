@@ -95,31 +95,10 @@ class RationalSeq:
                                          or self.tail_ratio >= 0)
 
     @property
-    def is_increasing_to_horizon(self) -> bool:
-        """Monotone on the prefix and into a constant tail."""
-        vals = list(self.prefix)
-        if any(a > b for a, b in zip(vals, vals[1:])):
-            return False
-        if self.tail_kind == "zero":
-            return not vals or vals[-1] <= 0
-        if self.tail_kind == "constant":
-            return not vals or vals[-1] <= self.tail_value
-        return False
-
-    @property
     def has_finite_support(self) -> bool:
         return self.tail_kind == "zero" or (
             self.tail_kind == "constant" and self.tail_value == 0) or (
             self.tail_kind == "geometric" and self.tail_value == 0)
-
-    @property
-    def infinitely_positive(self) -> bool:
-        """Provable from the tail rule alone; prefixes cannot witness it."""
-        if self.tail_kind == "constant":
-            return self.tail_value > 0
-        if self.tail_kind == "geometric":
-            return self.tail_value > 0 and self.tail_ratio > 0
-        return False
 
     @property
     def support_end(self) -> int:
@@ -131,19 +110,6 @@ class RationalSeq:
         while end > 0 and self.prefix[end - 1] == 0:
             end -= 1
         return end
-
-    def tail_abs_sum(self, start: int) -> Fraction:
-        """Exact sum of |x_i| for i >= start; raises on divergent tails."""
-        if self.tail_kind == "constant" and self.tail_value != 0:
-            raise ValueError("constant nonzero tail has no finite absolute sum")
-        total = sum((abs(self.prefix[i]) for i in range(start, len(self.prefix))),
-                    Fraction(0))
-        if self.tail_kind == "geometric" and self.tail_value != 0:
-            first = max(start, len(self.prefix))
-            r = abs(self.tail_ratio)
-            head = abs(self.tail_value) * r ** (first - len(self.prefix))
-            total += head / (1 - r)
-        return total
 
     def to_json(self) -> dict:
         tail: dict = {"kind": self.tail_kind}
@@ -252,46 +218,6 @@ def exact_modulus(x: RationalSeq, horizon: int) -> Modulus:
     return Modulus(lambda m: values[m] if m < len(values) else last)
 
 
-@dataclass(frozen=True)
-class CauchyConstraint:
-    """A pair (sigma, xs): extensions of the value prefix xs admitting a
-    modulus extending the index prefix sigma."""
-
-    sigma: tuple[int, ...]
-    xs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if any(a > b for a, b in zip(self.sigma, self.sigma[1:])):
-            raise ValueError("modulus prefixes are increasing")
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    consistent: bool
-    reason: Optional[str] = None
-    witness: Optional[tuple[int, int, int]] = None
-
-
-def constraint_consistent(k: CauchyConstraint, x: RationalSeq,
-                          horizon: int) -> ConstraintReport:
-    """Whether x (up to the horizon) can still lie in the constraint set:
-    it must extend the value prefix, and no n < len(sigma) may exhibit
-    i, j in [sigma(n), horizon] with |x_i - x_j| >= 2^-n."""
-    for i, want in enumerate(k.xs):
-        if x.value_at(i) != want:
-            return ConstraintReport(False, reason=f"prefix mismatch at {i}")
-    for n, start in enumerate(k.sigma):
-        if start > horizon:
-            continue
-        bound = Fraction(1, 2 ** n)
-        window = [x.value_at(i) for i in range(start, horizon + 1)]
-        if max(window) - min(window) >= bound:
-            i = start + window.index(max(window))
-            j = start + window.index(min(window))
-            return ConstraintReport(False, reason="oscillation", witness=(n, i, j))
-    return ConstraintReport(True)
-
-
 def diam_window(x: RationalSeq, lo: int, hi: int) -> Fraction:
     """max - min over the inclusive window, exact."""
     if lo > hi:
@@ -396,9 +322,6 @@ class SplitterLedger:
     @property
     def stage_count(self) -> int:
         return len(self.stages)
-
-    def block(self, i: int) -> tuple[Fraction, ...]:
-        return self.stages[i].y
 
     def subset_sum(self, mask: int) -> Fraction:
         total = Fraction(0)
@@ -739,9 +662,6 @@ class PermutationSpec:
 
     def __call__(self, k: int) -> int:
         return self._index.get(k, k)
-
-    def inverse(self) -> "PermutationSpec":
-        return PermutationSpec(tuple(sorted((v, i) for i, v in self.table)))
 
     @property
     def support_end(self) -> int:

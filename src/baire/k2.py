@@ -28,15 +28,6 @@ class HorizonError(Exception):
     """An oracle was queried beyond its configured horizon."""
 
 
-class FuelExhausted(Exception):
-    """A search ran out of fuel where a plain result type is not available."""
-
-    def __init__(self, spent: int, where: str = ""):
-        self.spent = spent
-        self.where = where
-        super().__init__(f"fuel exhausted after {spent} steps {where}".strip())
-
-
 class SpecError(ValueError):
     """A malformed input document (oracle spec, sequence spec, ...)."""
 
@@ -189,16 +180,6 @@ class FinPartialFn:
     def domain(self) -> tuple[int, ...]:
         return tuple(k for k, _ in self.entries)
 
-    def get(self, k: int) -> Optional[int]:
-        for i, v in self.entries:
-            if i == k:
-                return v
-        return None
-
-    def is_subfunction_of(self, other: "FinPartialFn") -> bool:
-        theirs = other.as_dict()
-        return all(theirs.get(k) == v for k, v in self.entries)
-
     @cached_property
     def initial_run(self) -> int:
         """Largest L with [0, L) contained in the domain."""
@@ -209,10 +190,6 @@ class FinPartialFn:
             elif k > run:
                 break
         return run
-
-    @property
-    def is_sequence(self) -> bool:
-        return self.initial_run == len(self.entries)
 
     def prefix_code(self, length: int) -> int:
         """Code of the length-``length`` initial restriction (must exist)."""
@@ -365,10 +342,6 @@ class UsageMeter:
     def max_index(self) -> int:
         return self._max if self._max >= 0 else 0
 
-    @property
-    def touched(self) -> bool:
-        return self.count > 0
-
 
 class RecordingOracle(Oracle):
     """An oracle read through a usage meter and a transcript of its
@@ -468,8 +441,8 @@ class FueledOracle:
     """Lazy oracle whose every query carries its own fuel budget.
 
     ``query(k, fuel)`` is a PartialResult; totality is the caller's
-    contract, not checked here.  ``freeze(fuel)`` adapts it to the plain
-    Oracle interface, raising FuelExhausted on a failed query.
+    contract, not checked here.  Values are memoized, exhaustion is not, so
+    a query that ran out of fuel may be asked again with more.
     """
 
     def __init__(self, query: Callable[[int, int], PartialResult], label: str = "fueled"):
@@ -485,14 +458,6 @@ class FueledOracle:
         if r.is_value:
             self._memo[k] = r
         return r
-
-    def freeze(self, fuel: int) -> Oracle:
-        def fn(k: int) -> int:
-            r = self.query(k, fuel)
-            if not r.is_value:
-                raise FuelExhausted(r.spent, where=f"in {self.label}")
-            return r.value
-        return Oracle(fn, label=f"{self.label}@{fuel}")
 
 
 def bullet(f: Oracle, g: Oracle) -> FueledOracle:

@@ -21,11 +21,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from . import k2, reals
-from .k2 import (Oracle, TableOracle, SpecError, cons, pair_names,
-                 project_names, star, star_name)
+from .k2 import (Oracle, TableOracle, SpecError, pair_names, project_names,
+                 star_name)
 from .reals import SignedDigitReal, first_diff_real, from_rational, max_star
 
 STAR_POINT = "*"
@@ -91,9 +91,6 @@ class Space:
         """Finite partition descriptors at the given resolution."""
         raise NotImplementedError
 
-    def cell_point(self, cell) -> Point:
-        raise NotImplementedError
-
     def cell_value_at(self, cell, i: int) -> Optional[int]:
         """Name value at index i forced by the cell, None when unconstrained."""
         raise NotImplementedError
@@ -155,9 +152,6 @@ class CantorSpace(Space):
     def cells(self, depth: int):
         return itertools.product((0, 1), repeat=depth)
 
-    def cell_point(self, cell) -> CantorPoint:
-        return CantorPoint(tuple(cell), 0)
-
     def cell_value_at(self, cell, i: int) -> Optional[int]:
         return self._encode(cell[i]) if i < len(cell) else None
 
@@ -209,9 +203,6 @@ class FiniteSpace(Space):
     def cells(self, depth: int):
         return range(1, self.n + 1)
 
-    def cell_point(self, cell) -> int:
-        return cell
-
     def cell_value_at(self, cell, i: int) -> Optional[int]:
         return cell
 
@@ -260,9 +251,6 @@ class ProductSpace(Space):
 
     def cells(self, depth: int):
         return itertools.product(self.left.cells(depth), self.right.cells(depth))
-
-    def cell_point(self, cell) -> tuple:
-        return (self.left.cell_point(cell[0]), self.right.cell_point(cell[1]))
 
     def cell_value_at(self, cell, i: int) -> Optional[int]:
         if i % 2 == 0:
@@ -419,55 +407,3 @@ def parse_name_sequence(spec) -> NameSequence:
         return NameSequence(prefix, spec.get("tail", "star"))
     except ValueError as e:
         raise SpecError(f"bad name sequence: {e}")
-
-
-# ---------------------------------------------------------------------------
-# Reductions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReductionReport:
-    ok: bool
-    checked: int
-    inconclusive: bool = False
-    counterexample: Optional[dict] = None
-
-    def to_json(self) -> dict:
-        out = {"ok": self.ok, "checked": self.checked,
-               "inconclusive": self.inconclusive}
-        if self.counterexample:
-            out["counterexample"] = self.counterexample
-        return out
-
-
-def verify_reduction(h: Oracle, src: Space, dst: Space,
-                     samples: Sequence[Oracle], fuel: int,
-                     horizon: int = 16) -> ReductionReport:
-    """Check that h translates src-names to dst-names of the same point.
-
-    For each sample name f the translate h applied to f is evaluated up to
-    the horizon under the given fuel; the first counterexample is reported,
-    fuel exhaustion makes the report inconclusive rather than a failure.
-    """
-    for si, f in enumerate(samples):
-        values = []
-        for kk in range(horizon):
-            r = star(h, cons(kk, f), fuel)
-            if not r.is_value:
-                return ReductionReport(False, si, inconclusive=True)
-            values.append(r.value)
-        translated = k2.from_values(values, tail_value=values[-1] if values else 0)
-        if not dst.contains_name(translated, horizon):
-            return ReductionReport(False, si, counterexample={
-                "sample": si, "reason": "translate leaves the target domain",
-                "values": values})
-        expected_point = src.point_of(f)
-        want = [dst.name_value_of_point(expected_point, kk)
-                for kk in range(horizon)]
-        if values != want:
-            bad = next(kk for kk in range(horizon) if values[kk] != want[kk])
-            return ReductionReport(False, si, counterexample={
-                "sample": si, "reason": "wrong point", "index": bad,
-                "got": values[bad], "want": want[bad]})
-    return ReductionReport(True, len(samples))

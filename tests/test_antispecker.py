@@ -5,12 +5,11 @@ import pytest
 
 from baire import antispecker as aspk
 from baire import k2, naming
-from baire.antispecker import (AvoidanceName, BaseCovering, CoverAtom, Theta,
+from baire.antispecker import (AvoidanceName, CoverAtom, Theta,
                                base_from_realizer, builtin_base, covers,
                                direct_scan_realizer, make_avoidance_name,
                                point_in_atom, product_anti_specker, product_atom,
-                               product_base, realizer_from_base, subcovers,
-                               transport_realizer)
+                               product_base, realizer_from_base)
 from baire.k2 import FinPartialFn, constant, encode_pair, from_values
 from baire.naming import NameSequence, cantor_space, finite_space, star_extension
 
@@ -72,28 +71,6 @@ def test_point_membership_in_atoms():
     assert point_in_atom(CANTOR, p, atom({0: 1, 5: 1}, 0))
 
 
-# --- subcovers -----------------------------------------------------------------
-
-def test_subcovers_refinement():
-    covering = BaseCovering(((FinPartialFn.from_dict({0: 1}), 1),
-                             (FinPartialFn.from_dict({0: 2}), 1)))
-    theta = Theta((atom({0: 1, 1: 1}, 3), atom({0: 2, 1: 2}, 2)))
-    assert subcovers(theta, covering, horizon=10).ok
-
-
-def test_subcovers_reflexive():
-    theta = Theta((atom({0: 1}, 2), atom({0: 2}, 2)))
-    covering = BaseCovering(tuple((a.sigma, a.n) for a in theta.atoms))
-    assert subcovers(theta, covering, horizon=5).ok
-
-
-def test_subcovers_missing_atom():
-    covering = BaseCovering(((FinPartialFn.from_dict({0: 1}), 1),))
-    theta = Theta((atom({0: 2, 1: 1}, 3),))
-    report = subcovers(theta, covering, horizon=100)
-    assert not report.ok and report.missing_atom == theta.atoms[0]
-
-
 # --- builtin bases ---------------------------------------------------------------
 
 def test_builtin_cantor_members_cover():
@@ -121,14 +98,6 @@ def test_builtin_finite_members_cover():
     assert covers(theta, FIN2).covered
 
 
-def test_builtin_base_subcovers_depth_three_covering():
-    base = builtin_base(CANTOR)
-    entries = tuple(
-        (FinPartialFn.from_seq(word), 3)
-        for word in __import__("itertools").product((1, 2), repeat=3))
-    assert subcovers(base.enumerate_theta(3), BaseCovering(entries), 10).ok
-
-
 # --- avoidance names -------------------------------------------------------------
 
 def test_all_star_avoidance_name():
@@ -147,26 +116,6 @@ def test_onset_avoidance_name_checks_against_metric():
         if not P_CANTOR.is_star(entry):
             d = CANTOR.dist(point, CANTOR.point_of(entry))
             assert d >= Fraction(1, 2 ** n)
-
-
-def test_witnessed_avoidance_name():
-    # a never-settling sequence pinned at the 2-branch, witnessed away from
-    # the cylinder that opens with digit 1 then 1 (distance 1/4 from it)
-    stuck = from_values([2], tail_value=2)
-    seq = NameSequence((stuck,), "repeat")
-    sigma = FinPartialFn.from_seq([1, 1])
-    h = aspk.make_witnessed_avoidance_name(seq, P_CANTOR, {sigma: (2, 0)},
-                                           horizon=12)
-    assert h.h(sigma.prefix_code(2)) == encode_pair(2, 0) + 1
-
-
-def test_witnessed_name_rejects_false_witness():
-    stuck = from_values([1], tail_value=1)
-    seq = NameSequence((stuck,), "repeat")
-    sigma = FinPartialFn.from_seq([1, 1])
-    with pytest.raises(ValueError):
-        aspk.make_witnessed_avoidance_name(seq, P_CANTOR, {sigma: (2, 0)},
-                                           horizon=12)
 
 
 def test_non_star_sequence_needs_witness():
@@ -203,6 +152,19 @@ def test_malformed_answers_reported():
     # 1 decodes to a one-element sequence, not a pair
     out = realizer.evaluate(seq_of(), AvoidanceName(constant(2)), 150)
     assert out.malformed
+
+
+def test_an_empty_product_factor_exhausts_like_an_empty_base():
+    empty = aspk.ProbedBase(FIN2, (), exhausted=False, evals_spent=0)
+    h = AvoidanceName(constant(0))
+    for base in (empty, product_base(builtin_base(FIN2), empty),
+                 product_base(empty, builtin_base(FIN2))):
+        realizer = realizer_from_base(base)
+        # the second evaluation meets the failure the kept member replays
+        for _ in range(2):
+            out = realizer.evaluate(seq_of(), h, 10)
+            assert out.to_json() == {"value": "exhausted", "spent": 0,
+                                     "stage": "empty-base"}
 
 
 def test_deep_answering_names_certify_at_depth():
@@ -329,20 +291,6 @@ def test_product_base_finite_square():
     assert covers(theta, prod).covered
 
 
-def test_product_base_subcovers_componentwise_covering():
-    prod = naming.product_metric_naming(FIN2, FIN2)
-    pb = product_base(builtin_base(FIN2), builtin_base(FIN2))
-    entries = []
-    for c in (1, 2):
-        for d in (1, 2):
-            sigma = FinPartialFn.interleave(FinPartialFn.from_seq([c]),
-                                            FinPartialFn.from_seq([d]))
-            entries.append((sigma, 0))
-    covering = BaseCovering(tuple(entries))
-    assert any(subcovers(pb.enumerate_theta(i), covering, 10).ok
-               for i in range(40))
-
-
 def test_product_realizer_matches_direct_scan():
     prod = naming.product_metric_naming(CANTOR, FIN2)
     pointed = star_extension(prod)
@@ -372,59 +320,6 @@ def test_product_realizer_matches_direct_scan():
         a = combined.evaluate(seq, h, 30000).result.value
         b = reference.evaluate(seq, h, 30000).result.value
         assert a == b is not None
-
-
-# --- transport -------------------------------------------------------------------
-
-def _swap_tracking():
-    return k2.parse_oracle_spec({"tail": {"kind": "registry",
-                                          "name": "eval_arg_swap12"}})
-
-
-def _id_tracking():
-    return k2.parse_oracle_spec({"tail": {"kind": "registry", "name": "eval_arg"}})
-
-
-def test_transport_with_identity_trackings():
-    realizer = realizer_from_base(builtin_base(CANTOR), P_CANTOR)
-    moved = transport_realizer(realizer, _id_tracking(), _id_tracking(), P_CANTOR)
-    rng = random.Random(77)
-    sp = CANTOR
-    for _ in range(8):
-        entries = tuple(sp.canonical_name(sp.sample_point(rng))
-                        for _ in range(rng.randrange(0, 5)))
-        seq = NameSequence(entries, "star")
-        h = make_avoidance_name(seq, P_CANTOR, answer_depth=rng.randrange(2))
-        assert moved.evaluate(seq, h, 4000).result.value == \
-            realizer.evaluate(seq, h, 4000).result.value
-
-
-def test_transport_across_digit_swap():
-    swapped = cantor_space(recode_swap=True)
-    p_swapped = star_extension(swapped)
-    realizer = realizer_from_base(builtin_base(CANTOR), P_CANTOR)
-    moved = transport_realizer(realizer, _swap_tracking(), _swap_tracking(),
-                               p_swapped)
-    oracle = direct_scan_realizer(p_swapped)
-    rng = random.Random(78)
-    sp = swapped
-    for _ in range(10):
-        entries = tuple(
-            k2.star_name() if rng.random() < 0.3
-            else sp.canonical_name(sp.sample_point(rng))
-            for _ in range(rng.randrange(0, 6)))
-        seq = NameSequence(entries, "star")
-        h = make_avoidance_name(seq, p_swapped, answer_depth=rng.randrange(2))
-        want = oracle.evaluate(seq, h, 10).result.value
-        assert moved.evaluate(seq, h, 4000).result.value == want
-
-
-def test_transported_realizer_on_all_star():
-    realizer = realizer_from_base(builtin_base(CANTOR), P_CANTOR)
-    moved = transport_realizer(realizer, _swap_tracking(), _swap_tracking(),
-                               star_extension(cantor_space(recode_swap=True)))
-    h = make_avoidance_name(seq_of(), P_CANTOR)
-    assert moved.evaluate(seq_of(), h, 4000).result.value == 0
 
 
 # --- serialization -----------------------------------------------------------------

@@ -39,7 +39,7 @@ def test_clamped_identity_accepts_matching_bound():
     clamped = k2.Oracle(lambda m: min(m, 3), label="id-clamped-3")
     h = make_valid_realizer(clamped, 4, answer_len=1)
     samples = [TableOracle({0: 9, 1: 2}, 0), constant(7), k2.identity_oracle()]
-    assert bdn.validate_intensional(clamped, h, samples, fuel=60)
+    assert check_domination_hypothesis(h.h, clamped, samples, fuel=60, horizon=50)
     assert extract_bound(clamped, h, 50) == 4
 
 
@@ -49,7 +49,7 @@ def test_realizer_validity_on_samples():
     h = make_valid_realizer(g, 4, answer_len=1)
     samples = [TableOracle({i: rng.randrange(12) for i in range(5)}, 0)
                for _ in range(10)]
-    assert bdn.validate_intensional(g, h, samples, fuel=60)
+    assert check_domination_hypothesis(h.h, g, samples, fuel=60, horizon=50)
 
 
 def test_extraction_is_sound_across_random_pairs():

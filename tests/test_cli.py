@@ -87,6 +87,10 @@ def test_spaces_commands(capsys):
                            "--space", '{"kind":"finite","n":3}',
                            "--name", "const:4")
     assert doc["result"]["in_domain"] is False
+    code, doc, _ = run_cli(capsys, "spaces", "check",
+                           "--space", '{"kind":"cantor","swapped":true}',
+                           "--name", '{"table":[[0,2]],"tail":{"kind":"constant","value":1}}')
+    assert code == 0 and doc["result"]["in_domain"] is True
 
 
 def test_antispecker_probe(capsys):

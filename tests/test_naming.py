@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from baire import k2, naming
 from baire.k2 import FinPartialFn, constant, from_values, pair_names, project_names
 from baire.naming import (CantorPoint, NameSequence, cantor_space, finite_space,
-                          product_metric_naming, star_extension,
-                          verify_reduction)
+                          product_metric_naming, star_extension)
 
 
 # --- registry spaces -------------------------------------------------------
@@ -161,46 +160,20 @@ def test_sequence_spec_parsing():
     assert seq.horizon == 2 and seq.entry(0)(0) == 1
 
 
-# --- reductions --------------------------------------------------------------
+# --- the digit-swapped Cantor naming ---------------------------------------------
 
-def _eval_arg_name():
-    return k2.parse_oracle_spec({"tail": {"kind": "registry", "name": "eval_arg"}})
-
-
-def _swap_name():
-    return k2.parse_oracle_spec({"tail": {"kind": "registry",
-                                          "name": "eval_arg_swap12"}})
-
-
-def test_identity_reduction_succeeds():
-    m = cantor_space()
-    samples = [constant(1), from_values([2, 1], tail_value=2)]
-    report = verify_reduction(_eval_arg_name(), m, m, samples, fuel=24, horizon=8)
-    assert report.ok, report
-
-
-def test_wrong_point_reduction_caught():
-    m = finite_space(3)
-    # translate everything to the constant-2 name, whatever the input
-    h = k2.Oracle(lambda c: 3 if k2.seq_length(c) >= 1 else 0)
-    report = verify_reduction(h, m, m, [constant(1)], fuel=24, horizon=6)
-    assert not report.ok and report.counterexample["reason"] == "wrong point"
-
-
-def test_digit_swap_reduction():
+def test_swapped_cantor_names_round_trip_with_the_standard_metric():
     rng = random.Random(11)
     std, swapped = cantor_space(), cantor_space(recode_swap=True)
-    samples = [std.canonical_name(std.sample_point(rng))
-               for _ in range(20)]
-    report = verify_reduction(_swap_name(), std, swapped, samples,
-                              fuel=24, horizon=8)
-    assert report.ok, report
-
-
-def test_exhausted_reduction_is_inconclusive():
-    m = cantor_space()
-    report = verify_reduction(constant(0), m, m, [constant(1)], fuel=5)
-    assert not report.ok and report.inconclusive
+    for _ in range(20):
+        p, q = std.sample_point(rng), std.sample_point(rng)
+        f, g = swapped.canonical_name(p), swapped.canonical_name(q)
+        assert swapped.point_of(f) == p and swapped.point_of(g) == q
+        # the swapped naming writes bit b as 2 - b, the standard one as b + 1
+        assert [f(i) for i in range(8)] == [2 - p.value_at(i) for i in range(8)]
+        assert swapped.dist(p, q) == std.dist(p, q)
+        want = std.dist_hat(std.canonical_name(p), std.canonical_name(q))
+        assert swapped.dist_hat(f, g).approx(12) == want.approx(12)
 
 
 # --- space specs --------------------------------------------------------------

@@ -270,7 +270,7 @@ def _extract(scan, fuel):
     return run
 
 
-@given(names, arguments, st.integers(min_value=0, max_value=16))
+@given(names, arguments, st.integers(min_value=-2, max_value=16))
 def test_extract_bound_matches_the_pairing_loop(name, argument, fuel):
     _run_both(_extract(bdn.extract_bound, fuel), _extract(ref.extract_bound, fuel),
               name, argument)
