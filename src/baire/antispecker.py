@@ -146,8 +146,10 @@ def _atom_constraints(space: Space, atom: CoverAtom
 def point_in_atom(space: Space, point, atom: CoverAtom) -> bool:
     """Exact membership of a registry point in the atom's open set."""
     pairs = _atom_constraints(space, atom)
-    return pairs is not None and all(
-        space.name_value_of_point(point, i) == v for i, v in pairs)
+    if pairs is None:
+        return False
+    name = space.canonical_name(point)
+    return all(name(i) == v for i, v in pairs)
 
 
 @dataclass(frozen=True)
@@ -515,9 +517,13 @@ def direct_scan_realizer(pointed: PointedSpace) -> AntiSpeckerRealizer:
     return AntiSpeckerRealizer(evaluate, "direct_scan", pointed)
 
 
+# prefixes longer than this are never queried, since their codes grow
+# doubly exponentially with length
+MAX_PREFIX_LEN = 16
+
+
 def realizer_from_base(base: CompactnessBase,
-                       pointed: Optional[PointedSpace] = None,
-                       max_prefix_len: int = 16) -> AntiSpeckerRealizer:
+                       pointed: Optional[PointedSpace] = None) -> AntiSpeckerRealizer:
     """Search the base for a member whose every atom the avoidance name
     certifies, then return the exact settling index.
 
@@ -527,10 +533,9 @@ def realizer_from_base(base: CompactnessBase,
     maximum of the certified m's; the final value is recomputed exactly by
     scanning the sequence below the bound, so it does not depend on which
     member certified.  Fuel counts avoidance-name queries; prefixes longer
-    than ``max_prefix_len`` are never queried, since their codes grow
-    doubly exponentially with length.  The prefix codes come from one
-    trie that lives as long as the realizer, so the members of a base, and
-    repeated evaluations, share the codes of their common prefixes.  The
+    than ``MAX_PREFIX_LEN`` are never queried.  The prefix codes come from
+    one trie that lives as long as the realizer, so the members of a base,
+    and repeated evaluations, share the codes of their common prefixes.  The
     realizer also keeps, for each atom it has walked, the codes the walk
     reached, and extends them from the trie only when a walk goes further;
     it drops them whenever the trie drops its nodes, so it never holds a
@@ -564,7 +569,7 @@ def realizer_from_base(base: CompactnessBase,
                         walks.clear()
                     walk = walks.get((member_index, position))
                     if walk is None:
-                        run = min(atom.sigma.initial_run, max_prefix_len)
+                        run = min(atom.sigma.initial_run, MAX_PREFIX_LEN)
                         walk = walks[member_index, position] = (
                             tuple(v for _, v in atom.sigma.entries[:run]), [])
                     values, codes = walk

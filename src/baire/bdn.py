@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import k2
-from .k2 import (Oracle, RecordingOracle, TableOracle, cantor_pair,
-                 decode_seq, seq_length)
+from .k2 import Oracle, RecordingOracle, TableOracle, decode_seq, seq_length
 
 
 # ---------------------------------------------------------------------------
@@ -75,42 +74,11 @@ def make_valid_realizer(g: Oracle, bound: int, answer_len: int = 0,
 # ---------------------------------------------------------------------------
 
 
-class _Tank:
-    def __init__(self, budget: int):
-        self.left = budget
-
-    def draw(self) -> bool:
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        return True
-
-
 class _OutOfFuel(Exception):
     pass
 
 
 _SCAN_DEPTH_CAP = 20  # sequence codes grow doubly exponentially with depth
-
-
-def _star_tank(f: Oracle, g: Oracle, tank: _Tank) -> tuple[int, int]:
-    """star with a shared budget; returns (value, fired_at).
-
-    Each round draws from the tank and checks the depth cap before it
-    queries f.  The round that reads g(n) builds the code of the next
-    prefix only when the next round will pass both checks; otherwise no
-    query reads that code."""
-    code = 0
-    n = 0
-    while tank.draw() and n <= _SCAN_DEPTH_CAP:
-        v = f(code)
-        if v > 0:
-            return v - 1, n
-        a = g(n)
-        n += 1
-        if tank.left > 0 and n <= _SCAN_DEPTH_CAP:
-            code = cantor_pair(code, a) + 1
-    raise _OutOfFuel
 
 
 @dataclass
@@ -139,20 +107,24 @@ class EvalTranscript:
 
 def apply_candidate(alpha: Oracle, h: Oracle, g: Oracle, fuel: int) -> EvalTranscript:
     """Evaluate ((alpha . h) * g) under one shared budget, recording every
-    read of h and of g."""
+    read of h and of g.  Both scans are ``k2.star`` over one ``k2.Fuel``
+    with prefixes of length at most ``_SCAN_DEPTH_CAP``; an exhausted inner
+    scan ends the evaluation."""
     h_rec = RecordingOracle(h)
     g_rec = RecordingOracle(g)
-    tank = _Tank(fuel)
+    tank = k2.Fuel(fuel)
 
     def inner(m: int) -> int:
-        value, _ = _star_tank(alpha, k2.cons(m, h_rec), tank)
-        return value
+        r = k2.star(alpha, k2.cons(m, h_rec), tank, _SCAN_DEPTH_CAP)
+        if not r.is_value:
+            raise _OutOfFuel
+        return r.value
 
     try:
-        value, fired = _star_tank(Oracle(inner, label="alpha.h"), g_rec, tank)
+        r = k2.star(Oracle(inner, label="alpha.h"), g_rec, tank, _SCAN_DEPTH_CAP)
     except _OutOfFuel:
         return EvalTranscript(None, None, h_rec.transcript, g_rec.transcript)
-    return EvalTranscript(value, fired, h_rec.transcript, g_rec.transcript)
+    return EvalTranscript(r.value, r.fired_at, h_rec.transcript, g_rec.transcript)
 
 
 # ---------------------------------------------------------------------------

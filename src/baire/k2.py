@@ -326,46 +326,37 @@ def project_names(h: Oracle) -> tuple[Oracle, Oracle]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class UsageMeter:
-    """Per-oracle maximum queried index (0 before any query) plus a count."""
-
-    count: int = 0
-    _max: int = -1
-
-    def note(self, k: int) -> None:
-        self.count += 1
-        if k > self._max:
-            self._max = k
-
-    @property
-    def max_index(self) -> int:
-        return self._max if self._max >= 0 else 0
-
-
 class RecordingOracle(Oracle):
-    """An oracle read through a usage meter and a transcript of its
-    (index, value) reads in query order."""
+    """An oracle read through a transcript of its (index, value) reads in
+    query order; the transcript is the oracle's usage record."""
 
     def __init__(self, inner: Oracle):
         self.inner = inner
-        self.meter = UsageMeter()
         self.transcript: list[tuple[int, int]] = []
         super().__init__(inner, label=f"recorded({inner.label})")
 
     def __call__(self, k: int) -> int:
         if k < 0:
             raise ValueError("oracle indices are naturals")
-        self.meter.note(k)
         v = self.inner(k)
         self.transcript.append((k, v))
         return v
 
+    @property
+    def count(self) -> int:
+        return len(self.transcript)
 
-def with_usage_tracking(f: Oracle) -> tuple[RecordingOracle, UsageMeter]:
-    """f read through a recording oracle, and that oracle's meter."""
+    @property
+    def max_index(self) -> int:
+        """The largest index read, 0 before any read."""
+        return max((k for k, _ in self.transcript), default=0)
+
+
+def with_usage_tracking(f: Oracle) -> tuple[RecordingOracle, RecordingOracle]:
+    """f read through a recording oracle, and that oracle again as its own
+    usage meter."""
     rec = RecordingOracle(f)
-    return rec, rec.meter
+    return rec, rec
 
 
 # ---------------------------------------------------------------------------
@@ -418,23 +409,45 @@ def cons(n: int, g: Oracle) -> Oracle:
     return Oracle(lambda k: n if k == 0 else g(k - 1), label=f"cons(.,{g.label})")
 
 
-def star(f: Oracle, g: Oracle, fuel: int) -> PartialResult:
-    """Apply a function name to an argument: f(prefix-code of g) - 1 at the
-    least prefix length where f answers positively, scanning lengths < fuel.
+class Fuel:
+    """A fuel budget that nested scans draw on: each scan round takes one
+    unit from ``left``."""
 
-    An exhausted scan reads g at 0..fuel-1 but builds only the codes that
-    f is queried on: fuel-1 pairings, not fuel."""
-    if fuel < 0:
-        raise ValueError("fuel must be a natural")
+    def __init__(self, left: int):
+        self.left = left
+
+
+def star(f: Oracle, g: Oracle, fuel: int | Fuel,
+         max_depth: Optional[int] = None) -> PartialResult:
+    """Apply a function name to an argument: f(prefix-code of g) - 1 at the
+    least prefix length where f answers positively.
+
+    Each round draws one unit of fuel, stops the scan if its prefix is
+    longer than ``max_depth``, then queries f.  ``fuel`` is a count or a
+    shared ``Fuel`` that the oracles f and g may draw on too.  The round
+    that reads g(n) builds the code of the next prefix only when the next
+    round will pass both checks, so an exhausted scan reads g at every
+    index it reached but builds only the codes f is queried on: with a
+    count and no depth bound, fuel-1 pairings, not fuel.  ``spent`` is the
+    number of draws this scan made."""
+    if not isinstance(fuel, Fuel):
+        if fuel < 0:
+            raise ValueError("fuel must be a natural")
+        fuel = Fuel(fuel)
     code = 0
-    for n in range(fuel):
+    n = 0
+    while fuel.left > 0:
+        fuel.left -= 1
+        if max_depth is not None and n > max_depth:
+            return PartialResult.exhausted(n + 1)
         v = f(code)
         if v > 0:
             return PartialResult.of(v - 1, spent=n + 1, fired_at=n)
         a = g(n)
-        if n + 1 < fuel:
+        n += 1
+        if fuel.left > 0 and (max_depth is None or n <= max_depth):
             code = cantor_pair(code, a) + 1
-    return PartialResult.exhausted(fuel)
+    return PartialResult.exhausted(n)
 
 
 class FueledOracle:

@@ -78,9 +78,6 @@ class Space:
     def canonical_name(self, p: Point) -> Oracle:
         raise NotImplementedError
 
-    def name_value_of_point(self, p: Point, i: int) -> int:
-        raise NotImplementedError
-
     def dist(self, p: Point, q: Point) -> Fraction:
         raise NotImplementedError
 
@@ -133,9 +130,6 @@ class CantorSpace(Space):
         table = {i: self._encode(b) for i, b in enumerate(p.word)}
         return TableOracle(table, self._encode(p.tail), label="cantor-name")
 
-    def name_value_of_point(self, p: CantorPoint, i: int) -> int:
-        return self._encode(p.value_at(i))
-
     def dist(self, p: CantorPoint, q: CantorPoint) -> Fraction:
         scan = max(len(p.word), len(q.word))
         for i in range(scan):
@@ -160,6 +154,8 @@ class CantorSpace(Space):
         return CantorPoint(word, rng.randrange(2))
 
     def to_json(self) -> dict:
+        if self.recode_swap:
+            return {"kind": "cantor", "swapped": True}
         return {"kind": "cantor"}
 
 
@@ -188,9 +184,6 @@ class FiniteSpace(Space):
 
     def canonical_name(self, p: int) -> TableOracle:
         return k2.constant(p, label=f"fin:{p}")
-
-    def name_value_of_point(self, p: int, i: int) -> int:
-        return p
 
     def dist(self, p: int, q: int) -> Fraction:
         return ZERO if p == q else ONE
@@ -235,11 +228,6 @@ class ProductSpace(Space):
     def canonical_name(self, p: tuple) -> Oracle:
         return pair_names(self.left.canonical_name(p[0]),
                           self.right.canonical_name(p[1]))
-
-    def name_value_of_point(self, p: tuple, i: int) -> int:
-        if i % 2 == 0:
-            return self.left.name_value_of_point(p[0], i // 2)
-        return self.right.name_value_of_point(p[1], i // 2)
 
     def dist(self, p: tuple, q: tuple) -> Fraction:
         return max(self.left.dist(p[0], q[0]), self.right.dist(p[1], q[1]))

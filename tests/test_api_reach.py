@@ -1,12 +1,14 @@
 """Every function, class and method that ``src/baire`` defines is reached
-by the program: its name occurs in ``src``, ``perfbench`` or ``scripts``
-somewhere other than the line that defines it.  A name that only tests
-reach is code the package carries for nothing; the few kept on purpose as
-test oracles are listed, each with its reason."""
+by the program: ``src``, ``perfbench`` or ``scripts`` uses its name.  A use
+is a name, an attribute, an imported name, or a string constant that is
+the name (``perfbench`` looks some methods up by string).  Uses inside a
+definition of the same name do not count, so a method that only its own
+overrides call is unreached.  A name that only tests reach is code the
+package carries for nothing; the few kept on purpose as test oracles are
+listed, each with its reason, and uses inside them do not count either."""
 
 import ast
 import functools
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +21,8 @@ TEST_ORACLES = {
     "total_abs": "the splitter's absolute mass, read by tests/cauchy_reference.py",
     "from_values": "builds the finitely described names the tests feed in",
 }
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 @functools.cache
@@ -36,20 +40,40 @@ def _defined_names() -> set[str]:
     return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
 
 
+def _used_name(node: ast.AST):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+            and node.value.isidentifier():
+        return node.value
+    return None
+
+
+def _count(node: ast.AST, enclosing: frozenset, uses: Counter) -> None:
+    """Count the uses under ``node``, less those inside a definition of the
+    same name and those inside a test oracle."""
+    if isinstance(node, DEFINITIONS):
+        if node.name in TEST_ORACLES:
+            return
+        enclosing = enclosing | {node.name}
+    name = _used_name(node)
+    if name is not None and name not in enclosing:
+        uses[name] += 1
+    for child in ast.iter_child_nodes(node):
+        _count(child, enclosing, uses)
+
+
 @functools.cache
 def _uses() -> Counter:
-    """Word occurrences over the program's Python files, less one for each
-    line that defines a function or class of that name."""
-    words: Counter = Counter()
+    uses: Counter = Counter()
     for top in PROGRAM:
         for path in (ROOT / top).rglob("*.py"):
-            text = path.read_text()
-            words.update(re.findall(r"\w+", text))
-            for node in ast.walk(ast.parse(text)):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                    words[node.name] -= 1
-    return words
+            _count(ast.parse(path.read_text()), frozenset(), uses)
+    return uses
 
 
 def test_every_package_name_is_reached_by_the_program():
@@ -64,3 +88,11 @@ def test_the_kept_test_oracles_are_still_defined_and_otherwise_unreached():
     uses = _uses()
     defined = _defined_names()
     assert all(n in defined and uses[n] <= 0 for n in TEST_ORACLES)
+
+
+def test_a_use_inside_its_own_definition_does_not_count():
+    tree = ast.parse("class A:\n    def walk(self):\n        return self.left.walk()\n"
+                     "def run(x):\n    return x.step, getattr(x, 'hop')\n")
+    uses: Counter = Counter()
+    _count(tree, frozenset(), uses)
+    assert uses["walk"] == 0 and uses["step"] == 1 and uses["hop"] == 1

@@ -186,3 +186,17 @@ def test_space_spec_round_trip():
     assert sp.to_json() == spec
     with pytest.raises(k2.SpecError):
         naming.parse_space_spec({"kind": "torus"})
+
+
+SWAPPED = cantor_space(recode_swap=True)
+
+
+@pytest.mark.parametrize("space", [
+    cantor_space(), SWAPPED, finite_space(1), finite_space(3),
+    product_metric_naming(SWAPPED, finite_space(2)),
+    product_metric_naming(cantor_space(),
+                          product_metric_naming(finite_space(2), SWAPPED)),
+    product_metric_naming(product_metric_naming(SWAPPED, SWAPPED), cantor_space()),
+], ids=lambda s: s.space_id)
+def test_space_to_json_round_trips_the_space_id(space):
+    assert naming.parse_space_spec(space.to_json()).space_id == space.space_id

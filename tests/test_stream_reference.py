@@ -1,9 +1,11 @@
 """Running numerators and pairing loops against the code they replaced.
 
 ``tests/stream_reference.py`` keeps the re-summing ``approx``, the
-``cantor_pair`` product formula and the ``star``, ``_star_tank`` and
-``extract_bound`` loops that built a code for every prefix they reached.
-The fast versions must give the same approximations, the same errors, the
+``cantor_pair`` product formula, the ``star``, ``_star_tank`` and
+``extract_bound`` loops that built a code for every prefix they reached,
+and the adversary's ``apply_candidate`` over its own tank.  The fast
+versions (``_star_tank`` is now ``k2.star`` over a shared ``k2.Fuel`` with
+bdn's depth cap) must give the same approximations, the same errors, the
 same digit reads, the same scan results and the same oracle transcripts.
 The pairing counts at the end pin down that no scan builds a code it does
 not query.
@@ -230,11 +232,22 @@ def test_bullet_matches_the_pairing_loop(name, argument, k, fuel):
               lambda f, g: ref.bullet(f, g).query(k, fuel), name, argument)
 
 
-def _tank_scan(scan, budget):
+def _fuel_scan(budget):
+    """bdn's scan: star over a shared fuel with the adversary's depth cap,
+    in the reference's (value, fired_at) / "out of fuel" shape."""
     def run(f, g):
-        tank = bdn._Tank(budget)
+        fuel = k2.Fuel(budget)
+        r = k2.star(f, g, fuel, bdn._SCAN_DEPTH_CAP)
+        out = (r.value, r.fired_at) if r.is_value else "out of fuel"
+        return out, fuel.left
+    return run
+
+
+def _tank_scan(budget):
+    def run(f, g):
+        tank = ref._Tank(budget)
         try:
-            out = scan(f, g, tank)
+            out = ref.star_tank(f, g, tank)
         except bdn._OutOfFuel:
             out = "out of fuel"
         return out, tank.left
@@ -243,8 +256,7 @@ def _tank_scan(scan, budget):
 
 @given(names, arguments, st.integers(min_value=0, max_value=26))
 def test_star_tank_matches_the_pairing_loop(name, argument, budget):
-    _run_both(_tank_scan(bdn._star_tank, budget), _tank_scan(ref.star_tank, budget),
-              name, argument)
+    _run_both(_fuel_scan(budget), _tank_scan(budget), name, argument)
 
 
 @pytest.mark.parametrize("budget,want", [
@@ -256,8 +268,7 @@ def test_star_tank_matches_the_pairing_loop(name, argument, budget):
 ])
 def test_star_tank_exits_match_the_pairing_loop(budget, want):
     # a silent name on a constant-zero argument: codes stay small to depth 21
-    got = _run_both(_tank_scan(bdn._star_tank, budget),
-                    _tank_scan(ref.star_tank, budget), ("silent", 0), ((), 0))
+    got = _run_both(_fuel_scan(budget), _tank_scan(budget), ("silent", 0), ((), 0))
     assert got == want
 
 
@@ -308,7 +319,7 @@ def test_adversary_matches_the_pairing_loop(kind, p, fuel):
     alpha = RecordingOracle(_candidate(kind, p))
     fast = bdn.adversary_refute(alpha, fuel)
     slow_alpha = RecordingOracle(_candidate(kind, p))
-    with mock.patch.object(bdn, "_star_tank", ref.star_tank):
+    with mock.patch.object(bdn, "apply_candidate", ref.apply_candidate):
         slow = bdn.adversary_refute(slow_alpha, fuel)
     assert fast.to_json() == slow.to_json()
     assert _transcripts(fast) == _transcripts(slow)
@@ -321,8 +332,8 @@ def test_adversary_matches_the_pairing_loop(kind, p, fuel):
 
 @contextlib.contextmanager
 def counted_pairings():
-    """Count every pairing made through k2 and bdn; ``built`` holds the code
-    of each prefix a pairing extended to."""
+    """Count every pairing made through k2; ``built`` holds the code of each
+    prefix a pairing extended to."""
     log = {"built": []}
     real = k2.cantor_pair
 
@@ -331,8 +342,7 @@ def counted_pairings():
         log["built"].append(z + 1)
         return z
 
-    with mock.patch.object(k2, "cantor_pair", counting), \
-            mock.patch.object(bdn, "cantor_pair", counting):
+    with mock.patch.object(k2, "cantor_pair", counting):
         yield log
 
 
@@ -354,19 +364,22 @@ def test_failed_extraction_pairs_one_prefix_fewer_than_its_fuel(fuel):
     assert len(log["built"]) == max(fuel - 1, 0)
 
 
-def _queried_codes(scan, queried):
-    """``scan`` with every code its name is queried on collected."""
-    def spy(f, g, tank):
-        return scan(lambda c: (queried.add(c), f(c))[1], g, tank)
+def _queried_codes(queried):
+    """``k2.star`` with every code its name is queried on collected."""
+    scan = k2.star
+
+    def spy(f, g, fuel, max_depth=None):
+        return scan(lambda c: (queried.add(c), f(c))[1], g, fuel, max_depth)
     return spy
 
 
 @pytest.mark.parametrize("budget", [0, 1, 4, 21, 22, 40])
 def test_star_tank_queries_every_code_it_builds(budget):
     queried: set = set()
-    with counted_pairings() as log, pytest.raises(bdn._OutOfFuel):
-        _queried_codes(bdn._star_tank, queried)(
-            lambda c: 0, k2.constant(1), bdn._Tank(budget))
+    with counted_pairings() as log:
+        r = _queried_codes(queried)(
+            lambda c: 0, k2.constant(1), k2.Fuel(budget), bdn._SCAN_DEPTH_CAP)
+    assert not r.is_value
     assert set(log["built"]) <= queried
     assert len(log["built"]) == max(len(queried) - 1, 0)
 
@@ -375,8 +388,8 @@ def test_star_tank_queries_every_code_it_builds(budget):
 @pytest.mark.parametrize("fuel", [3, 12, 60, 20000])
 def test_adversary_queries_every_code_it_builds(kind, p, fuel):
     queried: set = set()
-    spy = _queried_codes(bdn._star_tank, queried)
-    with counted_pairings() as log, mock.patch.object(bdn, "_star_tank", spy):
+    spy = _queried_codes(queried)
+    with counted_pairings() as log, mock.patch.object(k2, "star", spy):
         bdn.adversary_refute(_candidate(kind, p), fuel)
     assert set(log["built"]) <= queried
 
