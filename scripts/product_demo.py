@@ -23,7 +23,7 @@ def main() -> None:
     combined = aspk.product_anti_specker(
         aspk.realizer_from_base(aspk.builtin_base(mc), naming.star_extension(mc)),
         aspk.realizer_from_base(aspk.builtin_base(mf), naming.star_extension(mf)),
-        pointed, probe_budget=400)
+        pointed)
     print(f"probed and combined in {time.time() - t0:.1f}s")
 
     oracle = aspk.direct_scan_realizer(pointed)

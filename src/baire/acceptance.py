@@ -234,7 +234,7 @@ def criterion_base_round_trip() -> CriterionResult:
     rederived = {}
     for sp, pointed, _ in suite:
         direct = aspk.realizer_from_base(aspk.builtin_base(sp), pointed)
-        probed = aspk.base_from_realizer(direct, pointed, probe_budget=400)
+        probed = aspk.base_from_realizer(direct, pointed)
         if not probed.members:
             _fail(msgs, f"{sp.space_id}: probe harvested nothing")
             continue
@@ -247,7 +247,7 @@ def criterion_base_round_trip() -> CriterionResult:
     pointed2 = naming.star_extension(fin2)
     probed2 = aspk.base_from_realizer(
         aspk.realizer_from_base(aspk.builtin_base(fin2), pointed2),
-        pointed2, probe_budget=400)
+        pointed2)
     if not probed2.members or not all(
             aspk.covers(t, fin2).covered for t in probed2.members):
         _fail(msgs, "finite(2) probe produced no verified covering")
@@ -278,7 +278,7 @@ def criterion_product() -> CriterionResult:
     realizer = aspk.product_anti_specker(
         aspk.realizer_from_base(aspk.builtin_base(mc), naming.star_extension(mc)),
         aspk.realizer_from_base(aspk.builtin_base(mf), naming.star_extension(mf)),
-        pointed_prod, probe_budget=400)
+        pointed_prod)
     oracle = aspk.direct_scan_realizer(pointed_prod)
 
     shapes = ((0, 0), (2, 0), (3, 1))

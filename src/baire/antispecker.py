@@ -665,7 +665,6 @@ def _blind_candidates(size_cap: int):
 
 
 def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
-                       probe_budget: int = 400,
                        config: Optional[ProbeConfig] = None) -> ProbedBase:
     """Harvest covering members by probing the realizer on the all-star
     sequence against finitely-determined avoidance names.
@@ -681,7 +680,7 @@ def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
     ``exhausted`` when the budget stopped the enumeration with a candidate
     still unevaluated.
     """
-    cfg = config if config is not None else ProbeConfig(budget=probe_budget)
+    cfg = config if config is not None else ProbeConfig()
     all_star = NameSequence((), "star")
     space = pointed.space
     emissions: list[Theta] = []
@@ -760,14 +759,13 @@ def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
 
 def product_anti_specker(mx: AntiSpeckerRealizer, my: AntiSpeckerRealizer,
                          product_pointed: PointedSpace,
-                         probe_budget: int = 400,
                          config: Optional[ProbeConfig] = None) -> AntiSpeckerRealizer:
     """Realize the product: probe both factors back to bases, combine the
     bases, and rebuild a realizer over the product naming."""
-    bx = base_from_realizer(mx, mx.pointed, probe_budget, config)
+    bx = base_from_realizer(mx, mx.pointed, config)
     if not bx.members:
         raise SpecError("left factor probe harvested nothing")
-    by = base_from_realizer(my, my.pointed, probe_budget, config)
+    by = base_from_realizer(my, my.pointed, config)
     if not by.members:
         raise SpecError("right factor probe harvested nothing")
     combined = product_base(bx, by)

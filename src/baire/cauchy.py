@@ -302,6 +302,10 @@ class StageRecord:
         }
 
 
+# the ledger document lists its protections only up to this many
+PROTECTION_CAP = 5000
+
+
 @dataclass
 class SplitterLedger:
     """Stage-indexed state of the protected splitting construction.
@@ -323,24 +327,14 @@ class SplitterLedger:
     def stage_count(self) -> int:
         return len(self.stages)
 
-    def subset_sum(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        idx = 0
-        while mask:
-            if mask & 1:
-                total += self.flat[idx]
-            mask >>= 1
-            idx += 1
-        return total
-
-    def to_json(self, protection_cap: int = 5000) -> dict:
+    def to_json(self) -> dict:
         prot = sorted(self.protections.items())
         doc = {
             "stages": [s.to_json() for s in self.stages],
             "flat": [format_rational(v) for v in self.flat],
             "protection_count": len(prot),
         }
-        if len(prot) <= protection_cap:
+        if len(prot) <= PROTECTION_CAP:
             doc["protections"] = [
                 {"A": _mask_indices(mask), "n": n, "r": format_rational(r)}
                 for (mask, n), r in prot]

@@ -197,7 +197,8 @@ def _cmd_antispecker(args) -> dict:
         return doc
     if args.op == "probe":
         realizer = aspk.realizer_from_base(aspk.builtin_base(space), pointed)
-        probed = aspk.base_from_realizer(realizer, pointed, args.budget)
+        probed = aspk.base_from_realizer(realizer, pointed,
+                                         aspk.ProbeConfig(budget=args.budget))
         return {"result": probed.to_json()}
     raise k2.SpecError(f"unknown antispecker op {args.op!r}")
 

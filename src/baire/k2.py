@@ -24,10 +24,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
-class HorizonError(Exception):
-    """An oracle was queried beyond its configured horizon."""
-
-
 class SpecError(ValueError):
     """A malformed input document (oracle spec, sequence spec, ...)."""
 
@@ -222,22 +218,17 @@ class Oracle:
     """A deterministic total function from naturals to naturals.
 
     Queries are memoized, so repeated queries are consistent and cheap even
-    when the underlying rule is expensive.  An optional horizon turns
-    queries past it into HorizonError; by default oracles are total.
+    when the underlying rule is expensive.
     """
 
-    def __init__(self, fn: Callable[[int], int], label: str = "oracle",
-                 horizon: Optional[int] = None):
+    def __init__(self, fn: Callable[[int], int], label: str = "oracle"):
         self._fn = fn
         self._memo: dict[int, int] = {}
         self.label = label
-        self.horizon = horizon
 
     def __call__(self, k: int) -> int:
         if k < 0:
             raise ValueError("oracle indices are naturals")
-        if self.horizon is not None and k >= self.horizon:
-            raise HorizonError(f"{self.label} queried at {k} >= horizon {self.horizon}")
         v = self._memo.get(k)
         if v is None:
             v = self._fn(k)

@@ -26,9 +26,7 @@ from typing import Iterable, Optional, Union
 from . import k2, reals
 from .k2 import (Oracle, TableOracle, SpecError, pair_names, project_names,
                  star_name)
-from .reals import SignedDigitReal, first_diff_real, from_rational, max_star
-
-STAR_POINT = "*"
+from .reals import SignedDigitReal, first_diff_real, max_star
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -301,32 +299,13 @@ class PointedSpace:
 
     The added point's name is the constant zero function; every real name
     is positive at index 0, so membership of the added point is decided by
-    one query.  Distance from any real point to the added point is 1.
+    one query.
     """
 
     space: Space
 
     def is_star(self, f: Oracle) -> bool:
         return f(0) == 0
-
-    def dist(self, p, q) -> Fraction:
-        p_star, q_star = p == STAR_POINT, q == STAR_POINT
-        if p_star and q_star:
-            return ZERO
-        if p_star or q_star:
-            return ONE
-        return self.space.dist(p, q)
-
-    def dist_hat(self, f: Oracle, g: Oracle) -> SignedDigitReal:
-        f_star, g_star = self.is_star(f), self.is_star(g)
-        if f_star and g_star:
-            return from_rational(ZERO)
-        if f_star or g_star:
-            return from_rational(ONE)
-        return self.space.dist_hat(f, g)
-
-    def point_of(self, f: Oracle):
-        return STAR_POINT if self.is_star(f) else self.space.point_of(f)
 
 
 def star_extension(space: Space) -> PointedSpace:

@@ -6,17 +6,19 @@ rational within 2^-k of the represented value, which is all the rest of
 the workbench ever needs: comparisons are precision-indexed, max is
 lifted lazily, and no floating point appears anywhere.
 
-Digit streams are memoized so repeated approximations are consistent
-and cheap.  Streams built here obey a locality bound: digit n of a
-derived stream reads at most digits 0..n+2 of its inputs.
+A real produces its digits in order and keeps them: asking for digit n
+first produces every missing digit below n, one call of its digit
+function per index, so the digit function sees 1, 2, 3, ... and repeated
+approximations are consistent and cheap.  Streams built here obey a
+locality bound: digit n of a derived stream reads at most digits 0..n+2
+of its inputs.
 
-Approximations are incremental.  A real keeps the integer numerator N of
-its highest approximation so far, over 2^top, and extends it digit by
-digit (N = 2N + d); approx(k) is then one Fraction N / 2^k.  Asking for
-nondecreasing precisions, as from_estimates, max_star, compare_prec and
-dist_hat do, reads each digit once; a lower precision is rebuilt from the
-integer part in integer steps.  Only that one numerator is kept, so a
-real holds O(k) bits beyond its digits.
+Alongside its digits a real keeps one integer, the numerator N of the
+produced prefix over 2^n (n digits produced), extended digit by digit
+(N = 2N + d).  approx(k) at or past the produced prefix is then one
+Fraction N / 2^k; a lower precision is rebuilt from the kept digits in
+integer steps.  from_estimates reads the same N: its threshold rule
+compares scaled integers, so a derived stream keeps no prefix of its own.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
-
-Rational = Fraction
 
 
 def parse_rational(s) -> Fraction:
@@ -42,48 +42,54 @@ def format_rational(q: Fraction) -> str:
 
 
 class SignedDigitReal:
-    """Integer part plus a memoized digit stream, digits in {-1, 0, +1}."""
+    """Integer part plus a digit stream in {-1, 0, +1}, produced in order.
+
+    digit(n) produces the missing digits 1..n in that order, calling the
+    digit function once per index and keeping each digit; a digit
+    function that raises, or returns a digit out of range, leaves the
+    digits below it produced and is called again at the same index on the
+    next demand.  Only ever being asked in order is what lets a derived
+    stream (from_estimates, first_diff_real) keep no state of its own.
+    """
 
     def __init__(self, integer_part: int, digit_fn: Callable[[int], int],
                  label: str = "real"):
         self.integer_part = integer_part
         self._digit_fn = digit_fn
-        self._digits: dict[int, int] = {}
+        self._digits: list[int] = []
         self.label = label
-        # the highest precision approximated so far, and its numerator
-        # over 2^top
-        self._top = 0
-        self._top_numerator = integer_part
+        # the numerator of the produced prefix over 2^len(self._digits)
+        self._numerator = integer_part
 
     def digit(self, n: int) -> int:
         if n < 1:
             raise ValueError("digits are indexed from 1")
-        d = self._digits.get(n)
-        if d is None:
-            d = self._digit_fn(n)
+        digits = self._digits
+        while len(digits) < n:
+            m = len(digits) + 1
+            d = self._digit_fn(m)
             if d not in (-1, 0, 1):
-                raise ValueError(f"{self.label} produced digit {d!r} at {n}")
-            self._digits[n] = d
-        return d
+                raise ValueError(f"{self.label} produced digit {d!r} at {m}")
+            digits.append(d)
+            self._numerator = 2 * self._numerator + d
+        return digits[n - 1]
 
     def approx(self, k: int) -> Fraction:
         """integer part + sum of the first k digit weights; within 2^-k of
         the represented value.
 
-        The numerator over 2^k is extended digit by digit from the highest
-        precision asked for so far, so a run of nondecreasing precisions
-        reads each digit once; a lower precision is rebuilt from the
-        integer part."""
+        At or past the produced prefix this is the running numerator over
+        2^k, so a run of nondecreasing precisions reads each digit once; a
+        lower precision is rebuilt from the kept digits."""
         if k < 0:
             raise ValueError("precision must be a natural")
-        if k >= self._top:
-            start, numerator = self._top, self._top_numerator
-        else:
-            start, numerator = 0, self.integer_part
-        for n in range(start + 1, k + 1):
-            numerator = 2 * numerator + self.digit(n)
-        if k > self._top:
-            self._top, self._top_numerator = k, numerator
+        if k > len(self._digits):
+            self.digit(k)
+        if k == len(self._digits):
+            return Fraction(self._numerator, 1 << k)
+        numerator = self.integer_part
+        for d in self._digits[:k]:
+            numerator = 2 * numerator + d
         return Fraction(numerator, 1 << k)
 
     def digit_prefix(self, k: int) -> list[int]:
@@ -96,39 +102,28 @@ class SignedDigitReal:
 def from_estimates(est: Callable[[int], Fraction], label: str = "est") -> SignedDigitReal:
     """Build a stream from a converging estimator with |value - est(k)| <= 2^-k.
 
-    Digit p is chosen by a threshold rule from est(p + 2), preserving the
-    invariant |value - emitted prefix| <= 2^-p.  The initial integer part
-    is the nearest integer to est(2).
+    Digit n is chosen by a threshold rule from e = est(n + 2), preserving
+    the invariant |value - emitted prefix| <= 2^-n: with v the value of
+    the digits before n, it is +1 when e - v >= 3/4 * 2^-n, -1 when
+    e - v <= -3/4 * 2^-n, and 0 otherwise.  v is the real's own numerator
+    N over 2^(n-1), so the rule is the integer comparison of
+    (e.numerator << (n + 2)) - 8 * N * q against +-3q, q = e.denominator.
+    The initial integer part is the nearest integer to est(2).
     """
     e0 = est(2)
     int_part = (2 * e0.numerator + e0.denominator) // (2 * e0.denominator)  # floor(e0 + 1/2)
-    state = {"v": Fraction(int_part), "p": 0}
 
     def digit_fn(n: int) -> int:
-        if n != state["p"] + 1:
-            # digits are demanded in order by the memo layer
-            raise AssertionError("digit stream advanced out of order")
-        u = Fraction(1, 2 ** n)
-        e = est(n + 2) - state["v"]
-        if e >= Fraction(3, 4) * u:
-            d = 1
-        elif e <= -Fraction(3, 4) * u:
-            d = -1
-        else:
-            d = 0
-        state["v"] += d * u
-        state["p"] = n
-        return d
+        e = est(n + 2)
+        q = e.denominator
+        gap = (e.numerator << (n + 2)) - 8 * real._numerator * q
+        if gap >= 3 * q:
+            return 1
+        if gap <= -3 * q:
+            return -1
+        return 0
 
-    # wrap so out-of-order demand pulls the missing prefix first
-    real = SignedDigitReal(int_part, lambda n: 0, label=label)
-
-    def ordered(n: int) -> int:
-        for m in range(state["p"] + 1, n):
-            real.digit(m)
-        return digit_fn(n)
-
-    real._digit_fn = ordered
+    real = SignedDigitReal(int_part, digit_fn, label=label)
     return real
 
 
@@ -152,33 +147,22 @@ def from_digits(integer_part: int, digits: Iterable[int],
 def first_diff_real(witness: Callable[[int], bool], label: str = "first-diff") -> SignedDigitReal:
     """The real 2^-n for the least n with witness(n), and 0 if there is none.
 
-    Digit m consults the witness only at 0..m, so the everywhere-no case is
-    absorbed by laziness: every finite approximation is 0.
+    The witness is read at 0 on construction and then once at each digit
+    index, in order; digit m consults it only at 0..m, so the everywhere-no
+    case is absorbed by laziness: every finite approximation is 0.
     """
-    memo: dict[int, bool] = {}
-
-    def w(n: int) -> bool:
-        v = memo.get(n)
-        if v is None:
-            v = bool(witness(n))
-            memo[n] = v
-        return v
-
-    int_part_holder: dict[str, Optional[int]] = {"v": None}
-
-    def int_part() -> int:
-        if int_part_holder["v"] is None:
-            int_part_holder["v"] = 1 if w(0) else 0
-        return int_part_holder["v"]
+    if witness(0):
+        return SignedDigitReal(1, lambda n: 0, label=label)
+    fired = False
 
     def digit_fn(n: int) -> int:
-        if w(0):
-            return 0
-        if w(n) and not any(w(i) for i in range(1, n)):
+        nonlocal fired
+        if witness(n) and not fired:
+            fired = True
             return 1
         return 0
 
-    return SignedDigitReal(int_part(), digit_fn, label=label)
+    return SignedDigitReal(0, digit_fn, label=label)
 
 
 class Comparison(enum.Enum):

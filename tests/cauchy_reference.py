@@ -4,8 +4,10 @@ These are the mask-by-mask `Fraction` versions of ``protected_split``,
 ``verify_clearances``, ``classify_windows`` and ``settling_index`` that
 ``baire.cauchy`` ran before it moved to integer-scaled, class-compressed
 state.  They stay here as the oracle the fast versions are tested against
-(``tests/test_cauchy_reference.py``).  The only edit is the raise of
-``StageBudgetExceeded``, which now takes the stage and the width.
+(``tests/test_cauchy_reference.py``).  The only edits are the raise of
+``StageBudgetExceeded``, which now takes the stage and the width, and
+``subset_sum``, a ``SplitterLedger`` method before it left the program
+and is now called as a function.
 """
 
 from __future__ import annotations
@@ -20,6 +22,17 @@ from baire.cauchy import (ClearanceReport, ClearanceViolation, Modulus,
                           StageRecord, TailCertificate, WindowWitness,
                           _mask_indices, _permutation_cover_index)
 from baire.reals import format_rational
+
+
+def subset_sum(ledger: SplitterLedger, mask: int) -> Fraction:
+    total = Fraction(0)
+    idx = 0
+    while mask:
+        if mask & 1:
+            total += ledger.flat[idx]
+        mask >>= 1
+        idx += 1
+    return total
 
 
 def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
@@ -116,7 +129,7 @@ def verify_clearances(ledger: SplitterLedger,
     certified = 0
     total = sum(ledger.flat, Fraction(0))
     for (mask, n), r in sorted(ledger.protections.items()):
-        included = total - ledger.subset_sum(mask)
+        included = total - subset_sum(ledger, mask)
         clear = abs(abs(included) - ledger.b.value_at(n))
         if not clear > r:
             failures.append({"A": _mask_indices(mask), "n": n,

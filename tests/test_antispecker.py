@@ -5,7 +5,7 @@ import pytest
 
 from baire import antispecker as aspk
 from baire import k2, naming
-from baire.antispecker import (AvoidanceName, CoverAtom, Theta,
+from baire.antispecker import (AvoidanceName, CoverAtom, ProbeConfig, Theta,
                                base_from_realizer, builtin_base, covers,
                                direct_scan_realizer, make_avoidance_name,
                                point_in_atom, product_anti_specker, product_atom,
@@ -84,8 +84,8 @@ def test_builtin_cantor_members_cover():
 def test_probe_is_deterministic():
     realizer = realizer_from_base(builtin_base(FIN2), star_extension(FIN2))
     pointed = star_extension(FIN2)
-    first = base_from_realizer(realizer, pointed, probe_budget=120)
-    second = base_from_realizer(realizer, pointed, probe_budget=120)
+    first = base_from_realizer(realizer, pointed, config=ProbeConfig(budget=120))
+    second = base_from_realizer(realizer, pointed, config=ProbeConfig(budget=120))
     assert first.members == second.members
     assert first.evals_spent == second.evals_spent
 
@@ -201,7 +201,7 @@ def test_exactness_on_random_sequences():
 
 def test_probe_harvests_coverings():
     realizer = realizer_from_base(builtin_base(CANTOR), P_CANTOR)
-    probed = base_from_realizer(realizer, P_CANTOR, probe_budget=300)
+    probed = base_from_realizer(realizer, P_CANTOR, config=ProbeConfig(budget=300))
     # 300 evaluations are more than the 163 candidates, so none is left out
     assert probed.members and not probed.exhausted
     for theta in probed.members:
@@ -211,20 +211,21 @@ def test_probe_harvests_coverings():
 def test_probe_is_exhausted_exactly_when_the_budget_leaves_a_candidate():
     pointed = star_extension(FIN2)
     realizer = realizer_from_base(builtin_base(FIN2), pointed)
-    full = base_from_realizer(realizer, pointed, probe_budget=5000)
+    full = base_from_realizer(realizer, pointed, config=ProbeConfig(budget=5000))
     every = full.evals_spent                 # one evaluation per candidate
     assert not full.exhausted and every < 5000
-    assert not base_from_realizer(realizer, pointed, probe_budget=every).exhausted
+    assert not base_from_realizer(realizer, pointed,
+                                  config=ProbeConfig(budget=every)).exhausted
     # cut off in phase two (the last candidate) and in phase one
     for budget in (every - 1, 3, 0):
-        cut = base_from_realizer(realizer, pointed, probe_budget=budget)
+        cut = base_from_realizer(realizer, pointed, config=ProbeConfig(budget=budget))
         assert cut.exhausted and cut.evals_spent == budget
 
 
 def test_probe_finite_space_covers_both_points():
     pointed = star_extension(FIN2)
     realizer = realizer_from_base(builtin_base(FIN2), pointed)
-    probed = base_from_realizer(realizer, pointed, probe_budget=300)
+    probed = base_from_realizer(realizer, pointed, config=ProbeConfig(budget=300))
     assert probed.members
     assert covers(probed.members[0], FIN2).covered
 
@@ -232,7 +233,7 @@ def test_probe_finite_space_covers_both_points():
 def test_round_trip_value_equality():
     rng = random.Random(5)
     realizer = realizer_from_base(builtin_base(CANTOR), P_CANTOR)
-    probed = base_from_realizer(realizer, P_CANTOR, probe_budget=300)
+    probed = base_from_realizer(realizer, P_CANTOR, config=ProbeConfig(budget=300))
     again = realizer_from_base(probed, P_CANTOR)
     sp = CANTOR
     for _ in range(10):
@@ -296,7 +297,7 @@ def test_product_realizer_matches_direct_scan():
     pointed = star_extension(prod)
     left = realizer_from_base(builtin_base(CANTOR), P_CANTOR)
     right = realizer_from_base(builtin_base(FIN2), star_extension(FIN2))
-    combined = product_anti_specker(left, right, pointed, probe_budget=250)
+    combined = product_anti_specker(left, right, pointed, config=ProbeConfig(budget=250))
 
     h_all = make_avoidance_name(seq_of(), pointed)
     assert combined.evaluate(seq_of(), h_all, 30000).result.value == 0

@@ -1,7 +1,8 @@
-"""Every function, class and method that ``src/baire`` defines is reached
-by the program: ``src``, ``perfbench`` or ``scripts`` uses its name.  A use
-is a name, an attribute, an imported name, or a string constant that is
-the name (``perfbench`` looks some methods up by string).  Uses inside a
+"""Every function, class, method and module-level name that ``src/baire``
+defines is reached by the program: ``src``, ``perfbench`` or ``scripts``
+uses its name.  A use is a name or an attribute that is read, an imported
+name, or a string constant that is the name (``perfbench`` looks some
+methods up by string); assigning a name is not a use of it.  Uses inside a
 definition of the same name do not count, so a method that only its own
 overrides call is unreached.  A name that only tests reach is code the
 package carries for nothing; the few kept on purpose as test oracles are
@@ -27,8 +28,8 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 @functools.cache
 def _defined_names() -> set[str]:
-    """Top-level functions and classes of the package, and the methods of
-    those classes, without dunders."""
+    """Top-level functions, classes and assigned names of the package, and
+    the methods of those classes, without dunders."""
     names = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
@@ -37,13 +38,17 @@ def _defined_names() -> set[str]:
             if isinstance(node, ast.ClassDef):
                 names.update(item.name for item in node.body
                              if isinstance(item, ast.FunctionDef))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
     return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
 
 
 def _used_name(node: ast.AST):
-    if isinstance(node, ast.Name):
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         return node.id
-    if isinstance(node, ast.Attribute):
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
         return node.attr
     if isinstance(node, ast.alias):
         return node.name.rpartition(".")[2]
@@ -96,3 +101,11 @@ def test_a_use_inside_its_own_definition_does_not_count():
     uses: Counter = Counter()
     _count(tree, frozenset(), uses)
     assert uses["walk"] == 0 and uses["step"] == 1 and uses["hop"] == 1
+
+
+def test_assigning_a_name_is_not_a_use_of_it():
+    tree = ast.parse("LIMIT = 5\nALIAS = int\nobj.cap = LIMIT\n")
+    uses: Counter = Counter()
+    _count(tree, frozenset(), uses)
+    assert uses["LIMIT"] == 1 and uses["int"] == 1
+    assert uses["ALIAS"] == 0 and uses["cap"] == 0

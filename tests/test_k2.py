@@ -272,13 +272,6 @@ def test_bad_specs_rejected():
         k2.parse_oracle_spec({"tail": {"kind": "registry", "name": "nope"}})
 
 
-def test_horizon_error():
-    f = k2.Oracle(lambda i: i, horizon=4)
-    assert f(3) == 3
-    with pytest.raises(k2.HorizonError):
-        f(4)
-
-
 # --- shared prefix codes ------------------------------------------------------
 
 def reference_codes(values):

@@ -122,13 +122,6 @@ def test_product_stream_on_random_pairs():
 
 # --- one-point extension ----------------------------------------------------
 
-def test_star_distance_is_one():
-    pointed = star_extension(cantor_space())
-    name = from_values([1, 2], tail_value=1)
-    assert pointed.dist_hat(name, k2.star_name()).approx(6) == 1
-    assert pointed.dist(naming.STAR_POINT, pointed.space.point_of(name)) == 1
-
-
 def test_star_detection_reads_one_query():
     pointed = star_extension(finite_space(2))
     meter_star, m1 = k2.with_usage_tracking(k2.star_name())

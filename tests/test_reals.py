@@ -171,12 +171,19 @@ def test_first_diff_laziness():
     assert max(asked) <= 6
 
 
+class WitnessHorizon(Exception):
+    pass
+
+
 def test_horizon_error_propagates_through_streams():
-    from baire import k2
-    capped = k2.Oracle(lambda n: 0, horizon=5)
-    x = first_diff_real(lambda n: capped(n) > 0)
+    def capped(n):
+        if n >= 5:
+            raise WitnessHorizon(f"witness read at {n}")
+        return False
+
+    x = first_diff_real(capped)
     assert x.approx(4) == 0
-    with pytest.raises(k2.HorizonError):
+    with pytest.raises(WitnessHorizon):
         x.approx(9)
 
 

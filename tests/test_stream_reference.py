@@ -1,18 +1,24 @@
-"""Running numerators and pairing loops against the code they replaced.
+"""Running numerators, in-order digit streams and pairing loops against
+the code they replaced.
 
 ``tests/stream_reference.py`` keeps the re-summing ``approx``, the
+random-access reals (``SignedDigitReal``, ``from_estimates`` with its own
+``Fraction`` prefix, ``first_diff_real`` with its own witness memo), the
 ``cantor_pair`` product formula, the ``star``, ``_star_tank`` and
 ``extract_bound`` loops that built a code for every prefix they reached,
 and the adversary's ``apply_candidate`` over its own tank.  The fast
 versions (``_star_tank`` is now ``k2.star`` over a shared ``k2.Fuel`` with
 bdn's depth cap) must give the same approximations, the same errors, the
-same digit reads, the same scan results and the same oracle transcripts.
-The pairing counts at the end pin down that no scan builds a code it does
-not query.
+same digit and witness reads, the same scan results and the same oracle
+transcripts.  The counts pin down that digits are produced once each and
+in order, that the digit rule stays off ``Fraction``, and that no scan
+builds a code it does not query.
 """
 
 import contextlib
+import os
 import random
+import sys
 from fractions import Fraction as Q
 from unittest import mock
 
@@ -42,7 +48,7 @@ def _outcomes(x, precisions):
         except ValueError as e:
             out.append(("error", type(e), str(e)))
     # the digits read, in the order they were first read
-    return out, list(x._digits.items())
+    return out, list(enumerate(x._digits, 1))
 
 
 def assert_same_approximations(build, precisions):
@@ -158,6 +164,257 @@ def test_bad_digit_raises_the_same_error_and_lower_precisions_stay_right(precisi
 def test_negative_precision_is_rejected():
     with pytest.raises(ValueError, match="precision must be a natural"):
         reals.from_rational(Q(1, 3)).approx(-1)
+
+
+# -- in-order digit streams against the random-access reals ---------------------
+
+
+class SourceFailed(Exception):
+    """A digit, estimate or witness source that gives out."""
+
+
+def _produced(x):
+    """The digits a real holds, as (index, digit) in the order they were read."""
+    if isinstance(x, ref.SignedDigitReal):
+        return list(x._digits.items())
+    return list(enumerate(x._digits, 1))
+
+
+def _stream_outcomes(x, precisions):
+    out = []
+    for k in precisions:
+        try:
+            out.append(("ok", x.approx(k)))
+        except (ValueError, SourceFailed) as e:
+            out.append(("error", type(e), str(e)))
+    return out, _produced(x)
+
+
+def assert_same_as_random_access(build, precisions):
+    """``build(mod)`` builds a real from ``mod``: the program's ``reals`` or
+    the reference's random-access streams."""
+    assert _stream_outcomes(build(reals), precisions) == \
+        _stream_outcomes(build(ref), precisions)
+
+
+def _estimator(q):
+    """An estimator of q that is off by the whole 2^-k on alternating sides."""
+    return lambda k: q + Q((-1) ** k, 2 ** k)
+
+
+STREAMS = {
+    "rational": lambda m: m.from_rational(Q(-37, 11)),
+    "estimates": lambda m: m.from_estimates(_estimator(Q(5, 7))),
+    "first-diff": lambda m: m.first_diff_real(lambda n: n >= 9),
+    "nested-max": lambda m: m.max_star(
+        m.max_star(m.from_rational(Q(1, 3)), m.from_rational(Q(10, 31))),
+        m.from_estimates(_estimator(Q(1, 3)))),
+}
+
+
+@pytest.mark.parametrize("order", ["rising", "falling", "zigzag"])
+@pytest.mark.parametrize("stream", list(STREAMS))
+def test_streams_match_the_random_access_reals(stream, order):
+    assert_same_as_random_access(STREAMS[stream], ORDERS[order])
+
+
+@given(rationals, rationals, st.sampled_from((-1, 0, 1)), precision_orders)
+def test_streams_match_the_random_access_reals_in_any_order(a, b, sign, precisions):
+    assert_same_as_random_access(lambda m: m.from_rational(a), precisions)
+    assert_same_as_random_access(
+        lambda m: m.max_star(m.from_rational(a),
+                             m.from_estimates(_estimator(b + sign * Q(1, 3)))),
+        precisions)
+
+
+def _spy(mod, log, name, digits, tail):
+    """A real of ``mod`` whose digit function logs (name, index)."""
+    def digit_fn(n):
+        log.append((name, n))
+        return digits[n - 1] if n <= len(digits) else tail
+    return mod.SignedDigitReal(0, digit_fn, label=name)
+
+
+signed_words = st.tuples(st.lists(st.sampled_from((-1, 0, 1)), max_size=40),
+                         st.sampled_from((-1, 0, 1)))
+
+
+@given(signed_words, signed_words, signed_words, precision_orders)
+def test_inner_digits_are_read_as_the_random_access_reals_read_them(a, b, c, precisions):
+    def run(mod):
+        log: list = []
+        x, y, z = (_spy(mod, log, name, *w) for name, w in zip("abc", (a, b, c)))
+        out = _stream_outcomes(mod.max_star(mod.max_star(x, y), z), precisions)
+        return out, log
+    assert run(reals) == run(ref)
+
+
+@given(st.one_of(st.none(), st.integers(min_value=0, max_value=80)),
+       precision_orders)
+def test_first_diff_reads_the_witness_as_the_random_access_real_did(first, precisions):
+    def run(mod):
+        reads: list = []
+
+        def witness(n):
+            reads.append(n)
+            return first is not None and n >= first
+        return _stream_outcomes(mod.first_diff_real(witness), precisions), reads
+    assert run(reals) == run(ref)
+
+
+@contextlib.contextmanager
+def random_access_dist_hats():
+    """naming's distance streams built from the random-access reals."""
+    with mock.patch.object(naming, "first_diff_real", ref.first_diff_real), \
+            mock.patch.object(naming, "max_star", ref.max_star), \
+            mock.patch.object(reals, "from_estimates", ref.from_estimates):
+        yield
+
+
+DIST_SPACES = {
+    "cantor": naming.parse_space_spec({"kind": "cantor"}),
+    "finite": naming.parse_space_spec({"kind": "finite", "n": 3}),
+    "product": PRODUCT,
+}
+bit_words = st.tuples(st.lists(st.integers(min_value=0, max_value=1), max_size=30),
+                      st.integers(min_value=0, max_value=1))
+
+
+@pytest.mark.parametrize("space", list(DIST_SPACES))
+@given(u=bit_words, v=bit_words, precisions=precision_orders)
+def test_dist_hat_reads_names_as_the_random_access_reals_did(space, u, v, precisions):
+    sp = DIST_SPACES[space]
+
+    def name(word, tail):
+        if space == "finite":
+            return RecordingOracle(k2.constant(1 + (sum(word) + tail) % 3))
+        return RecordingOracle(_product_name(word, tail))
+
+    def run(reference):
+        f, g = name(*u), name(*v)
+        with random_access_dist_hats() if reference else contextlib.nullcontext():
+            x = sp.dist_hat(f, g)
+            out = _stream_outcomes(x, precisions)
+        assert isinstance(x, ref.SignedDigitReal) == reference
+        return out, f.transcript, g.transcript
+    assert run(False) == run(True)
+
+
+def _failing_digits(kind):
+    def digit_fn(n):
+        if n == 7:
+            if kind == "raises":
+                raise SourceFailed(f"no digit at {n}")
+            return 2
+        return (-1, 0, 1)[n % 3]
+    return digit_fn
+
+
+def _failing_estimator(k):
+    if k >= 9:
+        raise SourceFailed(f"no estimate at {k}")
+    return Q(2, 7)
+
+
+FAILING = {
+    "digit-raises": lambda m: m.SignedDigitReal(1, _failing_digits("raises"), "bad"),
+    "digit-out-of-range": lambda m: m.SignedDigitReal(1, _failing_digits("two"), "bad"),
+    "estimator-raises": lambda m: m.from_estimates(_failing_estimator),
+    "witness-raises": lambda m: m.first_diff_real(
+        lambda n: _failing_estimator(n + 3) is None),
+    "inner-raises": lambda m: m.max_star(
+        m.from_rational(Q(1, 5)),
+        m.SignedDigitReal(0, _failing_digits("raises"), "bad")),
+}
+
+
+@pytest.mark.parametrize("precisions", [
+    [10, 5, 6, 3, 10, 7, 0],
+    [6, 7, 6, 2, 12, 6],
+    [3, 9, 4, 8, 6, 0, 9],
+])
+@pytest.mark.parametrize("stream", list(FAILING))
+def test_failures_match_the_random_access_reals(stream, precisions):
+    out, _ = _stream_outcomes(FAILING[stream](reals), precisions)
+    assert any(o[0] == "error" for o in out)
+    assert_same_as_random_access(FAILING[stream], precisions)
+
+
+def test_digits_are_produced_in_order_once_each_and_retried_after_a_failure():
+    calls = []
+    failed = set()
+
+    def digit_fn(n):
+        calls.append(n)
+        if n == 6 and n not in failed:
+            failed.add(n)
+            raise SourceFailed("once")
+        return (1, 0, -1)[n % 3]
+
+    def value(k):
+        return sum(Q((1, 0, -1)[n % 3], 2 ** n) for n in range(1, k + 1))
+
+    x = reals.SignedDigitReal(0, digit_fn)
+    assert x.digit(4) == 0 and calls == [1, 2, 3, 4]
+    assert x.approx(2) == value(2) and x.digit(3) == 1
+    assert x.digit_prefix(4) == [0, -1, 1, 0] and calls == [1, 2, 3, 4]
+    with pytest.raises(SourceFailed):
+        x.approx(9)
+    assert calls == [1, 2, 3, 4, 5, 6]
+    assert x.approx(5) == value(5) and x.approx(3) == value(3)
+    assert x.approx(9) == value(9) and x.approx(7) == value(7)
+    assert calls == [1, 2, 3, 4, 5, 6, 6, 7, 8, 9]
+
+
+def test_estimates_are_read_once_each_in_order():
+    asked = []
+
+    def est(k):
+        asked.append(k)
+        return Q(3, 11)
+
+    x = reals.from_estimates(est)
+    assert asked == [2]
+    x.digit(5)
+    x.approx(3)
+    x.approx(7)
+    assert asked == [2, 3, 4, 5, 6, 7, 8, 9]
+
+
+def _fraction_calls(run, origin=os.path.dirname(reals.__file__) + os.sep):
+    """Calls into ``fractions`` made straight from frames of code under
+    ``origin`` (by default the package), counted with a profile hook as
+    perfbench's layer trace counts them."""
+    fractions_file = sys.modules["fractions"].__file__
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename == fractions_file:
+            caller = frame.f_back
+            if caller is not None and caller.f_code.co_filename.startswith(origin):
+                count += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+# measured when the digit rule moved onto integers: one Fraction per
+# approximation of each input, their max, and the Fraction approx returns
+MAX_APPROX_300_FRACTION_CALLS = 2701
+
+
+def test_the_digit_rule_stays_off_fractions():
+    m = reals.max_star(reals.from_rational(Q(1, 3)), reals.from_rational(Q(10, 31)))
+    assert _fraction_calls(lambda: m.approx(300)) <= MAX_APPROX_300_FRACTION_CALLS
+    slow = ref.max_star(ref.from_rational(Q(1, 3)), ref.from_rational(Q(10, 31)))
+    assert _fraction_calls(lambda: slow.approx(300), ref.__file__) \
+        > 3 * MAX_APPROX_300_FRACTION_CALLS
+    assert m.approx(300) == slow.approx(300)
 
 
 # -- k2 codec --------------------------------------------------------------------
