@@ -332,7 +332,7 @@ def criterion_split_invariants() -> CriterionResult:
     for x, b, label in _split_inputs():
         try:
             ledger = cauchy.protected_split(x, b, stages=11)
-        except (cauchy.ClearanceViolation, cauchy.StageBudgetExceeded) as e:
+        except (cauchy.ClearanceViolation, k2.Exhausted) as e:
             _fail(msgs, f"{label}: {e}")
             continue
         for rec in ledger.stages:
@@ -447,7 +447,7 @@ def criterion_settling_index() -> CriterionResult:
         a = _random_increasing_seq(rng)
         try:
             series = cauchy.split_series_for(a)
-        except (cauchy.StageBudgetExceeded, cauchy.ClearanceViolation):
+        except (k2.Exhausted, cauchy.ClearanceViolation):
             continue
         if len(series.ledger.flat) > 20:
             continue
@@ -490,7 +490,7 @@ def criterion_modulus_transfer() -> CriterionResult:
         a = _random_increasing_seq(rng)
         try:
             cauchy.split_series_for(a)
-        except (cauchy.StageBudgetExceeded, cauchy.ClearanceViolation):
+        except (k2.Exhausted, cauchy.ClearanceViolation):
             continue
         cases.append(a)
     for idx, a in enumerate(cases):

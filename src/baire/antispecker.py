@@ -40,10 +40,6 @@ from .naming import (NameSequence, PointedSpace, ProductSpace, Space,
                      star_extension)
 
 
-class InsufficientDepth(Exception):
-    """A covering check met a cell it can neither include nor exclude."""
-
-
 # ---------------------------------------------------------------------------
 # Atoms and coverings
 # ---------------------------------------------------------------------------
@@ -176,7 +172,7 @@ def covers(theta: Theta, space: Space,
     Exhausts the space at the given resolution; sound and complete once
     depth exceeds every atom's radius exponent (the default).  A cell that
     is neither inside some atom nor excluded from all raises
-    InsufficientDepth.
+    ``k2.Exhausted`` with reason ``depth``.
     """
     if depth is None:
         depth = default_cover_depth(theta)
@@ -206,8 +202,8 @@ def covers(theta: Theta, space: Space,
                 undecided = True
         if not hit:
             if undecided:
-                raise InsufficientDepth(
-                    f"cell {cell!r} undecided at depth {depth}")
+                raise k2.Exhausted(
+                    f"cell {cell!r} undecided at depth {depth}", "depth")
             return CoversReport(False, depth, witness_cell=cell)
     return CoversReport(True, depth)
 
@@ -711,7 +707,7 @@ def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
             if covers(theta, space).covered:
                 seen.add(theta)
                 emissions.append(theta)
-        except InsufficientDepth:
+        except k2.Exhausted:
             pass
 
     # Phase one: blind table enumeration.

@@ -38,12 +38,6 @@ class IntensionalName:
     description: str = "intensional"
 
 
-class ExtractionFailed(Exception):
-    def __init__(self, fuel: int):
-        self.fuel = fuel
-        super().__init__(f"name never answered on identity prefixes within {fuel}")
-
-
 def extract_bound(g: Oracle, h: IntensionalName | Oracle, fuel: int) -> int:
     """Upper bound for g from an intensional name: feed identity prefixes
     until the name answers v+1 at length t, then return max(t, v).  A
@@ -52,7 +46,8 @@ def extract_bound(g: Oracle, h: IntensionalName | Oracle, fuel: int) -> int:
     oracle = h.h if isinstance(h, IntensionalName) else h
     r = k2.star(oracle, k2.identity_oracle(), max(fuel, 0))
     if not r.is_value:
-        raise ExtractionFailed(fuel)
+        raise k2.Exhausted(
+            f"name never answered on identity prefixes within {fuel}", "fuel")
     return max(r.fired_at, r.value)
 
 

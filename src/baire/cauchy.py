@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
-from .k2 import Oracle, SpecError
+from .k2 import Exhausted, Oracle, SpecError
 from .reals import format_rational, parse_rational
 
 
@@ -239,6 +239,8 @@ def partially_cauchy_index(x: RationalSeq, f: Modulus, g: Oracle, n: int) -> int
     within 2^-(n+1) of each other, so scanning m in [0, K] is exhaustive.
     Rejects g below the identity on the scanned range.
     """
+    if n < 0:
+        raise ValueError(f"the exponent n must be a natural, got {n}")
     bound = Fraction(1, 2 ** n)
     cap = f(n + 1)
     least = 0
@@ -264,16 +266,6 @@ class ClearanceViolation(Exception):
         self.ledger = ledger
         self.detail = detail
         super().__init__(detail)
-
-
-class StageBudgetExceeded(Exception):
-    """The projected per-stage classification state is too large."""
-
-    def __init__(self, stage: int, width: int):
-        self.stage = stage
-        self.width = width
-        super().__init__(
-            f"stage {stage}: 2^{width} subset sums exceed the configured cap")
 
 
 @dataclass
@@ -453,7 +445,8 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
 
         width = len(ledger.flat)
         if width > max_state_bits:
-            raise StageBudgetExceeded(s, width)
+            raise Exhausted(f"stage {s}: 2^{width} subset sums exceed the "
+                            "configured cap", "state", width=width)
         for n in range(len(st.b), s + 1):
             bn = b.value_at(n)
             st.admit(bn)
@@ -700,10 +693,6 @@ class TailCertificate:
     k0: int
 
 
-class SearchBudgetExceeded(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class SplitSeries:
     """The flattened protected-split output viewed as one series.
@@ -772,6 +761,8 @@ class _WindowScan:
     """
 
     def __init__(self, z: SplitSeries, p: PermutationSpec, n: int):
+        if n < 0:
+            raise ValueError(f"the exponent n must be a natural, got {n}")
         flat = z.ledger.flat
         self.scale = math.lcm(*(v.denominator for v in flat))
         entries = [v.numerator * (self.scale // v.denominator) for v in flat]
@@ -839,6 +830,8 @@ def classify_windows(z: SplitSeries, p: PermutationSpec, m: int, n: int,
     m <= i <= j <= m + 8(r + 1), row by row, and ``budget`` caps the
     window steps summed over all rounds.
     """
+    if m < 0:
+        raise ValueError(f"the start index m must be a natural, got {m}")
     return _classify(_WindowScan(z, p, n), z, p, m, n, f, budget)
 
 
@@ -852,7 +845,7 @@ def _classify(scan: _WindowScan, z: SplitSeries, p: PermutationSpec, m: int,
         nonlocal steps
         steps += count
         if steps > budget:
-            raise SearchBudgetExceeded(f"after {max(budget, 0) + 1} window steps")
+            raise Exhausted(f"after {max(budget, 0) + 1} window steps", "budget")
 
     for round_no in itertools.count():
         # (a) widen the witness scan
@@ -878,8 +871,8 @@ def _classify(scan: _WindowScan, z: SplitSeries, p: PermutationSpec, m: int,
         if hi >= scan_end and round_no > 200:
             # the witness scan is complete and certificates keep failing;
             # valid inputs never reach this
-            raise SearchBudgetExceeded(
-                f"no witness below {scan_end} and no certificate through n0={n0}")
+            raise Exhausted(f"no witness below {scan_end} and no certificate "
+                            f"through n0={n0}", "budget")
 
 
 def settling_index(z: SplitSeries, p: PermutationSpec, n: int, f: Modulus,

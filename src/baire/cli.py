@@ -1,8 +1,12 @@
 """Command-line front end.
 
 One command, one JSON result document on stdout.  Exit codes: 0 success,
-2 validation errors, 3 fuel or budget exhaustion.  Result documents are
-byte-identical across identical invocations; diagnostics go to stderr.
+2 validation errors, 3 a bounded search that stopped.  A ``k2.Exhausted``
+prints as {"error", "reason", ...}: ``fuel`` (bdn extract), ``depth``
+(antispecker covers, over-long codes), ``state`` (splitter, rpt) or
+``budget`` (rpt); the star, bullet, demo and adversary documents print
+as they are, with no reason.  Result documents are byte-identical across
+identical invocations; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ def _emit(doc: dict, status: int) -> int:
         code = _first_int_past(doc, 10 ** limit) if limit else None
         if code is None:
             raise
-        text = json.dumps({"schema_version": SCHEMA_VERSION, "result": {
-            "error": f"code has more than {limit} decimal digits",
-            "reason": "depth", "code_bits": code.bit_length()}}, indent=2)
+        refusal = k2.Exhausted(f"code has more than {limit} decimal digits",
+                               "depth", code_bits=code.bit_length())
+        text = json.dumps({"schema_version": SCHEMA_VERSION,
+                           "result": refusal.to_json()}, indent=2)
         status = EXIT_EXHAUSTED
     sys.stdout.write(text + "\n")
     return status
@@ -217,11 +222,7 @@ def _cmd_splitter(args) -> dict:
             f"note: {positives} positive stages requested; the classification "
             "state is exponential in the flattened block count and the run "
             "aborts cleanly if it outgrows the cap\n")
-    try:
-        ledger = cauchy.protected_split(x, b, args.stages)
-    except cauchy.StageBudgetExceeded as e:
-        raise Exhaustion({"result": {"error": str(e), "reason": "state",
-                                     "width": e.width}})
+    ledger = cauchy.protected_split(x, b, args.stages)
     doc = {"result": ledger.to_json()}
     if args.verify:
         tail = None
@@ -240,17 +241,10 @@ def _cmd_splitter(args) -> dict:
 def _cmd_rpt(args) -> dict:
     a = cauchy.parse_seq_spec(_json_arg(args.a))
     p = cauchy.parse_permutation_spec(_json_arg(args.p))
-    try:
-        series = cauchy.split_series_for(a, stages=args.stages)
-    except cauchy.StageBudgetExceeded as e:
-        raise Exhaustion({"result": {"error": str(e), "reason": "state",
-                                     "width": e.width}})
+    series = cauchy.split_series_for(a, stages=args.stages)
     f = cauchy.exact_modulus(a, horizon=len(a.prefix) + 4)
     if args.op == "fabar":
-        try:
-            value = cauchy.settling_index(series, p, args.n, f)
-        except cauchy.SearchBudgetExceeded as e:
-            raise Exhaustion({"result": {"error": str(e)}})
+        value = cauchy.settling_index(series, p, args.n, f)
         return {"result": {"settling_index": value}}
     if args.op == "decide":
         verdict = cauchy.classify_windows(series, p, args.m, args.n, f)
@@ -278,11 +272,7 @@ def _cmd_bdn(args) -> dict:
     if args.op == "extract":
         g = k2.parse_oracle_spec(_json_arg(args.g))
         h = k2.parse_oracle_spec(_json_arg(args.h))
-        try:
-            bound = bdn.extract_bound(g, h, args.fuel)
-        except bdn.ExtractionFailed as e:
-            raise Exhaustion({"result": {"error": str(e)}})
-        return {"result": {"bound": bound}}
+        return {"result": {"bound": bdn.extract_bound(g, h, args.fuel)}}
     if args.op == "adversary":
         alpha = k2.parse_oracle_spec(_json_arg(args.alpha))
         report = bdn.adversary_refute(alpha, args.fuel)
@@ -409,6 +399,8 @@ def run(argv) -> int:
         doc = args.run(args)
     except Exhaustion as e:
         return _emit(e.doc, EXIT_EXHAUSTED)
+    except k2.Exhausted as e:
+        return _emit({"result": e.to_json()}, EXIT_EXHAUSTED)
     except (k2.SpecError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_VALIDATION

@@ -7,13 +7,14 @@ the fuel-bounded star / bullet application operators that make the
 space a partial applicative structure.
 
 Partiality is finitized: a search that the classical definition leaves
-undefined is an ``Exhausted`` result here, never nontermination.  All
-arithmetic is exact (arbitrary-precision ints); each appended element
-squares a sequence code (its bit length doubles), so prefix scans must
-stay shallow (depth ~20 is the practical ceiling).  A pairing is one
-squaring of the sum of its arguments, and a scan that runs out of fuel
-still reads its argument at the last index but does not build the code
-of that prefix, which no query would read.
+undefined is an exhausted ``PartialResult`` here, never nontermination,
+and a bounded search of a later layer that stops raises ``Exhausted``
+with its reason.  All arithmetic is exact (arbitrary-precision ints);
+each appended element squares a sequence code (its bit length doubles),
+so prefix scans must stay shallow (depth ~20 is the practical
+ceiling).  A pairing is one squaring of the sum of its arguments, and a
+scan that runs out of fuel still reads its argument at the last index
+but does not build the code of that prefix, which no query would read.
 """
 
 from __future__ import annotations
@@ -26,6 +27,22 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 class SpecError(ValueError):
     """A malformed input document (oracle spec, sequence spec, ...)."""
+
+
+class Exhausted(Exception):
+    """A bounded search stopped before it found an answer.  ``reason``
+    names the bound it met: ``fuel``, ``depth`` (a resolution or a code
+    size), ``state`` (a state cap) or ``budget`` (a step budget), and
+    ``amounts`` the numbers that go with it, such as a ``width``."""
+
+    def __init__(self, message: str, reason: str, **amounts: int):
+        assert reason in ("fuel", "depth", "state", "budget"), reason
+        super().__init__(message)
+        self.reason = reason
+        self.amounts = amounts
+
+    def to_json(self) -> dict:
+        return {"error": str(self), "reason": self.reason, **self.amounts}
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,10 @@ def parse_rational(s) -> Fraction:
         return s
     if isinstance(s, int):
         return Fraction(s)
-    return Fraction(str(s).strip())
+    try:
+        return Fraction(str(s).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def format_rational(q: Fraction) -> str:
@@ -177,6 +180,8 @@ def compare_prec(x: SignedDigitReal, q: Fraction, k: int) -> Comparison:
     BELOW_GAP and ABOVE_GAP are sound verdicts; WITHIN_GAP means the value
     is within 2^-k of q as far as precision k+2 can tell.
     """
+    if k < 0:
+        raise ValueError(f"the precision k must be a natural, got {k}")
     q = Fraction(q)
     a = x.approx(k + 2)
     pad = Fraction(1, 2 ** (k + 2))
@@ -210,14 +215,13 @@ def parse_real_spec(spec) -> SignedDigitReal:
     try:
         int_part = int(spec.get("int", 0))
         digits = [int(d) for d in spec.get("digits", [])]
+        tail = spec.get("tail", "zero")
+        tail_digit = int(tail.get("digit", 0)) if isinstance(tail, dict) else 0
     except (TypeError, ValueError) as e:
         raise SpecError(f"bad real spec: {e}")
-    tail = spec.get("tail", "zero")
-    tail_digit = 0
     if isinstance(tail, dict):
         if tail.get("kind") != "constant":
             raise SpecError(f"unknown real tail: {tail!r}")
-        tail_digit = int(tail.get("digit", 0))
     elif tail != "zero":
         raise SpecError(f"unknown real tail: {tail!r}")
     if any(d not in (-1, 0, 1) for d in digits) or tail_digit not in (-1, 0, 1):

@@ -7,9 +7,11 @@ These are the versions of ``BuiltinBase.iter_atoms``,
 program ran before bases kept their members, realizers kept each atom's
 prefix codes and ``covers`` computed each atom's constraints once.  They
 stay here as the oracle the fast versions are tested against
-(``tests/test_realizer_reference.py``).  The bodies are unchanged; the
-iterators are methods of subclasses of the program's bases, and
-``reference_builtin_base`` builds a whole tree of them.
+(``tests/test_realizer_reference.py``).  The bodies are unchanged but
+for the raise of ``k2.Exhausted`` where ``covers`` raised the deleted
+``InsufficientDepth``, with the same message; the iterators are methods
+of subclasses of the program's bases, and ``reference_builtin_base``
+builds a whole tree of them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional
 from baire import k2
 from baire.antispecker import (AntiSpeckerRealizer, AvoidanceName, BuiltinBase,
                                CoverAtom, CoversReport, EvalOutcome,
-                               InsufficientDepth, ProductBase, Theta,
+                               ProductBase, Theta,
                                _atom_possibly_inhabited, _compositions,
                                _constrained_indices, _exact_settling_value,
                                default_cover_depth, product_atom)
@@ -93,7 +95,7 @@ def covers(theta: Theta, space: Space,
     Exhausts the space at the given resolution; sound and complete once
     depth exceeds every atom's radius exponent (the default).  A cell that
     is neither inside some atom nor excluded from all raises
-    InsufficientDepth.
+    ``k2.Exhausted`` with reason ``depth``.
     """
     if depth is None:
         depth = default_cover_depth(theta)
@@ -109,8 +111,8 @@ def covers(theta: Theta, space: Space,
                 undecided = True
         if not hit:
             if undecided:
-                raise InsufficientDepth(
-                    f"cell {cell!r} undecided at depth {depth}")
+                raise k2.Exhausted(
+                    f"cell {cell!r} undecided at depth {depth}", "depth")
             return CoversReport(False, depth, witness_cell=cell)
     return CoversReport(True, depth)
 

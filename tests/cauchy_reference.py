@@ -4,10 +4,12 @@ These are the mask-by-mask `Fraction` versions of ``protected_split``,
 ``verify_clearances``, ``classify_windows`` and ``settling_index`` that
 ``baire.cauchy`` ran before it moved to integer-scaled, class-compressed
 state.  They stay here as the oracle the fast versions are tested against
-(``tests/test_cauchy_reference.py``).  The only edits are the raise of
-``StageBudgetExceeded``, which now takes the stage and the width, and
-``subset_sum``, a ``SplitterLedger`` method before it left the program
-and is now called as a function.
+(``tests/test_cauchy_reference.py``).  The only edits are the three
+budget raises, which raise ``k2.Exhausted`` (reason ``state`` with the
+width, or ``budget``) with the messages of the deleted
+``StageBudgetExceeded`` and ``SearchBudgetExceeded``, and ``subset_sum``,
+a ``SplitterLedger`` method before it left the program and is now called
+as a function.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from baire.cauchy import (ClearanceReport, ClearanceViolation, Modulus,
-                          PermutationSpec, RationalSeq, SearchBudgetExceeded,
-                          SplitSeries, SplitterLedger, StageBudgetExceeded,
-                          StageRecord, TailCertificate, WindowWitness,
-                          _mask_indices, _permutation_cover_index)
+                          PermutationSpec, RationalSeq, SplitSeries,
+                          SplitterLedger, StageRecord, TailCertificate,
+                          WindowWitness, _mask_indices,
+                          _permutation_cover_index)
+from baire.k2 import Exhausted
 from baire.reals import format_rational
 
 
@@ -52,7 +55,8 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
 
         width = len(ledger.flat)
         if width > max_state_bits:
-            raise StageBudgetExceeded(s, width)
+            raise Exhausted(f"stage {s}: 2^{width} subset sums exceed the "
+                            "configured cap", "state", width=width)
 
         # subset sums over the current entries, shared by every check below
         sums = [Fraction(0)] * (1 << width)
@@ -157,7 +161,7 @@ def classify_windows(z: SplitSeries, p: PermutationSpec, m: int, n: int,
                 acc += z.value_at(p(j))
                 steps += 1
                 if steps > budget:
-                    raise SearchBudgetExceeded(f"after {steps} window steps")
+                    raise Exhausted(f"after {steps} window steps", "budget")
                 if abs(acc) >= bound:
                     return WindowWitness(i, j)
 
@@ -176,8 +180,8 @@ def classify_windows(z: SplitSeries, p: PermutationSpec, m: int, n: int,
         if hi >= scan_end and round_no > 200:
             # the witness scan is complete and certificates keep failing;
             # valid inputs never reach this
-            raise SearchBudgetExceeded(
-                f"no witness below {scan_end} and no certificate through n0={n0}")
+            raise Exhausted(f"no witness below {scan_end} and no certificate "
+                            f"through n0={n0}", "budget")
 
 
 def _windows_clear(z: SplitSeries, p: PermutationSpec, m: int, k0: int,

@@ -15,8 +15,9 @@ produced its digits in order, when ``from_estimates`` kept its own
 memo of the witness.  They stay here as the oracle the fast versions are
 tested against (``tests/test_stream_reference.py``).  The bodies are
 unchanged; ``approx`` takes the real as an argument instead of ``self``,
-and ``apply_candidate`` calls ``star_tank`` below where it called
-``bdn._star_tank``.
+``apply_candidate`` calls ``star_tank`` below where it called
+``bdn._star_tank``, and a failed ``extract_bound`` raises ``k2.Exhausted``
+with the message ``bdn.ExtractionFailed`` used to carry.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from baire.bdn import (EvalTranscript, ExtractionFailed, IntensionalName,
-                       _OutOfFuel, _SCAN_DEPTH_CAP)
-from baire.k2 import FueledOracle, Oracle, PartialResult, RecordingOracle, cons
+from baire.bdn import (EvalTranscript, IntensionalName, _OutOfFuel,
+                       _SCAN_DEPTH_CAP)
+from baire.k2 import (Exhausted, FueledOracle, Oracle, PartialResult,
+                      RecordingOracle, cons)
 
 
 def approx(self, k: int) -> Fraction:
@@ -258,4 +260,5 @@ def extract_bound(g, h, fuel: int) -> int:
         if v > 0:
             return max(t, v - 1)
         code = cantor_pair(code, t) + 1
-    raise ExtractionFailed(fuel)
+    raise Exhausted(f"name never answered on identity prefixes within {fuel}",
+                    "fuel")

@@ -59,8 +59,9 @@ def test_invalid_values_make_empty_atoms():
 
 def test_insufficient_depth_flagged():
     theta = Theta((atom({0: 1, 4: 2}, 6), atom({0: 2}, 0)))
-    with pytest.raises(aspk.InsufficientDepth):
+    with pytest.raises(k2.Exhausted) as e:
         covers(theta, CANTOR, depth=2)
+    assert e.value.reason == "depth"
 
 
 def test_point_membership_in_atoms():

@@ -25,8 +25,9 @@ def test_extract_takes_max_of_answer_and_length():
 
 
 def test_extract_exhausts_on_silent_name():
-    with pytest.raises(bdn.ExtractionFailed):
+    with pytest.raises(k2.Exhausted) as e:
         extract_bound(constant(0), bdn.IntensionalName(constant(0)), 12)
+    assert e.value.reason == "fuel"
 
 
 def test_make_valid_realizer_rejects_unbounded():

@@ -179,9 +179,10 @@ def test_nonnegativity_required():
 
 
 def test_state_cap_aborts_cleanly():
-    with pytest.raises(cauchy.StageBudgetExceeded):
+    with pytest.raises(k2.Exhausted) as e:
         protected_split(mk([1, F(1, 4), F(1, 8), F(1, 16)]), dyadic_targets(), 4,
                         max_state_bits=6)
+    assert e.value.reason == "state"
 
 
 def test_ledger_json_shape():

@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cauchy_reference as ref
-from baire import cauchy
+from baire import cauchy, k2
 from baire.cauchy import PermutationSpec, RationalSeq
 
 mk = RationalSeq.make
@@ -69,12 +69,13 @@ def assert_same_ledger(got, want):
 
 
 def _outcome(fn, *args, **kwargs):
-    """A result, or the type, message and attached ledger of what was raised."""
+    """A result, or the type, message, attached ledger and exhaustion
+    document of what was raised."""
     try:
         return "value", fn(*args, **kwargs)
-    except (ValueError, cauchy.StageBudgetExceeded, cauchy.ClearanceViolation,
-            cauchy.SearchBudgetExceeded) as e:
-        return type(e), str(e), getattr(e, "ledger", None)
+    except (ValueError, k2.Exhausted, cauchy.ClearanceViolation) as e:
+        return (type(e), str(e), getattr(e, "ledger", None),
+                e.to_json() if isinstance(e, k2.Exhausted) else None)
 
 
 def assert_same_split(x, b, stages, **kwargs):
@@ -87,7 +88,7 @@ def assert_same_split(x, b, stages, **kwargs):
             assert cauchy.verify_clearances(got[1], bound) == \
                 ref.verify_clearances(want[1], bound)
         return got[1]
-    assert got[1] == want[1]
+    assert got[1] == want[1] and got[3] == want[3]
     if want[2] is not None:
         assert_same_ledger(got[2], want[2])
     return None

@@ -303,3 +303,23 @@ def test_malformed_sequence_and_avoidance_specs_are_exit_two(capsys, flag, spec)
                              "--space", '{"kind":"cantor"}', flag, spec)
     assert code == 2 and doc is None
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+ONE = '{"prefix":["1"],"tail":{"kind":"constant","value":"1"}}'
+NEGATIVE_OR_UNDEFINED_NUMBERS = [
+    ["rpt", "fabar", "--a", ONE, "--n", "-1"],
+    ["rpt", "decide", "--a", ONE, "--n", "-1"],
+    ["rpt", "decide", "--a", ONE, "--n", "2", "--m", "-3"],
+    ["pc", "realize", "--x", '{"prefix":["1"]}', "--f", "identity",
+     "--g", "identity", "--n", "-2"],
+    ["reals", "compare", "--x", '{"rational":"1"}', "--q", "1", "--prec", "-1"],
+    ["reals", "from-rational", "--q", "1/0", "--prec", "3"],
+    ["reals", "max", "--x", '{"rational":"1/0"}', "--y", '{"rational":"1"}'],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_OR_UNDEFINED_NUMBERS, ids=" ".join)
+def test_negative_exponents_and_zero_denominators_are_exit_two(capsys, argv):
+    code, doc, err = run_cli(capsys, *argv)
+    assert code == 2 and doc is None
+    assert err.startswith("error: ") and "Traceback" not in err

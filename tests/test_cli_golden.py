@@ -92,6 +92,10 @@ CASES = {
     "antispecker-covers-product-witness": [
         "antispecker", "covers", "--space", PRODUCT,
         "--theta", '[{"sigma":[[0,1]],"n":1},{"sigma":[[0,2],[1,1]],"n":1}]'],
+    # depth 0 leaves the one cell neither inside the atom nor outside it
+    "antispecker-covers-undecided-depth": [
+        "antispecker", "covers", "--space", '{"kind":"cantor"}',
+        "--theta", '[{"sigma":[[0,1]],"n":3}]', "--depth", "0"],
     "antispecker-probe-product": [
         "antispecker", "probe", "--space", PRODUCT, "--budget", "40"],
     # protected splitting: two templates of the split benchmark, one with
@@ -111,6 +115,13 @@ CASES = {
         "rpt", "decide", "--a", THREE_STEPS, "--p", CYCLES, "--m", "6", "--n", "4"],
     "rpt-decide-three-steps-tail": [
         "rpt", "decide", "--a", THREE_STEPS, "--p", CYCLES, "--m", "0", "--n", "2"],
+    # the swap moves the split series' first entry to index 3000: every
+    # window from m = 10 that reaches 2^-3 ends there, and the witness scan
+    # runs out of window steps before it gets that far
+    "rpt-decide-past-window-budget": [
+        "rpt", "decide",
+        "--a", '{"prefix":["1"],"tail":{"kind":"constant","value":"1"}}',
+        "--p", '{"table":[[0,3000],[3000,0]]}', "--n", "3", "--m", "10"],
     # usage tracking
     "k2-star-track": [
         "k2", "star",

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from baire import reals
+from baire.k2 import SpecError
 from baire.reals import (Comparison, compare_prec, first_diff_real, from_digits,
                          from_rational, max_star)
 
@@ -202,3 +203,8 @@ def test_real_spec_parsing():
     assert abs(y.approx(8) - Fraction(1, 3)) <= Fraction(1, 2 ** 8)
     with pytest.raises(Exception):
         reals.parse_real_spec({"digits": [5]})
+
+
+def test_real_spec_with_a_malformed_tail_digit_is_a_spec_error():
+    with pytest.raises(SpecError, match="bad real spec"):
+        reals.parse_real_spec({"tail": {"kind": "constant", "digit": [1]}})

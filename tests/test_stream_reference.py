@@ -533,8 +533,8 @@ def _extract(scan, fuel):
     def run(h, g):
         try:
             return scan(g, h, fuel)
-        except bdn.ExtractionFailed as e:
-            return ("failed", str(e))
+        except k2.Exhausted as e:
+            return ("failed", e.to_json())
     return run
 
 
@@ -616,8 +616,9 @@ def test_exhausted_star_pairs_one_prefix_fewer_than_its_fuel(fuel):
 
 @pytest.mark.parametrize("fuel", range(0, 12))
 def test_failed_extraction_pairs_one_prefix_fewer_than_its_fuel(fuel):
-    with counted_pairings() as log, pytest.raises(bdn.ExtractionFailed):
+    with counted_pairings() as log, pytest.raises(k2.Exhausted) as e:
         bdn.extract_bound(k2.constant(0), k2.constant(0), fuel)
+    assert e.value.reason == "fuel"
     assert len(log["built"]) == max(fuel - 1, 0)
 
 
