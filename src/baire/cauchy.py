@@ -20,11 +20,11 @@ plus a tail rule, together with Cauchy moduli.  On top of them sit:
 Everything is exact rational arithmetic; nothing here approximates.  The
 hot loops run on integers: the splitter, its clearance check and the
 window search hold every rational multiplied by a common denominator.
-The splitter also compresses its state by class: a protected pair's gap,
-clearance floor and stage-end clearance depend only on its subset sum,
-its target index and its protection, so each is computed once per class
-and counted with the class's size.  Its mask-level ledger is still built
-in full, since callers read it pair by pair.
+The splitter also works by class: a protected pair's gap, clearance
+floor and stage-end clearance depend only on its subset sum, its target
+index and its protection, so each is computed once per class and counted
+with the class's size.  Its ledger stores the classes, too; the (mask, n)
+pairs are expanded from them only for a reader that asks for them.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
@@ -269,6 +270,24 @@ class ClearanceViolation(Exception):
 
 
 @dataclass
+class ProtectedRange:
+    """The pairs (A, n) one positive stage protects for one target index n.
+
+    They are the masks A in [lo, hi), hi being 2^width, with n fixed.  A
+    pair's protection depends only on the subset sum of A, so it is kept
+    once per sum: half the gap |sum over entries outside A| vs b_n for a
+    sum off b_n (case 2), and x_s / (2k) for a sum on it (case 3).  A sum
+    is held as an integer over its stage record's ``scale``.
+    """
+
+    n: int
+    lo: int
+    hi: int
+    by_gap: dict[int, Fraction]      # case 2: subset sum -> protection
+    on_target: dict[int, Fraction]   # case 3: subset sum -> protection
+
+
+@dataclass
 class StageRecord:
     stage: int
     x: Fraction
@@ -276,11 +295,24 @@ class StageRecord:
     k: int
     y: tuple[Fraction, ...]
     t: Optional[Fraction]          # None encodes "no protected pair yet"
-    case2: tuple[tuple[int, int], ...] = ()   # (mask, n) protected at this stage
-    case3: tuple[tuple[int, int], ...] = ()
     checked: int = 0               # clearance checks performed at stage end
+    entries: tuple[Fraction, ...] = ()           # the entries A ranges over
+    scale: int = 1                               # denominator of the ranges' sums
+    ranges: tuple[ProtectedRange, ...] = ()      # one per n <= stage
+
+    @property
+    def case2(self) -> tuple[tuple[int, int], ...]:
+        """(mask, n) protected at this stage by their gap, in mask order
+        for each n; expanded from the ranges on every read."""
+        return tuple(key for key, _ in _expand(self)[0])
+
+    @property
+    def case3(self) -> tuple[tuple[int, int], ...]:
+        """(mask, n) protected at this stage on their target, likewise."""
+        return tuple(key for key, _ in _expand(self)[1])
 
     def to_json(self) -> dict:
+        case2, case3 = _expand(self)
         return {
             "stage": self.stage,
             "x": format_rational(self.x),
@@ -288,10 +320,71 @@ class StageRecord:
             "k": self.k,
             "y": [format_rational(v) for v in self.y],
             "t": format_rational(self.t) if self.t is not None else "inf",
-            "case2": [[m, n] for m, n in self.case2],
-            "case3": [[m, n] for m, n in self.case3],
+            "case2": [[m, n] for (m, n), _ in case2],
+            "case3": [[m, n] for (m, n), _ in case3],
             "clearances_checked": self.checked,
         }
+
+
+def _expand(rec: StageRecord) -> tuple[list, list]:
+    """The ((mask, n), protection) pairs a stage protects, case 2 and case
+    3 apart, each in ledger order: by n, then by mask.
+
+    Rebuilds the subset sums of the stage's entries, over the record's
+    scale, for the length of the call only.
+    """
+    sums = [0]
+    for v in rec.entries:
+        held = v.numerator * (rec.scale // v.denominator)
+        sums += [u + held for u in sums]
+    case2: list = []
+    case3: list = []
+    for g in rec.ranges:
+        keys = zip(range(g.lo, g.hi), itertools.repeat(g.n))
+        if not g.on_target:
+            case2 += zip(keys, map(g.by_gap.__getitem__, sums[g.lo:g.hi]))
+            continue
+        for key, v in zip(keys, sums[g.lo:g.hi]):
+            if v in g.by_gap:
+                case2.append((key, g.by_gap[v]))
+            else:
+                case3.append((key, g.on_target[v]))
+    return case2, case3
+
+
+class _Protections(Mapping):
+    """The read-only (mask, n) -> protection view of a ledger.
+
+    Its length and single lookups come from the ranges directly; iterating
+    it expands the ranges stage by stage, in the order the pairs were
+    protected.
+    """
+
+    def __init__(self, stages: list[StageRecord]):
+        self._stages = stages
+
+    def __len__(self) -> int:
+        return sum(g.hi - g.lo for rec in self._stages for g in rec.ranges)
+
+    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+        mask, n = key
+        for rec in self._stages:
+            for g in rec.ranges:
+                if g.n == n and g.lo <= mask < g.hi:
+                    v = sum(e.numerator * (rec.scale // e.denominator)
+                            for i, e in enumerate(rec.entries) if mask >> i & 1)
+                    return g.by_gap[v] if v in g.by_gap else g.on_target[v]
+        raise KeyError(key)
+
+    def items(self):
+        for rec in self._stages:
+            if rec.ranges:
+                case2, case3 = _expand(rec)
+                yield from case2
+                yield from case3
+
+    def __iter__(self):
+        return (key for key, _ in self.items())
 
 
 # the ledger document lists its protections only up to this many
@@ -302,9 +395,13 @@ PROTECTION_CAP = 5000
 class SplitterLedger:
     """Stage-indexed state of the protected splitting construction.
 
-    Flattened block entries are ordered lexicographically by (stage, j);
-    a protected pair is keyed by (subset bitmask over flattened indices,
-    target index n) and its protection, once set, never changes.
+    Flattened block entries are ordered lexicographically by (stage, j).
+    A protected pair is (subset bitmask over flattened indices, target
+    index n), and its protection, once set, never changes.  The ledger
+    stores each positive stage's pairs as ranges of masks with one
+    protection per subset sum (``StageRecord.ranges``); ``protections``,
+    ``StageRecord.case2`` and ``StageRecord.case3`` are read-only pair
+    views expanded from them on demand.
     """
 
     x: RationalSeq
@@ -312,15 +409,18 @@ class SplitterLedger:
     stages: list[StageRecord] = field(default_factory=list)
     flat: list[Fraction] = field(default_factory=list)
     block_start: list[int] = field(default_factory=list)
-    protections: dict[tuple[int, int], Fraction] = field(default_factory=dict)
     last_positive_stage: Optional[int] = None
 
     @property
     def stage_count(self) -> int:
         return len(self.stages)
 
+    @property
+    def protections(self) -> Mapping:
+        return _Protections(self.stages)
+
     def to_json(self) -> dict:
-        prot = sorted(self.protections.items())
+        prot = self.protections
         doc = {
             "stages": [s.to_json() for s in self.stages],
             "flat": [format_rational(v) for v in self.flat],
@@ -329,7 +429,7 @@ class SplitterLedger:
         if len(prot) <= PROTECTION_CAP:
             doc["protections"] = [
                 {"A": _mask_indices(mask), "n": n, "r": format_rational(r)}
-                for (mask, n), r in prot]
+                for (mask, n), r in sorted(prot.items())]
         return doc
 
 
@@ -406,6 +506,10 @@ class _ScaledState:
         return sums
 
 
+# a block is refused before it is built past this many entries
+BLOCK_CAP = 2 ** 20
+
+
 def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
                     max_state_bits: int = 22) -> SplitterLedger:
     """Split x into signed blocks keeping rearranged partial sums clear of b.
@@ -420,13 +524,16 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
     alternating block (+-x_s/k, ... , +x_s/k), and gives the waiting pairs
     the protection x_s / (2k).  Before advancing, the clearance invariant
     (every protected pair strictly clears its protection) is re-checked;
-    a violation aborts with the ledger attached.
+    a violation aborts with the ledger attached.  A stage past
+    ``max_state_bits`` entries, or a block of more than ``BLOCK_CAP``
+    entries, raises ``k2.Exhausted`` (reason ``state``) first.
 
     The arithmetic runs on ``_ScaledState`` integers.  A pair's gap, floor
     and clearance depend only on its class (subset sum, n, protection), so
-    each is computed once per class and weighed by the class's size; only
-    the ledger's mask-level protections and a failure message are built
-    pair by pair.
+    each is computed once per class and weighed by the class's size.  The
+    ledger keeps the classes too: for each n, the range of masks the stage
+    protects and one protection per subset sum (``ProtectedRange``).  No
+    pair is written; only a failure message is looked up pair by pair.
     """
     if not x.is_nonneg or not b.is_nonneg:
         raise ValueError("both sequences must be non-negative")
@@ -461,16 +568,19 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
         last = ledger.last_positive_stage
         done = 1 << ledger.block_start[last] if last is not None else 0
         counts = {}
-        case2: list[tuple[int, int]] = []
-        case3: list[tuple[int, int]] = []
         waiting: list[tuple[int, int, int]] = []   # (sum, n, pairs) on b_n
         halves: dict[int, Fraction] = {}
+        ranges: list[tuple[int, int, dict[int, Fraction], list[int]]] = []
         for n in range(s + 1):
             lo = done if last is not None and n <= last else 0
             if lo not in counts:
-                counts[lo] = Counter(sums[lo:])
+                # the masks below lo are the few the last positive stage saw
+                if 0 not in counts:
+                    counts[0] = Counter(sums)
+                counts[lo] = counts[0] - Counter(sums[:lo])
             bn = st.b[n]
-            half_gap: dict[int, Fraction] = {}   # subset sum -> protection
+            by_gap: dict[int, Fraction] = {}   # subset sum -> protection
+            on_target: list[int] = []
             for v, c in counts[lo].items():
                 gap = abs(abs(total - v) - bn)
                 if gap:
@@ -478,22 +588,11 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
                     classes[(v, n, r)] += c
                     if r not in halves:
                         halves[r] = Fraction(r, scale)
-                    half_gap[v] = halves[r]
+                    by_gap[v] = halves[r]
                 else:
                     waiting.append((v, n, c))
-            keys = list(zip(range(lo, len(sums)), itertools.repeat(n)))
-            if len(half_gap) == len(counts[lo]):
-                ledger.protections.update(
-                    zip(keys, map(half_gap.__getitem__, sums[lo:])))
-                case2 += keys
-                continue
-            for key in keys:
-                r = half_gap.get(sums[key[0]])
-                if r is None:
-                    case3.append(key)
-                else:
-                    ledger.protections[key] = r
-                    case2.append(key)
+                    on_target.append(v)
+            ranges.append((n, lo, by_gap, on_target))
 
         # worst clearance floor over everything protected so far
         t: Optional[Fraction] = None
@@ -507,16 +606,19 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
             k += 1 - k % 2
         else:
             k = 1
+        if k > BLOCK_CAP:
+            raise Exhausted(f"stage {s}: a block of {k} entries exceeds the "
+                            "configured cap", "state", entries=k)
         piece = xs / k
-        block = tuple(piece if j % 2 == 0 else -piece for j in range(k))
+        block = (piece, -piece) * (k // 2) + (piece,)
 
         half_piece = piece / 2
-        for key in case3:
-            ledger.protections[key] = half_piece
-
         ledger.stages.append(StageRecord(
             stage=s, x=xs, positive=True, k=k, y=block, t=t,
-            case2=tuple(case2), case3=tuple(case3)))
+            entries=tuple(ledger.flat), scale=scale,
+            ranges=tuple(ProtectedRange(n, lo, 1 << width, by_gap,
+                                        dict.fromkeys(on_target, half_piece))
+                         for n, lo, by_gap, on_target in ranges)))
         ledger.block_start.append(len(ledger.flat))
         ledger.flat.extend(block)
         ledger.last_positive_stage = s
@@ -525,7 +627,7 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
         held = st.held(piece)
         for v, n, c in waiting:
             st.classes[(v * grow, n, held // 2)] += c
-        st.flat += [held if j % 2 == 0 else -held for j in range(k)]
+        st.flat += [held, -held] * (k // 2) + [held]
         st.total += held
 
         # stage-end invariant: strict clearance for every protected pair
@@ -541,16 +643,29 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
 
 
 def _raise_first_violation(ledger: SplitterLedger, st: _ScaledState, s: int):
-    """Scan the protected pairs in ledger order and raise on the first one
-    that fails the stage-end invariant."""
-    sums = st.table(ledger.block_start[-1])
-    for (mask, n), r in ledger.protections.items():
-        clear = abs(abs(st.total - sums[mask]) - st.b[n])
-        if not clear > st.held(r):
-            raise ClearanceViolation(
-                ledger,
-                f"stage {s}: pair (A={_mask_indices(mask)}, n={n}) has "
-                f"clearance {Fraction(clear, st.scale)} <= protection {r}")
+    """Raise on the first protected pair, in ledger order, that fails the
+    stage-end invariant.  Protections are checked once per class, and the
+    masks are scanned in order only inside a range with a failing class."""
+    for rec in ledger.stages:
+        if not rec.ranges:
+            continue
+        sums = st.table(len(rec.entries))
+        grow = st.scale // rec.scale
+        for case in ("by_gap", "on_target"):
+            for g in rec.ranges:
+                failing = {}
+                for v, r in getattr(g, case).items():
+                    clear = abs(abs(st.total - v * grow) - st.b[g.n])
+                    if not clear > st.held(r):
+                        failing[v * grow] = (r, clear)
+                if not failing:
+                    continue
+                mask = next(m for m in range(g.lo, g.hi) if sums[m] in failing)
+                r, clear = failing[sums[mask]]
+                raise ClearanceViolation(
+                    ledger,
+                    f"stage {s}: pair (A={_mask_indices(mask)}, n={g.n}) has "
+                    f"clearance {Fraction(clear, st.scale)} <= protection {r}")
     raise AssertionError("a protection class failed but no pair does")
 
 
@@ -569,19 +684,29 @@ class ClearanceReport:
 
 def verify_clearances(ledger: SplitterLedger,
                       extra_tail_bound: Optional[Fraction] = None) -> ClearanceReport:
-    """Recompute every protected pair's clearance from the raw entries.
+    """Recheck every protected pair's clearance from the raw entries.
 
     Ignores all cached sums.  With a declared bound on the absolute sum of
     the not-yet-split remainder, pairs whose clearance exceeds the bound
     are additionally certified to keep the limit inequality.
 
-    The recomputation scales the entries, the targets and the bound to
-    one common denominator and builds its own subset-sum table; it shares
-    no state or code with ``protected_split``.
+    The check scales the entries, the targets and the bound to one common
+    denominator and builds its own subset-sum table; it shares no state or
+    code with ``protected_split``.  A pair's clearance depends only on its
+    subset sum and n, so for each protected range it counts the sums of
+    the range's masks and checks each class once.  Only in a range with a
+    failing class are the masks scanned, in order, to name the failing
+    pairs.
+
+    The ledger finds a pair's protection by the subset sum of the entries
+    its stage classified (``StageRecord.entries``).  When ``ledger.flat``
+    no longer agrees with those, a class is a (protection sum, clearance
+    sum) pair and both tables are built.
     """
-    protections = ledger.protections
-    targets = {n: ledger.b.value_at(n) for n in {n for _, n in protections}}
-    rationals = [*ledger.flat, *targets.values()]
+    ranges = [(rec, g) for rec in ledger.stages for g in rec.ranges]
+    keyed = max((rec.entries for rec in ledger.stages), key=len, default=())
+    targets = {g.n: ledger.b.value_at(g.n) for _, g in ranges}
+    rationals = [*ledger.flat, *keyed, *targets.values()]
     if extra_tail_bound is not None:
         rationals.append(extra_tail_bound)
     scale = math.lcm(*(q.denominator for q in rationals))
@@ -589,32 +714,60 @@ def verify_clearances(ledger: SplitterLedger,
     def held(q: Fraction) -> int:
         return q.numerator * (scale // q.denominator)
 
+    def subset_sums(values: list[int]) -> list[int]:
+        out = [0]
+        for v in values:
+            out += [u + v for u in out]
+        return out
+
     entries = [held(v) for v in ledger.flat]
     total = sum(entries)
     b_held = {n: held(bn) for n, bn in targets.items()}
-    width = max((mask for mask, _ in protections), default=0).bit_length()
-    sums = [0]
-    for v in entries[:width]:
-        sums += [u + v for u in sums]
+    width = len(keyed)
+    sums = subset_sums(entries[:width])
+    keys = [held(v) for v in keyed]
+    keys = sums if keys == entries[:width] else subset_sums(keys)
 
-    failed: list[tuple[int, int]] = []
+    def below(hi: int) -> Counter:
+        """(protection sum, clearance sum) -> number of masks below hi."""
+        if keys is sums:
+            return Counter({(v, v): c for v, c in Counter(sums[:hi]).items()})
+        return Counter(zip(keys[:hi], sums[:hi]))
+
+    counted: dict[tuple[int, int], Counter] = {}
+    failed: list[tuple[int, int, Fraction, int]] = []
     certified = 0
+    pairs = 0
     bound = held(extra_tail_bound) if extra_tail_bound is not None else None
-    for (mask, n), r in protections.items():
-        clear = abs(abs(total - sums[mask]) - b_held[n])
-        # clear / scale > r, cross-multiplied
-        if not clear * r.denominator > r.numerator * scale:
-            failed.append((mask, n))
-        if bound is not None and clear > bound:
-            certified += 1
-    failures = []
-    for mask, n in sorted(failed):
-        clear = abs(abs(total - sums[mask]) - b_held[n])
-        failures.append({"A": _mask_indices(mask), "n": n,
-                         "r": format_rational(protections[(mask, n)]),
-                         "clearance": format_rational(Fraction(clear, scale))})
-    return ClearanceReport(not failures, len(protections), certified,
-                           tuple(failures))
+    for rec, g in ranges:
+        pairs += g.hi - g.lo
+        if (g.lo, g.hi) not in counted:
+            if (0, g.hi) not in counted:
+                counted[(0, g.hi)] = below(g.hi)
+            counted[(g.lo, g.hi)] = counted[(0, g.hi)] - below(g.lo)
+        # the ranges hold their sums over the stage's scale; the sums' own
+        # denominators divide this scale as well
+        protection = {v * scale // rec.scale: r for table in (g.by_gap, g.on_target)
+                      for v, r in table.items()}
+        bad: dict[tuple[int, int], tuple[Fraction, int]] = {}
+        for cls, c in counted[(g.lo, g.hi)].items():
+            key, v = cls
+            r = protection[key]
+            clear = abs(abs(total - v) - b_held[g.n])
+            # clear / scale > r, cross-multiplied
+            if not clear * r.denominator > r.numerator * scale:
+                bad[cls] = (r, clear)
+            if bound is not None and clear > bound:
+                certified += c
+        if bad:
+            for mask in range(g.lo, g.hi):
+                if (keys[mask], sums[mask]) in bad:
+                    failed.append((mask, g.n, *bad[(keys[mask], sums[mask])]))
+    failures = tuple(
+        {"A": _mask_indices(mask), "n": n, "r": format_rational(r),
+         "clearance": format_rational(Fraction(clear, scale))}
+        for mask, n, r, clear in sorted(failed, key=lambda f: f[:2]))
+    return ClearanceReport(not failures, pairs, certified, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,15 @@ def _json_arg(text: str):
         return text  # shorthand strings pass through
 
 
+def _option(args, name: str) -> str:
+    """The text of an option the op needs; leaving it out is a validation
+    error."""
+    text = getattr(args, name)
+    if text is None:
+        raise k2.SpecError(f"{args.command} {args.op} needs --{name}")
+    return text
+
+
 # ---------------------------------------------------------------------------
 # k2
 # ---------------------------------------------------------------------------
@@ -89,11 +98,11 @@ def _cmd_k2(args) -> dict:
     if args.op == "decode":
         return {"result": {"seq": list(k2.decode_seq(args.code))}}
     if args.op == "bar":
-        f = k2.parse_oracle_spec(_json_arg(args.f))
+        f = k2.parse_oracle_spec(_json_arg(_option(args, "f")))
         return {"result": {"code": k2.bar(f, args.n)}}
     if args.op == "star":
-        f = k2.parse_oracle_spec(_json_arg(args.f))
-        g = k2.parse_oracle_spec(_json_arg(args.g))
+        f = k2.parse_oracle_spec(_json_arg(_option(args, "f")))
+        g = k2.parse_oracle_spec(_json_arg(_option(args, "g")))
         if args.track:
             f, mf = k2.with_usage_tracking(f)
             g, mg = k2.with_usage_tracking(g)
@@ -105,8 +114,8 @@ def _cmd_k2(args) -> dict:
             raise Exhaustion(doc)
         return doc
     if args.op == "bullet":
-        f = k2.parse_oracle_spec(_json_arg(args.f))
-        g = k2.parse_oracle_spec(_json_arg(args.g))
+        f = k2.parse_oracle_spec(_json_arg(_option(args, "f")))
+        g = k2.parse_oracle_spec(_json_arg(_option(args, "g")))
         r = k2.bullet(f, g).query(args.k, args.fuel)
         doc = {"result": r.to_json()}
         if not r.is_value:
@@ -122,21 +131,22 @@ def _cmd_k2(args) -> dict:
 
 def _cmd_reals(args) -> dict:
     if args.op == "approx":
-        x = reals.parse_real_spec(_json_arg(args.x))
+        x = reals.parse_real_spec(_json_arg(_option(args, "x")))
         q = x.approx(args.prec)
         return {"result": {"approx": reals.format_rational(q), "prec": args.prec}}
     if args.op == "from-rational":
-        x = reals.from_rational(reals.parse_rational(args.q))
+        x = reals.from_rational(reals.parse_rational(_option(args, "q")))
         return {"result": {"int": x.integer_part,
                            "digits": x.digit_prefix(args.prec),
                            "approx": reals.format_rational(x.approx(args.prec))}}
     if args.op == "compare":
-        x = reals.parse_real_spec(_json_arg(args.x))
-        verdict = reals.compare_prec(x, reals.parse_rational(args.q), args.prec)
+        x = reals.parse_real_spec(_json_arg(_option(args, "x")))
+        q = reals.parse_rational(_option(args, "q"))
+        verdict = reals.compare_prec(x, q, args.prec)
         return {"result": {"comparison": verdict.value}}
     if args.op == "max":
-        x = reals.parse_real_spec(_json_arg(args.x))
-        y = reals.parse_real_spec(_json_arg(args.y))
+        x = reals.parse_real_spec(_json_arg(_option(args, "x")))
+        y = reals.parse_real_spec(_json_arg(_option(args, "y")))
         m = reals.max_star(x, y)
         return {"result": {"approx": reals.format_rational(m.approx(args.prec)),
                            "digits": m.digit_prefix(args.prec)}}
@@ -151,12 +161,12 @@ def _cmd_reals(args) -> dict:
 def _cmd_spaces(args) -> dict:
     space = naming.parse_space_spec(_json_arg(args.space))
     if args.op == "check":
-        f = k2.parse_oracle_spec(_json_arg(args.name))
+        f = k2.parse_oracle_spec(_json_arg(_option(args, "name")))
         ok = space.contains_name(f, args.horizon)
         return {"result": {"in_domain": ok}}
     if args.op == "dist":
-        f = k2.parse_oracle_spec(_json_arg(args.f))
-        g = k2.parse_oracle_spec(_json_arg(args.g))
+        f = k2.parse_oracle_spec(_json_arg(_option(args, "f")))
+        g = k2.parse_oracle_spec(_json_arg(_option(args, "g")))
         exact = space.dist(space.point_of(f), space.point_of(g))
         stream = space.dist_hat(f, g).approx(args.prec)
         return {"result": {"dist": reals.format_rational(exact),
@@ -188,7 +198,7 @@ def _cmd_antispecker(args) -> dict:
     space = naming.parse_space_spec(_json_arg(args.space))
     pointed = naming.star_extension(space)
     if args.op == "covers":
-        theta = aspk.parse_theta(_json_arg(args.theta))
+        theta = aspk.parse_theta(_json_arg(_option(args, "theta")))
         report = aspk.covers(theta, space, args.depth)
         return {"result": report.to_json()}
     if args.op == "demo":
@@ -270,11 +280,11 @@ def _cmd_pc(args) -> dict:
 
 def _cmd_bdn(args) -> dict:
     if args.op == "extract":
-        g = k2.parse_oracle_spec(_json_arg(args.g))
-        h = k2.parse_oracle_spec(_json_arg(args.h))
+        g = k2.parse_oracle_spec(_json_arg(_option(args, "g")))
+        h = k2.parse_oracle_spec(_json_arg(_option(args, "h")))
         return {"result": {"bound": bdn.extract_bound(g, h, args.fuel)}}
     if args.op == "adversary":
-        alpha = k2.parse_oracle_spec(_json_arg(args.alpha))
+        alpha = k2.parse_oracle_spec(_json_arg(_option(args, "alpha")))
         report = bdn.adversary_refute(alpha, args.fuel)
         doc = {"result": report.to_json()}
         if report.verdict == "inconclusive":
@@ -291,6 +301,8 @@ def _cmd_bdn(args) -> dict:
 def _cmd_selftest(args) -> dict:
     from . import acceptance
     results = acceptance.run_all(only=args.only)
+    if not results:
+        raise k2.SpecError(f"no acceptance criterion matches {args.only!r}")
     for r in results:
         status = "pass" if r.passed else "FAIL"
         sys.stderr.write(f"[{status}] {r.name} ({r.seconds:.2f}s) {r.detail}\n")

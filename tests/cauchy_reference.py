@@ -10,24 +10,79 @@ width, or ``budget``) with the messages of the deleted
 ``StageBudgetExceeded`` and ``SearchBudgetExceeded``, and ``subset_sum``,
 a ``SplitterLedger`` method before it left the program and is now called
 as a function.
+
+The reference splitter writes its ledger pair by pair, into
+``PairLedger`` and ``PairStage``: the mask-level ledger and stage record
+``baire.cauchy`` had before it stored protections by class, kept here as
+containers (fields and ``to_json``) for the reference alone.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from baire.cauchy import (ClearanceReport, ClearanceViolation, Modulus,
-                          PermutationSpec, RationalSeq, SplitSeries,
-                          SplitterLedger, StageRecord, TailCertificate,
-                          WindowWitness, _mask_indices,
+from baire.cauchy import (PROTECTION_CAP, ClearanceReport, ClearanceViolation,
+                          Modulus, PermutationSpec, RationalSeq, SplitSeries,
+                          TailCertificate, WindowWitness, _mask_indices,
                           _permutation_cover_index)
 from baire.k2 import Exhausted
 from baire.reals import format_rational
 
 
-def subset_sum(ledger: SplitterLedger, mask: int) -> Fraction:
+@dataclass
+class PairStage:
+    stage: int
+    x: Fraction
+    positive: bool
+    k: int
+    y: tuple[Fraction, ...]
+    t: Optional[Fraction]          # None encodes "no protected pair yet"
+    case2: tuple[tuple[int, int], ...] = ()   # (mask, n) protected at this stage
+    case3: tuple[tuple[int, int], ...] = ()
+    checked: int = 0               # clearance checks performed at stage end
+
+    def to_json(self) -> dict:
+        return {
+            "stage": self.stage,
+            "x": format_rational(self.x),
+            "positive": self.positive,
+            "k": self.k,
+            "y": [format_rational(v) for v in self.y],
+            "t": format_rational(self.t) if self.t is not None else "inf",
+            "case2": [[m, n] for m, n in self.case2],
+            "case3": [[m, n] for m, n in self.case3],
+            "clearances_checked": self.checked,
+        }
+
+
+@dataclass
+class PairLedger:
+    x: RationalSeq
+    b: RationalSeq
+    stages: list[PairStage] = field(default_factory=list)
+    flat: list[Fraction] = field(default_factory=list)
+    block_start: list[int] = field(default_factory=list)
+    protections: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    last_positive_stage: Optional[int] = None
+
+    def to_json(self) -> dict:
+        prot = sorted(self.protections.items())
+        doc = {
+            "stages": [s.to_json() for s in self.stages],
+            "flat": [format_rational(v) for v in self.flat],
+            "protection_count": len(prot),
+        }
+        if len(prot) <= PROTECTION_CAP:
+            doc["protections"] = [
+                {"A": _mask_indices(mask), "n": n, "r": format_rational(r)}
+                for (mask, n), r in prot]
+        return doc
+
+
+def subset_sum(ledger, mask: int) -> Fraction:
     total = Fraction(0)
     idx = 0
     while mask:
@@ -39,15 +94,15 @@ def subset_sum(ledger: SplitterLedger, mask: int) -> Fraction:
 
 
 def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
-                    max_state_bits: int = 22) -> SplitterLedger:
+                    max_state_bits: int = 22) -> PairLedger:
     if not x.is_nonneg or not b.is_nonneg:
         raise ValueError("both sequences must be non-negative")
-    ledger = SplitterLedger(x=x, b=b)
+    ledger = PairLedger(x=x, b=b)
 
     for s in range(stages):
         xs = x.value_at(s)
         if xs == 0:
-            ledger.stages.append(StageRecord(
+            ledger.stages.append(PairStage(
                 stage=s, x=xs, positive=False, k=1, y=(Fraction(0),), t=None))
             ledger.block_start.append(len(ledger.flat))
             ledger.flat.append(Fraction(0))
@@ -104,7 +159,7 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
         for key in case3:
             ledger.protections[key] = piece / 2
 
-        ledger.stages.append(StageRecord(
+        ledger.stages.append(PairStage(
             stage=s, x=xs, positive=True, k=k, y=block, t=t,
             case2=tuple(case2), case3=tuple(case3)))
         ledger.block_start.append(len(ledger.flat))
@@ -127,7 +182,7 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
     return ledger
 
 
-def verify_clearances(ledger: SplitterLedger,
+def verify_clearances(ledger,
                       extra_tail_bound: Optional[Fraction] = None) -> ClearanceReport:
     failures: list[dict] = []
     certified = 0

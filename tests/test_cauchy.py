@@ -185,6 +185,18 @@ def test_state_cap_aborts_cleanly():
     assert e.value.reason == "state"
 
 
+def test_block_cap_refuses_before_building(monkeypatch):
+    # the hand trace against ones builds a block of 5 entries
+    monkeypatch.setattr(cauchy, "BLOCK_CAP", 5)
+    assert protected_split(mk([1]), mk([], "constant", 1), 1).stages[0].k == 5
+    monkeypatch.setattr(cauchy, "BLOCK_CAP", 4)
+    with pytest.raises(k2.Exhausted) as e:
+        protected_split(mk([1]), mk([], "constant", 1), 1)
+    assert e.value.to_json() == {
+        "error": "stage 0: a block of 5 entries exceeds the configured cap",
+        "reason": "state", "entries": 5}
+
+
 def test_ledger_json_shape():
     ledger = protected_split(mk([1]), dyadic_targets(), 2)
     doc = ledger.to_json()

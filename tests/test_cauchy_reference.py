@@ -57,15 +57,29 @@ def _template(width, idx, c=Q(1)):
     return mk([Q(v) * c for v in xs]), _targets(tail, c), len(xs)
 
 
+def _fields(rec):
+    return (rec.stage, rec.x, rec.positive, rec.k, rec.y, rec.t, rec.checked)
+
+
 def assert_same_ledger(got, want):
+    """A class-stored ledger against a reference pair ledger: every field,
+    the pairs its views expand to, in order, and its document."""
     assert got.x == want.x and got.b == want.b
     assert len(got.stages) == len(want.stages)
     for g, w in zip(got.stages, want.stages):
-        assert g == w, (g.stage, w.stage)
+        assert _fields(g) == _fields(w), (g.stage, w.stage)
+        assert g.case2 == w.case2 and g.case3 == w.case3, g.stage
     assert got.flat == want.flat
     assert got.block_start == want.block_start
+    assert len(got.protections) == len(want.protections)
     assert list(got.protections.items()) == list(want.protections.items())
+    # single lookups read the ranges without expanding them
+    keys = list(want.protections)
+    for key in keys[::max(1, len(keys) // 64)]:
+        assert got.protections[key] == want.protections[key]
+    assert (1 << len(got.flat), 0) not in got.protections
     assert got.last_positive_stage == want.last_positive_stage
+    assert got.to_json() == want.to_json()
 
 
 def _outcome(fn, *args, **kwargs):
@@ -108,9 +122,9 @@ def _scaled_ledger(ledger, x, b, c):
     """The ledger of the same split with x and b scaled by c > 0: the
     construction is homogeneous, so every entry, floor and protection
     scales by c while k and each pair's case stay."""
-    out = cauchy.SplitterLedger(x=x, b=b)
+    out = ref.PairLedger(x=x, b=b)
     for rec in ledger.stages:
-        out.stages.append(cauchy.StageRecord(
+        out.stages.append(ref.PairStage(
             stage=rec.stage, x=rec.x * c, positive=rec.positive, k=rec.k,
             y=tuple(v * c for v in rec.y),
             t=rec.t * c if rec.t is not None else None,
@@ -135,6 +149,42 @@ def test_benchmark_templates_match_reference(width, idx, c):
     assert report.ok and report.limit_certified == report.pairs_checked
     if width == 8:
         assert_same_split(x, b, stages)
+
+
+def test_split_verify_and_window_search_never_expand_pairs(monkeypatch):
+    # a count, not a timing: every pair view goes through cauchy._expand
+    expanded = []
+
+    def refuse(rec):
+        expanded.append(rec.stage)
+        raise AssertionError(f"stage {rec.stage} expanded to pairs")
+
+    monkeypatch.setattr(cauchy, "_expand", refuse)
+    x, b, stages = _template(11, 0)
+    ledger = cauchy.protected_split(x, b, stages)
+    report = cauchy.verify_clearances(ledger, Q(0))
+    assert report.ok and report.pairs_checked == len(ledger.protections) == 8192
+    a = _increasing(tuple(str(v) for v in x.prefix))
+    z = cauchy.split_series_for(a)
+    f = cauchy.exact_modulus(a, len(x.prefix) + 4)
+    p = PermutationSpec.from_mapping({0: 5, 5: 0, 2: 9, 9: 2})
+    for n in range(5):
+        assert cauchy.settling_index(z, p, n, f) == ref.settling_index(z, p, n, f)
+    assert expanded == []
+    with pytest.raises(AssertionError):
+        list(ledger.protections.items())
+    assert expanded == [0]
+
+
+def test_width_14_split_verifies_like_the_reference():
+    # 49,152 pairs at the last stage: the class check against the pair
+    # scan of the reference, on the ledger's expanded pairs
+    x, b = mk([Q(1, 2), Q(1, 16), Q(1, 64)]), mk([], "constant", Q(1, 3))
+    ledger = cauchy.protected_split(x, b, 3)
+    assert len(ledger.stages[-1].entries) == 14
+    report = cauchy.verify_clearances(ledger, Q(0))
+    assert report == ref.verify_clearances(ledger, Q(0))
+    assert report.ok and report.pairs_checked == len(ledger.protections) == 49152
 
 
 # --- hand traces ---------------------------------------------------------------------
@@ -163,25 +213,69 @@ def test_state_cap_matches_reference():
         assert_same_split(x, cauchy.dyadic_targets(), 4, max_state_bits=bits)
 
 
+def _classes(ledger):
+    """Every protection class of a class-stored ledger, in ledger order:
+    (the stage, its range, the range's table for the case, the subset sum
+    held over the stage's scale)."""
+    return [(rec, g, table, v) for rec in ledger.stages
+            for case in ("by_gap", "on_target") for g in rec.ranges
+            for table in [getattr(g, case)] for v in table]
+
+
+def _corrupt(slow, rec, g, table, v, r):
+    """Give one class of a class-stored ledger the protection r, and give
+    the reference ledger the same corruption, expanded to the class's pairs
+    (the masks of its range whose subset sum is v)."""
+    table[v] = r
+    for mask in range(g.lo, g.hi):
+        if ref.subset_sum(slow, mask) == Q(v, rec.scale):
+            slow.protections[(mask, g.n)] = r
+
+
+def _first_failing_pair(slow, s):
+    """The reference's stage-end message for the first protected pair, in
+    ledger order, that does not clear its protection."""
+    total = sum(slow.flat)
+    for (mask, n), r in slow.protections.items():
+        clear = abs(abs(total - ref.subset_sum(slow, mask)) - slow.b.value_at(n))
+        if not clear > r:
+            return (f"stage {s}: pair (A={cauchy._mask_indices(mask)}, n={n}) "
+                    f"has clearance {clear} <= protection {r}")
+    return None
+
+
 def test_stage_end_fallback_names_the_first_failing_pair():
     # valid inputs cannot fail the stage-end check (the floor keeps every
     # piece below a quarter of each positive target), so feed the pair
-    # scan a corrupted ledger directly
-    ledger = cauchy.protected_split(mk([1, 0, Q(1, 16)]), cauchy.dyadic_targets(), 3)
-    keys = list(ledger.protections)
-    ledger.protections[keys[7]] = ledger.protections[keys[9]] = Q(3)
-    state = cauchy._ScaledState()
-    for v in [*ledger.flat, Q(1), Q(1, 2), Q(1, 4)]:
-        state.admit(v)
-    state.flat = [state.held(v) for v in ledger.flat]
-    state.total = sum(state.flat)
-    state.b = [state.held(Q(1, 2 ** n)) for n in range(3)]
-    mask, n = keys[7]
-    clear = abs(abs(sum(ledger.flat) - ref.subset_sum(ledger, mask)) - Q(1, 2 ** n))
-    with pytest.raises(cauchy.ClearanceViolation) as e:
-        cauchy._raise_first_violation(ledger, state, 2)
-    assert str(e.value) == (f"stage 2: pair (A={cauchy._mask_indices(mask)}, n={n}) "
-                            f"has clearance {clear} <= protection 3")
+    # scan a corrupted ledger directly.  The ledger keeps one protection
+    # per class, so a corruption reaches every pair of its class.  The
+    # template has classes on their target (case 3), the other input none
+    for x, b, stages in [(mk([1, 0, Q(1, 16)]), cauchy.dyadic_targets(), 3),
+                         _template(8, 3)]:
+        classes = _classes(cauchy.protected_split(x, b, stages))
+        # the last stage's last case-2 class comes before all its case-3
+        # pairs in ledger order, whatever their masks
+        last_gap = max(i for i, (rec, g, table, _) in enumerate(classes)
+                       if table is g.by_gap)
+        for picks in [(-1,), (-1, 1), (2, 3), (len(classes) // 2, 0),
+                      (-1, last_gap)]:
+            fast = cauchy.protected_split(x, b, stages)
+            slow = ref.protected_split(x, b, stages)
+            found = _classes(fast)
+            for i in picks:
+                _corrupt(slow, *found[i], Q(3))
+            assert list(fast.protections.items()) == list(slow.protections.items())
+            targets = [b.value_at(n) for n in range(stages)]
+            state = cauchy._ScaledState()
+            for v in [*fast.flat, *targets]:
+                state.admit(v)
+            state.flat = [state.held(v) for v in fast.flat]
+            state.total = sum(state.flat)
+            state.b = [state.held(v) for v in targets]
+            with pytest.raises(cauchy.ClearanceViolation) as e:
+                cauchy._raise_first_violation(fast, state, stages - 1)
+            want = _first_failing_pair(slow, stages - 1)
+            assert want is not None and str(e.value) == want
 
 
 # --- random inputs ---------------------------------------------------------------------
@@ -213,19 +307,23 @@ def test_corrupted_protection_is_reported_alike():
     x, b, stages = _template(8, 3)
     fast = cauchy.protected_split(x, b, stages)
     slow = ref.protected_split(x, b, stages)
-    keys = list(fast.protections)
+    classes = _classes(fast)
     rng = random.Random(17)
-    for key in [keys[0], keys[-1], *rng.sample(keys, 3)]:
-        kept = fast.protections[key]
+    for rec, g, table, v in [classes[0], classes[-1], *rng.sample(classes, 3)]:
+        kept = table[v]
         for bad in (Q(5), Q(-1), Q(1, 3)):
-            fast.protections[key] = slow.protections[key] = bad
+            _corrupt(slow, rec, g, table, v, bad)
+            assert list(fast.protections.items()) == list(slow.protections.items())
             for bound in (None, Q(1, 7)):
                 assert cauchy.verify_clearances(fast, bound) == \
                     ref.verify_clearances(slow, bound)
-        fast.protections[key] = slow.protections[key] = kept
-    fast.protections[keys[3]] = fast.protections[keys[5]] = Q(9)
+        _corrupt(slow, rec, g, table, v, kept)
+    for cls in (classes[3], classes[5]):
+        _corrupt(slow, *cls, Q(9))
     report = cauchy.verify_clearances(fast, Q(0))
-    assert not report.ok and len(report.failures) == 2
+    assert report == ref.verify_clearances(slow, Q(0))
+    assert not report.ok and len(report.failures) == sum(
+        1 for r in slow.protections.values() if r == 9)
 
 
 def test_tampered_entry_is_reported_alike():

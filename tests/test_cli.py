@@ -323,3 +323,46 @@ def test_negative_exponents_and_zero_denominators_are_exit_two(capsys, argv):
     code, doc, err = run_cli(capsys, *argv)
     assert code == 2 and doc is None
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_selftest_with_no_matching_criterion_is_exit_two(capsys):
+    code, doc, err = run_cli(capsys, "selftest", "--only", "nosuch")
+    assert code == 2 and doc is None
+    assert err == "error: no acceptance criterion matches 'nosuch'\n"
+
+
+CANTOR = '{"kind":"cantor"}'
+# each op with every option it needs and no other
+NEEDED_OPTIONS = [
+    ["k2", "bar", "--f", "const:1", "--n", "2"],
+    ["k2", "star", "--f", "const:0", "--g", "const:0", "--fuel", "10"],
+    ["k2", "bullet", "--f", "const:0", "--g", "const:1", "--k", "2"],
+    ["reals", "approx", "--x", '{"rational":"1/3"}'],
+    ["reals", "from-rational", "--q", "1/3"],
+    ["reals", "compare", "--x", '{"rational":"1/3"}', "--q", "1/2"],
+    ["reals", "max", "--x", '{"rational":"0"}', "--y", '{"rational":"1"}'],
+    ["spaces", "check", "--space", CANTOR, "--name", "const:1"],
+    ["spaces", "dist", "--space", CANTOR,
+     "--f", '{"table":[[0,1]],"tail":{"kind":"constant","value":2}}', "--g", "const:1"],
+    ["antispecker", "covers", "--space", CANTOR,
+     "--theta", '[{"sigma":[[0,1]],"n":1}]'],
+    ["bdn", "extract", "--g", "const:0", "--h", "const:0", "--fuel", "5"],
+    ["bdn", "adversary", "--alpha", "const:3"],
+]
+OMITTED = [(argv[:i] + argv[i + 2:], argv[i])
+           for argv in NEEDED_OPTIONS for i in range(2, len(argv), 2)
+           if argv[i] not in ("--fuel", "--n", "--k", "--space")]
+
+
+@pytest.mark.parametrize("argv", NEEDED_OPTIONS, ids=" ".join)
+def test_an_op_with_its_needed_options_runs(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 3) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,flag", OMITTED,
+                         ids=[f"{a[0]} {a[1]} {flag}" for a, flag in OMITTED])
+def test_a_missing_needed_option_is_exit_two(capsys, argv, flag):
+    code, doc, err = run_cli(capsys, *argv)
+    assert code == 2 and doc is None
+    assert err == f"error: {argv[0]} {argv[1]} needs {flag}\n"

@@ -122,6 +122,14 @@ CASES = {
         "rpt", "decide",
         "--a", '{"prefix":["1"],"tail":{"kind":"constant","value":"1"}}',
         "--p", '{"table":[[0,3000],[3000,0]]}', "--n", "3", "--m", "10"],
+    # a last block of more than 2^20 entries is refused before it is built
+    "rpt-decide-block-past-cap": [
+        "rpt", "decide",
+        "--a", '{"prefix":["1/2","9/16"],"tail":{"kind":"constant","value":1000000}}',
+        "--p", "identity", "--n", "2", "--m", "1"],
+    "splitter-run-block-past-cap": [
+        "splitter", "run", "--x", '{"prefix":["1/3",1000000]}',
+        "--b", '{"tail":{"kind":"constant","value":"2"}}', "--stages", "2"],
     # usage tracking
     "k2-star-track": [
         "k2", "star",
