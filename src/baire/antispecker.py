@@ -161,6 +161,10 @@ class CoversReport:
         return out
 
 
+# covers refuses a resolution with more cells than this before scanning it
+COVER_CELL_CAP = 1 << 20
+
+
 def default_cover_depth(theta: Theta) -> int:
     return max(a.n for a in theta.atoms) + 1
 
@@ -172,10 +176,15 @@ def covers(theta: Theta, space: Space,
     Exhausts the space at the given resolution; sound and complete once
     depth exceeds every atom's radius exponent (the default).  A cell that
     is neither inside some atom nor excluded from all raises
-    ``k2.Exhausted`` with reason ``depth``.
+    ``k2.Exhausted`` with reason ``depth``, and so does a depth with more
+    than ``COVER_CELL_CAP`` cells, before any cell is scanned.
     """
     if depth is None:
         depth = default_cover_depth(theta)
+    if space.cell_count(depth, COVER_CELL_CAP) > COVER_CELL_CAP:
+        raise k2.Exhausted(
+            f"more than {COVER_CELL_CAP} cells at depth {depth}", "depth",
+            depth=depth)
     # an atom no name extends contains no cell, so it can neither hit a
     # cell nor leave one undecided
     constraints = [pairs for pairs in (_atom_constraints(space, atom)

@@ -3,10 +3,11 @@
 One command, one JSON result document on stdout.  Exit codes: 0 success,
 2 validation errors, 3 a bounded search that stopped.  A ``k2.Exhausted``
 prints as {"error", "reason", ...}: ``fuel`` (bdn extract), ``depth``
-(antispecker covers, over-long codes), ``state`` (splitter, rpt) or
-``budget`` (rpt); the star, bullet, demo and adversary documents print
-as they are, with no reason.  Result documents are byte-identical across
-identical invocations; diagnostics go to stderr.
+(antispecker covers, over-long codes and rationals), ``state``
+(splitter, rpt) or ``budget`` (rpt); the star, bullet, demo and
+adversary documents print as they are, with no reason.  Result
+documents are byte-identical across identical invocations; diagnostics
+go to stderr.
 """
 
 from __future__ import annotations
@@ -35,20 +36,23 @@ class Exhaustion(Exception):
 
 
 def _emit(doc: dict, status: int) -> int:
-    """Print one result document and return the exit status.  A document
-    holding an int with more decimal digits than Python will convert to a
-    string (a long sequence code) is refused instead, with exit 3."""
+    """Print one result document and return the exit status.  Rationals
+    print as "n/d" text.  A document holding an int, or a rational with a
+    numerator or denominator, of more decimal digits than Python will
+    convert to a string (a long sequence code, a fine approximation) is
+    refused instead, with exit 3."""
     doc = {"schema_version": SCHEMA_VERSION, **doc}
     try:
-        text = json.dumps(doc, indent=2)
+        text = json.dumps(doc, indent=2, default=_rational_text)
     except ValueError:
         # interpreters older than the digit limit (before 3.10.7) have none
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        code = _first_int_past(doc, 10 ** limit) if limit else None
-        if code is None:
+        found = _first_int_past(doc, 10 ** limit) if limit else None
+        if found is None:
             raise
-        refusal = k2.Exhausted(f"code has more than {limit} decimal digits",
-                               "depth", code_bits=code.bit_length())
+        what, value = found
+        refusal = k2.Exhausted(f"{what} has more than {limit} decimal digits",
+                               "depth", **{f"{what}_bits": value.bit_length()})
         text = json.dumps({"schema_version": SCHEMA_VERSION,
                            "result": refusal.to_json()}, indent=2)
         status = EXIT_EXHAUSTED
@@ -56,9 +60,22 @@ def _emit(doc: dict, status: int) -> int:
     return status
 
 
+def _rational_text(value) -> str:
+    if isinstance(value, Fraction):
+        return reals.format_rational(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _first_int_past(doc, bound: int):
     """The first int in the document, in printing order, of absolute value
-    at least ``bound``; None if there is none."""
+    at least ``bound``, with what it is: a ``code``, or the ``numerator``
+    or ``denominator`` of a rational; None if there is none."""
+    if isinstance(doc, Fraction):
+        for what in ("numerator", "denominator"):
+            part = getattr(doc, what)
+            if abs(part) >= bound:
+                return what, part
+        return None
     if isinstance(doc, dict):
         doc = list(doc.values())
     if isinstance(doc, (list, tuple)):
@@ -67,7 +84,7 @@ def _first_int_past(doc, bound: int):
             if found is not None:
                 return found
         return None
-    return doc if isinstance(doc, int) and abs(doc) >= bound else None
+    return ("code", doc) if isinstance(doc, int) and abs(doc) >= bound else None
 
 
 def _json_arg(text: str):
@@ -132,13 +149,12 @@ def _cmd_k2(args) -> dict:
 def _cmd_reals(args) -> dict:
     if args.op == "approx":
         x = reals.parse_real_spec(_json_arg(_option(args, "x")))
-        q = x.approx(args.prec)
-        return {"result": {"approx": reals.format_rational(q), "prec": args.prec}}
+        return {"result": {"approx": x.approx(args.prec), "prec": args.prec}}
     if args.op == "from-rational":
         x = reals.from_rational(reals.parse_rational(_option(args, "q")))
         return {"result": {"int": x.integer_part,
                            "digits": x.digit_prefix(args.prec),
-                           "approx": reals.format_rational(x.approx(args.prec))}}
+                           "approx": x.approx(args.prec)}}
     if args.op == "compare":
         x = reals.parse_real_spec(_json_arg(_option(args, "x")))
         q = reals.parse_rational(_option(args, "q"))
@@ -148,7 +164,7 @@ def _cmd_reals(args) -> dict:
         x = reals.parse_real_spec(_json_arg(_option(args, "x")))
         y = reals.parse_real_spec(_json_arg(_option(args, "y")))
         m = reals.max_star(x, y)
-        return {"result": {"approx": reals.format_rational(m.approx(args.prec)),
+        return {"result": {"approx": m.approx(args.prec),
                            "digits": m.digit_prefix(args.prec)}}
     raise k2.SpecError(f"unknown reals op {args.op!r}")
 
@@ -169,8 +185,7 @@ def _cmd_spaces(args) -> dict:
         g = k2.parse_oracle_spec(_json_arg(_option(args, "g")))
         exact = space.dist(space.point_of(f), space.point_of(g))
         stream = space.dist_hat(f, g).approx(args.prec)
-        return {"result": {"dist": reals.format_rational(exact),
-                           "dist_stream_approx": reals.format_rational(stream)}}
+        return {"result": {"dist": exact, "dist_stream_approx": stream}}
     raise k2.SpecError(f"unknown spaces op {args.op!r}")
 
 

@@ -11,8 +11,12 @@ undefined is an exhausted ``PartialResult`` here, never nontermination,
 and a bounded search of a later layer that stops raises ``Exhausted``
 with its reason.  All arithmetic is exact (arbitrary-precision ints);
 each appended element squares a sequence code (its bit length doubles),
-so prefix scans must stay shallow (depth ~20 is the practical
-ceiling).  A pairing is one squaring of the sum of its arguments, and a
+so prefix scans must stay shallow: depth ~22 is the practical ceiling.
+``bar`` of the benchmark's stream lead values takes about 0.15 s at
+depth 22 (a 4.3-Mbit code) and 0.43 s at depth 23, against 0.24 s and
+0.75 s with CPython's own squaring (best of 3 on a 2-core host), and
+each further element about triples it.  A pairing is one squaring of
+the sum of its arguments, by ``_square`` (Toom-3 on long codes), and a
 scan that runs out of fuel still reads its argument at the last index
 but does not build the code of that prefix, which no query would read.
 """
@@ -55,9 +59,68 @@ class Exhausted(Exception):
 
 
 def cantor_pair(x: int, y: int) -> int:
-    # s * s rather than s * (s + 1): CPython squares faster than it multiplies
+    # a square rather than s * (s + 1): CPython squares faster than it
+    # multiplies, and _square beats its squaring on long codes
     s = x + y
-    return (s * s + s >> 1) + y
+    return (_square(s) + s >> 1) + y
+
+
+# Below this many bits _square is CPython's own (Karatsuba) squaring; from
+# here one Toom-3 level over builtin limb squares is faster on CPython 3.11
+# (measured by scripts/square_bench.py).
+_SQUARE_CUTOFF = 1 << 15
+
+
+def _square(a: int) -> int:
+    """a * a, by Toom-3 from ``_SQUARE_CUTOFF`` bits on.
+
+    |a| = a0 + a1 X + a2 X^2 with X = 2^k splits into three k-bit limbs,
+    the limb polynomial is squared at 0, 1, -1, -2 and infinity by
+    recursion, and the five coefficients of the square are interpolated
+    with Bodrato's sequence ("Towards optimal Toom-Cook multiplication",
+    WAIFI 2007): shifts, adds and one exact division by 3.  Each limb,
+    value and product is dropped as soon as it is used, and the result is
+    built one coefficient at a time, not as a sum of five shifted terms.
+    """
+    n = a.bit_length()
+    if n < _SQUARE_CUTOFF:
+        return a * a
+    if a < 0:
+        a = -a
+    k = (n + 2) // 3
+    mask = (1 << k) - 1
+    a0 = a & mask
+    a1 = (a >> k) & mask
+    a2 = a >> 2 * k
+    del a
+    t = a0 + a2
+    p1 = t + a1                   # the value at 1
+    pm1 = t - a1                  # at -1
+    del t, a1
+    pm2 = (pm1 + a2 << 1) - a0    # at -2
+    r1 = _square(p1)              # r(1)
+    del p1
+    r3 = (_square(pm2) - r1) // 3  # (r(-2) - r(1)) / 3
+    del pm2
+    r2 = _square(pm1)             # r(-1)
+    del pm1
+    r1 = r1 - r2 >> 1             # (r(1) - r(-1)) / 2
+    r0 = _square(a0)              # r(0)
+    del a0
+    r2 -= r0                      # r(-1) - r(0)
+    r4 = _square(a2)              # r(infinity)
+    del a2
+    r3 = (r2 - r3 >> 1) + (r4 << 1)
+    r2 += r1 - r4
+    r1 -= r3
+    # r0 + r1 X + r2 X^2 + r3 X^3 + r4 X^4, highest coefficient first
+    r4 = (r4 << k) + r3
+    del r3
+    r4 = (r4 << k) + r2
+    del r2
+    r4 = (r4 << k) + r1
+    del r1
+    return (r4 << k) + r0
 
 
 def cantor_unpair(z: int) -> tuple[int, int]:

@@ -86,6 +86,10 @@ class Space:
         """Finite partition descriptors at the given resolution."""
         raise NotImplementedError
 
+    def cell_count(self, depth: int, cap: int) -> int:
+        """The number of ``cells(depth)``, or cap + 1 if there are more."""
+        raise NotImplementedError
+
     def cell_value_at(self, cell, i: int) -> Optional[int]:
         """Name value at index i forced by the cell, None when unconstrained."""
         raise NotImplementedError
@@ -144,6 +148,9 @@ class CantorSpace(Space):
     def cells(self, depth: int):
         return itertools.product((0, 1), repeat=depth)
 
+    def cell_count(self, depth: int, cap: int) -> int:
+        return min(1 << min(depth, cap.bit_length()), cap + 1)
+
     def cell_value_at(self, cell, i: int) -> Optional[int]:
         return self._encode(cell[i]) if i < len(cell) else None
 
@@ -194,6 +201,9 @@ class FiniteSpace(Space):
     def cells(self, depth: int):
         return range(1, self.n + 1)
 
+    def cell_count(self, depth: int, cap: int) -> int:
+        return min(self.n, cap + 1)
+
     def cell_value_at(self, cell, i: int) -> Optional[int]:
         return cell
 
@@ -237,6 +247,10 @@ class ProductSpace(Space):
 
     def cells(self, depth: int):
         return itertools.product(self.left.cells(depth), self.right.cells(depth))
+
+    def cell_count(self, depth: int, cap: int) -> int:
+        return min(self.left.cell_count(depth, cap)
+                   * self.right.cell_count(depth, cap), cap + 1)
 
     def cell_value_at(self, cell, i: int) -> Optional[int]:
         if i % 2 == 0:

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from baire import acceptance, cli, k2
+from baire import acceptance, cli, k2, naming
 
 
 def run_cli(capsys, *argv):
@@ -212,6 +213,59 @@ def test_emit_refuses_the_first_over_limit_int_anywhere(capsys):
         "error": "code has more than 4300 decimal digits", "reason": "depth",
         "code_bits": big.bit_length()}}
     assert cli._emit({"result": {"n": 10 ** 4299}}, 0) == 0
+
+
+REAL_OPS = [
+    ["reals", "approx", "--x", '{"rational":"1/3"}'],
+    ["reals", "from-rational", "--q", "1/3"],
+    ["reals", "max", "--x", '{"rational":"1/3"}', "--y", '{"rational":"2/7"}'],
+]
+
+
+@pytest.mark.parametrize("argv", REAL_OPS, ids=lambda a: a[1])
+def test_reals_past_the_digit_limit_are_refused(capsys, argv):
+    # 1/3 to 14290 binary digits has a numerator of 14289 bits, 4302
+    # decimal digits; to 14280 it has 4299 (below)
+    code, doc, _ = run_cli(capsys, *argv, "--prec", "14290")
+    assert code == 3
+    assert doc["result"] == {
+        "error": "numerator has more than 4300 decimal digits",
+        "reason": "depth", "numerator_bits": 14289}
+
+
+# max is left out for time: it prints the approximation approx prints
+@pytest.mark.parametrize("argv", REAL_OPS[:2], ids=lambda a: a[1])
+def test_reals_just_under_the_digit_limit_print(capsys, argv):
+    code, doc, _ = run_cli(capsys, *argv, "--prec", "14280")
+    assert code == 0
+    assert doc["result"]["approx"] == f"{(2 ** 14280 - 1) // 3}/{2 ** 14280}"
+
+
+def test_emit_prints_rationals_and_refuses_an_over_limit_denominator(capsys):
+    assert cli._emit({"result": [Fraction(-2, 6), Fraction(5)]}, 0) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == ["-1/3", "5"]
+    q = Fraction(1, 10 ** 4300)
+    assert cli._emit({"result": {"q": q}}, 0) == 3
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "error": "denominator has more than 4300 decimal digits",
+        "reason": "depth", "denominator_bits": q.denominator.bit_length()}
+
+
+def test_covers_past_the_cell_cap_is_refused_before_the_scan(capsys, monkeypatch):
+    def no_scan(self, depth):
+        raise AssertionError("cells scanned")
+
+    monkeypatch.setattr(naming.CantorSpace, "cells", no_scan)
+    code, doc, _ = run_cli(
+        capsys, "antispecker", "covers", "--space", '{"kind":"cantor"}',
+        "--theta", '[{"sigma":[[0,1]],"n":1000000},{"sigma":[[0,2]],"n":1}]')
+    assert code == 3
+    assert doc["result"] == {"error": "more than 1048576 cells at depth 1000001",
+                             "reason": "depth", "depth": 1000001}
+    code, doc, _ = run_cli(
+        capsys, "antispecker", "covers", "--space", '{"kind":"cantor"}',
+        "--theta", '[{"sigma":[[0,1]],"n":1}]', "--depth", "21")
+    assert code == 3 and doc["result"]["depth"] == 21
 
 
 MALFORMED_SPACES = [

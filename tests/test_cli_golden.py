@@ -96,6 +96,10 @@ CASES = {
     "antispecker-covers-undecided-depth": [
         "antispecker", "covers", "--space", '{"kind":"cantor"}',
         "--theta", '[{"sigma":[[0,1]],"n":3}]', "--depth", "0"],
+    # 2^1000001 cells at the default depth: refused before the scan
+    "antispecker-covers-past-cell-cap": [
+        "antispecker", "covers", "--space", '{"kind":"cantor"}',
+        "--theta", '[{"sigma":[[0,1]],"n":1000000},{"sigma":[[0,2]],"n":1}]'],
     "antispecker-probe-product": [
         "antispecker", "probe", "--space", PRODUCT, "--budget", "40"],
     # protected splitting: two templates of the split benchmark, one with
@@ -153,6 +157,9 @@ CASES = {
         "--prec", "300"],
     "reals-from-rational-negative-prec-200": [
         "reals", "from-rational", "--q=-37/11", "--prec", "200"],
+    # the numerator over 2^14290 passes Python's int-to-str digit limit
+    "reals-approx-past-digit-limit": [
+        "reals", "approx", "--x", '{"rational":"1/3"}', "--prec", "14290"],
     "spaces-dist-nested-product-prec-80": [
         "spaces", "dist", "--space", NESTED_PRODUCT,
         "--f", '{"table":[[10,1],[17,1]],"tail":{"kind":"constant","value":2}}',

@@ -193,3 +193,23 @@ SWAPPED = cantor_space(recode_swap=True)
 ], ids=lambda s: s.space_id)
 def test_space_to_json_round_trips_the_space_id(space):
     assert naming.parse_space_spec(space.to_json()).space_id == space.space_id
+
+
+
+@pytest.mark.parametrize("space", [
+    cantor_space(),
+    finite_space(5),
+    naming.parse_space_spec({"kind": "product", "left": {"kind": "cantor"},
+                             "right": {"kind": "finite", "n": 3}}),
+    naming.parse_space_spec({"kind": "product", "left": {"kind": "cantor"},
+                             "right": {"kind": "cantor"}}),
+], ids=["cantor", "finite", "cantor x finite", "cantor x cantor"])
+def test_cell_count_is_the_number_of_cells_up_to_the_cap(space):
+    for depth in range(6):
+        n = sum(1 for _ in space.cells(depth))
+        for cap in (0, 1, 3, 4, 5, 15, 16, 17, 100):
+            assert space.cell_count(depth, cap) == min(n, cap + 1)
+
+
+def test_cell_count_of_a_deep_resolution_stays_small():
+    assert cantor_space().cell_count(10 ** 9, 1 << 20) == (1 << 20) + 1
