@@ -8,6 +8,12 @@ prints as {"error", "reason", ...}: ``fuel`` (bdn extract), ``depth``
 adversary documents print as they are, with no reason.  Result
 documents are byte-identical across identical invocations; diagnostics
 go to stderr.
+
+Every command is one entry of ``COMMANDS``, keyed by (group, op): its run
+function and its options, each with a kind (the name of its parser in
+``KINDS``) and a default text or ``NEEDED``.  ``build_parser`` and ``run``
+both read the table, and every refused input exits 2 with an ``error: ``
+line: an unknown or missing option, a negative count, a malformed spec.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import antispecker as aspk
 from . import bdn, cauchy, k2, naming, reals
@@ -94,230 +101,158 @@ def _json_arg(text: str):
         return text  # shorthand strings pass through
 
 
-def _option(args, name: str) -> str:
-    """The text of an option the op needs; leaving it out is a validation
-    error."""
-    text = getattr(args, name)
-    if text is None:
-        raise k2.SpecError(f"{args.command} {args.op} needs --{name}")
-    return text
+def _natural(text: str) -> int:
+    """A count: fuel, a budget, a depth, an index, a precision."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise k2.SpecError(f"not a natural number: {text!r}")
+    return value
 
 
-# ---------------------------------------------------------------------------
-# k2
-# ---------------------------------------------------------------------------
-
-
-def _cmd_k2(args) -> dict:
-    if args.op == "encode":
-        values = [int(v) for v in args.seq.split(",")] if args.seq else []
-        return {"result": {"code": k2.encode_seq(values)}}
-    if args.op == "decode":
-        return {"result": {"seq": list(k2.decode_seq(args.code))}}
-    if args.op == "bar":
-        f = k2.parse_oracle_spec(_json_arg(_option(args, "f")))
-        return {"result": {"code": k2.bar(f, args.n)}}
-    if args.op == "star":
-        f = k2.parse_oracle_spec(_json_arg(_option(args, "f")))
-        g = k2.parse_oracle_spec(_json_arg(_option(args, "g")))
-        if args.track:
-            f, mf = k2.with_usage_tracking(f)
-            g, mg = k2.with_usage_tracking(g)
-        r = k2.star(f, g, args.fuel)
-        doc = {"result": r.to_json()}
-        if args.track:
-            doc["usage"] = {"f_max": mf.max_index, "g_max": mg.max_index}
-        if not r.is_value:
-            raise Exhaustion(doc)
-        return doc
-    if args.op == "bullet":
-        f = k2.parse_oracle_spec(_json_arg(_option(args, "f")))
-        g = k2.parse_oracle_spec(_json_arg(_option(args, "g")))
-        r = k2.bullet(f, g).query(args.k, args.fuel)
-        doc = {"result": r.to_json()}
-        if not r.is_value:
-            raise Exhaustion(doc)
-        return doc
-    raise k2.SpecError(f"unknown k2 op {args.op!r}")
-
-
-# ---------------------------------------------------------------------------
-# reals
-# ---------------------------------------------------------------------------
-
-
-def _cmd_reals(args) -> dict:
-    if args.op == "approx":
-        x = reals.parse_real_spec(_json_arg(_option(args, "x")))
-        return {"result": {"approx": x.approx(args.prec), "prec": args.prec}}
-    if args.op == "from-rational":
-        x = reals.from_rational(reals.parse_rational(_option(args, "q")))
-        return {"result": {"int": x.integer_part,
-                           "digits": x.digit_prefix(args.prec),
-                           "approx": x.approx(args.prec)}}
-    if args.op == "compare":
-        x = reals.parse_real_spec(_json_arg(_option(args, "x")))
-        q = reals.parse_rational(_option(args, "q"))
-        verdict = reals.compare_prec(x, q, args.prec)
-        return {"result": {"comparison": verdict.value}}
-    if args.op == "max":
-        x = reals.parse_real_spec(_json_arg(_option(args, "x")))
-        y = reals.parse_real_spec(_json_arg(_option(args, "y")))
-        m = reals.max_star(x, y)
-        return {"result": {"approx": m.approx(args.prec),
-                           "digits": m.digit_prefix(args.prec)}}
-    raise k2.SpecError(f"unknown reals op {args.op!r}")
-
-
-# ---------------------------------------------------------------------------
-# spaces
-# ---------------------------------------------------------------------------
-
-
-def _cmd_spaces(args) -> dict:
-    space = naming.parse_space_spec(_json_arg(args.space))
-    if args.op == "check":
-        f = k2.parse_oracle_spec(_json_arg(_option(args, "name")))
-        ok = space.contains_name(f, args.horizon)
-        return {"result": {"in_domain": ok}}
-    if args.op == "dist":
-        f = k2.parse_oracle_spec(_json_arg(_option(args, "f")))
-        g = k2.parse_oracle_spec(_json_arg(_option(args, "g")))
-        exact = space.dist(space.point_of(f), space.point_of(g))
-        stream = space.dist_hat(f, g).approx(args.prec)
-        return {"result": {"dist": exact, "dist_stream_approx": stream}}
-    raise k2.SpecError(f"unknown spaces op {args.op!r}")
-
-
-# ---------------------------------------------------------------------------
-# antispecker
-# ---------------------------------------------------------------------------
-
-
-def _parse_avoidance(spec, seq, pointed) -> aspk.AvoidanceName:
-    if spec is None:
-        return aspk.make_avoidance_name(seq, pointed)
-    doc = _json_arg(spec)
+def _avoidance(text: str):
+    """An avoidance name as a function of the name sequence and the pointed
+    space: an onset name (``{"kind": "onset"}``, with an optional
+    ``radius_exp`` and answer ``depth``), or an oracle spec."""
+    doc = _json_arg(text)
     if isinstance(doc, dict) and doc.get("kind") == "onset":
         try:
             radius_exp = int(doc.get("radius_exp", 0))
             answer_depth = int(doc.get("depth", 0))
         except (TypeError, ValueError) as e:
             raise k2.SpecError(f"bad onset avoidance: {e}")
-        return aspk.make_avoidance_name(
+        return lambda seq, pointed: aspk.make_avoidance_name(
             seq, pointed, radius_exp=radius_exp, answer_depth=answer_depth)
-    return aspk.AvoidanceName(k2.parse_oracle_spec(doc), "cli")
+    h = aspk.AvoidanceName(k2.parse_oracle_spec(doc), "cli")
+    return lambda seq, pointed: h
 
 
-def _cmd_antispecker(args) -> dict:
-    space = naming.parse_space_spec(_json_arg(args.space))
+KINDS = {
+    "oracle": lambda text: k2.parse_oracle_spec(_json_arg(text)),
+    "space": lambda text: naming.parse_space_spec(_json_arg(text)),
+    "real": lambda text: reals.parse_real_spec(_json_arg(text)),
+    "rational": reals.parse_rational,
+    "sequence": lambda text: cauchy.parse_seq_spec(_json_arg(text)),
+    "permutation": lambda text: cauchy.parse_permutation_spec(_json_arg(text)),
+    "names": lambda text: naming.parse_name_sequence(_json_arg(text)),
+    "avoidance": _avoidance,
+    "theta": lambda text: aspk.parse_theta(_json_arg(text)),
+    "natural": _natural,
+    "naturals": lambda text: [_natural(v) for v in text.split(",")] if text else [],
+    "text": str,
+    "flag": bool,
+}
+
+NEEDED = "needed"
+
+
+class Option(NamedTuple):
+    kind: str
+    default: object = NEEDED  # a text, parsed as a given one is; or None
+
+
+def _partial(doc: dict, done: bool) -> dict:
+    """The document of a result that may have run out: exit 3 unless done."""
+    if not done:
+        raise Exhaustion(doc)
+    return doc
+
+
+def _star(f, g, fuel, track) -> dict:
+    if track:
+        f, mf = k2.with_usage_tracking(f)
+        g, mg = k2.with_usage_tracking(g)
+    r = k2.star(f, g, fuel)
+    doc = {"result": r.to_json()}
+    if track:
+        doc["usage"] = {"f_max": mf.max_index, "g_max": mg.max_index}
+    return _partial(doc, r.is_value)
+
+
+def _bullet(f, g, k, fuel) -> dict:
+    r = k2.bullet(f, g).query(k, fuel)
+    return _partial({"result": r.to_json()}, r.is_value)
+
+
+def _from_rational(q, prec) -> dict:
+    x = reals.from_rational(q)
+    return {"result": {"int": x.integer_part, "digits": x.digit_prefix(prec),
+                       "approx": x.approx(prec)}}
+
+
+def _max(x, y, prec) -> dict:
+    m = reals.max_star(x, y)
+    return {"result": {"approx": m.approx(prec), "digits": m.digit_prefix(prec)}}
+
+
+def _dist(space, f, g, prec) -> dict:
+    return {"result": {"dist": space.dist(space.point_of(f), space.point_of(g)),
+                       "dist_stream_approx": space.dist_hat(f, g).approx(prec)}}
+
+
+def _demo(space, sequence, avoidance, fuel) -> dict:
     pointed = naming.star_extension(space)
-    if args.op == "covers":
-        theta = aspk.parse_theta(_json_arg(_option(args, "theta")))
-        report = aspk.covers(theta, space, args.depth)
-        return {"result": report.to_json()}
-    if args.op == "demo":
-        seq = naming.parse_name_sequence(_json_arg(args.sequence))
-        h = _parse_avoidance(args.avoidance, seq, pointed)
-        realizer = aspk.realizer_from_base(aspk.builtin_base(space), pointed)
-        out = realizer.evaluate(seq, h, args.fuel)
-        doc = {"result": out.to_json()}
-        if not out.result.is_value:
-            raise Exhaustion(doc)
-        return doc
-    if args.op == "probe":
-        realizer = aspk.realizer_from_base(aspk.builtin_base(space), pointed)
-        probed = aspk.base_from_realizer(realizer, pointed,
-                                         aspk.ProbeConfig(budget=args.budget))
-        return {"result": probed.to_json()}
-    raise k2.SpecError(f"unknown antispecker op {args.op!r}")
+    h = avoidance(sequence, pointed)
+    realizer = aspk.realizer_from_base(aspk.builtin_base(space), pointed)
+    out = realizer.evaluate(sequence, h, fuel)
+    return _partial({"result": out.to_json()}, out.result.is_value)
 
 
-# ---------------------------------------------------------------------------
-# splitter
-# ---------------------------------------------------------------------------
+def _probe(space, budget) -> dict:
+    pointed = naming.star_extension(space)
+    realizer = aspk.realizer_from_base(aspk.builtin_base(space), pointed)
+    probed = aspk.base_from_realizer(realizer, pointed,
+                                     aspk.ProbeConfig(budget=budget))
+    return {"result": probed.to_json()}
 
 
-def _cmd_splitter(args) -> dict:
-    x = cauchy.parse_seq_spec(_json_arg(args.x))
-    b = cauchy.parse_seq_spec(_json_arg(args.b))
-    positives = cauchy.positive_stage_count(x, args.stages)
+def _splitter(x, b, stages, verify) -> dict:
+    positives = cauchy.positive_stage_count(x, stages)
     if positives > 3:
         sys.stderr.write(
             f"note: {positives} positive stages requested; the classification "
             "state is exponential in the flattened block count and the run "
             "aborts cleanly if it outgrows the cap\n")
-    ledger = cauchy.protected_split(x, b, args.stages)
+    ledger = cauchy.protected_split(x, b, stages)
     doc = {"result": ledger.to_json()}
-    if args.verify:
-        tail = None
-        if x.has_finite_support and x.support_end <= args.stages:
-            tail = Fraction(0)
-        report = cauchy.verify_clearances(ledger, tail)
-        doc["verification"] = report.to_json()
+    if verify:
+        tail = Fraction(0) if x.has_finite_support and x.support_end <= stages else None
+        doc["verification"] = cauchy.verify_clearances(ledger, tail).to_json()
     return doc
 
 
-# ---------------------------------------------------------------------------
-# rpt / pc
-# ---------------------------------------------------------------------------
+def _split(a, stages):
+    """The rearranged series of ``rpt`` and its exact modulus."""
+    return (cauchy.split_series_for(a, stages=stages),
+            cauchy.exact_modulus(a, horizon=len(a.prefix) + 4))
 
 
-def _cmd_rpt(args) -> dict:
-    a = cauchy.parse_seq_spec(_json_arg(args.a))
-    p = cauchy.parse_permutation_spec(_json_arg(args.p))
-    series = cauchy.split_series_for(a, stages=args.stages)
-    f = cauchy.exact_modulus(a, horizon=len(a.prefix) + 4)
-    if args.op == "fabar":
-        value = cauchy.settling_index(series, p, args.n, f)
-        return {"result": {"settling_index": value}}
-    if args.op == "decide":
-        verdict = cauchy.classify_windows(series, p, args.m, args.n, f)
-        if isinstance(verdict, cauchy.WindowWitness):
-            return {"result": {"case": "window", "i": verdict.i, "j": verdict.j}}
-        return {"result": {"case": "tail", "n0": verdict.n0, "n1": verdict.n1,
-                           "k0": verdict.k0}}
-    raise k2.SpecError(f"unknown rpt op {args.op!r}")
+def _fabar(a, p, n, stages) -> dict:
+    series, f = _split(a, stages)
+    return {"result": {"settling_index": cauchy.settling_index(series, p, n, f)}}
 
 
-def _cmd_pc(args) -> dict:
-    x = cauchy.parse_seq_spec(_json_arg(args.x))
-    f = cauchy.Modulus.from_oracle(k2.parse_oracle_spec(_json_arg(args.f)))
-    g = k2.parse_oracle_spec(_json_arg(args.g))
-    value = cauchy.partially_cauchy_index(x, f, g, args.n)
-    return {"result": {"index": value}}
+def _decide(a, p, m, n, stages) -> dict:
+    series, f = _split(a, stages)
+    verdict = cauchy.classify_windows(series, p, m, n, f)
+    if isinstance(verdict, cauchy.WindowWitness):
+        return {"result": {"case": "window", "i": verdict.i, "j": verdict.j}}
+    return {"result": {"case": "tail", "n0": verdict.n0, "n1": verdict.n1,
+                       "k0": verdict.k0}}
 
 
-# ---------------------------------------------------------------------------
-# bdn
-# ---------------------------------------------------------------------------
+def _adversary(alpha, fuel) -> dict:
+    report = bdn.adversary_refute(alpha, fuel)
+    return _partial({"result": report.to_json()}, report.verdict != "inconclusive")
 
 
-def _cmd_bdn(args) -> dict:
-    if args.op == "extract":
-        g = k2.parse_oracle_spec(_json_arg(_option(args, "g")))
-        h = k2.parse_oracle_spec(_json_arg(_option(args, "h")))
-        return {"result": {"bound": bdn.extract_bound(g, h, args.fuel)}}
-    if args.op == "adversary":
-        alpha = k2.parse_oracle_spec(_json_arg(_option(args, "alpha")))
-        report = bdn.adversary_refute(alpha, args.fuel)
-        doc = {"result": report.to_json()}
-        if report.verdict == "inconclusive":
-            raise Exhaustion(doc)
-        return doc
-    raise k2.SpecError(f"unknown bdn op {args.op!r}")
-
-
-# ---------------------------------------------------------------------------
-# selftest
-# ---------------------------------------------------------------------------
-
-
-def _cmd_selftest(args) -> dict:
+def _selftest(only) -> dict:
     from . import acceptance
-    results = acceptance.run_all(only=args.only)
+    results = acceptance.run_all(only=only)
     if not results:
-        raise k2.SpecError(f"no acceptance criterion matches {args.only!r}")
+        raise k2.SpecError(f"no acceptance criterion matches {only!r}")
     for r in results:
         status = "pass" if r.passed else "FAIL"
         sys.stderr.write(f"[{status}] {r.name} ({r.seconds:.2f}s) {r.detail}\n")
@@ -326,104 +261,134 @@ def _cmd_selftest(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# the command table
 # ---------------------------------------------------------------------------
 
 
+GROUPS = {
+    "k2": "codec, prefixes and application operators",
+    "reals": "signed-digit exact reals",
+    "spaces": "named metric spaces",
+    "antispecker": "compactness bases and realizers",
+    "splitter": "protected splitting",
+    "rpt": "rearranged-series settling index",
+    "pc": "window-diameter settling index",
+    "bdn": "bound extraction and the adversary",
+    "selftest": "run the acceptance scorecard",
+}
+
+ORACLE, SPACE, REAL = Option("oracle"), Option("space"), Option("real")
+SEQUENCE, NATURAL, FLAG = Option("sequence"), Option("natural"), Option("flag", False)
+PREC, FUEL = Option("natural", "10"), Option("natural", "20000")
+
+COMMANDS = {
+    ("k2", "encode"): (lambda seq: {"result": {"code": k2.encode_seq(seq)}},
+                       {"seq": Option("naturals", "")}),
+    ("k2", "decode"): (lambda code: {"result": {"seq": list(k2.decode_seq(code))}},
+                       {"code": Option("natural", "0")}),
+    ("k2", "bar"): (lambda f, n: {"result": {"code": k2.bar(f, n)}},
+                    {"f": ORACLE, "n": Option("natural", "0")}),
+    ("k2", "star"): (_star, {"f": ORACLE, "g": ORACLE,
+                             "fuel": Option("natural", "16"), "track": FLAG}),
+    ("k2", "bullet"): (_bullet, {"f": ORACLE, "g": ORACLE, "k": Option("natural", "0"),
+                                 "fuel": Option("natural", "16")}),
+    ("reals", "approx"): (
+        lambda x, prec: {"result": {"approx": x.approx(prec), "prec": prec}},
+        {"x": REAL, "prec": PREC}),
+    ("reals", "from-rational"): (_from_rational,
+                                 {"q": Option("rational"), "prec": PREC}),
+    ("reals", "compare"): (
+        lambda x, q, prec: {"result": {
+            "comparison": reals.compare_prec(x, q, prec).value}},
+        {"x": REAL, "q": Option("rational"), "prec": PREC}),
+    ("reals", "max"): (_max, {"x": REAL, "y": REAL, "prec": PREC}),
+    ("spaces", "check"): (
+        lambda space, name, horizon: {"result": {
+            "in_domain": space.contains_name(name, horizon)}},
+        {"space": SPACE, "name": ORACLE, "horizon": Option("natural", "16")}),
+    ("spaces", "dist"): (_dist, {"space": SPACE, "f": ORACLE, "g": ORACLE,
+                                 "prec": PREC}),
+    ("antispecker", "demo"): (_demo, {
+        "space": SPACE, "sequence": Option("names", "all-star"),
+        "avoidance": Option("avoidance", '{"kind":"onset"}'),
+        "fuel": Option("natural", "4000")}),
+    ("antispecker", "covers"): (
+        lambda space, theta, depth: {
+            "result": aspk.covers(theta, space, depth).to_json()},
+        {"space": SPACE, "theta": Option("theta"), "depth": Option("natural", None)}),
+    ("antispecker", "probe"): (_probe, {"space": SPACE,
+                                        "budget": Option("natural", "200")}),
+    ("splitter", "run"): (_splitter, {"x": SEQUENCE, "b": SEQUENCE, "stages": NATURAL,
+                                      "verify": FLAG}),
+    ("rpt", "fabar"): (_fabar, {"a": SEQUENCE, "p": Option("permutation", "identity"),
+                                "n": NATURAL, "stages": Option("natural", None)}),
+    ("rpt", "decide"): (_decide, {"a": SEQUENCE, "p": Option("permutation", "identity"),
+                                  "m": Option("natural", "0"), "n": NATURAL,
+                                  "stages": Option("natural", None)}),
+    ("pc", "realize"): (
+        lambda x, f, g, n: {"result": {"index": cauchy.partially_cauchy_index(
+            x, cauchy.Modulus.from_oracle(f), g, n)}},
+        {"x": SEQUENCE, "f": ORACLE, "g": ORACLE, "n": NATURAL}),
+    ("bdn", "extract"): (
+        lambda g, h, fuel: {"result": {"bound": bdn.extract_bound(g, h, fuel)}},
+        {"g": ORACLE, "h": ORACLE, "fuel": FUEL}),
+    ("bdn", "adversary"): (_adversary, {"alpha": ORACLE, "fuel": FUEL}),
+    ("selftest", None): (_selftest, {"only": Option("text", None)}),
+}
+
+
+# ---------------------------------------------------------------------------
+# parsing and dispatch
+# ---------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose refusals raise, to print as one ``error: `` line."""
+
+    def error(self, message):
+        raise k2.SpecError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="baire",
-                                  description="exact Baire-space workbench")
+    top = _Parser(prog="baire", description="exact Baire-space workbench")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("k2", help="codec, prefixes and application operators")
-    p.add_argument("op", choices=["encode", "decode", "bar", "star", "bullet"])
-    p.add_argument("--seq", default="")
-    p.add_argument("--code", type=int, default=0)
-    p.add_argument("--f")
-    p.add_argument("--g")
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--fuel", type=int, default=16)
-    p.add_argument("--track", action="store_true")
-    p.set_defaults(run=_cmd_k2)
-
-    p = sub.add_parser("reals", help="signed-digit exact reals")
-    p.add_argument("op", choices=["approx", "from-rational", "compare", "max"])
-    p.add_argument("--x")
-    p.add_argument("--y")
-    p.add_argument("--q")
-    p.add_argument("--prec", type=int, default=10)
-    p.set_defaults(run=_cmd_reals)
-
-    p = sub.add_parser("spaces", help="named metric spaces")
-    p.add_argument("op", choices=["check", "dist"])
-    p.add_argument("--space", required=True)
-    p.add_argument("--name")
-    p.add_argument("--f")
-    p.add_argument("--g")
-    p.add_argument("--horizon", type=int, default=16)
-    p.add_argument("--prec", type=int, default=10)
-    p.set_defaults(run=_cmd_spaces)
-
-    p = sub.add_parser("antispecker", help="compactness bases and realizers")
-    p.add_argument("op", choices=["demo", "covers", "probe"])
-    p.add_argument("--space", required=True)
-    p.add_argument("--sequence", default="all-star")
-    p.add_argument("--avoidance")
-    p.add_argument("--theta")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--fuel", type=int, default=4000)
-    p.add_argument("--budget", type=int, default=200)
-    p.set_defaults(run=_cmd_antispecker)
-
-    p = sub.add_parser("splitter", help="protected splitting")
-    p.add_argument("op", choices=["run"])
-    p.add_argument("--x", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--stages", type=int, required=True)
-    p.add_argument("--verify", action="store_true")
-    p.set_defaults(run=_cmd_splitter)
-
-    p = sub.add_parser("rpt", help="rearranged-series settling index")
-    p.add_argument("op", choices=["fabar", "decide"])
-    p.add_argument("--a", required=True)
-    p.add_argument("--p", default="identity")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--stages", type=int, default=None)
-    p.set_defaults(run=_cmd_rpt)
-
-    p = sub.add_parser("pc", help="window-diameter settling index")
-    p.add_argument("op", choices=["realize"])
-    p.add_argument("--x", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(run=_cmd_pc)
-
-    p = sub.add_parser("bdn", help="bound extraction and the adversary")
-    p.add_argument("op", choices=["extract", "adversary"])
-    p.add_argument("--g")
-    p.add_argument("--h")
-    p.add_argument("--alpha")
-    p.add_argument("--fuel", type=int, default=20000)
-    p.set_defaults(run=_cmd_bdn)
-
-    p = sub.add_parser("selftest", help="run the acceptance scorecard")
-    p.add_argument("--only", default=None)
-    p.set_defaults(run=_cmd_selftest)
-
+    for group, help_text in GROUPS.items():
+        p = sub.add_parser(group, help=help_text)
+        ops = [op for g, op in COMMANDS if g == group]
+        if ops == [None]:
+            p.set_defaults(op=None)
+        else:
+            p.add_argument("op", choices=ops)
+        kinds = {name: option.kind for op in ops
+                 for name, option in COMMANDS[group, op][1].items()}
+        for name, kind in kinds.items():
+            p.add_argument(f"--{name}",
+                           action="store_true" if kind == "flag" else "store")
     return top
 
 
+def _values(args, options: dict) -> dict:
+    """Each option's value, parsed from its text by its kind."""
+    values = {}
+    for name, (kind, default) in options.items():
+        text = getattr(args, name)
+        if text is None and default == NEEDED:
+            raise k2.SpecError(f"{args.command} {args.op} needs --{name}")
+        text = default if text is None else text
+        try:
+            values[name] = None if text is None else KINDS[kind](text)
+        except ValueError as e:
+            raise k2.SpecError(f"--{name}: {e}") from e
+    return values
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_VALIDATION if e.code not in (0, None) else 0
-    try:
-        doc = args.run(args)
+        args = build_parser().parse_args(argv)
+        op, options = COMMANDS[args.command, args.op]
+        doc = op(**_values(args, options))
+    except SystemExit as e:  # --help
+        return EXIT_VALIDATION if e.code not in (0, None) else EXIT_OK
     except Exhaustion as e:
         return _emit(e.doc, EXIT_EXHAUSTED)
     except k2.Exhausted as e:

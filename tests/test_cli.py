@@ -1,4 +1,5 @@
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -385,27 +386,29 @@ def test_selftest_with_no_matching_criterion_is_exit_two(capsys):
     assert err == "error: no acceptance criterion matches 'nosuch'\n"
 
 
-CANTOR = '{"kind":"cantor"}'
+# a valid text of each kind that an op may need
+SAMPLES = {"oracle": "const:2", "space": '{"kind":"cantor"}',
+           "real": '{"rational":"1/3"}', "rational": "1/2", "sequence": ONE,
+           "theta": '[{"sigma":[[0,1]],"n":1}]', "natural": "2"}
+
+
+def _words(group, op):
+    return [group] if op is None else [group, op]
+
+
 # each op with every option it needs and no other
 NEEDED_OPTIONS = [
-    ["k2", "bar", "--f", "const:1", "--n", "2"],
-    ["k2", "star", "--f", "const:0", "--g", "const:0", "--fuel", "10"],
-    ["k2", "bullet", "--f", "const:0", "--g", "const:1", "--k", "2"],
-    ["reals", "approx", "--x", '{"rational":"1/3"}'],
-    ["reals", "from-rational", "--q", "1/3"],
-    ["reals", "compare", "--x", '{"rational":"1/3"}', "--q", "1/2"],
-    ["reals", "max", "--x", '{"rational":"0"}', "--y", '{"rational":"1"}'],
-    ["spaces", "check", "--space", CANTOR, "--name", "const:1"],
-    ["spaces", "dist", "--space", CANTOR,
-     "--f", '{"table":[[0,1]],"tail":{"kind":"constant","value":2}}', "--g", "const:1"],
-    ["antispecker", "covers", "--space", CANTOR,
-     "--theta", '[{"sigma":[[0,1]],"n":1}]'],
-    ["bdn", "extract", "--g", "const:0", "--h", "const:0", "--fuel", "5"],
-    ["bdn", "adversary", "--alpha", "const:3"],
-]
+    _words(group, op) + [arg for name, option in options.items()
+                         if option.default == cli.NEEDED
+                         for arg in (f"--{name}", SAMPLES[option.kind])]
+    for (group, op), (_, options) in cli.COMMANDS.items() if group != "selftest"]
 OMITTED = [(argv[:i] + argv[i + 2:], argv[i])
-           for argv in NEEDED_OPTIONS for i in range(2, len(argv), 2)
-           if argv[i] not in ("--fuel", "--n", "--k", "--space")]
+           for argv in NEEDED_OPTIONS for i in range(2, len(argv), 2)]
+# each op with each count it reads, to be given beside its needed options
+NEGATIVE_COUNTS = [
+    (argv, f"--{name}") for argv in NEEDED_OPTIONS
+    for name, option in cli.COMMANDS[argv[0], argv[1]][1].items()
+    if option.kind == "natural"]
 
 
 @pytest.mark.parametrize("argv", NEEDED_OPTIONS, ids=" ".join)
@@ -420,3 +423,38 @@ def test_a_missing_needed_option_is_exit_two(capsys, argv, flag):
     code, doc, err = run_cli(capsys, *argv)
     assert code == 2 and doc is None
     assert err == f"error: {argv[0]} {argv[1]} needs {flag}\n"
+
+
+@pytest.mark.parametrize("argv,flag", NEGATIVE_COUNTS,
+                         ids=[f"{a[0]} {a[1]} {flag}" for a, flag in NEGATIVE_COUNTS])
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_a_negative_or_non_integer_count_is_exit_two(capsys, argv, flag, value):
+    code, doc, err = run_cli(capsys, *argv, f"{flag}={value}")
+    assert code == 2 and doc is None
+    assert err == f"error: {flag}: not a natural number: {value!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["k2", "star", "--frobnicate", "1"],
+    ["k2", "nosuch"],
+    ["nosuch"],
+    [],
+    ["k2", "star", "--fuel"],
+], ids=" ".join)
+def test_argparse_refusals_are_one_error_line(capsys, argv):
+    code, doc, err = run_cli(capsys, *argv)
+    assert code == 2 and doc is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_the_readme_lists_every_command_with_its_options():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    listed = readme.split("<!-- commands -->\n```text\n")[1].split("```")[0]
+    lines = []
+    for (group, op), (_, options) in cli.COMMANDS.items():
+        words = ["baire", *_words(group, op)]
+        for name, option in options.items():
+            given = f"--{name}" if option.kind == "flag" else f"--{name} {option.kind}"
+            words.append(given if option.default == cli.NEEDED else f"[{given}]")
+        lines.append(" ".join(words))
+    assert listed.splitlines() == lines

@@ -1,17 +1,23 @@
 """Every command line ends in one of the three documented outcomes.
 
-Hypothesis builds argv for every subcommand from small grammars of valid
-and malformed specs, with negative and zero numbers, and runs it in
-process.  Exit 0 and 3 print exactly one JSON document with
-``schema_version`` "1"; exit 2 prints nothing on stdout and an
-``error: `` line on stderr; no input ends in a traceback.
+Hypothesis builds argv for every command of ``cli.COMMANDS`` and runs it
+in process.  Each option of the op is drawn from the pools of its kind,
+valid and malformed specs, negative and zero numbers; it is given once
+most of the time, and sometimes twice or not at all.  Exit 0 and 3 print
+exactly one JSON document with ``schema_version`` "1"; exit 2 prints
+nothing on stdout and an ``error: `` line on stderr; no input ends in a
+traceback.
 
-Fuel and n stay small where a scan has no depth cap of its own: at most
-20 for ``k2 star``/``bullet`` and ``bdn extract``, at most 14 for ``k2
-bar``, since every further step squares a sequence code (``bdn extract
---g const:0 --h const:0`` takes about 0.2 s at fuel 20 and 5 s at 26).
-``splitter run`` stops after two stages: its state doubles with every
-entry, and a third stage can take seconds inside the state cap.
+Counts stay small where a larger one costs seconds, and an option whose
+default lies past its bound is always given:
+- fuel at most 20 for ``k2 star``/``bullet`` and ``bdn extract``, and n
+  at most 14 for ``k2 bar``, since these scans have no depth cap of their
+  own and every further step squares a sequence code (``bdn extract --g
+  const:0 --h const:0`` takes about 0.2 s at fuel 20 and 5 s at 26);
+- stages at most 2 for ``splitter run``: its state doubles with every
+  entry, and a third stage can take seconds inside the state cap;
+- the rest keep each run short: a probe's budget, a demo's fuel, the
+  adversary's fuel, a covering depth, a precision.
 """
 
 import contextlib
@@ -32,17 +38,6 @@ def ints(lo: int, hi: int):
 def specs(valid: list, malformed: list):
     """A spec of the valid pool two times in three, else a malformed one."""
     return st.sampled_from(valid * 2 + malformed)
-
-
-def maybe(strategy):
-    return st.none() | strategy
-
-
-def command(words: str, **flags):
-    """argv of the given words and one ``--flag=value`` per drawn value; a
-    flag whose strategy draws None is left out."""
-    return st.fixed_dictionaries(flags).map(lambda drawn: words.split() + [
-        f"--{flag}={value}" for flag, value in drawn.items() if value is not None])
 
 
 ORACLES = specs(
@@ -100,36 +95,61 @@ THETAS = specs(
     ['[{"sigma":[[0,1]],"n":-1}]', '[{"sigma":[[-1,1]],"n":1}]',
      '[{"sigma":5,"n":1}]', '[{"n":1}]', "5"])
 
-COMMANDS = st.one_of(
-    command("k2 encode", seq=specs(["", "3,1,4", "0", ",".join(["1"] * 16)],
-                                   ["-1", "x", "1,,2"])),
-    command("k2 decode", code=ints(-2, 10 ** 6)),
-    command("k2 bar", f=ORACLES, n=ints(-2, 14)),
-    command("k2 star", f=ORACLES, g=ORACLES, fuel=ints(-2, 20)),
-    command("k2 star --track", f=ORACLES, g=ORACLES, fuel=ints(-2, 20)),
-    command("k2 bullet", f=ORACLES, g=ORACLES, k=ints(-2, 3), fuel=ints(-2, 20)),
-    command("reals approx", x=REALS, prec=ints(-3, 40)),
-    command("reals from-rational", q=RATIONALS, prec=ints(-3, 40)),
-    command("reals compare", x=REALS, q=RATIONALS, prec=ints(-3, 40)),
-    command("reals max", x=REALS, y=REALS, prec=ints(-3, 40)),
-    command("spaces check", space=SPACES, name=ORACLES, horizon=ints(-2, 20)),
-    command("spaces dist", space=SPACES, f=ORACLES, g=ORACLES, prec=ints(-3, 20)),
-    command("antispecker demo", space=SPACES, sequence=NAME_SEQUENCES,
-            avoidance=maybe(AVOIDANCES), fuel=maybe(ints(-2, 60))),
-    command("antispecker covers", space=SPACES, theta=THETAS,
-            depth=maybe(ints(-2, 4))),
-    command("antispecker probe", space=SPACES, budget=ints(-2, 20)),
-    command("splitter run", x=SEQUENCES, b=SEQUENCES, stages=ints(-2, 2)),
-    command("splitter run --verify", x=SEQUENCES, b=SEQUENCES, stages=ints(-2, 2)),
-    command("rpt fabar", a=SEQUENCES, p=PERMUTATIONS, n=ints(-2, 4),
-            stages=maybe(ints(-2, 3))),
-    command("rpt decide", a=SEQUENCES, p=PERMUTATIONS, n=ints(-2, 4),
-            m=ints(-3, 8), stages=maybe(ints(-2, 3))),
-    command("pc realize", x=SEQUENCES, f=ORACLES, g=ORACLES, n=ints(-3, 6)),
-    command("bdn extract", g=ORACLES, h=ORACLES, fuel=ints(-2, 20)),
-    command("bdn adversary", alpha=ORACLES, fuel=ints(-2, 300)),
-    command("selftest", only=st.just("no-such-criterion")),
-)
+POOLS = {"oracle": ORACLES, "space": SPACES, "real": REALS, "rational": RATIONALS,
+         "sequence": SEQUENCES, "permutation": PERMUTATIONS,
+         "names": NAME_SEQUENCES, "avoidance": AVOIDANCES, "theta": THETAS,
+         "naturals": specs(["", "3,1,4", "0", ",".join(["1"] * 16)],
+                           ["-1", "x", "1,,2"]),
+         "text": st.just("no-such-criterion")}
+
+# the largest count drawn, by option, or by (group, op, option) where an op
+# needs a tighter bound than the others
+BOUNDS = {"fuel": 20, "n": 4, "k": 3, "m": 8, "code": 10 ** 6, "prec": 40,
+          "horizon": 20, "depth": 4, "budget": 20, "stages": 3,
+          ("k2", "bar", "n"): 14, ("spaces", "dist", "prec"): 20,
+          ("antispecker", "demo", "fuel"): 60, ("splitter", "run", "stages"): 2,
+          ("pc", "realize", "n"): 6, ("bdn", "adversary", "fuel"): 300}
+
+
+def bound(group, op, name) -> int:
+    return BOUNDS.get((group, op, name), BOUNDS[name])
+
+
+def pool(group, op, name, kind):
+    if kind == "natural":
+        return ints(-3, bound(group, op, name))
+    return POOLS[kind]
+
+
+def may_omit(group, op, name, option) -> bool:
+    """Whether leaving the option out costs no more than giving it: its
+    default is a count within its bound, or no count at all."""
+    if option.kind == "natural" and option.default not in (None, cli.NEEDED):
+        return int(option.default) <= bound(group, op, name)
+    return (group, name) != ("selftest", "only")  # all of the scorecard
+
+
+def occurrences(group, op, name, option):
+    """``--name=value`` once most of the time, else twice, or not at all
+    where that is cheap; a flag is ``--name`` or nothing."""
+    if option.kind == "flag":
+        return st.sampled_from([[], [f"--{name}"]])
+    counts = [1, 1, 1, 2] + ([0] if may_omit(group, op, name, option) else [])
+    values = pool(group, op, name, option.kind)
+    return st.sampled_from(counts).flatmap(
+        lambda n: st.lists(values, min_size=n, max_size=n)).map(
+        lambda drawn: [f"--{name}={value}" for value in drawn])
+
+
+def command(group, op, options):
+    words = [group] if op is None else [group, op]
+    return st.tuples(*(occurrences(group, op, name, option)
+                       for name, option in options.items())).map(
+        lambda parts: words + [arg for part in parts for arg in part])
+
+
+COMMANDS = st.one_of(*(command(group, op, options)
+                       for (group, op), (_, options) in cli.COMMANDS.items()))
 
 
 @settings(max_examples=200)

@@ -3,10 +3,11 @@
 Each case runs ``baire.cli.run`` in process and compares what it prints,
 byte for byte, and the exit code it returns against
 ``tests/golden/<case>.out`` and ``tests/golden/exit_codes.json``.  The
-cases are every command line example of the README plus the commands that
-cross the space, base and realizer code, the protected splitter, the
-window search, scans that run out of fuel and long approximations of
-reals.  ``baire selftest`` is left out: it prints timings.
+cases are every command line example of the README, at least one case
+of every op in ``cli.COMMANDS``, and the commands that cross the space,
+base and realizer code, the protected splitter, the window search, scans
+that run out of fuel and long approximations of reals.  ``baire
+selftest`` is left out: it prints timings.
 
 To record the goldens again after a deliberate change of output:
 
@@ -63,6 +64,18 @@ CASES = {
         "--f", '{"tail":{"kind":"registry","name":"identity"}}',
         "--g", "identity", "--n", "4"],
     "readme-bdn-adversary": ["bdn", "adversary", "--alpha", "const:3"],
+    # the ops no README example runs
+    "k2-decode-readme-code": ["k2", "decode", "--code", "2633"],
+    "k2-bar-table": [
+        "k2", "bar",
+        "--f", '{"table":[[0,1],[1,2]],"tail":{"kind":"constant","value":1}}',
+        "--n", "3"],
+    "reals-compare-above": [
+        "reals", "compare", "--x", '{"rational":"1/3"}', "--q", "1/4",
+        "--prec", "8"],
+    "bdn-extract-constant": [
+        "bdn", "extract", "--g", "const:0",
+        "--h", '{"tail":{"kind":"constant","value":2}}', "--fuel", "20"],
     # spaces
     "spaces-check-product": [
         "spaces", "check", "--space", PRODUCT,
@@ -177,6 +190,12 @@ def test_cli_golden(name, capsys):
     code, out = _run(CASES[name], capsys)
     assert code == json.loads(EXIT_CODES.read_text())[name]
     assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_every_op_has_a_golden_case():
+    covered = {tuple(argv[:2]) for argv in CASES.values()}
+    assert [key for key in cli.COMMANDS
+            if key[0] != "selftest" and key not in covered] == []
 
 
 def _record() -> None:
