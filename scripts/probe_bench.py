@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Count and time ``base_from_realizer`` at the shapes of the probe benchmark.
+
+Usage: python scripts/probe_bench.py [repeats]
+
+The shapes are those of the benchmark's ``probe`` workload (the space,
+the blind size cap, the depth cap and the number of radii), with fixed
+grids in place of the seeded ones: radii 0, 1, ... and onsets 0 and 3,
+at a budget of 200, the middle of the workload's 150-250.  After them
+come the four spaces at the command line's ``antispecker probe``
+defaults (``ProbeConfig(budget=200)``).
+
+For each shape it probes the builtin realizer once through a wrapper
+that sorts the realizer's evaluations by phase, and records per phase the
+candidates decided, the evaluations run and the avoidance-name queries
+they spent (the eval fuel).  It then records the median wall time of
+``repeats`` probes (default 5), each on a new realizer, without the
+wrapper.  It prints all of it as one JSON document.
+"""
+
+import json
+import statistics
+import sys
+import time
+
+from baire import antispecker as aspk
+from baire import naming
+
+SPACES = {
+    "cantor": naming.cantor_space(),
+    "finite2": naming.finite_space(2),
+    "finite3": naming.finite_space(3),
+    "cantor_x_finite2": naming.product_metric_naming(naming.cantor_space(),
+                                                     naming.finite_space(2)),
+}
+
+# (space, blind_size_cap, depth_cap, radius count), in the workload's order
+WORKLOAD_SHAPES = (
+    [(space, blind, depth, radii)
+     for blind, depth, radii in ((2, 2, 2), (3, 3, 3), (3, 4, 3))
+     for space in SPACES]
+    + [(space, 2, 3, 3) for space in ("cantor", "finite2", "finite3")]
+)
+BUDGET = 200
+
+
+def new_realizer(m):
+    return aspk.realizer_from_base(aspk.builtin_base(m), naming.star_extension(m))
+
+
+def phase_counts(m, config: aspk.ProbeConfig) -> dict:
+    """Candidates, evaluations and eval fuel of each phase of one probe."""
+    realizer = new_realizer(m)
+    phases = {"phase_one": {"evaluations": 0, "eval_fuel": 0},
+              "phase_two": {"evaluations": 0, "eval_fuel": 0}}
+
+    def evaluate(seq, h, fuel):
+        out = realizer.evaluate(seq, h, fuel)
+        phase = phases["phase_one" if h.h.label == "recorded(probe-table)"
+                       else "phase_two"]
+        phase["evaluations"] += 1
+        phase["eval_fuel"] += out.result.spent
+        return out
+
+    counted = aspk.AntiSpeckerRealizer(evaluate, realizer.provenance,
+                                       realizer.pointed)
+    probed = aspk.base_from_realizer(counted, counted.pointed, config)
+    blind = sum(1 for _ in aspk._blind_candidates(config.blind_size_cap))
+    phases["phase_one"]["candidates"] = min(probed.evals_spent, blind)
+    phases["phase_two"]["candidates"] = probed.evals_spent - min(probed.evals_spent,
+                                                                 blind)
+    return {**phases, "evals_spent": probed.evals_spent,
+            "members": len(probed.members), "exhausted": probed.exhausted}
+
+
+def median_ms(m, config: aspk.ProbeConfig, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        realizer = new_realizer(m)
+        t = time.perf_counter()
+        aspk.base_from_realizer(realizer, realizer.pointed, config)
+        times.append(time.perf_counter() - t)
+    return round(1000 * statistics.median(times), 3)
+
+
+def row(space: str, config: aspk.ProbeConfig, repeats: int) -> dict:
+    m = SPACES[space]
+    return {"space": space, "blind_size_cap": config.blind_size_cap,
+            "depth_cap": config.depth_cap, "radius_grid": list(config.radius_grid),
+            "onset_grid": list(config.onset_grid), "budget": config.budget,
+            **phase_counts(m, config), "median_ms": median_ms(m, config, repeats)}
+
+
+def main() -> None:
+    repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 5
+    workload = [row(space, aspk.ProbeConfig(budget=BUDGET, blind_size_cap=blind,
+                                            depth_cap=depth,
+                                            radius_grid=tuple(range(radii)),
+                                            onset_grid=(0, 3)), repeats)
+                for space, blind, depth, radii in WORKLOAD_SHAPES]
+    cli_default = [row(space, aspk.ProbeConfig(budget=200), repeats)
+                   for space in SPACES]
+    print(json.dumps({"repeats": repeats, "workload": workload,
+                      "cli_default": cli_default}, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -441,7 +441,8 @@ def product_base(bx: CompactnessBase, by: CompactnessBase) -> CompactnessBase:
 class ProbedBase(CompactnessBase):
     """A finite base prefix harvested from a realizer; cycles when indexed
     past the end.  ``exhausted`` records that the probe budget cut the
-    enumeration off before every candidate was evaluated."""
+    enumeration off before every candidate was decided, and
+    ``evals_spent`` counts the candidates decided."""
 
     def __init__(self, space: Space, members: Sequence[Theta],
                  exhausted: bool, evals_spent: int):
@@ -638,7 +639,14 @@ def realizer_from_base(base: CompactnessBase,
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    budget: int = 400           # realizer evaluations
+    """The shape of a probe.
+
+    ``budget`` counts the candidates the probe decides, in both phases.  A
+    blind table that could not add a member is decided without running the
+    realizer, so the budget may count more candidates than evaluations.
+    """
+
+    budget: int = 400           # candidates decided
     eval_fuel: int = 600        # avoidance-name queries per evaluation
     blind_size_cap: int = 8     # total code size of blindly enumerated tables
     depth_cap: int = 4          # structured candidates answer at length >= D
@@ -669,6 +677,23 @@ def _blind_candidates(size_cap: int):
             yield FinPartialFn(entries)
 
 
+def _harvest(answered: dict[int, int]) -> Optional[Theta]:
+    """Atoms at the prefix-minimal answered sequences of an answer table."""
+    answered_seqs = {code: decode_seq(code) for code, v in answered.items() if v > 0}
+    atoms = []
+    for code, s in answered_seqs.items():
+        if any(other != s and s[:len(other)] == other
+               for other in answered_seqs.values()):
+            continue
+        nm = decode_pair(answered[code] - 1)
+        if nm is None:
+            continue
+        atoms.append(CoverAtom(FinPartialFn.from_seq(s), nm[0]))
+    if not atoms:
+        return None
+    return Theta(tuple(atoms))
+
+
 def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
                        config: Optional[ProbeConfig] = None) -> ProbedBase:
     """Harvest covering members by probing the realizer on the all-star
@@ -683,31 +708,25 @@ def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
     reached at all, since blind enumeration cannot.  Every member is
     emitted only after passing the covering check.  The returned base is
     ``exhausted`` when the budget stopped the enumeration with a candidate
-    still unevaluated.
+    still undecided.
+
+    A blind table can add only its own harvest, a function of the table
+    alone: the evaluation decides whether it is tried, never what it is.
+    So a table whose harvest is None or already emitted is decided without
+    running the realizer, and the others are evaluated and checked as
+    above.  This needs only that ``m.evaluate`` returns an outcome and
+    writes nothing the probe reads, which every realizer of this module
+    meets.  The budget counts candidates decided, evaluated or not, so
+    ``evals_spent``, ``exhausted`` and every member are what evaluating
+    every candidate gives.
     """
     cfg = config if config is not None else ProbeConfig()
     all_star = NameSequence((), "star")
     space = pointed.space
     emissions: list[Theta] = []
     seen: set = set()
-    evals = 0
+    decided = 0
     exhausted = False
-
-    def harvest(answered: dict[int, int]) -> Optional[Theta]:
-        """Atoms at the prefix-minimal answered sequences."""
-        answered_seqs = {code: decode_seq(code) for code, v in answered.items() if v > 0}
-        atoms = []
-        for code, s in answered_seqs.items():
-            if any(other != s and s[:len(other)] == other
-                   for other in answered_seqs.values()):
-                continue
-            nm = decode_pair(answered[code] - 1)
-            if nm is None:
-                continue
-            atoms.append(CoverAtom(FinPartialFn.from_seq(s), nm[0]))
-        if not atoms:
-            return None
-        return Theta(tuple(atoms))
 
     def consider(theta: Optional[Theta]) -> None:
         if theta is None or theta in seen:
@@ -721,25 +740,29 @@ def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
 
     # Phase one: blind table enumeration.
     for table in _blind_candidates(cfg.blind_size_cap):
-        if evals >= cfg.budget:
+        if decided >= cfg.budget:
             exhausted = True
             break
+        decided += 1
+        answers = table.as_dict()
+        theta = _harvest(answers)
+        if theta is None or theta in seen:
+            continue
         h_tau = RecordingOracle(Oracle(
-            lambda c, d=table.as_dict(): d.get(c, 0), label="probe-table"))
+            lambda c, d=answers: d.get(c, 0), label="probe-table"))
         out = m.evaluate(all_star, AvoidanceName(h_tau, "probe"), cfg.eval_fuel)
-        evals += 1
         if not out.result.is_value:
             continue
         dom = set(table.domain)
         if any(code not in dom for code, _ in h_tau.transcript):
             continue
-        consider(harvest(table.as_dict()))
+        consider(theta)
 
     # Phase two: uniform depth candidates, frozen to the queried restriction.
     for depth in range(cfg.depth_cap + 1):
         for n_ans in cfg.radius_grid:
             for m_ans in cfg.onset_grid:
-                if evals >= cfg.budget:
+                if decided >= cfg.budget:
                     exhausted = True
                     break
                 answer = encode_pair(n_ans, m_ans) + 1
@@ -748,13 +771,13 @@ def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
                     label=f"probe-depth-{depth}"))
                 out = m.evaluate(all_star, AvoidanceName(h_probe, "probe"),
                                  cfg.eval_fuel)
-                evals += 1
+                decided += 1
                 if not out.result.is_value:
                     continue
                 frozen = {code: v for code, v in h_probe.transcript}
-                consider(harvest(frozen))
+                consider(_harvest(frozen))
 
-    return ProbedBase(space, emissions, exhausted=exhausted, evals_spent=evals)
+    return ProbedBase(space, emissions, exhausted=exhausted, evals_spent=decided)
 
 
 # ---------------------------------------------------------------------------

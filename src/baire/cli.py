@@ -11,7 +11,7 @@ go to stderr.
 
 Every command is one entry of ``COMMANDS``, keyed by (group, op): its run
 function and its options, each with a kind (the name of its parser in
-``KINDS``) and a default text or ``NEEDED``.  ``build_parser`` and ``run``
+``KINDS``) and a default text or ``NEEDED``.  ``_parser`` and ``run``
 both read the table, and every refused input exits 2 with an ``error: ``
 line: an unknown or missing option, a negative count, a malformed spec.
 """
@@ -19,6 +19,7 @@ line: an unknown or missing option, a negative count, a malformed spec.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -349,7 +350,10 @@ class _Parser(argparse.ArgumentParser):
         raise k2.SpecError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: argparse keeps
+    no state between parses."""
     top = _Parser(prog="baire", description="exact Baire-space workbench")
     sub = top.add_subparsers(dest="command", required=True)
     for group, help_text in GROUPS.items():
@@ -384,7 +388,7 @@ def _values(args, options: dict) -> dict:
 
 def run(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         op, options = COMMANDS[args.command, args.op]
         doc = op(**_values(args, options))
     except SystemExit as e:  # --help

@@ -12,6 +12,11 @@ for the raise of ``k2.Exhausted`` where ``covers`` raised the deleted
 ``InsufficientDepth``, with the same message; the iterators are methods
 of subclasses of the program's bases, and ``reference_builtin_base``
 builds a whole tree of them.
+
+``base_from_realizer`` is the probe as it was before it decided blind
+tables from their harvest: it runs the realizer on every candidate.  Its
+body is unchanged but for the program's ``covers``, which it reaches as
+``aspk.covers``.
 """
 
 from __future__ import annotations
@@ -19,15 +24,19 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
+from baire import antispecker as aspk
 from baire import k2
 from baire.antispecker import (AntiSpeckerRealizer, AvoidanceName, BuiltinBase,
                                CoverAtom, CoversReport, EvalOutcome,
-                               ProductBase, Theta,
-                               _atom_possibly_inhabited, _compositions,
-                               _constrained_indices, _exact_settling_value,
-                               default_cover_depth, product_atom)
-from baire.k2 import FinPartialFn, PartialResult, PrefixCodeTrie, decode_pair
-from baire.naming import Space, star_extension
+                               ProbeConfig, ProbedBase, ProductBase, Theta,
+                               _atom_possibly_inhabited, _blind_candidates,
+                               _compositions, _constrained_indices,
+                               _exact_settling_value, default_cover_depth,
+                               product_atom)
+from baire.k2 import (FinPartialFn, Oracle, PartialResult, PrefixCodeTrie,
+                      RecordingOracle, decode_pair, decode_seq, encode_pair,
+                      seq_length)
+from baire.naming import NameSequence, PointedSpace, Space, star_extension
 
 
 class ReferenceBuiltinBase(BuiltinBase):
@@ -178,3 +187,78 @@ def trie_walk_realizer(base, pointed=None, max_prefix_len: int = 16):
                                    malformed=tuple(malformed))
 
     return AntiSpeckerRealizer(evaluate, "trie_walk", pointed)
+
+
+def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
+                       config: Optional[ProbeConfig] = None) -> ProbedBase:
+    """The probe that evaluates every candidate of both phases."""
+    cfg = config if config is not None else ProbeConfig()
+    all_star = NameSequence((), "star")
+    space = pointed.space
+    emissions: list[Theta] = []
+    seen: set = set()
+    evals = 0
+    exhausted = False
+
+    def harvest(answered: dict[int, int]) -> Optional[Theta]:
+        """Atoms at the prefix-minimal answered sequences."""
+        answered_seqs = {code: decode_seq(code) for code, v in answered.items() if v > 0}
+        atoms = []
+        for code, s in answered_seqs.items():
+            if any(other != s and s[:len(other)] == other
+                   for other in answered_seqs.values()):
+                continue
+            nm = decode_pair(answered[code] - 1)
+            if nm is None:
+                continue
+            atoms.append(CoverAtom(FinPartialFn.from_seq(s), nm[0]))
+        if not atoms:
+            return None
+        return Theta(tuple(atoms))
+
+    def consider(theta: Optional[Theta]) -> None:
+        if theta is None or theta in seen:
+            return
+        try:
+            if aspk.covers(theta, space).covered:
+                seen.add(theta)
+                emissions.append(theta)
+        except k2.Exhausted:
+            pass
+
+    # Phase one: blind table enumeration.
+    for table in _blind_candidates(cfg.blind_size_cap):
+        if evals >= cfg.budget:
+            exhausted = True
+            break
+        h_tau = RecordingOracle(Oracle(
+            lambda c, d=table.as_dict(): d.get(c, 0), label="probe-table"))
+        out = m.evaluate(all_star, AvoidanceName(h_tau, "probe"), cfg.eval_fuel)
+        evals += 1
+        if not out.result.is_value:
+            continue
+        dom = set(table.domain)
+        if any(code not in dom for code, _ in h_tau.transcript):
+            continue
+        consider(harvest(table.as_dict()))
+
+    # Phase two: uniform depth candidates, frozen to the queried restriction.
+    for depth in range(cfg.depth_cap + 1):
+        for n_ans in cfg.radius_grid:
+            for m_ans in cfg.onset_grid:
+                if evals >= cfg.budget:
+                    exhausted = True
+                    break
+                answer = encode_pair(n_ans, m_ans) + 1
+                h_probe = RecordingOracle(Oracle(
+                    lambda c, d=depth, a=answer: a if seq_length(c) >= d else 0,
+                    label=f"probe-depth-{depth}"))
+                out = m.evaluate(all_star, AvoidanceName(h_probe, "probe"),
+                                 cfg.eval_fuel)
+                evals += 1
+                if not out.result.is_value:
+                    continue
+                frozen = {code: v for code, v in h_probe.transcript}
+                consider(harvest(frozen))
+
+    return ProbedBase(space, emissions, exhausted=exhausted, evals_spent=evals)

@@ -447,6 +447,32 @@ def test_argparse_refusals_are_one_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def run_bytes(capsys, argv, fresh):
+    """Code, stdout and stderr of one run, on a new parser if fresh."""
+    if fresh:
+        cli._parser.cache_clear()
+    code = cli.run(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("refused", [
+    ["k2", "star", "--frobnicate", "1"],
+    ["k2", "star", "--fuel"],
+    ["nosuch"],
+    ["k2", "bar", "--f", "const:1", "--n", "-1"],
+    ["antispecker", "probe", "--space", '{"kind":"torus"}'],
+], ids=" ".join)
+def test_a_refusal_leaves_the_shared_parser_as_new(capsys, refused):
+    valid = ["antispecker", "probe", "--space", '{"kind":"finite","n":2}',
+             "--budget", "30"]
+    shared = [run_bytes(capsys, argv, fresh=False) for argv in (refused, valid)]
+    fresh = [run_bytes(capsys, argv, fresh=True) for argv in (refused, valid)]
+    assert shared == fresh
+    assert shared[0][0] == 2 and shared[1][0] == 0
+    assert cli._parser() is cli._parser()
+
+
 def test_the_readme_lists_every_command_with_its_options():
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
     listed = readme.split("<!-- commands -->\n```text\n")[1].split("```")[0]

@@ -16,8 +16,10 @@ default lies past its bound is always given:
   const:0 --h const:0`` takes about 0.2 s at fuel 20 and 5 s at 26);
 - stages at most 2 for ``splitter run``: its state doubles with every
   entry, and a third stage can take seconds inside the state cap;
-- the rest keep each run short: a probe's budget, a demo's fuel, the
-  adversary's fuel, a covering depth, a precision.
+- a probe's budget at most 200, its default, so that it may be left out
+  (a probe of budget 200 takes about 0.03 s on every space of the pool);
+- the rest keep each run short: a demo's fuel, the adversary's fuel, a
+  covering depth, a precision.
 """
 
 import contextlib
@@ -105,7 +107,7 @@ POOLS = {"oracle": ORACLES, "space": SPACES, "real": REALS, "rational": RATIONAL
 # the largest count drawn, by option, or by (group, op, option) where an op
 # needs a tighter bound than the others
 BOUNDS = {"fuel": 20, "n": 4, "k": 3, "m": 8, "code": 10 ** 6, "prec": 40,
-          "horizon": 20, "depth": 4, "budget": 20, "stages": 3,
+          "horizon": 20, "depth": 4, "budget": 200, "stages": 3,
           ("k2", "bar", "n"): 14, ("spaces", "dist", "prec"): 20,
           ("antispecker", "demo", "fuel"): 60, ("splitter", "run", "stages"): 2,
           ("pc", "realize", "n"): 6, ("bdn", "adversary", "fuel"): 300}

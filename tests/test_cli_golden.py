@@ -115,6 +115,9 @@ CASES = {
         "--theta", '[{"sigma":[[0,1]],"n":1000000},{"sigma":[[0,2]],"n":1}]'],
     "antispecker-probe-product": [
         "antispecker", "probe", "--space", PRODUCT, "--budget", "40"],
+    # the default budget of 200
+    "antispecker-probe-product-default-budget": [
+        "antispecker", "probe", "--space", PRODUCT],
     # protected splitting: two templates of the split benchmark, one with
     # geometric and one with constant targets
     "splitter-run-3-stages-geometric": [

@@ -534,3 +534,121 @@ def test_kept_codes_follow_the_trie_through_restarts(runs):
             assert log["pairs"] == 0
             held = {c for _values, codes in walks.values() for c in codes}
             assert sum(c.bit_length() for c in held) <= trie.bits
+
+
+# -- the probe against the probe that evaluates every candidate -----------------
+
+# the factor probes inside a product realizer
+FACTOR_CONFIG = ProbeConfig(budget=60, blind_size_cap=3, depth_cap=3)
+
+
+def probe_realizers(m):
+    """The builtin and direct-scan realizers of m, and for a product the
+    product realizer of its factors' builtin realizers."""
+    pointed = star_extension(m)
+    yield "builtin", realizer_from_base(builtin_base(m), pointed)
+    yield "direct_scan", aspk.direct_scan_realizer(pointed)
+    if m.kind == "product":
+        yield "product", aspk.product_anti_specker(
+            realizer_from_base(builtin_base(m.left), star_extension(m.left)),
+            realizer_from_base(builtin_base(m.right), star_extension(m.right)),
+            pointed, config=FACTOR_CONFIG)
+
+
+def blind_count(cap):
+    return sum(1 for _ in aspk._blind_candidates(cap))
+
+
+@pytest.mark.parametrize("m", ALL_SPACES, ids=lambda m: m.space_id)
+def test_probes_match_the_probe_that_evaluates_every_candidate(m):
+    """Budgets that stop inside phase one, at its end, inside phase two and
+    past both, at every blind cap up to the command line's 8."""
+    pointed = star_extension(m)
+    for label, realizer in probe_realizers(m):
+        for cap in range(9):
+            n = blind_count(cap)
+            for budget in sorted({0, 1, n // 2, n - 1, n, n + 5, 400}):
+                config = ProbeConfig(budget=budget, eval_fuel=300,
+                                     blind_size_cap=cap, depth_cap=2,
+                                     radius_grid=(0, 1), onset_grid=(0, 2))
+                got = base_from_realizer(realizer, pointed, config=config)
+                want = ref.base_from_realizer(realizer, pointed, config=config)
+                assert probed_fields(got) == probed_fields(want), (label, cap, budget)
+
+
+@contextlib.contextmanager
+def logged_probe(realizer):
+    """The realizer with a log of its evaluations, and of the blind table
+    the probe had last drawn when each one ran."""
+    log = {"tables": [], "evaluated": [], "phase_two": 0}
+    candidates = aspk._blind_candidates
+
+    def logging_candidates(size_cap):
+        for table in candidates(size_cap):
+            log["tables"].append(table)
+            yield table
+
+    def evaluate(seq, h, fuel):
+        out = realizer.evaluate(seq, h, fuel)
+        if h.h.label == "recorded(probe-table)":
+            log["evaluated"].append((log["tables"][-1], out,
+                                     [code for code, _ in h.h.transcript]))
+        else:
+            log["phase_two"] += 1
+        return out
+
+    counted = AntiSpeckerRealizer(evaluate, realizer.provenance, realizer.pointed)
+    with mock.patch.object(aspk, "_blind_candidates", logging_candidates):
+        yield counted, log
+
+
+WORKLOAD_SHAPES = [(blind, depth, radii, budget)
+                   for blind, depth, radii in ((2, 2, (0, 1)), (3, 3, (0, 1, 3)),
+                                               (3, 4, (1, 2, 3)))
+                   for budget in (150, 250)]
+
+
+@pytest.mark.parametrize("m", SPACES, ids=lambda m: m.space_id)
+def test_small_blind_tables_run_no_evaluation(m):
+    """No table of size 3 or less answers a pair, so at the benchmark's
+    blind caps phase one decides every table from its harvest alone."""
+    pointed = star_extension(m)
+    realizer = realizer_from_base(builtin_base(m), pointed)
+    for blind, depth, radii, budget in WORKLOAD_SHAPES:
+        config = ProbeConfig(budget=budget, blind_size_cap=blind, depth_cap=depth,
+                             radius_grid=radii, onset_grid=(0, 3))
+        with logged_probe(realizer) as (counted, log):
+            got = base_from_realizer(counted, pointed, config=config)
+        assert log["evaluated"] == []
+        assert log["phase_two"] == (depth + 1) * len(radii) * 2
+        want = ref.base_from_realizer(realizer, pointed, config=config)
+        assert probed_fields(got) == probed_fields(want)
+        assert got.evals_spent == blind_count(blind) + log["phase_two"]
+
+
+@pytest.mark.parametrize("m", ALL_SPACES, ids=lambda m: m.space_id)
+def test_only_tables_that_could_add_a_member_are_evaluated(m):
+    """At the command line's blind cap, replay phase one from the log: a
+    table is evaluated exactly when its harvest is not None and not yet
+    emitted, and it is emitted exactly when the probe's checks pass."""
+    pointed = star_extension(m)
+    config = ProbeConfig()
+    for label, realizer in probe_realizers(m):
+        with logged_probe(realizer) as (counted, log):
+            got = base_from_realizer(counted, pointed, config=config)
+        evaluated = iter(log["evaluated"])
+        seen = []
+        for table in log["tables"]:
+            theta = aspk._harvest(table.as_dict())
+            if theta is None or theta in seen:
+                continue
+            evaluated_table, out, queries = next(evaluated)
+            assert evaluated_table is table, label
+            if (out.result.is_value and set(queries) <= set(table.domain)
+                    and aspk.covers(theta, m).covered):
+                seen.append(theta)
+        assert next(evaluated, None) is None, label
+        assert len(log["evaluated"]) < len(log["tables"]) == blind_count(8)
+        assert list(got.members[:len(seen)]) == seen, label
+        want = ref.base_from_realizer(realizer, pointed, config=config)
+        assert probed_fields(got) == probed_fields(want), label

@@ -43,3 +43,26 @@ def test_square_bench_at_its_smallest_size():
     assert set(doc["square"][0]) == {"bits", "builtin_ms", "kernel_ms", "one_level_ms",
                                      "kernel_ratio", "one_level_ratio"}
     assert doc["bar"]["depth"] == 14 and doc["bar"]["tracemalloc_peak_kb"] > 0
+
+
+def test_probe_bench_counts_both_phases():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "probe_bench.py"),
+                           "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert len(doc["workload"]) == 15 and len(doc["cli_default"]) == 4
+    for row in doc["workload"] + doc["cli_default"]:
+        one, two = row["phase_one"], row["phase_two"]
+        assert one["candidates"] + two["candidates"] == row["evals_spent"]
+        assert two["evaluations"] == two["candidates"] and row["median_ms"] > 0
+    # the workload's blind tables are all decided without an evaluation
+    assert all(row["phase_one"] == {"evaluations": 0, "eval_fuel": 0,
+                                    "candidates": {2: 4, 3: 8}[row["blind_size_cap"]]}
+               for row in doc["workload"])
+    assert all(row["phase_one"]["candidates"] == 133
+               and 0 < row["phase_one"]["evaluations"] < 133
+               for row in doc["cli_default"])
