@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from . import k2
 from .k2 import (FinPartialFn, Oracle, PartialResult, PrefixCodeTrie,
                  RecordingOracle, SpecError, decode_pair, decode_seq,
-                 encode_pair, seq_length)
+                 encode_pair)
 from .naming import (NameSequence, PointedSpace, ProductSpace, Space,
                      star_extension)
 
@@ -97,51 +97,9 @@ def product_atom(ax: CoverAtom, ay: CoverAtom) -> CoverAtom:
 # ---------------------------------------------------------------------------
 
 
-def _atom_possibly_inhabited(space: Space, atom: CoverAtom) -> bool:
-    """Whether some name of the space extends sigma (registry check)."""
-    kind = space.kind
-    if kind == "cantor":
-        return all(v in (1, 2) for _, v in atom.sigma.entries)
-    if kind == "finite":
-        vals = {v for _, v in atom.sigma.entries}
-        if not vals:
-            return True
-        return len(vals) == 1 and 1 <= next(iter(vals)) <= space.n
-    if kind == "product":
-        sl, sr = atom.sigma.split()
-        return (_atom_possibly_inhabited(space.left, CoverAtom(sl, atom.n))
-                and _atom_possibly_inhabited(space.right, CoverAtom(sr, atom.n)))
-    raise ValueError(f"not a registry space: {kind}")
-
-
-def _constrained_indices(space: Space, atom: CoverAtom) -> list[int]:
-    """Name indices whose values the atom membership actually constrains."""
-    kind = space.kind
-    if kind == "cantor":
-        return [i for i, _ in atom.sigma.entries if i <= atom.n]
-    if kind == "finite":
-        return [i for i, _ in atom.sigma.entries]
-    if kind == "product":
-        sl, sr = atom.sigma.split()
-        out = [2 * i for i in _constrained_indices(space.left, CoverAtom(sl, atom.n))]
-        out += [2 * i + 1 for i in _constrained_indices(space.right, CoverAtom(sr, atom.n))]
-        return out
-    raise ValueError(f"not a registry space: {kind}")
-
-
-def _atom_constraints(space: Space, atom: CoverAtom
-                      ) -> Optional[tuple[tuple[int, int], ...]]:
-    """The (index, value) pairs a point's name must match to lie in the
-    atom, or None when no name of the space extends sigma."""
-    if not _atom_possibly_inhabited(space, atom):
-        return None
-    sigma = atom.sigma.as_dict()
-    return tuple((i, sigma[i]) for i in _constrained_indices(space, atom))
-
-
 def point_in_atom(space: Space, point, atom: CoverAtom) -> bool:
     """Exact membership of a registry point in the atom's open set."""
-    pairs = _atom_constraints(space, atom)
+    pairs = space.atom_constraints(atom.sigma, atom.n)
     if pairs is None:
         return False
     name = space.canonical_name(point)
@@ -187,7 +145,7 @@ def covers(theta: Theta, space: Space,
             depth=depth)
     # an atom no name extends contains no cell, so it can neither hit a
     # cell nor leave one undecided
-    constraints = [pairs for pairs in (_atom_constraints(space, atom)
+    constraints = [pairs for pairs in (space.atom_constraints(atom.sigma, atom.n)
                                        for atom in theta.atoms)
                    if pairs is not None]
     value_at = space.cell_value_at
@@ -245,8 +203,8 @@ def make_avoidance_name(seq: NameSequence, pointed: PointedSpace,
         raise ValueError("sequence is not eventually star; supply a witness table")
     onset = seq.star_onset(pointed)
     answer = encode_pair(radius_exp, onset) + 1
-    h = Oracle(lambda c: answer if seq_length(c) >= answer_depth else 0,
-               label=f"avoid(d={answer_depth},n={radius_exp},m={onset})")
+    h = k2.depth_answer(answer, answer_depth,
+                        f"avoid(d={answer_depth},n={radius_exp},m={onset})")
     return AvoidanceName(h, description=h.label)
 
 
@@ -335,26 +293,17 @@ class _KeptBase(CompactnessBase):
 
 
 class BuiltinBase(_KeptBase):
-    """The canonical base of Cantor space or of a finite space.
-
-    Cantor: member k is every total {1,2}-valued sigma on [0, k) at radius
-    exponent k.  Finite space: member k is one point-identifying atom per
-    point, the constant sequence of length k+1 at exponent k.
-    """
+    """The canonical base of Cantor space or of a finite space: member i
+    holds an atom at radius exponent i for each sigma of the space's
+    ``base_member(i)``."""
 
     def __init__(self, space: Space):
-        if space.kind not in ("cantor", "finite"):
-            raise ValueError(f"no builtin base for {space.kind}")
         super().__init__()
         self.space = space
 
     def _build_atoms(self, i: int):
-        if self.space.kind == "cantor":
-            for word in itertools.product((1, 2), repeat=i):
-                yield CoverAtom(FinPartialFn.from_seq(word), i)
-        else:
-            for c in range(1, self.space.n + 1):
-                yield CoverAtom(FinPartialFn.from_seq((c,) * (i + 1)), i)
+        for sigma in self.space.base_member(i):
+            yield CoverAtom(sigma, i)
 
     def to_json(self) -> dict:
         return {"kind": "builtin", "space": self.space.to_json()}
@@ -363,7 +312,7 @@ class BuiltinBase(_KeptBase):
 def builtin_base(space: Space) -> CompactnessBase:
     """The canonical base of a registry space; products combine the
     canonical bases of their factors."""
-    if space.kind == "product":
+    if isinstance(space, ProductSpace):
         return ProductBase(builtin_base(space.left), builtin_base(space.right))
     return BuiltinBase(space)
 
@@ -765,10 +714,8 @@ def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
                 if decided >= cfg.budget:
                     exhausted = True
                     break
-                answer = encode_pair(n_ans, m_ans) + 1
-                h_probe = RecordingOracle(Oracle(
-                    lambda c, d=depth, a=answer: a if seq_length(c) >= d else 0,
-                    label=f"probe-depth-{depth}"))
+                h_probe = RecordingOracle(k2.depth_answer(
+                    encode_pair(n_ans, m_ans) + 1, depth, f"probe-depth-{depth}"))
                 out = m.evaluate(all_star, AvoidanceName(h_probe, "probe"),
                                  cfg.eval_fuel)
                 decided += 1

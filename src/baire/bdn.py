@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import k2
-from .k2 import Oracle, RecordingOracle, TableOracle, decode_seq, seq_length
+from .k2 import Oracle, RecordingOracle, TableOracle, decode_seq
 
 
 # ---------------------------------------------------------------------------
@@ -59,18 +59,14 @@ def make_valid_realizer(g: Oracle, bound: int, answer_len: int = 0,
     for m in range(horizon + 1):
         if g(m) >= bound:
             raise ValueError(f"g({m}) = {g(m)} >= {bound}: not a bound on the horizon")
-    h = Oracle(lambda c: bound + 1 if seq_length(c) >= answer_len else 0,
-               label=f"dom(bound={bound},len={answer_len})")
+    h = k2.depth_answer(bound + 1, answer_len,
+                        f"dom(bound={bound},len={answer_len})")
     return IntensionalName(h, description=h.label)
 
 
 # ---------------------------------------------------------------------------
 # The evaluation pipeline ((alpha . h) * g) with a shared budget
 # ---------------------------------------------------------------------------
-
-
-class _OutOfFuel(Exception):
-    pass
 
 
 _SCAN_DEPTH_CAP = 20  # sequence codes grow doubly exponentially with depth
@@ -104,7 +100,7 @@ def apply_candidate(alpha: Oracle, h: Oracle, g: Oracle, fuel: int) -> EvalTrans
     """Evaluate ((alpha . h) * g) under one shared budget, recording every
     read of h and of g.  Both scans are ``k2.star`` over one ``k2.Fuel``
     with prefixes of length at most ``_SCAN_DEPTH_CAP``; an exhausted inner
-    scan ends the evaluation."""
+    scan raises ``k2.Exhausted``, which ends the evaluation."""
     h_rec = RecordingOracle(h)
     g_rec = RecordingOracle(g)
     tank = k2.Fuel(fuel)
@@ -112,12 +108,12 @@ def apply_candidate(alpha: Oracle, h: Oracle, g: Oracle, fuel: int) -> EvalTrans
     def inner(m: int) -> int:
         r = k2.star(alpha, k2.cons(m, h_rec), tank, _SCAN_DEPTH_CAP)
         if not r.is_value:
-            raise _OutOfFuel
+            raise k2.Exhausted("alpha . h ran out of fuel", "fuel")
         return r.value
 
     try:
         r = k2.star(Oracle(inner, label="alpha.h"), g_rec, tank, _SCAN_DEPTH_CAP)
-    except _OutOfFuel:
+    except k2.Exhausted:
         return EvalTranscript(None, None, h_rec.transcript, g_rec.transcript)
     return EvalTranscript(r.value, r.fired_at, h_rec.transcript, g_rec.transcript)
 
@@ -154,8 +150,7 @@ class AdversaryReport:
 def threshold_name(k: int) -> Oracle:
     """The name of the constant-one functional that stays silent on prefixes
     of length at most k+1."""
-    return Oracle(lambda c: 0 if seq_length(c) <= k + 1 else 2,
-                  label=f"threshold({k})")
+    return k2.depth_answer(2, k + 2, f"threshold({k})")
 
 
 def adversary_pair(k: int, a: int) -> tuple[Oracle, Oracle]:

@@ -14,6 +14,7 @@ function and its options, each with a kind (the name of its parser in
 ``KINDS``) and a default text or ``NEEDED``.  ``_parser`` and ``run``
 both read the table, and every refused input exits 2 with an ``error: ``
 line: an unknown or missing option, a negative count, a malformed spec.
+Options are never abbreviated: ``--fu`` is unknown, not ``--fuel``.
 """
 
 from __future__ import annotations
@@ -354,10 +355,11 @@ class _Parser(argparse.ArgumentParser):
 def _parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process: argparse keeps
     no state between parses."""
-    top = _Parser(prog="baire", description="exact Baire-space workbench")
+    top = _Parser(prog="baire", description="exact Baire-space workbench",
+                  allow_abbrev=False)
     sub = top.add_subparsers(dest="command", required=True)
     for group, help_text in GROUPS.items():
-        p = sub.add_parser(group, help=help_text)
+        p = sub.add_parser(group, help=help_text, allow_abbrev=False)
         ops = [op for g, op in COMMANDS if g == group]
         if ops == [None]:
             p.set_defaults(op=None)

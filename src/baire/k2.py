@@ -525,23 +525,15 @@ class FueledOracle:
     """Lazy oracle whose every query carries its own fuel budget.
 
     ``query(k, fuel)`` is a PartialResult; totality is the caller's
-    contract, not checked here.  Values are memoized, exhaustion is not, so
-    a query that ran out of fuel may be asked again with more.
+    contract, not checked here.
     """
 
     def __init__(self, query: Callable[[int, int], PartialResult], label: str = "fueled"):
         self._query = query
         self.label = label
-        self._memo: dict[int, PartialResult] = {}
 
     def query(self, k: int, fuel: int) -> PartialResult:
-        cached = self._memo.get(k)
-        if cached is not None and cached.is_value:
-            return cached
-        r = self._query(k, fuel)
-        if r.is_value:
-            self._memo[k] = r
-        return r
+        return self._query(k, fuel)
 
 
 def bullet(f: Oracle, g: Oracle) -> FueledOracle:
@@ -565,44 +557,38 @@ def _registry_identity(params: dict) -> Callable[[int], int]:
     return lambda k: k
 
 
-def _registry_eval_arg(params: dict) -> Callable[[int], int]:
-    # Name of the identity operation on oracles: once the argument prefix
-    # (k, f(0), ..., f(k)) is long enough, answer f(k) + 1.
+def _eval_arg(recode: Callable[[int], int]) -> Callable[[int], int]:
+    # Name of the identity operation on oracles, read through a digitwise
+    # recoding: once the argument prefix (k, f(0), ..., f(k)) is long
+    # enough, answer recode(f(k)) + 1.
     def fn(code: int) -> int:
         s = decode_seq(code)
         if len(s) >= 1 and len(s) >= s[0] + 2:
-            return s[s[0] + 1] + 1
+            return recode(s[s[0] + 1]) + 1
         return 0
     return fn
 
 
-def _registry_eval_arg_swap12(params: dict) -> Callable[[int], int]:
-    # Digitwise recoding 1 <-> 2 of the argument oracle, other values fixed.
-    def fn(code: int) -> int:
-        s = decode_seq(code)
-        if len(s) >= 1 and len(s) >= s[0] + 2:
-            v = s[s[0] + 1]
-            return ({1: 2, 2: 1}.get(v, v)) + 1
-        return 0
-    return fn
+def depth_answer(answer: int, depth: int, label: str) -> Oracle:
+    """The name answering ``answer`` on every sequence of length at least
+    ``depth`` and 0 on every shorter one."""
+    return Oracle(lambda code: answer if seq_length(code) >= depth else 0,
+                  label=label)
 
 
-def _registry_depth_answer(params: dict) -> Callable[[int], int]:
+def _registry_depth_answer(params: dict) -> Oracle:
     # Answer the fixed pair (n, m) on every sequence of length >= depth.
     depth = int(params.get("depth", 0))
     n = int(params.get("n", 0))
     m = int(params.get("m", 0))
-    answer = encode_pair(n, m) + 1
-
-    def fn(code: int) -> int:
-        return answer if seq_length(code) >= depth else 0
-    return fn
+    return depth_answer(encode_pair(n, m) + 1, depth, "depth_answer")
 
 
 ORACLE_REGISTRY: dict[str, Callable[[dict], Callable[[int], int]]] = {
     "identity": _registry_identity,
-    "eval_arg": _registry_eval_arg,
-    "eval_arg_swap12": _registry_eval_arg_swap12,
+    "eval_arg": lambda params: _eval_arg(lambda v: v),
+    # the digitwise recoding 1 <-> 2 of the argument, other values fixed
+    "eval_arg_swap12": lambda params: _eval_arg(lambda v: {1: 2, 2: 1}.get(v, v)),
     "depth_answer": _registry_depth_answer,
 }
 

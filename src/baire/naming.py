@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from . import k2, reals
-from .k2 import (Oracle, TableOracle, SpecError, pair_names, project_names,
-                 star_name)
+from .k2 import (FinPartialFn, Oracle, TableOracle, SpecError, pair_names,
+                 project_names, star_name)
 from .reals import SignedDigitReal, first_diff_real, max_star
 
 ZERO = Fraction(0)
@@ -94,6 +94,17 @@ class Space:
         """Name value at index i forced by the cell, None when unconstrained."""
         raise NotImplementedError
 
+    def atom_constraints(self, sigma: FinPartialFn, n: int
+                         ) -> Optional[tuple[tuple[int, int], ...]]:
+        """The (index, value) pairs a point's name must match to lie in the
+        atom (sigma, n), or None when no name of the space extends sigma."""
+        raise NotImplementedError
+
+    def base_member(self, i: int) -> Iterable[FinPartialFn]:
+        """The sigmas of member i of the canonical base, each an atom at
+        radius exponent i (Cantor and finite spaces only)."""
+        raise NotImplementedError
+
     def sample_point(self, rng) -> Point:
         raise NotImplementedError
 
@@ -154,6 +165,17 @@ class CantorSpace(Space):
     def cell_value_at(self, cell, i: int) -> Optional[int]:
         return self._encode(cell[i]) if i < len(cell) else None
 
+    def atom_constraints(self, sigma: FinPartialFn, n: int):
+        if any(v not in (1, 2) for _, v in sigma.entries):
+            return None
+        # indices past the radius exponent do not decide membership
+        return tuple((i, v) for i, v in sigma.entries if i <= n)
+
+    def base_member(self, i: int):
+        # every total {1,2}-valued sigma on [0, i)
+        for word in itertools.product((1, 2), repeat=i):
+            yield FinPartialFn.from_seq(word)
+
     def sample_point(self, rng) -> CantorPoint:
         word = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 7)))
         return CantorPoint(word, rng.randrange(2))
@@ -207,6 +229,17 @@ class FiniteSpace(Space):
     def cell_value_at(self, cell, i: int) -> Optional[int]:
         return cell
 
+    def atom_constraints(self, sigma: FinPartialFn, n: int):
+        values = {v for _, v in sigma.entries}
+        if len(values) > 1 or any(not 1 <= v <= self.n for v in values):
+            return None
+        return sigma.entries
+
+    def base_member(self, i: int):
+        # one point-identifying atom per point: its constant of length i+1
+        for c in range(1, self.n + 1):
+            yield FinPartialFn.from_seq((c,) * (i + 1))
+
     def sample_point(self, rng) -> int:
         return rng.randrange(1, self.n + 1)
 
@@ -256,6 +289,15 @@ class ProductSpace(Space):
         if i % 2 == 0:
             return self.left.cell_value_at(cell[0], i // 2)
         return self.right.cell_value_at(cell[1], i // 2)
+
+    def atom_constraints(self, sigma: FinPartialFn, n: int):
+        sl, sr = sigma.split()
+        left = self.left.atom_constraints(sl, n)
+        right = self.right.atom_constraints(sr, n)
+        if left is None or right is None:
+            return None
+        return (tuple((2 * i, v) for i, v in left)
+                + tuple((2 * i + 1, v) for i, v in right))
 
     def sample_point(self, rng) -> tuple:
         return (self.left.sample_point(rng), self.right.sample_point(rng))

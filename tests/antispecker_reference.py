@@ -13,6 +13,12 @@ for the raise of ``k2.Exhausted`` where ``covers`` raised the deleted
 of subclasses of the program's bases, and ``reference_builtin_base``
 builds a whole tree of them.
 
+``_atom_possibly_inhabited``, ``_constrained_indices`` and
+``_atom_constraints`` are the covering check's per-kind rules from before
+each registry space answered ``atom_constraints`` itself; they moved here
+unchanged and are the oracle of ``Space.atom_constraints``
+(``tests/test_naming.py``).
+
 ``base_from_realizer`` is the probe as it was before it decided blind
 tables from their harvest: it runs the realizer on every candidate.  Its
 body is unchanged but for the program's ``covers``, which it reaches as
@@ -29,8 +35,7 @@ from baire import k2
 from baire.antispecker import (AntiSpeckerRealizer, AvoidanceName, BuiltinBase,
                                CoverAtom, CoversReport, EvalOutcome,
                                ProbeConfig, ProbedBase, ProductBase, Theta,
-                               _atom_possibly_inhabited, _blind_candidates,
-                               _compositions, _constrained_indices,
+                               _blind_candidates, _compositions,
                                _exact_settling_value, default_cover_depth,
                                product_atom)
 from baire.k2 import (FinPartialFn, Oracle, PartialResult, PrefixCodeTrie,
@@ -80,6 +85,48 @@ def reference_builtin_base(space: Space):
         return ReferenceProductBase(reference_builtin_base(space.left),
                                     reference_builtin_base(space.right))
     return ReferenceBuiltinBase(space)
+
+
+def _atom_possibly_inhabited(space: Space, atom: CoverAtom) -> bool:
+    """Whether some name of the space extends sigma (registry check)."""
+    kind = space.kind
+    if kind == "cantor":
+        return all(v in (1, 2) for _, v in atom.sigma.entries)
+    if kind == "finite":
+        vals = {v for _, v in atom.sigma.entries}
+        if not vals:
+            return True
+        return len(vals) == 1 and 1 <= next(iter(vals)) <= space.n
+    if kind == "product":
+        sl, sr = atom.sigma.split()
+        return (_atom_possibly_inhabited(space.left, CoverAtom(sl, atom.n))
+                and _atom_possibly_inhabited(space.right, CoverAtom(sr, atom.n)))
+    raise ValueError(f"not a registry space: {kind}")
+
+
+def _constrained_indices(space: Space, atom: CoverAtom) -> list[int]:
+    """Name indices whose values the atom membership actually constrains."""
+    kind = space.kind
+    if kind == "cantor":
+        return [i for i, _ in atom.sigma.entries if i <= atom.n]
+    if kind == "finite":
+        return [i for i, _ in atom.sigma.entries]
+    if kind == "product":
+        sl, sr = atom.sigma.split()
+        out = [2 * i for i in _constrained_indices(space.left, CoverAtom(sl, atom.n))]
+        out += [2 * i + 1 for i in _constrained_indices(space.right, CoverAtom(sr, atom.n))]
+        return out
+    raise ValueError(f"not a registry space: {kind}")
+
+
+def _atom_constraints(space: Space, atom: CoverAtom
+                      ) -> Optional[tuple[tuple[int, int], ...]]:
+    """The (index, value) pairs a point's name must match to lie in the
+    atom, or None when no name of the space extends sigma."""
+    if not _atom_possibly_inhabited(space, atom):
+        return None
+    sigma = atom.sigma.as_dict()
+    return tuple((i, sigma[i]) for i in _constrained_indices(space, atom))
 
 
 def _cell_in_atom(space: Space, cell, atom: CoverAtom) -> Optional[bool]:

@@ -8,7 +8,8 @@ ran before ``approx`` kept a running dyadic numerator, ``cantor_pair``
 squared, and exhausted scans stopped building the code of a prefix that no
 query reads; bdn's ``_Tank`` and ``apply_candidate`` from before the
 adversary's two scans became ``k2.star`` calls over one shared
-``k2.Fuel``; and ``SignedDigitReal``, ``from_estimates``,
+``k2.Fuel`` (with the private ``_OutOfFuel`` that bdn raised before it
+raised ``k2.Exhausted``); and ``SignedDigitReal``, ``from_estimates``,
 ``from_rational``, ``first_diff_real`` and ``max_star`` from before a real
 produced its digits in order, when ``from_estimates`` kept its own
 ``Fraction`` copy of the emitted prefix and ``first_diff_real`` its own
@@ -25,8 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from baire.bdn import (EvalTranscript, IntensionalName, _OutOfFuel,
-                       _SCAN_DEPTH_CAP)
+from baire.bdn import EvalTranscript, IntensionalName, _SCAN_DEPTH_CAP
 from baire.k2 import (Exhausted, FueledOracle, Oracle, PartialResult,
                       RecordingOracle, cons)
 
@@ -205,6 +205,10 @@ def bullet(f, g) -> FueledOracle:
     query(k, fuel) = star(f, cons(k, g), fuel)."""
     return FueledOracle(lambda k, fuel: star(f, cons(k, g), fuel),
                         label=f"({f.label} . {g.label})")
+
+
+class _OutOfFuel(Exception):
+    pass
 
 
 class _Tank:

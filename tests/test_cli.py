@@ -163,6 +163,20 @@ def test_validation_failures_are_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,unknown", [
+    # a prefix of --name, a missing option of this group
+    (["spaces", "check", "--space", '{"kind":"cantor"}', "--n", "5"], "--n 5"),
+    # a prefix of --fuel
+    (["k2", "star", "--f", "const:0", "--g", "const:1", "--fu", "3"], "--fu 3"),
+    # a prefix of --help, before a group
+    (["--he", "selftest"], "--he"),
+], ids=["spaces-check-n", "k2-star-fu", "top-he"])
+def test_abbreviated_options_are_unknown(capsys, argv, unknown):
+    code, doc, err = run_cli(capsys, *argv)
+    assert (code, doc) == (2, None)
+    assert err == f"error: unrecognized arguments: {unknown}\n"
+
+
 def test_missing_modulus_oracle_rejected(capsys):
     code, _, err = run_cli(capsys, "pc", "realize", "--x", '{"prefix":["1"]}',
                            "--f", "identity", "--g", "const:0", "--n", "1")

@@ -14,8 +14,6 @@ from baire import k2
 NEITHER = {
     "baire.cauchy.ClearanceViolation":
         "a broken splitter invariant that carries the ledger, not a budget",
-    "baire.bdn._OutOfFuel":
-        "private control flow that never leaves bdn.apply_candidate",
     "baire.cli.Exhaustion":
         "carries the star, bullet, demo and adversary result documents, "
         "whose shapes the golden outputs pin",

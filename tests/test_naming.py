@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import antispecker_reference as ref
 from baire import k2, naming
+from baire.antispecker import CoverAtom
 from baire.k2 import FinPartialFn, constant, from_values, pair_names, project_names
 from baire.naming import (CantorPoint, NameSequence, cantor_space, finite_space,
                           product_metric_naming, star_extension)
@@ -213,3 +215,46 @@ def test_cell_count_is_the_number_of_cells_up_to_the_cap(space):
 
 def test_cell_count_of_a_deep_resolution_stays_small():
     assert cantor_space().cell_count(10 ** 9, 1 << 20) == (1 << 20) + 1
+
+
+# --- atom constraints -------------------------------------------------------
+
+ATOM_SPACES = (
+    cantor_space(), SWAPPED, *(finite_space(n) for n in range(1, 5)),
+    product_metric_naming(cantor_space(), finite_space(2)),
+    product_metric_naming(finite_space(3), SWAPPED),
+    product_metric_naming(cantor_space(),
+                          product_metric_naming(finite_space(2), SWAPPED)),
+    product_metric_naming(product_metric_naming(finite_space(1), cantor_space()),
+                          finite_space(4)),
+)
+
+
+@st.composite
+def sigmas(draw):
+    """Tables over a few indices, often with gaps: one constant (which a
+    finite space may take), or mixed values, some out of every range."""
+    indices = draw(st.sets(st.integers(0, 9), max_size=6))
+    values = st.integers(0, 5)
+    if draw(st.booleans()):
+        c = draw(values)
+        return {i: c for i in indices}
+    return {i: draw(values) for i in indices}
+
+
+@given(st.sampled_from(ATOM_SPACES), sigmas(), st.integers(0, 6))
+# the atoms of the covering and point-membership tests of test_antispecker
+@example(cantor_space(), {0: 1, 1: 2}, 4)
+@example(cantor_space(), {1: 1}, 4)
+@example(cantor_space(), {0: 1, 5: 1}, 0)
+@example(cantor_space(), {0: 0}, 1)
+@example(cantor_space(), {0: 3}, 2)
+@example(cantor_space(), {}, 0)
+@example(finite_space(3), {}, 5)
+@example(finite_space(2), {0: 2}, 1)
+@example(product_metric_naming(cantor_space(), finite_space(2)),
+         {0: 1, 1: 2, 2: 2, 3: 2}, 2)
+def test_atom_constraints_match_the_per_kind_rules(space, entries, n):
+    sigma = FinPartialFn.from_dict(entries)
+    want = ref._atom_constraints(space, CoverAtom(sigma, n))
+    assert space.atom_constraints(sigma, n) == want

@@ -505,7 +505,7 @@ def _tank_scan(budget):
         tank = ref._Tank(budget)
         try:
             out = ref.star_tank(f, g, tank)
-        except bdn._OutOfFuel:
+        except ref._OutOfFuel:
             out = "out of fuel"
         return out, tank.left
     return run
