@@ -19,16 +19,20 @@ plus a tail rule, together with Cauchy moduli.  On top of them sit:
 
 Everything is exact rational arithmetic; nothing here approximates.  The
 hot loops run on integers: the splitter, its clearance check and the
-window search hold every rational multiplied by a common denominator.
-The splitter also works by class: a protected pair's gap, clearance
-floor and stage-end clearance depend only on its subset sum, its target
-index and its protection, so each is computed once per class and counted
-with the class's size.  Its ledger stores the classes, too; the (mask, n)
-pairs are expanded from them only for a reader that asks for them.
+window search hold every rational multiplied by a common denominator,
+and the window search answers its queries from a block max/min index of
+the rearranged partial sums.  The splitter also works by class: a
+protected pair's gap, clearance floor and stage-end clearance depend only
+on its subset sum, its target index and its protection, so each is
+computed once per class and counted with the class's size.  Its ledger
+stores the classes, too; the (mask, n) pairs are expanded from them only
+for a reader that asks for them.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from collections import Counter
@@ -195,26 +199,52 @@ def is_modulus(f: Modulus, x: RationalSeq, horizon: int) -> ModulusReport:
     return ModulusReport(True)
 
 
+def _held(values: list[Fraction], starts: Iterable[int] = (0,)
+          ) -> tuple[list[int], int]:
+    """The values as integers over the lcm of their denominators, and that
+    lcm.
+
+    ``starts`` cut the values into runs, the first starting at 0.  A run
+    that alternates between two values, as every block of a split does, is
+    scaled from its first two entries; any other run entry by entry.
+    """
+    runs = [values[a:b] for a, b in itertools.pairwise([*starts, len(values)])]
+    # a run alternates when shifting it by two leaves it as it is
+    firsts = [run[:2] if run[2:] == run[:-2] else run for run in runs]
+    scale = math.lcm(*(v.denominator for first in firsts for v in first))
+    held: list[int] = []
+    for run, first in zip(runs, firsts):
+        scaled = [v.numerator * (scale // v.denominator) for v in first]
+        held += scaled if first is run else \
+            scaled * (len(run) // 2) + scaled[:len(run) % 2]
+    return held, scale
+
+
 def exact_modulus(x: RationalSeq, horizon: int) -> Modulus:
     """The least valid modulus of an eventually-constant sequence, computed
-    from the prefix (requires a zero or constant tail)."""
+    from the prefix (requires a zero or constant tail).
+
+    Its value at n is the least start whose suffix x_start, ..., x_end (end
+    being the prefix length, where the tail begins) has diameter below 2^-n.
+    The values rise with n to the least start of diameter 0 and stay there;
+    past n = 65 they stay at their value there.  ``horizon`` is not read.
+    """
     if x.tail_kind == "geometric" and x.tail_value != 0:
         raise ValueError("use a hand-built modulus for geometric tails")
-    end = len(x.prefix)
+    held, scale = _held([x.value_at(i) for i in range(len(x.prefix) + 1)])
+    held.reverse()
+    diam = [hi - lo for hi, lo in zip(itertools.accumulate(held, max),
+                                      itertools.accumulate(held, min))]
+    diam.reverse()   # diam[s]: diameter of x_s, ..., x_end, over the scale
+    settled = diam.index(0)
     values: list[int] = []
-    n = 0
-    while True:
-        bound = Fraction(1, 2 ** n)
-        best = 0
-        for start in range(end + 1):
-            window = [x.value_at(i) for i in range(start, end + 1)]
-            if max(window) - min(window) < bound:
-                best = start
-                break
-        values.append(best)
-        if best == end or n > 64:
+    start = 0
+    for n in range(66):
+        while diam[start] << n >= scale:
+            start += 1
+        values.append(start)
+        if start == settled:
             break
-        n += 1
     last = values[-1]
     return Modulus(lambda m: values[m] if m < len(values) else last)
 
@@ -803,7 +833,7 @@ class PermutationSpec:
     def __call__(self, k: int) -> int:
         return self._index.get(k, k)
 
-    @property
+    @functools.cached_property
     def support_end(self) -> int:
         ends = [max(i, v) + 1 for i, v in self.table]
         return max(ends) if ends else 0
@@ -879,6 +909,13 @@ class SplitSeries:
             return starts[block_count]
         return len(self.ledger.flat) + (block_count - len(starts))
 
+    @functools.cached_property
+    def held(self) -> tuple[list[int], int]:
+        """The flattened entries as integers over their scale, and the
+        scale: the lcm of their denominators.  Built on first use, once
+        for every window search on the series."""
+        return _held(self.ledger.flat, self.ledger.block_start)
+
     def total_abs(self) -> Fraction:
         return sum((abs(v) for v in self.ledger.flat), Fraction(0))
 
@@ -898,48 +935,124 @@ def split_series_for(a: RationalSeq, stages: Optional[int] = None) -> SplitSerie
     return SplitSeries(ledger)
 
 
-def _ceil_held(q: Fraction, scale: int) -> int:
-    """ceil(q * scale): for an integer a, a >= q * scale iff a >= this."""
-    return -(-q.numerator * scale // q.denominator)
+# entries per block of the window search's max/min index
+INDEX_BLOCK = 64
+
+
+class _MaxMinIndex:
+    """Block maxima and minima of an integer array, level on level.
+
+    Level 0 is the array itself; each further level holds the max and the
+    min of ``INDEX_BLOCK`` consecutive entries of the level below, up to a
+    level of at most one block.  ``visited`` counts the entries, at every
+    level, that the queries have read.
+    """
+
+    def __init__(self, values: list[int]):
+        self.levels = [(values, values)]
+        hi = lo = values
+        while len(hi) > INDEX_BLOCK:
+            starts = range(0, len(hi), INDEX_BLOCK)
+            hi = [max(hi[k:k + INDEX_BLOCK]) for k in starts]
+            lo = [min(lo[k:k + INDEX_BLOCK]) for k in starts]
+            self.levels.append((hi, lo))
+        self.visited = 0
+
+    def _scan(self, level: int, a: int, b: int, lo: int, hi: int) -> Optional[int]:
+        """Least t in [a, b) whose block at ``level`` holds an entry at most
+        lo or at least hi."""
+        top, bottom = self.levels[level]
+        for t in range(a, b):
+            if top[t] >= hi or bottom[t] <= lo:
+                self.visited += t - a + 1
+                return t
+        self.visited += max(b - a, 0)
+        return None
+
+    def first_outside(self, start: int, lo: int, hi: int) -> Optional[int]:
+        """Least t >= start with values[t] <= lo or values[t] >= hi."""
+        level, t = 0, start
+        last = len(self.levels) - 1
+        while True:
+            end = len(self.levels[level][0])
+            stop = end if level == last else min(end, (t // INDEX_BLOCK + 1) * INDEX_BLOCK)
+            found = self._scan(level, t, stop, lo, hi)
+            if found is not None:
+                break
+            if stop >= end:
+                return None
+            # the rest of t's block is inside (lo, hi): go up to the next block
+            level, t = level + 1, stop // INDEX_BLOCK
+        while level:
+            level -= 1
+            a = found * INDEX_BLOCK
+            found = self._scan(level, a, min(a + INDEX_BLOCK, len(self.levels[level][0])),
+                               lo, hi)
+        return found
+
+    def spread(self, a: int, b: int) -> int:
+        """max - min of values[a..b], inclusive; a <= b."""
+        hi = lo = self.levels[0][0][a]
+        level, last = 0, len(self.levels) - 1
+        while True:
+            top, bottom = self.levels[level]
+            # the whole blocks of [a, b] at this level are [a2, b2)
+            a2 = -(-a // INDEX_BLOCK) * INDEX_BLOCK
+            b2 = (b + 1) // INDEX_BLOCK * INDEX_BLOCK
+            if level == last or a2 >= b2:
+                self.visited += b - a + 1
+                return max(hi, max(top[a:b + 1])) - min(lo, min(bottom[a:b + 1]))
+            for i, j in ((a, a2), (b2, b + 1)):
+                if i < j:
+                    self.visited += j - i
+                    hi = max(hi, max(top[i:j]))
+                    lo = min(lo, min(bottom[i:j]))
+            level, a, b = level + 1, a2 // INDEX_BLOCK, b2 // INDEX_BLOCK - 1
 
 
 class _WindowScan:
-    """The rearranged series z(p(0)), z(p(1)), ... in integers.
+    """The rearranged series z(p(0)), z(p(1)), ... in integers, with an
+    index for its windows.
 
-    Values are held multiplied by the lcm of the split's denominators.
-    Past ``scan_end`` every rearranged value is zero, so ``prefix`` (the
-    partial sums, ``prefix[j]`` over the first j values) stops there.
-    Each row's first reaching window is found once and shared by every
-    round and every start index that scans it.
+    Values are held over the split's scale (``SplitSeries.held``).  Past
+    ``scan_end`` every rearranged value is zero, so ``prefix`` (the partial
+    sums, ``prefix[j]`` over the first j values) stops there.  A window
+    [i, j] sums to prefix[j + 1] - prefix[i], so a block max/min index of
+    ``prefix`` finds a row's first reaching window and the spread of every
+    window past a start.  Each row's first reaching window is found once
+    and shared by every round and every start index that scans it.
+    ``steps`` counts the window steps charged to the scan.
     """
 
     def __init__(self, z: SplitSeries, p: PermutationSpec, n: int):
         if n < 0:
             raise ValueError(f"the exponent n must be a natural, got {n}")
-        flat = z.ledger.flat
-        self.scale = math.lcm(*(v.denominator for v in flat))
-        entries = [v.numerator * (self.scale // v.denominator) for v in flat]
+        entries, self.scale = z.held
+        self.z = z
         self.scan_end = max(z.built_end, p.support_end)
-        row = [entries[k] if k < len(entries) else 0
-               for k in map(p, range(self.scan_end + 1))]
+        values = entries + [0] * (self.scan_end + 1 - len(entries))
+        row = list(values)
+        # inverse[v]: the position p sends to v, inside p's support
+        inverse = list(range(p.support_end))
+        for k, v in p.table:
+            row[k] = values[v]
+            inverse[v] = k
         self.prefix = [0, *itertools.accumulate(row)]
         self.abs_prefix = [0, *itertools.accumulate(map(abs, row))]
-        self.bound = Fraction(1, 2 ** n)
-        self.reach = _ceil_held(self.bound, self.scale)
+        self.index = _MaxMinIndex(self.prefix)
+        # the least integer |d| with |d| / scale >= 2^-n
+        self.reach = -(-self.scale >> n)
+        # cover[v]: 1 + the largest position p sends into [0, v]
+        self.cover = [k + 1 for k in itertools.accumulate(inverse, max)]
+        self.steps = 0
         self._first: dict[int, Optional[int]] = {}
 
     def first_reaching(self, i: int) -> Optional[int]:
         """Least j >= i with |sum of values i..j| >= 2^-n, if any."""
         if i not in self._first:
-            prefix, reach = self.prefix, self.reach
-            base = prefix[i]
-            found = None
-            for j in range(i, len(prefix) - 1):
-                d = prefix[j + 1] - base
-                if d >= reach or -d >= reach:
-                    found = j
-                    break
-            self._first[i] = found
+            base = self.prefix[i]
+            t = self.index.first_outside(i + 1, base - self.reach, base + self.reach)
+            self._first[i] = None if t is None else t - 1
         return self._first[i]
 
     def tail_abs(self, k0: int) -> int:
@@ -949,20 +1062,19 @@ class _WindowScan:
 
     def windows_clear(self, m: int, k0: int, margin: int) -> bool:
         """Whether every window [i, j] with m <= i <= j < k0 has absolute
-        sum below margin / scale."""
-        if margin <= 0:
-            return m >= k0
+        sum below margin / scale; margin > 0."""
         # windows past scan_end add only zeros
         end = min(k0, len(self.prefix) - 1)
-        prefix = self.prefix
-        hi = lo = prefix[end]
-        for i in range(end - 1, m - 1, -1):
-            base = prefix[i]
-            if hi - base >= margin or base - lo >= margin:
-                return False
-            hi = max(hi, base)
-            lo = min(lo, base)
-        return True
+        return m >= end or self.index.spread(m, end) < margin
+
+    def cover_index(self, block_count: int) -> int:
+        """Least k0 with {p(0), ..., p(k0-1)} covering the flattened
+        indices of the first ``block_count`` blocks."""
+        need = self.z.blocks_end(block_count)
+        if need <= len(self.cover):
+            return self.cover[need - 1] if need else 0
+        # past the support p is the identity
+        return max(self.cover[-1] if self.cover else 0, need)
 
 
 def classify_windows(z: SplitSeries, p: PermutationSpec, m: int, n: int,
@@ -985,41 +1097,46 @@ def classify_windows(z: SplitSeries, p: PermutationSpec, m: int, n: int,
     """
     if m < 0:
         raise ValueError(f"the start index m must be a natural, got {m}")
-    return _classify(_WindowScan(z, p, n), z, p, m, n, f, budget)
+    return _classify(_WindowScan(z, p, n), m, n, f, budget)
 
 
-def _classify(scan: _WindowScan, z: SplitSeries, p: PermutationSpec, m: int,
-              n: int, f: Modulus, budget: int
+def _classify(scan: _WindowScan, m: int, n: int, f: Modulus, budget: int
               ) -> Union[WindowWitness, TailCertificate]:
     scan_end = scan.scan_end
+    scale = scan.scale
     steps = 0
 
     def spend(count: int) -> None:
         nonlocal steps
         steps += count
+        scan.steps += count
         if steps > budget:
             raise Exhausted(f"after {max(budget, 0) + 1} window steps", "budget")
 
     for round_no in itertools.count():
-        # (a) widen the witness scan
+        # (a) widen the witness scan: row i sums [i, i], ..., [i, hi] until
+        # one reaches, a step each; a row before the witness row sums them all
         hi = min(m + (round_no + 1) * 8, scan_end)
         for i in range(m, hi + 1):
             j = scan.first_reaching(i)
             if j is not None and j <= hi:
-                spend(j - i + 1)
+                rows = i - m
+                spend(rows * (2 * (hi - m + 1) - rows + 1) // 2 + j - i + 1)
                 return WindowWitness(i, j)
-            spend(hi - i + 1)
+        rows = hi - m + 1
+        if rows > 0:
+            spend(rows * (rows + 1) // 2)
 
         # (b) try the next tail certificate; exponents below n + 1 can never
-        # certify, so the search starts there
+        # certify, so the search starts there.  Over the scale, the tail must
+        # stay below scale / 2^n0 and every window below
+        # (2^-n - 2^-n0) scale, rounded up
         n0 = n + 1 + round_no
         n1 = f(n0 + 1) + 1
-        k0 = _permutation_cover_index(z, p, n1)
-        if k0 is not None:
-            fine = Fraction(1, 2 ** n0)
-            if scan.tail_abs(k0) < _ceil_held(fine, scan.scale) and \
-                    scan.windows_clear(m, k0, _ceil_held(scan.bound - fine, scan.scale)):
-                return TailCertificate(n0, n1, k0)
+        k0 = scan.cover_index(n1)
+        margin = -(-scale * ((1 << (n0 - n)) - 1) >> n0)
+        if scan.tail_abs(k0) << n0 < scale and scan.windows_clear(m, k0, margin):
+            return TailCertificate(n0, n1, k0)
 
         if hi >= scan_end and round_no > 200:
             # the witness scan is complete and certificates keep failing;
@@ -1034,26 +1151,9 @@ def settling_index(z: SplitSeries, p: PermutationSpec, n: int, f: Modulus,
     strictly below 2^-n in absolute sum."""
     scan = _WindowScan(z, p, n)
     for m in itertools.count():
-        verdict = _classify(scan, z, p, m, n, f, budget)
+        verdict = _classify(scan, m, n, f, budget)
         if isinstance(verdict, TailCertificate):
             return m
-
-
-def _permutation_cover_index(z: SplitSeries, p: PermutationSpec,
-                             block_count: int) -> Optional[int]:
-    """Least k0 with {p(0), ..., p(k0-1)} covering the flattened indices of
-    the first ``block_count`` blocks."""
-    need = z.blocks_end(block_count)
-    seen = 0
-    covered = [False] * need
-    for k in range(need + p.support_end + 1):
-        v = p(k)
-        if v < need and not covered[v]:
-            covered[v] = True
-            seen += 1
-            if seen == need:
-                return k + 1
-    return 0 if need == 0 else None
 
 
 def modulus_from_abs_sums(ledger: SplitterLedger, g: Modulus) -> Modulus:
@@ -1080,19 +1180,14 @@ def abs_sum_modulus(ledger: SplitterLedger) -> Modulus:
     split, used as the transfer input in tests."""
     if not ledger.x.has_finite_support:
         raise ValueError("finite support required")
-    flat = ledger.flat
-    total = sum((abs(v) for v in flat), Fraction(0))
-    acc = Fraction(0)
-    prefix = [acc]
-    for v in flat:
-        acc += abs(v)
-        prefix.append(acc)
+    entries, scale = _held(ledger.flat, ledger.block_start)
+    mass = list(itertools.accumulate(map(abs, entries), initial=0))
+    # minus the absolute mass from entry mm on, over the scale: it rises
+    rising = [v - mass[-1] for v in mass]
 
     def fn(n: int) -> int:
-        bound = Fraction(1, 2 ** n)
-        for mm in range(len(prefix)):
-            if total - prefix[mm] < bound:
-                return mm
-        return len(prefix)
+        # the least mm whose mass from mm on, an integer, is below
+        # scale / 2^n, so below its ceiling -((-scale) >> n)
+        return bisect.bisect_right(rising, -scale >> n)
 
     return Modulus(fn)

@@ -333,7 +333,10 @@ class TableOracle(Oracle):
         self.tail_value = tail_value
         if any(k < 0 or v < 0 for k, v in self.table.items()) or tail_value < 0:
             raise ValueError("table oracles map naturals to naturals")
-        super().__init__(lambda k: self.table.get(k, self.tail_value), label=label)
+        # the rule closes over the table, not the oracle: a closure over
+        # self would make every table oracle a reference cycle
+        table_get = self.table.get
+        super().__init__(lambda k: table_get(k, tail_value), label=label)
 
     @property
     def support_end(self) -> int:

@@ -11,6 +11,16 @@ width, or ``budget``) with the messages of the deleted
 a ``SplitterLedger`` method before it left the program and is now called
 as a function.
 
+Below them are the versions ``baire.cauchy`` ran before its window search
+moved to a block max/min index: ``exact_modulus``, which rebuilt every
+`Fraction` window for each of up to 66 exponents; ``abs_sum_modulus``,
+which scanned `Fraction` prefix sums for each exponent; ``WindowScan``,
+which rescaled the ledger and walked the prefix sums on every query; and
+``permutation_cover_index``, which rescanned the permutation on every
+certificate try; ``scan_classify`` and ``scan_settling_index`` drive the
+old scan as ``classify_windows`` and ``settling_index`` did.  They are
+copied unchanged but for their names.
+
 The reference splitter writes its ledger pair by pair, into
 ``PairLedger`` and ``PairStage``: the mask-level ledger and stage record
 ``baire.cauchy`` had before it stored protections by class, kept here as
@@ -20,14 +30,15 @@ containers (fields and ``to_json``) for the reference alone.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 from baire.cauchy import (PROTECTION_CAP, ClearanceReport, ClearanceViolation,
                           Modulus, PermutationSpec, RationalSeq, SplitSeries,
-                          TailCertificate, WindowWitness, _mask_indices,
-                          _permutation_cover_index)
+                          SplitterLedger, TailCertificate, WindowWitness,
+                          _mask_indices)
 from baire.k2 import Exhausted
 from baire.reals import format_rational
 
@@ -224,7 +235,7 @@ def classify_windows(z: SplitSeries, p: PermutationSpec, m: int, n: int,
         # certify, so the search starts there
         n0 = n + 1 + round_no
         n1 = f(n0 + 1) + 1
-        k0 = _permutation_cover_index(z, p, n1)
+        k0 = permutation_cover_index(z, p, n1)
         if k0 is not None:
             fine = Fraction(1, 2 ** n0)
             tail = z.total_abs() - sum(
@@ -258,3 +269,163 @@ def settling_index(z: SplitSeries, p: PermutationSpec, n: int, f: Modulus,
         verdict = classify_windows(z, p, m, n, f, budget)
         if isinstance(verdict, TailCertificate):
             return m
+
+
+def exact_modulus(x: RationalSeq, horizon: int) -> Modulus:
+    if x.tail_kind == "geometric" and x.tail_value != 0:
+        raise ValueError("use a hand-built modulus for geometric tails")
+    end = len(x.prefix)
+    values: list[int] = []
+    n = 0
+    while True:
+        bound = Fraction(1, 2 ** n)
+        best = 0
+        for start in range(end + 1):
+            window = [x.value_at(i) for i in range(start, end + 1)]
+            if max(window) - min(window) < bound:
+                best = start
+                break
+        values.append(best)
+        if best == end or n > 64:
+            break
+        n += 1
+    last = values[-1]
+    return Modulus(lambda m: values[m] if m < len(values) else last)
+
+
+def abs_sum_modulus(ledger: SplitterLedger) -> Modulus:
+    if not ledger.x.has_finite_support:
+        raise ValueError("finite support required")
+    flat = ledger.flat
+    total = sum((abs(v) for v in flat), Fraction(0))
+    acc = Fraction(0)
+    prefix = [acc]
+    for v in flat:
+        acc += abs(v)
+        prefix.append(acc)
+
+    def fn(n: int) -> int:
+        bound = Fraction(1, 2 ** n)
+        for mm in range(len(prefix)):
+            if total - prefix[mm] < bound:
+                return mm
+        return len(prefix)
+
+    return Modulus(fn)
+
+
+def _ceil_held(q: Fraction, scale: int) -> int:
+    return -(-q.numerator * scale // q.denominator)
+
+
+class WindowScan:
+    def __init__(self, z: SplitSeries, p: PermutationSpec, n: int):
+        if n < 0:
+            raise ValueError(f"the exponent n must be a natural, got {n}")
+        flat = z.ledger.flat
+        self.scale = math.lcm(*(v.denominator for v in flat))
+        entries = [v.numerator * (self.scale // v.denominator) for v in flat]
+        self.scan_end = max(z.built_end, p.support_end)
+        row = [entries[k] if k < len(entries) else 0
+               for k in map(p, range(self.scan_end + 1))]
+        self.prefix = [0, *itertools.accumulate(row)]
+        self.abs_prefix = [0, *itertools.accumulate(map(abs, row))]
+        self.bound = Fraction(1, 2 ** n)
+        self.reach = _ceil_held(self.bound, self.scale)
+        self._first: dict[int, Optional[int]] = {}
+
+    def first_reaching(self, i: int) -> Optional[int]:
+        if i not in self._first:
+            prefix, reach = self.prefix, self.reach
+            base = prefix[i]
+            found = None
+            for j in range(i, len(prefix) - 1):
+                d = prefix[j + 1] - base
+                if d >= reach or -d >= reach:
+                    found = j
+                    break
+            self._first[i] = found
+        return self._first[i]
+
+    def tail_abs(self, k0: int) -> int:
+        ap = self.abs_prefix
+        return ap[-1] - ap[min(k0, len(ap) - 1)]
+
+    def windows_clear(self, m: int, k0: int, margin: int) -> bool:
+        if margin <= 0:
+            return m >= k0
+        # windows past scan_end add only zeros
+        end = min(k0, len(self.prefix) - 1)
+        prefix = self.prefix
+        hi = lo = prefix[end]
+        for i in range(end - 1, m - 1, -1):
+            base = prefix[i]
+            if hi - base >= margin or base - lo >= margin:
+                return False
+            hi = max(hi, base)
+            lo = min(lo, base)
+        return True
+
+
+def scan_classify(scan: WindowScan, z: SplitSeries, p: PermutationSpec, m: int,
+                  n: int, f: Modulus, budget: int
+                  ) -> Union[WindowWitness, TailCertificate]:
+    scan_end = scan.scan_end
+    steps = 0
+
+    def spend(count: int) -> None:
+        nonlocal steps
+        steps += count
+        if steps > budget:
+            raise Exhausted(f"after {max(budget, 0) + 1} window steps", "budget")
+
+    for round_no in itertools.count():
+        # (a) widen the witness scan
+        hi = min(m + (round_no + 1) * 8, scan_end)
+        for i in range(m, hi + 1):
+            j = scan.first_reaching(i)
+            if j is not None and j <= hi:
+                spend(j - i + 1)
+                return WindowWitness(i, j)
+            spend(hi - i + 1)
+
+        # (b) try the next tail certificate; exponents below n + 1 can never
+        # certify, so the search starts there
+        n0 = n + 1 + round_no
+        n1 = f(n0 + 1) + 1
+        k0 = permutation_cover_index(z, p, n1)
+        if k0 is not None:
+            fine = Fraction(1, 2 ** n0)
+            if scan.tail_abs(k0) < _ceil_held(fine, scan.scale) and \
+                    scan.windows_clear(m, k0, _ceil_held(scan.bound - fine, scan.scale)):
+                return TailCertificate(n0, n1, k0)
+
+        if hi >= scan_end and round_no > 200:
+            # the witness scan is complete and certificates keep failing;
+            # valid inputs never reach this
+            raise Exhausted(f"no witness below {scan_end} and no certificate "
+                            f"through n0={n0}", "budget")
+
+
+def scan_settling_index(z: SplitSeries, p: PermutationSpec, n: int, f: Modulus,
+                        budget: int = 10 ** 6) -> int:
+    scan = WindowScan(z, p, n)
+    for m in itertools.count():
+        verdict = scan_classify(scan, z, p, m, n, f, budget)
+        if isinstance(verdict, TailCertificate):
+            return m
+
+
+def permutation_cover_index(z: SplitSeries, p: PermutationSpec,
+                            block_count: int) -> Optional[int]:
+    need = z.blocks_end(block_count)
+    seen = 0
+    covered = [False] * need
+    for k in range(need + p.support_end + 1):
+        v = p(k)
+        if v < need and not covered[v]:
+            covered[v] = True
+            seen += 1
+            if seen == need:
+                return k + 1
+    return 0 if need == 0 else None

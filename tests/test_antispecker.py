@@ -179,6 +179,18 @@ def test_deep_answering_names_certify_at_depth():
         assert len(out.certificate.atoms) == 2 ** depth
 
 
+def test_direct_scan_refuses_a_sequence_that_never_settles():
+    # a repeating tail never reaches the added point: the oracle has no
+    # settling index to report, and says so without reading the names
+    oracle = direct_scan_realizer(P_CANTOR)
+    seq = NameSequence((k2.star_name(), constant(1)), "repeat")
+    out = oracle.evaluate(seq, None, 10)
+    assert not out.result.is_value and out.result.spent == 0
+    assert out.to_json() == {"value": "exhausted", "spent": 0,
+                             "stage": "not-eventually-star"}
+    settled = NameSequence((constant(1), k2.star_name()), "star")
+    assert oracle.evaluate(settled, None, 10).result.value == 1
+
 def test_exactness_on_random_sequences():
     rng = random.Random(42)
     for m, pointed in ((CANTOR, P_CANTOR), (FIN3, P_FIN3)):

@@ -398,3 +398,200 @@ def test_permutation_lookup_matches_table_scan():
             want = next((v for i, v in p.table if i == k), k)
             assert p(k) == want
         assert PermutationSpec(p.table) == p and hash(PermutationSpec(p.table)) == hash(p)
+
+
+# --- the window index and the integer moduli against the scans they replaced ----------
+
+signed = st.builds(Q, st.integers(-6, 6), st.integers(1, 9))
+
+
+@st.composite
+def eventually_constant(draw):
+    """A prefix with a zero or constant tail whose steps are rationals,
+    repeats, or moves below 2^-64, so that the modulus runs into its cap."""
+    prefix: list = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["rational", "tiny", "repeat"]))
+        if kind == "rational" or not prefix:
+            prefix.append(draw(signed))
+        elif kind == "tiny":
+            prefix.append(prefix[-1] + Q(draw(st.integers(-3, 3)),
+                                         2 ** draw(st.integers(60, 72))))
+        else:
+            prefix.append(prefix[-1])
+    tail = draw(st.sampled_from(["zero", "fresh", "last", "near-last"]))
+    if tail == "zero":
+        return mk(prefix)
+    last = prefix[-1] if prefix else Q(0)
+    value = {"fresh": draw(signed), "last": last,
+             "near-last": last + Q(1, 2 ** draw(st.integers(60, 72)))}[tail]
+    return mk(prefix, "constant", value)
+
+
+@given(eventually_constant(), st.integers(0, 20))
+def test_exact_modulus_matches_reference(x, horizon):
+    got = cauchy.exact_modulus(x, horizon)
+    want = ref.exact_modulus(x, horizon)
+    assert [got(n) for n in range(80)] == [want(n) for n in range(80)]
+
+
+def test_exact_modulus_stops_at_the_cap_like_the_reference():
+    step = Q(1, 2 ** 70)
+    x = mk([Q(1, 2), Q(1, 2) + step, Q(1, 2) + 2 * step], "constant", Q(1, 2) + 2 * step)
+    got, want = cauchy.exact_modulus(x, 0), ref.exact_modulus(x, 0)
+    assert [got(n) for n in (0, 64, 65, 66, 69, 70, 100)] == \
+        [want(n) for n in (0, 64, 65, 66, 69, 70, 100)] == [0, 0, 0, 0, 0, 0, 0]
+    settled = mk([Q(1, 2), Q(17, 32)], "constant", Q(17, 32))
+    got, want = cauchy.exact_modulus(settled, 0), ref.exact_modulus(settled, 0)
+    assert [got(n) for n in range(70)] == [want(n) for n in range(70)]
+    assert got(4) == 0 and got(5) == 1 and got(1000) == 1
+    geometric = mk([Q(1)], "geometric", Q(1), Q(1, 2))
+    assert _outcome(cauchy.exact_modulus, geometric, 3) == \
+        _outcome(ref.exact_modulus, geometric, 3)
+
+
+@given(st.sampled_from(SETTLE_DELTAS + [("1/2", "1/16", "39/16")]), st.integers(0, 3))
+def test_abs_sum_modulus_matches_reference(deltas, shift):
+    ledger = _series(deltas)[0].ledger
+    scaled = cauchy.SplitterLedger(ledger.x, ledger.b, ledger.stages,
+                                   [v * Q(1, 3 ** shift) for v in ledger.flat],
+                                   ledger.block_start, ledger.last_positive_stage)
+    # an entry that breaks its block's alternation
+    broken = cauchy.SplitterLedger(ledger.x, ledger.b, ledger.stages, list(ledger.flat),
+                                   ledger.block_start, ledger.last_positive_stage)
+    broken.flat[len(broken.flat) // 2] += Q(1, 7)
+    for led in (ledger, scaled, broken):
+        got, want = cauchy.abs_sum_modulus(led), ref.abs_sum_modulus(led)
+        assert [got(n) for n in range(40)] == [want(n) for n in range(40)]
+
+
+def _brute_first_outside(values, start, lo, hi):
+    return next((t for t in range(start, len(values))
+                 if values[t] <= lo or values[t] >= hi), None)
+
+
+@pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 200, 4095, 4096, 4097, 9000])
+def test_max_min_index_matches_a_linear_scan(size):
+    rng = random.Random(size)
+    values = [0]
+    for _ in range(size - 1):
+        values.append(values[-1] + rng.randrange(-3, 4))
+    index = cauchy._MaxMinIndex(values)
+    assert len(index.levels) == 1 + sum(size > cauchy.INDEX_BLOCK ** k for k in (1, 2, 3))
+    for _ in range(150):
+        start = rng.randrange(0, size + 2)
+        base = values[min(start, size - 1)]
+        lo, hi = base - rng.randrange(1, 40), base + rng.randrange(1, 40)
+        assert index.first_outside(start, lo, hi) == \
+            _brute_first_outside(values, start, lo, hi)
+        a = rng.randrange(0, size)
+        b = rng.randrange(a, min(size, a + rng.choice([3, 100, 5000])))
+        assert index.spread(a, b) == max(values[a:b + 1]) - min(values[a:b + 1])
+    assert index.visited > 0
+
+
+# blocks of 3, 3 and 235 entries, and of 3, 3 and 139
+LONG_DELTAS = [("1/2", "1/16", "39/16"), ("1/2", "1/16", "23/16")]
+
+
+def _long_permutations(rng, end):
+    """Shuffles and far swaps whose supports reach past the built series."""
+    perms = [PermutationSpec.identity(),
+             cauchy.parse_permutation_spec(
+                 {"table": [[0, 230], [230, 0], [5, 120], [120, 200], [200, 5],
+                            [60, 300], [300, 60]]})]
+    for size in (end // 2, end + 40, end + 160):
+        perms.append(_permutation(rng, size))
+    for _ in range(2):
+        far = rng.sample(range(end + 200), 6)
+        perms.append(PermutationSpec.from_mapping(
+            {far[k]: far[(k + 1) % 6] for k in range(6)}))
+    return perms
+
+
+@pytest.mark.parametrize("deltas", LONG_DELTAS, ids="-".join)
+def test_window_scan_matches_the_linear_scan(deltas):
+    z, _ = _series(deltas)
+    rng = random.Random(z.built_end)
+    for p in _long_permutations(rng, z.built_end):
+        for n in (0, 2, 3, 6):
+            got, want = cauchy._WindowScan(z, p, n), ref.WindowScan(z, p, n)
+            assert (got.scale, got.scan_end, got.prefix, got.reach) == \
+                (want.scale, want.scan_end, want.prefix, want.reach)
+            for i in range(len(got.prefix)):
+                assert got.first_reaching(i) == want.first_reaching(i)
+            for _ in range(60):
+                m = rng.randrange(0, got.scan_end + 3)
+                k0 = rng.randrange(0, got.scan_end + 5)
+                margin = rng.randrange(1, 2 * got.scale)
+                assert got.windows_clear(m, k0, margin) == want.windows_clear(m, k0, margin)
+                assert got.tail_abs(k0) == want.tail_abs(k0)
+            for blocks in range(z.ledger.stage_count + 6):
+                assert got.cover_index(blocks) == ref.permutation_cover_index(z, p, blocks)
+
+
+def test_scaled_entries_match_the_linear_scan_on_any_entries():
+    # blocks are scaled from their first two entries only when they alternate
+    z, _ = _series(LONG_DELTAS[0])
+    ledger = z.ledger
+    for at, delta in ((0, Q(1, 7)), (7, Q(1, 9)), (len(ledger.flat) - 2, Q(-1, 11))):
+        flat = list(ledger.flat)
+        flat[at] += delta
+        broken = cauchy.SplitSeries(cauchy.SplitterLedger(
+            ledger.x, ledger.b, ledger.stages, flat, ledger.block_start,
+            ledger.last_positive_stage))
+        p = _permutation(random.Random(at), 50)
+        got, want = cauchy._WindowScan(broken, p, 3), ref.WindowScan(broken, p, 3)
+        assert (got.scale, got.prefix) == (want.scale, want.prefix)
+
+@pytest.mark.parametrize("deltas", LONG_DELTAS, ids="-".join)
+def test_long_window_search_matches_reference(deltas):
+    # against the old integer scan at every budget, and against the Fraction
+    # search where the budget keeps it short
+    z, f = _series(deltas)
+    rng = random.Random(z.built_end + 1)
+    for p in _long_permutations(rng, z.built_end):
+        for n, budget in ((1, 10 ** 6), (3, 2000), (5, 10 ** 6)):
+            assert _outcome(cauchy.settling_index, z, p, n, f, budget) == \
+                _outcome(ref.scan_settling_index, z, p, n, f, budget)
+            starts = rng.sample(range(z.built_end + 8), 3) + [10]
+            for m in starts:
+                for budget in (0, 45, 700, 20000, 10 ** 6):
+                    assert _outcome(cauchy.classify_windows, z, p, m, n, f, budget) == \
+                        _outcome(ref.scan_classify, ref.WindowScan(z, p, n), z, p, m, n,
+                                 f, budget)
+                # below the 45 steps of a full first round: no certificate try
+                assert _outcome(cauchy.classify_windows, z, p, m, n, f, 30) == \
+                    _outcome(ref.classify_windows, z, p, m, n, f, 30)
+
+
+def _least_budget(z, p, m, n, f) -> int:
+    """The window steps the old scan charges for (m, n): the least budget
+    it completes within."""
+    lo, hi = 0, 10 ** 6
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            ref.scan_classify(ref.WindowScan(z, p, n), z, p, m, n, f, mid)
+            hi = mid
+        except k2.Exhausted:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("deltas", SETTLE_DELTAS[:4] + LONG_DELTAS[1:], ids="-".join)
+def test_budget_runs_out_at_the_same_step(deltas):
+    # a witness past the first row, or a certificate after full rounds,
+    # charges the steps of every row before it: one step less runs out
+    z, f = _series(deltas)
+    rng = random.Random(z.built_end + 2)
+    perms = [PermutationSpec.identity()] + [
+        _permutation(rng, rng.randrange(2, z.built_end + 30)) for _ in range(3)]
+    for p in perms:
+        for n in (1, 3, 5):
+            for m in rng.sample(range(z.built_end + 4), 3):
+                steps = _least_budget(z, p, m, n, f)
+                for budget in (steps - 1, steps):
+                    assert _outcome(cauchy.classify_windows, z, p, m, n, f, budget) == \
+                        _outcome(ref.scan_classify, ref.WindowScan(z, p, n), z, p, m, n,
+                                 f, budget)

@@ -147,6 +147,20 @@ CASES = {
         "rpt", "decide",
         "--a", '{"prefix":["1/2","9/16"],"tail":{"kind":"constant","value":1000000}}',
         "--p", "identity", "--n", "2", "--m", "1"],
+    # a last block of 28,747 entries: the certificate's k0 = 28,753 lies
+    # past 449 blocks of the window index
+    "rpt-decide-long-constant-tail": [
+        "rpt", "decide",
+        "--a", '{"prefix":["1/2","9/16"],"tail":{"kind":"constant","value":300}}',
+        "--p", "identity", "--n", "2", "--m", "1"],
+    # 241 split entries under a permutation whose support ends at 301: the
+    # first entry, moved to index 230, is the only one that reaches 2^-3
+    # from m = 10, so the witness window spans several index blocks
+    "rpt-decide-window-past-index-blocks": [
+        "rpt", "decide",
+        "--a", '{"prefix":["1/2","9/16"],"tail":{"kind":"constant","value":3}}',
+        "--p", '{"table":[[0,230],[230,0],[5,120],[120,200],[200,5],[60,300],[300,60]]}',
+        "--n", "3", "--m", "10"],
     "splitter-run-block-past-cap": [
         "splitter", "run", "--x", '{"prefix":["1/3",1000000]}',
         "--b", '{"tail":{"kind":"constant","value":"2"}}', "--stages", "2"],

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from unittest import mock
 
 import pytest
@@ -162,6 +164,26 @@ def test_bullet_fuel_monotone(seed, extra):
         # a fresh instance, so the answer cannot come from the memo
         again = bullet(f, g).query(k_q, fuel + extra)
         assert again.value == first.value
+
+
+def test_dropped_table_oracle_is_freed_without_the_cycle_collector():
+    # its rule closes over the table, not over the oracle, so a table oracle
+    # is no reference cycle: deleting it frees it, and the codes it memoized
+    code = encode_seq(list(range(1, 13)))
+    assert code.bit_length() > 3000
+    f = constant(0)
+    assert f(code) == 0 and f(code + 1) == 0
+    ref = weakref.ref(f)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del f
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    table = k2.TableOracle({3: 5}, 1)
+    assert [table(k) for k in range(5)] == [1, 1, 1, 5, 1]
 
 
 # --- usage tracking ------------------------------------------------------

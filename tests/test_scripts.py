@@ -66,3 +66,25 @@ def test_probe_bench_counts_both_phases():
     assert all(row["phase_one"]["candidates"] == 133
                and 0 < row["phase_one"]["evaluations"] < 133
                for row in doc["cli_default"])
+
+
+def test_window_bench_at_a_short_tail():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "window_bench.py"),
+                           "300", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    long = doc["long"]
+    # the rpt-decide-long-constant-tail golden's input and verdict
+    assert (long["entries"], long["last_block"]) == (28753, 28747)
+    assert long["verdict"] == {"case": "tail", "n0": 5, "n1": 3, "k0": 28753}
+    assert long["scans"] == 1 and long["window_steps"] > 0
+    # the index reads a few thousand of the 28,754 partial sums
+    assert 0 < long["prefix_entries_visited"] < 28754
+    settle = doc["settle"]
+    assert settle["calls"] == settle["scans"] == 8 * 4 * 6
+    assert settle["window_steps"] > 0 and settle["prefix_entries_visited"] > 0
+    assert settle["median_ms"] > 0 and long["search_ms"] > 0
