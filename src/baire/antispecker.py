@@ -233,9 +233,6 @@ class CompactnessBase:
         it, and keep it for as long as the base lives."""
         return iter(self.enumerate_theta(i).atoms)
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 class _KeptMember:
     """One member's atoms, built from ``source`` as far as some stream has
@@ -305,9 +302,6 @@ class BuiltinBase(_KeptBase):
         for sigma in self.space.base_member(i):
             yield CoverAtom(sigma, i)
 
-    def to_json(self) -> dict:
-        return {"kind": "builtin", "space": self.space.to_json()}
-
 
 def builtin_base(space: Space) -> CompactnessBase:
     """The canonical base of a registry space; products combine the
@@ -366,10 +360,6 @@ class ProductBase(_KeptBase):
             b = rights if isinstance(rights, int) else rights[j]
             for atom_y in self.by.iter_atoms(b):
                 yield product_atom(atom_x, atom_y)
-
-    def to_json(self) -> dict:
-        return {"kind": "product", "left": self.bx.to_json(),
-                "right": self.by.to_json()}
 
 
 def _compositions(total: int, parts: int):

@@ -12,13 +12,16 @@ and a bounded search of a later layer that stops raises ``Exhausted``
 with its reason.  All arithmetic is exact (arbitrary-precision ints);
 each appended element squares a sequence code (its bit length doubles),
 so prefix scans must stay shallow: depth ~22 is the practical ceiling.
-``bar`` of the benchmark's stream lead values takes about 0.15 s at
-depth 22 (a 4.3-Mbit code) and 0.43 s at depth 23, against 0.24 s and
-0.75 s with CPython's own squaring (best of 3 on a 2-core host), and
-each further element about triples it.  A pairing is one squaring of
-the sum of its arguments, by ``_square`` (Toom-3 on long codes), and a
-scan that runs out of fuel still reads its argument at the last index
-but does not build the code of that prefix, which no query would read.
+``bar`` of the benchmark's stream lead values takes about 0.13 s at
+depth 22 (a 4.3-Mbit code) and 0.41 s at depth 23, against 0.26 s and
+0.99 s with Toom-3 alone and 0.41 s and 1.84 s with CPython's own
+squaring (best of 3 on a 2-core host, scripts/square_bench.py), and each
+further element about triples it.  A pairing is one squaring of the sum
+of its arguments, by ``_square``: CPython's own below 2^15 bits, Toom-3
+up to 2^18 and one Schonhage-Strassen level, an exact FFT modulo
+2^K + 1, from there.  A scan that runs out of fuel still reads its
+argument at the last index but does not build the code of that prefix,
+which no query would read.
 """
 
 from __future__ import annotations
@@ -65,14 +68,17 @@ def cantor_pair(x: int, y: int) -> int:
     return (_square(s) + s >> 1) + y
 
 
-# Below this many bits _square is CPython's own (Karatsuba) squaring; from
-# here one Toom-3 level over builtin limb squares is faster on CPython 3.11
-# (measured by scripts/square_bench.py).
+# Below _SQUARE_CUTOFF bits _square is CPython's own (Karatsuba) squaring;
+# from there one Toom-3 level over builtin limb squares is faster, and from
+# _SSA_CUTOFF on one Schonhage-Strassen level is faster still, on CPython
+# 3.11 (both measured by scripts/square_bench.py).
 _SQUARE_CUTOFF = 1 << 15
+_SSA_CUTOFF = 1 << 18
 
 
 def _square(a: int) -> int:
-    """a * a, by Toom-3 from ``_SQUARE_CUTOFF`` bits on.
+    """a * a, by Toom-3 from ``_SQUARE_CUTOFF`` bits and by ``_ssa_square``
+    from ``_SSA_CUTOFF`` bits on.
 
     |a| = a0 + a1 X + a2 X^2 with X = 2^k splits into three k-bit limbs,
     the limb polynomial is squared at 0, 1, -1, -2 and infinity by
@@ -85,6 +91,8 @@ def _square(a: int) -> int:
     n = a.bit_length()
     if n < _SQUARE_CUTOFF:
         return a * a
+    if n >= _SSA_CUTOFF:
+        return _ssa_square(a)
     if a < 0:
         a = -a
     k = (n + 2) // 3
@@ -121,6 +129,101 @@ def _square(a: int) -> int:
     r4 = (r4 << k) + r1
     del r1
     return (r4 << k) + r0
+
+
+def _ssa_shape(n: int) -> tuple[int, int, int]:
+    """(k, bytes per piece, K) of ``_ssa_square`` on an n-bit square, n >= 16:
+    2^k pieces of whole bytes cover n bits, and K is the least multiple of
+    2^k with K >= 2M + k + 1 for M bits per piece."""
+    k = (n.bit_length() + 1) // 2 - (3 if n < 1 << 20 else 2)
+    mb = -(-n // (8 << k))
+    return k, mb, -(-(16 * mb + k + 1) >> k) << k
+
+
+def _ssa_square(a: int) -> int:
+    """a * a by one Schonhage-Strassen level over builtin squares, for a of
+    16 bits or more (Schonhage and Strassen, Computing 7, 1971; Brent and
+    Zimmermann, Modern Computer Arithmetic, 2010, section 2.3).
+
+    |a| splits into N = 2^k pieces of M bits, whose polynomial is squared
+    by a cyclic convolution of length 2N modulo p = 2^K + 1.  With
+    K >= 2M + k + 1 each coefficient of the square, at most N (2^M - 1)^2,
+    is below p, so the convolution is exact; K is a multiple of N, so
+    w = 2^(K/N) is a 2N-th root of unity mod p and every twiddle is a shift
+    and a fold (lo + 2^K hi is lo - hi mod p).  The forward transform
+    decimates in frequency and leaves its values in bit-reversed order, and
+    the inverse decimates in time and takes them back, so no permutation
+    runs.  Both work in place on one list, and the coefficients are
+    carried into the result byte chunk by chunk, each dropped once used.
+    """
+    if a < 0:
+        a = -a
+    k, mb, K = _ssa_shape(a.bit_length())
+    N = 1 << k
+    L = 2 * N
+    M = 8 * mb
+    p = (1 << K) + 1
+    mask = (1 << K) - 1
+    raw = a.to_bytes(N * mb, "little")
+    A = [int.from_bytes(raw[i:i + mb], "little") for i in range(0, N * mb, mb)]
+    del raw
+    # the first forward stage: the top half is zero, so it is the bottom
+    # half times w^j
+    s = K // N
+    for j in range(N):
+        t = A[j] << j * s
+        t = (t & mask) - (t >> K)
+        A.append(t + p if t < 0 else t)
+    h = N >> 1
+    while h:            # (u, v) -> (u + v, (u - v) w^(jN/h))
+        s = K // h
+        for j in range(h):
+            e = j * s                     # w^(jN/h) is 2^e
+            for i in range(j, L, 2 * h):
+                u = A[i]
+                v = A[i + h]
+                x = u + v
+                A[i] = x - p if x >= p else x
+                t = u - v << e
+                t = (t & mask) - (t >> K)
+                if t < 0:
+                    t += p
+                elif t >= p:
+                    t -= p
+                A[i + h] = t
+        h >>= 1
+    for i in range(L):
+        x = A[i]
+        x *= x
+        x = (x & mask) - (x >> K)
+        A[i] = x + p if x < 0 else x
+    h = 1
+    while h < L:        # (u, v) -> (u + v w^-(jN/h), u - v w^-(jN/h))
+        s = K // h
+        for j in range(h):
+            e = K - j * s                 # w^-(jN/h) is -2^e
+            for i in range(j, L, 2 * h):
+                t = A[i + h] << e
+                t = (t & mask) - (t >> K)
+                u = A[i]
+                x = u - t
+                A[i] = x + p if x < 0 else x - p if x >= p else x
+                x = u + t
+                A[i + h] = x + p if x < 0 else x - p if x >= p else x
+        h <<= 1
+    # divide by 2N: times 2^(2K - k - 1), which is -2^(K - k - 1) mod p
+    e = K - k - 1
+    low = (1 << M) - 1
+    out = bytearray()
+    carry = 0
+    for i in range(L):
+        t = A[i] << e
+        A[i] = None
+        t = (t >> K) - (t & mask)
+        carry += t + p if t < 0 else t
+        out += (carry & low).to_bytes(mb, "little")
+        carry >>= M
+    return int.from_bytes(out, "little")
 
 
 def cantor_unpair(z: int) -> tuple[int, int]:

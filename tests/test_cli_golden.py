@@ -7,20 +7,30 @@ cases are every command line example of the README, at least one case
 of every op in ``cli.COMMANDS``, and the commands that cross the space,
 base and realizer code, the protected splitter, the window search, scans
 that run out of fuel and long approximations of reals.  ``baire
-selftest`` is left out: it prints timings.
+selftest`` is left out: it prints timings.  One more test replays every
+case in a fresh process under another ``PYTHONHASHSEED``, which prints
+each case's exit code and output as one JSON document:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --replay
 
 To record the goldens again after a deliberate change of output:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
+import contextlib
+import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from baire import cli
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 EXIT_CODES = GOLDEN / "exit_codes.json"
 
@@ -215,19 +225,45 @@ def test_every_op_has_a_golden_case():
             if key[0] != "selftest" and key not in covered] == []
 
 
-def _record() -> None:
-    import contextlib
-    import io
+def test_goldens_replay_under_another_hash_seed():
+    """Every case prints the same bytes and exits the same way in a fresh
+    process whose string hashes, and so its set orders, are seeded apart."""
+    env = dict(os.environ, PYTHONHASHSEED="4242")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, __file__, "--replay"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    replayed = json.loads(proc.stdout)
+    codes = json.loads(EXIT_CODES.read_text())
+    assert list(replayed) == list(CASES)
+    for name, (code, out) in replayed.items():
+        assert code == codes[name], name
+        assert out.encode() == (GOLDEN / f"{name}.out").read_bytes(), name
 
-    codes = {}
+
+def _replay() -> dict[str, tuple[int, str]]:
+    """The exit code and stdout of every case, run in this process."""
+    outs = {}
     for name, argv in CASES.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), \
                 contextlib.redirect_stderr(io.StringIO()):
-            codes[name] = cli.run(list(argv))
-        (GOLDEN / f"{name}.out").write_bytes(buf.getvalue().encode())
-    EXIT_CODES.write_text(json.dumps(codes, indent=2) + "\n")
+            code = cli.run(list(argv))
+        outs[name] = code, buf.getvalue()
+    return outs
+
+
+def _record() -> None:
+    outs = _replay()
+    for name, (_, out) in outs.items():
+        (GOLDEN / f"{name}.out").write_bytes(out.encode())
+    EXIT_CODES.write_text(json.dumps({name: code for name, (code, _) in outs.items()},
+                                     indent=2) + "\n")
 
 
 if __name__ == "__main__":
-    _record()
+    if sys.argv[1:] == ["--replay"]:
+        json.dump(_replay(), sys.stdout)
+    else:
+        _record()

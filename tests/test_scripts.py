@@ -40,8 +40,13 @@ def test_square_bench_at_its_smallest_size():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert [row["bits"] for row in doc["square"]] == [1 << 14]
-    assert set(doc["square"][0]) == {"bits", "builtin_ms", "kernel_ms", "one_level_ms",
-                                     "kernel_ratio", "one_level_ratio"}
+    assert set(doc["square"][0]) == {
+        "bits", "builtin_ms", "one_level_ms", "toom3_ms", "ssa_ms",
+        "one_level_ratio", "toom3_ratio", "ssa_ratio", "ssa_toom3_ratio",
+        "builtin_peak_kb", "toom3_peak_kb", "ssa_peak_kb"}
+    assert doc["square_cutoff_bits"] < doc["ssa_cutoff_bits"]
+    assert set(doc["bar"]) == {"depth", "code_bits", "seconds", "toom3_seconds",
+                               "builtin_seconds", "tracemalloc_peak_kb"}
     assert doc["bar"]["depth"] == 14 and doc["bar"]["tracemalloc_peak_kb"] > 0
 
 
