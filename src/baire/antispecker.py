@@ -34,8 +34,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import k2
 from .k2 import (FinPartialFn, Oracle, PartialResult, PrefixCodeTrie,
-                 RecordingOracle, SpecError, decode_pair, decode_seq,
-                 encode_pair)
+                 RecordingOracle, SpecError, TableOracle, decode_pair,
+                 decode_seq, encode_pair)
 from .naming import (NameSequence, PointedSpace, ProductSpace, Space,
                      star_extension)
 
@@ -687,8 +687,7 @@ def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
         theta = _harvest(answers)
         if theta is None or theta in seen:
             continue
-        h_tau = RecordingOracle(Oracle(
-            lambda c, d=answers: d.get(c, 0), label="probe-table"))
+        h_tau = RecordingOracle(TableOracle(answers, 0, label="probe-table"))
         out = m.evaluate(all_star, AvoidanceName(h_tau, "probe"), cfg.eval_fuel)
         if not out.result.is_value:
             continue

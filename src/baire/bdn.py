@@ -132,7 +132,6 @@ class AdversaryReport:
     transcripts: tuple[EvalTranscript, ...] = ()
     g1_spec: Optional[dict] = None
     h1_description: Optional[dict] = None
-    diverging_reads: tuple = ()
 
     def to_json(self) -> dict:
         out = {"verdict": self.verdict, "reason": self.reason, "k": self.k,
@@ -142,8 +141,6 @@ class AdversaryReport:
             out["g1"] = self.g1_spec
         if self.h1_description is not None:
             out["h1"] = self.h1_description
-        if self.diverging_reads:
-            out["diverging_reads"] = [list(r) for r in self.diverging_reads]
         return out
 
 
@@ -243,17 +240,8 @@ def adversary_refute(alpha: Oracle, fuel: int = 20000) -> AdversaryReport:
             "refuted",
             f"candidate repeated {k}, but the new argument attains {k + 1}",
             **report_common)
-
-    diverging = []
-    thresh = threshold_name(k)
-    for idx, got in t3.h_reads:
-        if idx < a and got != thresh(idx):
-            diverging.append(("h", idx, got, thresh(idx)))
-    for idx, got in t3.g_reads:
-        if idx < a and got != 0:
-            diverging.append(("g", idx, got, 0))
     return AdversaryReport(
         "malformed",
         "value changed although every differing read lies beyond the observed "
         "segments; a deterministic name cannot do that",
-        diverging_reads=tuple(diverging), **report_common)
+        **report_common)

@@ -11,17 +11,13 @@ undefined is an exhausted ``PartialResult`` here, never nontermination,
 and a bounded search of a later layer that stops raises ``Exhausted``
 with its reason.  All arithmetic is exact (arbitrary-precision ints);
 each appended element squares a sequence code (its bit length doubles),
-so prefix scans must stay shallow: depth ~22 is the practical ceiling.
-``bar`` of the benchmark's stream lead values takes about 0.13 s at
-depth 22 (a 4.3-Mbit code) and 0.41 s at depth 23, against 0.26 s and
-0.99 s with Toom-3 alone and 0.41 s and 1.84 s with CPython's own
-squaring (best of 3 on a 2-core host, scripts/square_bench.py), and each
-further element about triples it.  A pairing is one squaring of the sum
-of its arguments, by ``_square``: CPython's own below 2^15 bits, Toom-3
-up to 2^18 and one Schonhage-Strassen level, an exact FFT modulo
-2^K + 1, from there.  A scan that runs out of fuel still reads its
-argument at the last index but does not build the code of that prefix,
-which no query would read.
+so prefix scans must stay shallow: depth ~22 is the practical ceiling
+(README, "A note on scale", has the timings).  A pairing is one squaring
+of the sum of its arguments, by ``_square``: CPython's own below 2^15
+bits, Toom-3 up to 2^18 and one Schonhage-Strassen level, an exact FFT
+modulo 2^K + 1, from there.  A scan that runs out of fuel still reads
+its argument at the last index but does not build the code of that
+prefix, which no query would read.
 """
 
 from __future__ import annotations
@@ -400,8 +396,12 @@ class FinPartialFn:
 class Oracle:
     """A deterministic total function from naturals to naturals.
 
-    Queries are memoized, so repeated queries are consistent and cheap even
-    when the underlying rule is expensive.
+    An oracle is anything with a ``label`` and ``__call__(k)``.  This class,
+    the opaque-rule kind, is the only one that keeps a memo: its rule can be
+    costly, and a realizer reads one avoidance name on the same codes again
+    and again, so each answer is checked to be a natural once and kept.  The
+    table, pair and recording kinds answer from their description and keep
+    nothing; they subclass this class for its name and ``repr`` only.
     """
 
     def __init__(self, fn: Callable[[int], int], label: str = "oracle"):
@@ -427,19 +427,22 @@ class Oracle:
 class TableOracle(Oracle):
     """Finite table plus a constant tail; the finitely-described oracle kind.
 
-    The description (``table``, ``tail_value``) is exposed so that exact
+    A query is one lookup, and no code it was asked about is kept.  The
+    description (``table``, ``tail_value``) is exposed so that exact
     point-level computations (metrics, projections) can use it.
     """
 
     def __init__(self, table: Mapping[int, int], tail_value: int, label: str = "table"):
         self.table = dict(table)
         self.tail_value = tail_value
+        self.label = label
         if any(k < 0 or v < 0 for k, v in self.table.items()) or tail_value < 0:
             raise ValueError("table oracles map naturals to naturals")
-        # the rule closes over the table, not the oracle: a closure over
-        # self would make every table oracle a reference cycle
-        table_get = self.table.get
-        super().__init__(lambda k: table_get(k, tail_value), label=label)
+
+    def __call__(self, k: int) -> int:
+        if k < 0:
+            raise ValueError("oracle indices are naturals")
+        return self.table.get(k, self.tail_value)
 
     @property
     def support_end(self) -> int:
@@ -447,14 +450,18 @@ class TableOracle(Oracle):
 
 
 class PairOracle(Oracle):
-    """Even/odd interleaving of two oracles, kept structural for projection."""
+    """Even/odd interleaving of two oracles, kept structural for projection;
+    a query is answered by one query of ``left`` or ``right``."""
 
     def __init__(self, left: Oracle, right: Oracle, label: str = "pair"):
         self.left = left
         self.right = right
-        super().__init__(
-            lambda k: left(k // 2) if k % 2 == 0 else right(k // 2), label=label
-        )
+        self.label = label
+
+    def __call__(self, k: int) -> int:
+        if k < 0:
+            raise ValueError("oracle indices are naturals")
+        return self.left(k // 2) if k % 2 == 0 else self.right(k // 2)
 
 
 def constant(v: int, label: Optional[str] = None) -> TableOracle:
@@ -505,12 +512,16 @@ def project_names(h: Oracle) -> tuple[Oracle, Oracle]:
 
 class RecordingOracle(Oracle):
     """An oracle read through a transcript of its (index, value) reads in
-    query order; the transcript is the oracle's usage record."""
+    query order; the transcript is the oracle's usage record, and every
+    read goes to ``inner``."""
 
     def __init__(self, inner: Oracle):
         self.inner = inner
         self.transcript: list[tuple[int, int]] = []
-        super().__init__(inner, label=f"recorded({inner.label})")
+
+    @property
+    def label(self) -> str:
+        return f"recorded({self.inner.label})"
 
     def __call__(self, k: int) -> int:
         if k < 0:
@@ -659,10 +670,6 @@ def bullet(f: Oracle, g: Oracle) -> FueledOracle:
 # ---------------------------------------------------------------------------
 
 
-def _registry_identity(params: dict) -> Callable[[int], int]:
-    return lambda k: k
-
-
 def _eval_arg(recode: Callable[[int], int]) -> Callable[[int], int]:
     # Name of the identity operation on oracles, read through a digitwise
     # recoding: once the argument prefix (k, f(0), ..., f(k)) is long
@@ -675,23 +682,27 @@ def _eval_arg(recode: Callable[[int], int]) -> Callable[[int], int]:
     return fn
 
 
+def _depth_rule(answer: int, depth: int) -> Callable[[int], int]:
+    return lambda code: answer if seq_length(code) >= depth else 0
+
+
 def depth_answer(answer: int, depth: int, label: str) -> Oracle:
     """The name answering ``answer`` on every sequence of length at least
     ``depth`` and 0 on every shorter one."""
-    return Oracle(lambda code: answer if seq_length(code) >= depth else 0,
-                  label=label)
+    return Oracle(_depth_rule(answer, depth), label=label)
 
 
-def _registry_depth_answer(params: dict) -> Oracle:
+def _registry_depth_answer(params: dict) -> Callable[[int], int]:
     # Answer the fixed pair (n, m) on every sequence of length >= depth.
     depth = int(params.get("depth", 0))
     n = int(params.get("n", 0))
     m = int(params.get("m", 0))
-    return depth_answer(encode_pair(n, m) + 1, depth, "depth_answer")
+    return _depth_rule(encode_pair(n, m) + 1, depth)
 
 
+# Each entry returns a plain rule: the spec's ``Oracle`` is its one memo.
 ORACLE_REGISTRY: dict[str, Callable[[dict], Callable[[int], int]]] = {
-    "identity": _registry_identity,
+    "identity": lambda params: lambda k: k,
     "eval_arg": lambda params: _eval_arg(lambda v: v),
     # the digitwise recoding 1 <-> 2 of the argument, other values fixed
     "eval_arg_swap12": lambda params: _eval_arg(lambda v: {1: 2, 2: 1}.get(v, v)),

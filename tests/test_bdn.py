@@ -1,6 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from baire import bdn, k2
 from baire.bdn import (adversary_pair, adversary_refute, apply_candidate,
@@ -85,6 +88,44 @@ def test_pipeline_records_reads():
     assert t.h_segment >= 1 and t.value is not None
 
 
+def _candidate(p: int, depth: int, reach: int) -> k2.Oracle:
+    # silent on h-prefixes shorter than depth; answers 0 for (alpha . h)
+    # on argument codes shorter than reach, so the outer scan goes on
+    def fn(code):
+        s = decode_seq(code)
+        if len(s) < depth:
+            return 0
+        if len(decode_seq(s[0])) < reach:
+            return 1
+        return 2 + (s[0] + p * sum(s)) % 3
+    return k2.Oracle(fn, label=f"candidate({p},{depth},{reach})")
+
+
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=40),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_apply_candidate_scans_never_query_a_name_twice_on_one_code(p, depth, reach,
+                                                                     fuel, seed):
+    # every scan, the outer one over alpha.h included, reads its name on
+    # rising codes, so the alpha.h memo never answers a repeated query
+    rng = random.Random(seed)
+    h = TableOracle({i: rng.randrange(5) for i in range(4)}, rng.randrange(1, 5))
+    g = TableOracle({i: rng.randrange(5) for i in range(4)}, rng.randrange(5))
+    scans = []
+    real_star = k2.star
+
+    def recording_star(f, g, fuel, max_depth=None):
+        scans.append(k2.RecordingOracle(f))
+        return real_star(scans[-1], g, fuel, max_depth)
+
+    with mock.patch.object(k2, "star", recording_star):
+        apply_candidate(_candidate(p, depth, reach), h, g, fuel)
+    assert scans[0].inner.label == "alpha.h"
+    for rec in scans:
+        codes = [code for code, _ in rec.transcript]
+        assert codes == sorted(set(codes))
+
+
 # --- the adversary -------------------------------------------------------------
 
 
@@ -123,7 +164,6 @@ def test_nondeterministic_candidate_is_flagged():
 
     report = adversary_refute(Unstable(), fuel=2000)
     assert report.verdict == "malformed"
-    assert not report.diverging_reads
 
 
 def test_rebuilt_pair_satisfies_the_hypothesis():

@@ -1,5 +1,7 @@
 import gc
 import itertools
+import random
+import sys
 import weakref
 from unittest import mock
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from baire import k2
 from baire.k2 import (FinPartialFn, PrefixCodeTrie, bar, bullet, cons, constant,
-                      decode_seq, encode_seq, identity_oracle, star,
+                      decode_seq, encode_seq, identity_oracle, pair_names, star,
                       with_usage_tracking)
 
 
@@ -161,29 +163,112 @@ def test_bullet_fuel_monotone(seed, extra):
     fuel = rng.randrange(1, 8)
     first = bullet(f, g).query(k_q, fuel)
     if first.is_value:
-        # a fresh instance, so the answer cannot come from the memo
+        # a second scan with more fuel, over a fresh bullet
         again = bullet(f, g).query(k_q, fuel + extra)
         assert again.value == first.value
 
 
+# --- what an oracle keeps --------------------------------------------------
+
+LONG_CODE = encode_seq(list(range(1, 13)))
+
+
+def _structural_oracles():
+    return {"const": constant(0),
+            "table": k2.TableOracle({3: 5}, 1),
+            "pair_names": pair_names(constant(0), constant(0)),
+            "pair": pair_names(constant(0), constant(1))}
+
+
 def test_dropped_table_oracle_is_freed_without_the_cycle_collector():
-    # its rule closes over the table, not over the oracle, so a table oracle
-    # is no reference cycle: deleting it frees it, and the codes it memoized
-    code = encode_seq(list(range(1, 13)))
-    assert code.bit_length() > 3000
-    f = constant(0)
-    assert f(code) == 0 and f(code + 1) == 0
-    ref = weakref.ref(f)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        del f
-        assert ref() is None
-    finally:
-        if enabled:
-            gc.enable()
+    # a table or pair oracle holds no closure over itself, so it is no
+    # reference cycle: deleting it frees it at once
+    assert LONG_CODE.bit_length() > 3000
+    oracles = _structural_oracles()
+    assert isinstance(oracles["pair_names"], k2.TableOracle)
+    assert isinstance(oracles["pair"], k2.PairOracle)
+    for name in list(oracles):
+        f = oracles[name]
+        f(LONG_CODE), f(LONG_CODE + 1)
+        ref = weakref.ref(f)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del f, oracles[name]
+            assert ref() is None, name
+        finally:
+            if enabled:
+                gc.enable()
     table = k2.TableOracle({3: 5}, 1)
     assert [table(k) for k in range(5)] == [1, 1, 1, 5, 1]
+
+
+def test_structural_oracles_keep_no_code_they_answered():
+    code = LONG_CODE + 2
+    for name, f in _structural_oracles().items():
+        before = sys.getrefcount(code)
+        f(code), f(code)
+        assert sys.getrefcount(code) == before, name
+    assert pair_names(constant(0), constant(1))(code) == code % 2
+
+
+def test_opaque_oracle_runs_its_rule_once_per_index():
+    calls = []
+
+    def rule(k):
+        calls.append(k)
+        return k % 3
+
+    f = k2.Oracle(rule, label="counted")
+    assert [f(k) for k in (4, 1, 4, 4, 1, LONG_CODE, LONG_CODE)] == \
+        [1, 1, 1, 1, 1, LONG_CODE % 3, LONG_CODE % 3]
+    assert calls == [4, 1, LONG_CODE]
+
+
+def test_opaque_oracle_refuses_a_non_natural_answer():
+    with pytest.raises(ValueError):
+        k2.Oracle(lambda k: -1, label="negative")(0)
+    for f in [*_structural_oracles().values(), k2.Oracle(lambda k: k)]:
+        with pytest.raises(ValueError):
+            f(-1)
+
+
+# --- a scan reads its name once per code ------------------------------------
+
+
+def _rising(transcript) -> bool:
+    codes = [code for code, _ in transcript]
+    return all(a < b for a, b in zip(codes, codes[1:]))
+
+
+scan_shapes = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=30),         # fuel
+              st.integers(min_value=0, max_value=12),         # firing depth
+              st.one_of(st.none(), st.integers(min_value=0, max_value=8))),
+    min_size=1, max_size=4)
+
+
+@given(scan_shapes, st.booleans(), st.integers(min_value=0, max_value=10 ** 6))
+def test_star_never_queries_its_name_twice_on_one_code(shapes, shared, seed):
+    rng = random.Random(seed)
+    tank = k2.Fuel(sum(fuel for fuel, _, _ in shapes))
+    for fuel, depth, max_depth in shapes:
+        f = k2.RecordingOracle(k2.depth_answer(1 + rng.randrange(3), depth, "f"))
+        g = k2.TableOracle({i: rng.randrange(4) for i in range(8)}, rng.randrange(4))
+        r = star(f, g, tank if shared else fuel, max_depth)
+        assert _rising(f.transcript)
+        assert len(f.transcript) <= r.spent
+
+
+@given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_bullet_query_never_queries_its_name_twice_on_one_code(k, fuel, seed):
+    # codes double in bits per element, so the fuel stays at depth 12
+    rng = random.Random(seed)
+    f = k2.RecordingOracle(k2.Oracle(lambda c, s=rng.randrange(1, 99): c * s % 5 // 4))
+    g = k2.TableOracle({i: rng.randrange(4) for i in range(6)}, 1)
+    bullet(f, g).query(k, fuel)
+    assert _rising(f.transcript)
 
 
 # --- usage tracking ------------------------------------------------------
