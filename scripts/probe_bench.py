@@ -45,7 +45,7 @@ BUDGET = 200
 
 
 def new_realizer(m):
-    return aspk.realizer_from_base(aspk.builtin_base(m), naming.star_extension(m))
+    return aspk.realizer_from_base(aspk.builtin_base(m))
 
 
 def phase_counts(m, config: aspk.ProbeConfig) -> dict:
@@ -62,9 +62,8 @@ def phase_counts(m, config: aspk.ProbeConfig) -> dict:
         phase["eval_fuel"] += out.result.spent
         return out
 
-    counted = aspk.AntiSpeckerRealizer(evaluate, realizer.provenance,
-                                       realizer.pointed)
-    probed = aspk.base_from_realizer(counted, counted.pointed, config)
+    counted = aspk.AntiSpeckerRealizer(evaluate, realizer.space)
+    probed = aspk.base_from_realizer(counted, counted.space, config)
     blind = sum(1 for _ in aspk._blind_candidates(config.blind_size_cap))
     phases["phase_one"]["candidates"] = min(probed.evals_spent, blind)
     phases["phase_two"]["candidates"] = probed.evals_spent - min(probed.evals_spent,
@@ -78,7 +77,7 @@ def median_ms(m, config: aspk.ProbeConfig, repeats: int) -> float:
     for _ in range(repeats):
         realizer = new_realizer(m)
         t = time.perf_counter()
-        aspk.base_from_realizer(realizer, realizer.pointed, config)
+        aspk.base_from_realizer(realizer, realizer.space, config)
         times.append(time.perf_counter() - t)
     return round(1000 * statistics.median(times), 3)
 

@@ -38,10 +38,6 @@ class CriterionResult:
                 "seconds": round(self.seconds, 3), "limit": self.limit}
 
 
-def _fail(msgs: list, text: str) -> None:
-    msgs.append(text)
-
-
 # ---------------------------------------------------------------------------
 # 1. application operators: locality, fuel monotonicity, codec
 # ---------------------------------------------------------------------------
@@ -62,8 +58,7 @@ def _random_answering_oracle(rng: random.Random) -> k2.Oracle:
                      label="rand-answer")
 
 
-def criterion_locality_fuel() -> CriterionResult:
-    start = time.time()
+def criterion_locality_fuel() -> tuple[bool, str]:
     rng = random.Random(101)
     msgs: list[str] = []
     values = 0
@@ -76,7 +71,7 @@ def criterion_locality_fuel() -> CriterionResult:
         if r.is_value:
             values += 1
             if r2.value != r.value:
-                _fail(msgs, f"trial {trial}: fuel monotonicity broke")
+                msgs.append(f"trial {trial}: fuel monotonicity broke")
             # change g strictly past the firing index: same value, same index
             table = {i: g(i) for i in range(r.fired_at)}
             table.update({r.fired_at + d: g(r.fired_at + d) + 1 for d in range(4)})
@@ -84,21 +79,20 @@ def criterion_locality_fuel() -> CriterionResult:
             r3 = k2.star(f, g_alt, fuel)
             if not (r3.is_value and r3.value == r.value
                     and r3.fired_at == r.fired_at):
-                _fail(msgs, f"trial {trial}: determination locality broke")
+                msgs.append(f"trial {trial}: determination locality broke")
         elif r2.is_value and r2.fired_at < fuel:
-            _fail(msgs, f"trial {trial}: exhausted at {fuel} yet fired at {r2.fired_at}")
+            msgs.append(f"trial {trial}: exhausted at {fuel} yet fired at {r2.fired_at}")
     for code in range(10 ** 4):
         if k2.encode_seq(k2.decode_seq(code)) != code:
-            _fail(msgs, f"codec round trip failed at {code}")
+            msgs.append(f"codec round trip failed at {code}")
             break
     for _ in range(200):
         s = [rng.randrange(50) for _ in range(rng.randrange(6))]
         if list(k2.decode_seq(k2.encode_seq(s))) != s:
-            _fail(msgs, f"codec round trip failed on {s}")
+            msgs.append(f"codec round trip failed on {s}")
             break
     detail = msgs[0] if msgs else f"200 pairs ({values} valued), codes < 10^4"
-    return CriterionResult("1-star-locality-fuel-codec", not msgs, detail,
-                           time.time() - start, 5.0)
+    return not msgs, detail
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +100,7 @@ def criterion_locality_fuel() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_signed_digit() -> CriterionResult:
-    start = time.time()
+def criterion_signed_digit() -> tuple[bool, str]:
     rng = random.Random(202)
     msgs: list[str] = []
     for trial in range(100):
@@ -115,17 +108,16 @@ def criterion_signed_digit() -> CriterionResult:
         x = reals.from_rational(q)
         for prec in range(31):
             if abs(x.approx(prec) - q) > Fraction(1, 2 ** prec):
-                _fail(msgs, f"approx bound failed for {q} at {prec}")
+                msgs.append(f"approx bound failed for {q} at {prec}")
                 break
     for trial in range(100):
         p = Fraction(rng.randrange(-400, 401), rng.randrange(1, 48))
         q = Fraction(rng.randrange(-400, 401), rng.randrange(1, 48))
         m = reals.max_star(reals.from_rational(p), reals.from_rational(q))
         if abs(m.approx(20) - max(p, q)) > Fraction(1, 2 ** 20):
-            _fail(msgs, f"max lifting off at ({p}, {q})")
+            msgs.append(f"max lifting off at ({p}, {q})")
     detail = msgs[0] if msgs else "100 rationals to 2^-30; max lifting at 2^-20"
-    return CriterionResult("2-signed-digit-contract", not msgs, detail,
-                           time.time() - start, 5.0)
+    return not msgs, detail
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +125,7 @@ def criterion_signed_digit() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_metric_coherence() -> CriterionResult:
-    start = time.time()
+def criterion_metric_coherence() -> tuple[bool, str]:
     rng = random.Random(303)
     msgs: list[str] = []
     spaces = [naming.CantorSpace(), naming.FiniteSpace(5),
@@ -146,18 +137,17 @@ def criterion_metric_coherence() -> CriterionResult:
             exact = sp.dist(p, q)
             stream = sp.dist_hat(sp.canonical_name(p), sp.canonical_name(q))
             if abs(stream.approx(20) - exact) > eps:
-                _fail(msgs, f"{sp.space_id}: stream disagrees on {p!r},{q!r}")
+                msgs.append(f"{sp.space_id}: stream disagrees on {p!r},{q!r}")
                 break
         for _ in range(100):
             p, q, r = (sp.sample_point(rng) for _ in range(3))
             dpq, dqp = sp.dist(p, q), sp.dist(q, p)
             if dpq != dqp or sp.dist(p, p) != 0 or dpq > 1 \
                     or sp.dist(p, r) > dpq + sp.dist(q, r):
-                _fail(msgs, f"{sp.space_id}: metric axiom failed")
+                msgs.append(f"{sp.space_id}: metric axiom failed")
                 break
     detail = msgs[0] if msgs else "3 spaces, 100 pairs at 2^-20, 100 exact triples"
-    return CriterionResult("3-metric-coherence", not msgs, detail,
-                           time.time() - start, 10.0)
+    return not msgs, detail
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +155,8 @@ def criterion_metric_coherence() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _random_star_sequence(rng: random.Random, pointed: naming.PointedSpace
+def _random_star_sequence(rng: random.Random, sp: naming.Space
                           ) -> naming.NameSequence:
-    sp = pointed.space
     length = rng.randrange(0, 12)
     prefix = []
     for _ in range(length):
@@ -186,22 +175,20 @@ def build_exactness_suite(rng: random.Random):
     depths up to 3 (including the deliberately deep answerers)."""
     suite = []
     for sp in (naming.CantorSpace(), naming.FiniteSpace(3)):
-        pointed = naming.star_extension(sp)
         cases = []
         for _ in range(25):
-            seq = _random_star_sequence(rng, pointed)
-            names = [aspk.make_avoidance_name(seq, pointed, radius_exp=r,
-                                              answer_depth=d)
+            seq = _random_star_sequence(rng, sp)
+            names = [aspk.make_avoidance_name(seq, radius_exp=r, answer_depth=d)
                      for d, r in _SUITE_SHAPES]
             cases.append((seq, names))
-        suite.append((sp, pointed, cases))
+        suite.append((sp, cases))
     return suite
 
 
 def _suite_agreement(realizers: dict, suite, fuel: int) -> Optional[str]:
-    for sp, pointed, cases in suite:
+    for sp, cases in suite:
         realizer = realizers[sp.space_id]
-        oracle = aspk.direct_scan_realizer(pointed)
+        oracle = aspk.direct_scan_realizer(sp)
         for ci, (seq, names) in enumerate(cases):
             want = oracle.evaluate(seq, names[0], fuel).result.value
             for ni, h in enumerate(names):
@@ -212,54 +199,47 @@ def _suite_agreement(realizers: dict, suite, fuel: int) -> Optional[str]:
     return None
 
 
-def criterion_settling_exactness() -> CriterionResult:
-    start = time.time()
+def criterion_settling_exactness() -> tuple[bool, str]:
     rng = random.Random(404)
     suite = build_exactness_suite(rng)
-    realizers = {sp.space_id:
-                 aspk.realizer_from_base(aspk.builtin_base(sp), pointed)
-                 for sp, pointed, _ in suite}
+    realizers = {sp.space_id: aspk.realizer_from_base(aspk.builtin_base(sp))
+                 for sp, _ in suite}
     bad = _suite_agreement(realizers, suite, fuel=4000)
     detail = bad or "50 sequences x 5 names, exact, both spaces"
-    return CriterionResult("4-settling-exactness", bad is None, detail,
-                           time.time() - start, 30.0)
+    return bad is None, detail
 
 
-def criterion_base_round_trip() -> CriterionResult:
-    start = time.time()
+def criterion_base_round_trip() -> tuple[bool, str]:
     rng = random.Random(404)  # same suite as criterion 4
     suite = build_exactness_suite(rng)
     msgs: list[str] = []
 
     rederived = {}
-    for sp, pointed, _ in suite:
-        direct = aspk.realizer_from_base(aspk.builtin_base(sp), pointed)
-        probed = aspk.base_from_realizer(direct, pointed)
+    for sp, _ in suite:
+        direct = aspk.realizer_from_base(aspk.builtin_base(sp))
+        probed = aspk.base_from_realizer(direct, sp)
         if not probed.members:
-            _fail(msgs, f"{sp.space_id}: probe harvested nothing")
+            msgs.append(f"{sp.space_id}: probe harvested nothing")
             continue
         for theta in probed.members:
             if not aspk.covers(theta, sp).covered:
-                _fail(msgs, f"{sp.space_id}: non-covering member emitted")
-        rederived[sp.space_id] = aspk.realizer_from_base(probed, pointed)
+                msgs.append(f"{sp.space_id}: non-covering member emitted")
+        rederived[sp.space_id] = aspk.realizer_from_base(probed, sp)
 
     fin2 = naming.FiniteSpace(2)
-    pointed2 = naming.star_extension(fin2)
     probed2 = aspk.base_from_realizer(
-        aspk.realizer_from_base(aspk.builtin_base(fin2), pointed2),
-        pointed2)
+        aspk.realizer_from_base(aspk.builtin_base(fin2)), fin2)
     if not probed2.members or not all(
             aspk.covers(t, fin2).covered for t in probed2.members):
-        _fail(msgs, "finite(2) probe produced no verified covering")
+        msgs.append("finite(2) probe produced no verified covering")
 
     if not msgs:
         bad = _suite_agreement(rederived, suite, fuel=6000)
         if bad:
-            _fail(msgs, f"re-derived disagreement: {bad}")
+            msgs.append(f"re-derived disagreement: {bad}")
     detail = msgs[0] if msgs else (
         "harvests verified; re-derived realizers value-equal on the full suite")
-    return CriterionResult("6-base-round-trip", not msgs, detail,
-                           time.time() - start, 120.0)
+    return not msgs, detail
 
 
 # ---------------------------------------------------------------------------
@@ -267,39 +247,36 @@ def criterion_base_round_trip() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_product() -> CriterionResult:
-    start = time.time()
+def criterion_product() -> tuple[bool, str]:
     rng = random.Random(505)
     msgs: list[str] = []
     mc = naming.CantorSpace()
     mf = naming.FiniteSpace(2)
     prod = naming.ProductSpace(mc, mf)
-    pointed_prod = naming.star_extension(prod)
     realizer = aspk.product_anti_specker(
-        aspk.realizer_from_base(aspk.builtin_base(mc), naming.star_extension(mc)),
-        aspk.realizer_from_base(aspk.builtin_base(mf), naming.star_extension(mf)),
-        pointed_prod)
-    oracle = aspk.direct_scan_realizer(pointed_prod)
+        aspk.realizer_from_base(aspk.builtin_base(mc)),
+        aspk.realizer_from_base(aspk.builtin_base(mf)),
+        prod)
+    oracle = aspk.direct_scan_realizer(prod)
 
     shapes = ((0, 0), (2, 0), (3, 1))
     for ci in range(25):
-        seq = _random_star_sequence(rng, pointed_prod)
+        seq = _random_star_sequence(rng, prod)
         d, r = shapes[ci % len(shapes)]
-        h = aspk.make_avoidance_name(seq, pointed_prod, radius_exp=r, answer_depth=d)
+        h = aspk.make_avoidance_name(seq, radius_exp=r, answer_depth=d)
         want = oracle.evaluate(seq, h, 10).result.value
         got = realizer.evaluate(seq, h, 60000)
         if not got.result.is_value or got.result.value != want:
-            _fail(msgs, f"case {ci} (depth {d}): {got.result.to_json()} != {want}")
+            msgs.append(f"case {ci} (depth {d}): {got.result.to_json()} != {want}")
             break
 
     pb = aspk.product_base(aspk.builtin_base(mc), aspk.builtin_base(mf))
     for i in range(12):
         if not aspk.covers(pb.enumerate_theta(i), prod).covered:
-            _fail(msgs, f"product member {i} fails the covering check")
+            msgs.append(f"product member {i} fails the covering check")
             break
     detail = msgs[0] if msgs else "25 product sequences exact; 12 members cover"
-    return CriterionResult("5-product-realizer", not msgs, detail,
-                           time.time() - start, 60.0)
+    return not msgs, detail
 
 
 # ---------------------------------------------------------------------------
@@ -326,40 +303,39 @@ def _split_inputs() -> list[tuple[cauchy.RationalSeq, cauchy.RationalSeq, str]]:
     ]
 
 
-def criterion_split_invariants() -> CriterionResult:
-    start = time.time()
+def criterion_split_invariants() -> tuple[bool, str]:
     msgs: list[str] = []
     for x, b, label in _split_inputs():
         try:
             ledger = cauchy.protected_split(x, b, stages=11)
         except (cauchy.ClearanceViolation, k2.Exhausted) as e:
-            _fail(msgs, f"{label}: {e}")
+            msgs.append(f"{label}: {e}")
             continue
         for rec in ledger.stages:
             if sum(abs(v) for v in rec.y) != rec.x:
-                _fail(msgs, f"{label}: block mass broken at stage {rec.stage}")
+                msgs.append(f"{label}: block mass broken at stage {rec.stage}")
             if rec.k % 2 != 1:
-                _fail(msgs, f"{label}: even block size at stage {rec.stage}")
+                msgs.append(f"{label}: even block size at stage {rec.stage}")
             if rec.positive and rec.t is not None and rec.k > 1:
                 if not (Fraction(rec.x) / rec.k < rec.t / 2):
-                    _fail(msgs, f"{label}: block size too coarse at {rec.stage}")
+                    msgs.append(f"{label}: block size too coarse at {rec.stage}")
                 if Fraction(rec.x) / (rec.k - 2) < rec.t / 2:
-                    _fail(msgs, f"{label}: block size not minimal at {rec.stage}")
+                    msgs.append(f"{label}: block size not minimal at {rec.stage}")
             if rec.positive and rec.t is None and rec.k != 1:
-                _fail(msgs, f"{label}: unprotected stage must keep one piece")
+                msgs.append(f"{label}: unprotected stage must keep one piece")
         report = cauchy.verify_clearances(
             ledger, Fraction(0) if x.support_end <= 11 else None)
         if not report.ok:
-            _fail(msgs, f"{label}: clearance recomputation failed")
+            msgs.append(f"{label}: clearance recomputation failed")
         # immutability: a second run must reproduce the protections exactly
         again = cauchy.protected_split(x, b, stages=11)
         if again.protections != ledger.protections:
-            _fail(msgs, f"{label}: protections not reproducible")
+            msgs.append(f"{label}: protections not reproducible")
         seen: set = set()
         for rec in ledger.stages:
             for key in rec.case2 + rec.case3:
                 if key in seen:
-                    _fail(msgs, f"{label}: protection reassigned")
+                    msgs.append(f"{label}: protection reassigned")
                 seen.add(key)
     # the two hand traces, frozen
     t1 = cauchy.protected_split(cauchy.RationalSeq.make([1]),
@@ -368,16 +344,15 @@ def criterion_split_invariants() -> CriterionResult:
     if not (t1.stages[0].k == 5 and t1.stages[0].y == (f5, -f5, f5, -f5, f5)
             and t1.stages[0].t == Fraction(1, 2)
             and t1.protections == {(0, 0): Fraction(1, 2)}):
-        _fail(msgs, "hand trace against constant targets is off")
+        msgs.append("hand trace against constant targets is off")
     t2 = cauchy.protected_split(cauchy.RationalSeq.make([1]),
                                 cauchy.RationalSeq.make([]), 1)
     if not (t2.stages[0].k == 1 and t2.stages[0].y == (Fraction(1),)
             and t2.stages[0].t is None
             and t2.protections == {(0, 0): Fraction(1, 2)}):
-        _fail(msgs, "hand trace against zero targets is off")
+        msgs.append("hand trace against zero targets is off")
     detail = msgs[0] if msgs else "10 inputs through stage 10, all invariants exact"
-    return CriterionResult("7-split-invariants", not msgs, detail,
-                           time.time() - start, 120.0)
+    return not msgs, detail
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +396,7 @@ def _random_permutation(rng: random.Random, size: int) -> cauchy.PermutationSpec
         {i: v for i, v in enumerate(idxs)})
 
 
-def criterion_settling_index() -> CriterionResult:
-    start = time.time()
+def criterion_settling_index() -> tuple[bool, str]:
     rng = random.Random(808)
     msgs: list[str] = []
 
@@ -433,12 +407,12 @@ def criterion_settling_index() -> CriterionResult:
     got = cauchy.settling_index(series, cauchy.PermutationSpec.identity(), 3, f)
     brute = _brute_settling(series, cauchy.PermutationSpec.identity(), 3)
     if got != 5 or brute != 5:
-        _fail(msgs, f"constant example: settled at {got} (brute {brute}), want 5")
+        msgs.append(f"constant example: settled at {got} (brute {brute}), want 5")
     verdict = cauchy.classify_windows(series, cauchy.PermutationSpec.identity(),
                                       4, 3, f)
     if not (isinstance(verdict, cauchy.WindowWitness)
             and (verdict.i, verdict.j) == (4, 4)):
-        _fail(msgs, f"window witness at 4 expected, got {verdict}")
+        msgs.append(f"window witness at 4 expected, got {verdict}")
 
     accepted = 0
     attempts = 0
@@ -464,14 +438,13 @@ def criterion_settling_index() -> CriterionResult:
                 want = _brute_settling(series, p, n)
                 got = cauchy.settling_index(series, p, n, f)
                 if got != want:
-                    _fail(msgs, f"input {accepted} perm {pi} n={n}: "
+                    msgs.append(f"input {accepted} perm {pi} n={n}: "
                                 f"{got} != brute {want}")
     if accepted < 10:
-        _fail(msgs, f"only {accepted} inputs accepted")
+        msgs.append(f"only {accepted} inputs accepted")
     detail = msgs[0] if msgs else \
         "frozen example = 5; 10 inputs x 5 permutations x 3 exponents exact"
-    return CriterionResult("8-settling-index", not msgs, detail,
-                           time.time() - start, 60.0)
+    return not msgs, detail
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +452,7 @@ def criterion_settling_index() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_modulus_transfer() -> CriterionResult:
-    start = time.time()
+def criterion_modulus_transfer() -> tuple[bool, str]:
     rng = random.Random(909)
     msgs: list[str] = []
     cases = [cauchy.RationalSeq.make([1], "constant", 1),
@@ -499,10 +471,9 @@ def criterion_modulus_transfer() -> CriterionResult:
         fg = cauchy.modulus_from_abs_sums(series.ledger, g)
         report = cauchy.is_modulus(fg, a, horizon=40)
         if not report.ok:
-            _fail(msgs, f"case {idx}: transfer fails at {report.counterexample}")
+            msgs.append(f"case {idx}: transfer fails at {report.counterexample}")
     detail = msgs[0] if msgs else "10 transfers pass the horizon-40 check"
-    return CriterionResult("9-modulus-transfer", not msgs, detail,
-                           time.time() - start, 10.0)
+    return not msgs, detail
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +491,7 @@ def _brute_pc_index(x: cauchy.RationalSeq, f: cauchy.Modulus, g, n: int) -> int:
     return worst + 1
 
 
-def criterion_pc_index() -> CriterionResult:
-    start = time.time()
+def criterion_pc_index() -> tuple[bool, str]:
     rng = random.Random(1010)
     msgs: list[str] = []
     for trial in range(50):
@@ -547,14 +517,13 @@ def criterion_pc_index() -> CriterionResult:
         want = _brute_pc_index(x, f, g, n)
         got = cauchy.partially_cauchy_index(x, f, g, n)
         if got != want:
-            _fail(msgs, f"trial {trial}: {got} != brute {want}")
+            msgs.append(f"trial {trial}: {got} != brute {want}")
             break
         if cauchy.partially_cauchy_index(x, f, k2.identity_oracle(), n) != 0:
-            _fail(msgs, f"trial {trial}: identity windows must settle at 0")
+            msgs.append(f"trial {trial}: identity windows must settle at 0")
             break
     detail = msgs[0] if msgs else "50 instances exact; identity always 0"
-    return CriterionResult("10-pc-index", not msgs, detail,
-                           time.time() - start, 10.0)
+    return not msgs, detail
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +561,7 @@ def _strategy_candidates() -> list[k2.Oracle]:
             k2.Oracle(mixer, label="alpha-mixer")]
 
 
-def criterion_bdn() -> CriterionResult:
-    start = time.time()
+def criterion_bdn() -> tuple[bool, str]:
     rng = random.Random(1111)
     msgs: list[str] = []
     for trial in range(20):
@@ -603,7 +571,7 @@ def criterion_bdn() -> CriterionResult:
         h = bdn.make_valid_realizer(g, bound, answer_len=rng.randrange(0, 4))
         n0 = bdn.extract_bound(g, h, fuel=50)
         if not all(g(m) < n0 for m in range(1001)):
-            _fail(msgs, f"trial {trial}: extracted {n0} is not a strict bound")
+            msgs.append(f"trial {trial}: extracted {n0} is not a strict bound")
             break
 
     reports = []
@@ -611,11 +579,11 @@ def criterion_bdn() -> CriterionResult:
         report = bdn.adversary_refute(alpha, fuel=20000)
         reports.append(report)
         if report.verdict != "refuted":
-            _fail(msgs, f"{alpha.label}: verdict {report.verdict} ({report.reason})")
+            msgs.append(f"{alpha.label}: verdict {report.verdict} ({report.reason})")
 
     full = next((r for r in reports if r.a is not None), None)
     if full is None:
-        _fail(msgs, "no candidate reached the rebuilt pair")
+        msgs.append("no candidate reached the rebuilt pair")
     else:
         k, a = full.k, full.a
         h1, g1 = bdn.adversary_pair(k, a)
@@ -625,16 +593,16 @@ def criterion_bdn() -> CriterionResult:
                                     for kk in range(k + 2, min(a, k + 8))},
                                    0, label="spiky") for _ in range(10)]
         if not bdn.check_domination_hypothesis(h1, g1, samples, fuel=200):
-            _fail(msgs, "rebuilt pair violates the domination hypothesis")
+            msgs.append("rebuilt pair violates the domination hypothesis")
         f1 = bdn.functional_of_pair(k, a)
         for f in samples[:20]:
             r = k2.star(h1, f, 200)
             if not r.is_value or r.value != f1(f):
-                _fail(msgs, "the rebuilt name disagrees with its functional")
+                msgs.append("the rebuilt name disagrees with its functional")
                 break
     detail = msgs[0] if msgs else \
         "20 extractions bounded; 5 candidates refuted; hypothesis holds on 50 samples"
-    return CriterionResult("11-bdn", not msgs, detail, time.time() - start, 30.0)
+    return not msgs, detail
 
 
 # ---------------------------------------------------------------------------
@@ -642,19 +610,31 @@ def criterion_bdn() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
+def _timed(name: str, limit: float, check: Callable[[], tuple[bool, str]]
+           ) -> Callable[[], CriterionResult]:
+    """Criterion ``name``: run ``check`` and time it against ``limit``."""
+    def run() -> CriterionResult:
+        start = time.time()
+        ok, detail = check()
+        return CriterionResult(name, ok, detail, time.time() - start, limit)
+    return run
+
+
+# each criterion's name, time limit in seconds and check, in scorecard order
 CRITERIA: list[tuple[str, Callable[[], CriterionResult]]] = [
-    ("1-star-locality-fuel-codec", criterion_locality_fuel),
-    ("2-signed-digit-contract", criterion_signed_digit),
-    ("3-metric-coherence", criterion_metric_coherence),
-    ("4-settling-exactness", criterion_settling_exactness),
-    ("5-product-realizer", criterion_product),
-    ("6-base-round-trip", criterion_base_round_trip),
-    ("7-split-invariants", criterion_split_invariants),
-    ("8-settling-index", criterion_settling_index),
-    ("9-modulus-transfer", criterion_modulus_transfer),
-    ("10-pc-index", criterion_pc_index),
-    ("11-bdn", criterion_bdn),
-]
+    (name, _timed(name, limit, check)) for name, limit, check in (
+        ("1-star-locality-fuel-codec", 5.0, criterion_locality_fuel),
+        ("2-signed-digit-contract", 5.0, criterion_signed_digit),
+        ("3-metric-coherence", 10.0, criterion_metric_coherence),
+        ("4-settling-exactness", 30.0, criterion_settling_exactness),
+        ("5-product-realizer", 60.0, criterion_product),
+        ("6-base-round-trip", 120.0, criterion_base_round_trip),
+        ("7-split-invariants", 120.0, criterion_split_invariants),
+        ("8-settling-index", 60.0, criterion_settling_index),
+        ("9-modulus-transfer", 10.0, criterion_modulus_transfer),
+        ("10-pc-index", 10.0, criterion_pc_index),
+        ("11-bdn", 30.0, criterion_bdn),
+    )]
 
 
 def run_all(only: Optional[str] = None) -> list[CriterionResult]:

@@ -18,6 +18,11 @@ convert both ways:
 Products are handled by combining bases atom by atom, which is what
 makes the product of two realized-compact spaces realized-compact.
 
+The sequences live in the one-point extension of a registry space, which
+is the space itself: ``naming.is_star`` tells the added point apart, and
+``NameSequence.onset_below`` is the one scan for the last real entry.  A
+realizer records the space it realizes.
+
 Nothing is built twice.  The builtin and product bases build a member's
 atoms once, as far as some search has asked for them, and keep them for
 as long as the base lives; a realizer keeps the prefix codes it has paired
@@ -30,14 +35,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import k2
 from .k2 import (FinPartialFn, Oracle, PartialResult, PrefixCodeTrie,
                  RecordingOracle, SpecError, TableOracle, decode_pair,
                  decode_seq, encode_pair)
-from .naming import (NameSequence, PointedSpace, ProductSpace, Space,
-                     star_extension)
+from .naming import NameSequence, ProductSpace, Space
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +194,8 @@ class AvoidanceName:
     description: str = "avoidance"
 
 
-def make_avoidance_name(seq: NameSequence, pointed: PointedSpace,
-                        radius_exp: int = 0, answer_depth: int = 0) -> AvoidanceName:
+def make_avoidance_name(seq: NameSequence, radius_exp: int = 0,
+                        answer_depth: int = 0) -> AvoidanceName:
     """Avoidance name for an eventually-star sequence.
 
     Answers (radius_exp, onset) on every sequence of length >= answer_depth,
@@ -201,7 +205,7 @@ def make_avoidance_name(seq: NameSequence, pointed: PointedSpace,
     """
     if not seq.eventually_star:
         raise ValueError("sequence is not eventually star; supply a witness table")
-    onset = seq.star_onset(pointed)
+    onset = seq.star_onset()
     answer = encode_pair(radius_exp, onset) + 1
     h = k2.depth_answer(answer, answer_depth,
                         f"avoid(d={answer_depth},n={radius_exp},m={onset})")
@@ -216,22 +220,18 @@ def make_avoidance_name(seq: NameSequence, pointed: PointedSpace,
 class CompactnessBase:
     """An enumerable family of covering descriptors for a registry space.
 
-    A subclass defines ``enumerate_theta`` or ``iter_atoms``; each of the
-    two defaults to the other.
+    A subclass defines ``iter_atoms(i)``, which streams member i's atoms
+    without materializing the member; the canonical Cantor member k holds
+    2^k atoms, so searches that abandon a member early must not pay for
+    the whole of it.  The builtin and product bases build each atom once,
+    when some stream first reaches it, and keep it for as long as the base
+    lives.
     """
 
     space: Space
 
     def enumerate_theta(self, i: int) -> Theta:
         return Theta(tuple(self.iter_atoms(i)))
-
-    def iter_atoms(self, i: int) -> Iterable[CoverAtom]:
-        """Stream member i's atoms without materializing the member; the
-        canonical Cantor member k holds 2^k atoms, so searches that abandon
-        a member early must not pay for the whole of it.  The builtin and
-        product bases build each atom once, when some stream first reaches
-        it, and keep it for as long as the base lives."""
-        return iter(self.enumerate_theta(i).atoms)
 
 
 class _KeptMember:
@@ -278,9 +278,6 @@ class _KeptBase(CompactnessBase):
 
     def __init__(self):
         self._kept: dict[int, _KeptMember] = {}
-
-    def _build_atoms(self, i: int) -> Iterator[CoverAtom]:
-        raise NotImplementedError
 
     def iter_atoms(self, i: int) -> Iterator[CoverAtom]:
         member = self._kept.get(i)
@@ -390,10 +387,10 @@ class ProbedBase(CompactnessBase):
         self.exhausted = exhausted
         self.evals_spent = evals_spent
 
-    def enumerate_theta(self, i: int) -> Theta:
+    def iter_atoms(self, i: int) -> Iterator[CoverAtom]:
         if not self.members:
             raise SpecError("probe harvested no covering members")
-        return self.members[i % len(self.members)]
+        return iter(self.members[i % len(self.members)].atoms)
 
     def to_json(self) -> dict:
         return {"kind": "probed", "members": [t.to_json() for t in self.members],
@@ -433,33 +430,23 @@ class EvalOutcome:
 @dataclass(frozen=True)
 class AntiSpeckerRealizer:
     """Evaluates (sequence of names, avoidance name, fuel) to the settling
-    index of the sequence.  Provenance records how it was built."""
+    index of the sequence, for sequences in the one-point extension of
+    ``space``."""
 
     evaluate: Callable[[NameSequence, AvoidanceName, int], EvalOutcome]
-    provenance: str
-    pointed: PointedSpace
+    space: Space
 
 
-def _exact_settling_value(seq: NameSequence, pointed: PointedSpace,
-                          bound: int) -> int:
-    value = 0
-    for i in range(min(bound, seq.horizon)):
-        if not pointed.is_star(seq.entry(i)):
-            value = i + 1
-    return value
-
-
-def direct_scan_realizer(pointed: PointedSpace) -> AntiSpeckerRealizer:
+def direct_scan_realizer(space: Space) -> AntiSpeckerRealizer:
     """The independent oracle: scan the declared prefix for the last real
     entry.  Ignores the avoidance name entirely."""
 
     def evaluate(seq: NameSequence, h: AvoidanceName, fuel: int) -> EvalOutcome:
         if not seq.eventually_star:
             return EvalOutcome(PartialResult.exhausted(0), stage="not-eventually-star")
-        onset = seq.star_onset(pointed)
-        return EvalOutcome(PartialResult.of(onset, spent=0))
+        return EvalOutcome(PartialResult.of(seq.star_onset(), spent=0))
 
-    return AntiSpeckerRealizer(evaluate, "direct_scan", pointed)
+    return AntiSpeckerRealizer(evaluate, space)
 
 
 # prefixes longer than this are never queried, since their codes grow
@@ -468,7 +455,7 @@ MAX_PREFIX_LEN = 16
 
 
 def realizer_from_base(base: CompactnessBase,
-                       pointed: Optional[PointedSpace] = None) -> AntiSpeckerRealizer:
+                       space: Optional[Space] = None) -> AntiSpeckerRealizer:
     """Search the base for a member whose every atom the avoidance name
     certifies, then return the exact settling index.
 
@@ -477,17 +464,16 @@ def realizer_from_base(base: CompactnessBase,
     to long and the first usable answer wins.  The returned bound is the
     maximum of the certified m's; the final value is recomputed exactly by
     scanning the sequence below the bound, so it does not depend on which
-    member certified.  Fuel counts avoidance-name queries; prefixes longer
-    than ``MAX_PREFIX_LEN`` are never queried.  The prefix codes come from
-    one trie that lives as long as the realizer, so the members of a base,
-    and repeated evaluations, share the codes of their common prefixes.  The
-    realizer also keeps, for each atom it has walked, the codes the walk
-    reached, and extends them from the trie only when a walk goes further;
-    it drops them whenever the trie drops its nodes, so it never holds a
-    code that the trie does not.
+    member certified.  ``space`` is the space of the sequence entries, the
+    base's own by default.  Fuel counts avoidance-name queries; prefixes
+    longer than ``MAX_PREFIX_LEN`` are never queried.  The prefix codes
+    come from one trie that lives as long as the realizer, so the members
+    of a base, and repeated evaluations, share the codes of their common
+    prefixes.  The realizer also keeps, for each atom it has walked, the
+    codes the walk reached, and extends them from the trie only when a walk
+    goes further; it drops them whenever the trie drops its nodes, so it
+    never holds a code that the trie does not.
     """
-    if pointed is None:
-        pointed = star_extension(base.space)
     trie = PrefixCodeTrie()
     # (member index, atom position) -> (the values of the atom's run, the
     # codes of the run's prefixes reached so far, the empty prefix first);
@@ -561,14 +547,14 @@ def realizer_from_base(base: CompactnessBase,
                 continue
             if certified:
                 bound = max(bounds) if bounds else 0
-                value = _exact_settling_value(seq, pointed, bound)
+                value = seq.onset_below(bound)
                 return EvalOutcome(PartialResult.of(value, spent=spent),
                                    certificate=Theta(tuple(certified_atoms)),
                                    bound=bound,
                                    member_index=member_index,
                                    malformed=tuple(malformed))
 
-    return AntiSpeckerRealizer(evaluate, "from_base", pointed)
+    return AntiSpeckerRealizer(evaluate, base.space if space is None else space)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +619,7 @@ def _harvest(answered: dict[int, int]) -> Optional[Theta]:
     return Theta(tuple(atoms))
 
 
-def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
+def base_from_realizer(m: AntiSpeckerRealizer, space: Space,
                        config: Optional[ProbeConfig] = None) -> ProbedBase:
     """Harvest covering members by probing the realizer on the all-star
     sequence against finitely-determined avoidance names.
@@ -661,7 +647,6 @@ def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
     """
     cfg = config if config is not None else ProbeConfig()
     all_star = NameSequence((), "star")
-    space = pointed.space
     emissions: list[Theta] = []
     seen: set = set()
     decided = 0
@@ -722,18 +707,18 @@ def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
 
 
 def product_anti_specker(mx: AntiSpeckerRealizer, my: AntiSpeckerRealizer,
-                         product_pointed: PointedSpace,
+                         product_space: Space,
                          config: Optional[ProbeConfig] = None) -> AntiSpeckerRealizer:
     """Realize the product: probe both factors back to bases, combine the
     bases, and rebuild a realizer over the product naming."""
-    bx = base_from_realizer(mx, mx.pointed, config)
+    bx = base_from_realizer(mx, mx.space, config)
     if not bx.members:
         raise SpecError("left factor probe harvested nothing")
-    by = base_from_realizer(my, my.pointed, config)
+    by = base_from_realizer(my, my.space, config)
     if not by.members:
         raise SpecError("right factor probe harvested nothing")
     combined = product_base(bx, by)
-    inner = realizer_from_base(combined, product_pointed)
+    inner = realizer_from_base(combined, product_space)
 
     def evaluate(seq: NameSequence, h: AvoidanceName, fuel: int) -> EvalOutcome:
         out = inner.evaluate(seq, h, fuel)
@@ -742,4 +727,4 @@ def product_anti_specker(mx: AntiSpeckerRealizer, my: AntiSpeckerRealizer,
                                stage="product-eval")
         return out
 
-    return AntiSpeckerRealizer(evaluate, "product", product_pointed)
+    return AntiSpeckerRealizer(evaluate, product_space)

@@ -28,23 +28,18 @@ from .k2 import Oracle, RecordingOracle, TableOracle, decode_seq
 # Intensional names
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class IntensionalName:
-    """An oracle over sequence codes; the answer v+1 on a prefix of f means
-    that g(f'(k)) < k for all k >= v and every f' extending that prefix."""
-
-    h: Oracle
-    description: str = "intensional"
+# An intensional name of a dominated g is an oracle h over sequence codes:
+# the answer v+1 on a prefix of f means that g(f'(k)) < k for all k >= v
+# and every f' extending that prefix.
 
 
-def extract_bound(g: Oracle, h: IntensionalName | Oracle, fuel: int) -> int:
-    """Upper bound for g from an intensional name: feed identity prefixes
-    until the name answers v+1 at length t, then return max(t, v).  A
-    failed extraction builds only the codes it queries: fuel-1 pairings,
-    and a negative fuel scans nothing."""
-    oracle = h.h if isinstance(h, IntensionalName) else h
-    r = k2.star(oracle, k2.identity_oracle(), max(fuel, 0))
+def extract_bound(g: Oracle, h: Oracle, fuel: int) -> int:
+    """Upper bound for g from an intensional name h: feed identity prefixes
+    until the name answers v+1 at length t, then return max(t, v).  The
+    bound comes from h alone: g is never read, and stays a parameter only
+    because the callers pass it.  A failed extraction builds only the codes
+    it queries: fuel-1 pairings, and a negative fuel scans nothing."""
+    r = k2.star(h, k2.identity_oracle(), max(fuel, 0))
     if not r.is_value:
         raise k2.Exhausted(
             f"name never answered on identity prefixes within {fuel}", "fuel")
@@ -52,16 +47,15 @@ def extract_bound(g: Oracle, h: IntensionalName | Oracle, fuel: int) -> int:
 
 
 def make_valid_realizer(g: Oracle, bound: int, answer_len: int = 0,
-                        horizon: int = 1000) -> IntensionalName:
+                        horizon: int = 1000) -> Oracle:
     """An intensional name answering ``bound`` on every prefix of length at
     least ``answer_len``; valid provided g stays strictly below the bound,
     which is checked on [0, horizon] and rejected otherwise."""
     for m in range(horizon + 1):
         if g(m) >= bound:
             raise ValueError(f"g({m}) = {g(m)} >= {bound}: not a bound on the horizon")
-    h = k2.depth_answer(bound + 1, answer_len,
-                        f"dom(bound={bound},len={answer_len})")
-    return IntensionalName(h, description=h.label)
+    return k2.depth_answer(bound + 1, answer_len,
+                           f"dom(bound={bound},len={answer_len})")
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,9 @@ def _natural(text: str) -> int:
 
 
 def _avoidance(text: str):
-    """An avoidance name as a function of the name sequence and the pointed
-    space: an onset name (``{"kind": "onset"}``, with an optional
-    ``radius_exp`` and answer ``depth``), or an oracle spec."""
+    """An avoidance name as a function of the name sequence: an onset name
+    (``{"kind": "onset"}``, with an optional ``radius_exp`` and answer
+    ``depth``), or an oracle spec."""
     doc = _json_arg(text)
     if isinstance(doc, dict) and doc.get("kind") == "onset":
         try:
@@ -125,10 +125,10 @@ def _avoidance(text: str):
             answer_depth = int(doc.get("depth", 0))
         except (TypeError, ValueError) as e:
             raise k2.SpecError(f"bad onset avoidance: {e}")
-        return lambda seq, pointed: aspk.make_avoidance_name(
-            seq, pointed, radius_exp=radius_exp, answer_depth=answer_depth)
+        return lambda seq: aspk.make_avoidance_name(
+            seq, radius_exp=radius_exp, answer_depth=answer_depth)
     h = aspk.AvoidanceName(k2.parse_oracle_spec(doc), "cli")
-    return lambda seq, pointed: h
+    return lambda seq: h
 
 
 KINDS = {
@@ -195,17 +195,15 @@ def _dist(space, f, g, prec) -> dict:
 
 
 def _demo(space, sequence, avoidance, fuel) -> dict:
-    pointed = naming.star_extension(space)
-    h = avoidance(sequence, pointed)
-    realizer = aspk.realizer_from_base(aspk.builtin_base(space), pointed)
+    h = avoidance(sequence)
+    realizer = aspk.realizer_from_base(aspk.builtin_base(space))
     out = realizer.evaluate(sequence, h, fuel)
     return _partial({"result": out.to_json()}, out.result.is_value)
 
 
 def _probe(space, budget) -> dict:
-    pointed = naming.star_extension(space)
-    realizer = aspk.realizer_from_base(aspk.builtin_base(space), pointed)
-    probed = aspk.base_from_realizer(realizer, pointed,
+    realizer = aspk.realizer_from_base(aspk.builtin_base(space))
+    probed = aspk.base_from_realizer(realizer, space,
                                      aspk.ProbeConfig(budget=budget))
     return {"result": probed.to_json()}
 

@@ -12,8 +12,9 @@ names, so points are represented by canonical finite descriptions and
 every name-level computation has an exact oracle to be tested against.
 
 All registry names are everywhere positive, which is what lets the added
-point of the one-point extension (``PointedSpace``) be the constant zero
-function, detected by inspecting index 0 alone.
+point of every space's one-point extension be the constant zero function,
+detected by inspecting index 0 alone (``is_star``).  A space is its own
+one-point extension: no second object carries the added point.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional
 
 from . import k2, reals
 from .k2 import (FinPartialFn, Oracle, TableOracle, SpecError, pair_names,
@@ -52,9 +53,6 @@ class CantorPoint:
         return self.word[i] if i < len(self.word) else self.tail
 
 
-Point = Union[CantorPoint, int, tuple]
-
-
 # ---------------------------------------------------------------------------
 # Space registry
 # ---------------------------------------------------------------------------
@@ -62,60 +60,35 @@ Point = Union[CantorPoint, int, tuple]
 
 class Space:
     """A registry space: its names and their decoding into points, the
-    exact metric on points and the distance stream on names."""
+    exact metric on points and the distance stream on names.
 
-    kind: str
+    Every registry space has a ``space_id`` and defines these methods:
+
+    - ``contains_name(f, horizon)``: whether f names a point, checked
+      below the horizon;
+    - ``point_of(f)``: the point a finitely described name names;
+    - ``canonical_name(p)``: the canonical name of a point;
+    - ``dist(p, q)``: the exact metric, a ``Fraction``;
+    - ``dist_hat(f, g)``: the distance stream on names, a signed-digit
+      real agreeing with ``dist`` at every precision;
+    - ``cells(depth)``: finite partition descriptors at the resolution;
+    - ``cell_count(depth, cap)``: the number of ``cells(depth)``, or
+      cap + 1 if there are more;
+    - ``cell_value_at(cell, i)``: the name value at index i forced by the
+      cell, None when unconstrained;
+    - ``atom_constraints(sigma, n)``: the (index, value) pairs a point's
+      name must match to lie in the atom (sigma, n), or None when no name
+      of the space extends sigma;
+    - ``base_member(i)``: the sigmas of member i of the canonical base,
+      each an atom at radius exponent i (Cantor and finite spaces only);
+    - ``sample_point(rng)``: a random point.
+    """
+
     space_id: str
-
-    def contains_name(self, f: Oracle, horizon: int) -> bool:
-        raise NotImplementedError
-
-    def point_of(self, f: Oracle) -> Point:
-        raise NotImplementedError
-
-    def canonical_name(self, p: Point) -> Oracle:
-        raise NotImplementedError
-
-    def dist(self, p: Point, q: Point) -> Fraction:
-        raise NotImplementedError
-
-    def dist_hat(self, f: Oracle, g: Oracle) -> SignedDigitReal:
-        raise NotImplementedError
-
-    def cells(self, depth: int) -> Iterable:
-        """Finite partition descriptors at the given resolution."""
-        raise NotImplementedError
-
-    def cell_count(self, depth: int, cap: int) -> int:
-        """The number of ``cells(depth)``, or cap + 1 if there are more."""
-        raise NotImplementedError
-
-    def cell_value_at(self, cell, i: int) -> Optional[int]:
-        """Name value at index i forced by the cell, None when unconstrained."""
-        raise NotImplementedError
-
-    def atom_constraints(self, sigma: FinPartialFn, n: int
-                         ) -> Optional[tuple[tuple[int, int], ...]]:
-        """The (index, value) pairs a point's name must match to lie in the
-        atom (sigma, n), or None when no name of the space extends sigma."""
-        raise NotImplementedError
-
-    def base_member(self, i: int) -> Iterable[FinPartialFn]:
-        """The sigmas of member i of the canonical base, each an atom at
-        radius exponent i (Cantor and finite spaces only)."""
-        raise NotImplementedError
-
-    def sample_point(self, rng) -> Point:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
 
 
 class CantorSpace(Space):
     """Cantor space 2^N; names take values in {1, 2}, decode by subtracting 1."""
-
-    kind = "cantor"
 
     def __init__(self, recode_swap: bool = False):
         self.recode_swap = recode_swap
@@ -180,16 +153,9 @@ class CantorSpace(Space):
         word = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 7)))
         return CantorPoint(word, rng.randrange(2))
 
-    def to_json(self) -> dict:
-        if self.recode_swap:
-            return {"kind": "cantor", "swapped": True}
-        return {"kind": "cantor"}
-
 
 class FiniteSpace(Space):
     """The discrete space on points 1..N; names are the positive constants."""
-
-    kind = "finite"
 
     def __init__(self, n: int):
         if n < 1:
@@ -243,14 +209,9 @@ class FiniteSpace(Space):
     def sample_point(self, rng) -> int:
         return rng.randrange(1, self.n + 1)
 
-    def to_json(self) -> dict:
-        return {"kind": "finite", "n": self.n}
-
 
 class ProductSpace(Space):
     """Product of two registry spaces under the max metric; names interleave."""
-
-    kind = "product"
 
     def __init__(self, left: Space, right: Space):
         self.left = left
@@ -302,10 +263,6 @@ class ProductSpace(Space):
     def sample_point(self, rng) -> tuple:
         return (self.left.sample_point(rng), self.right.sample_point(rng))
 
-    def to_json(self) -> dict:
-        return {"kind": "product", "left": self.left.to_json(),
-                "right": self.right.to_json()}
-
 
 def parse_space_spec(spec) -> Space:
     """The registry space a JSON document describes; SpecError when the
@@ -314,12 +271,15 @@ def parse_space_spec(spec) -> Space:
         raise SpecError("space spec must be an object with a kind")
     kind = spec["kind"]
     if kind == "cantor":
-        return CantorSpace(recode_swap=bool(spec.get("swapped", False)))
+        swapped = spec.get("swapped", False)
+        if not isinstance(swapped, bool):
+            raise SpecError(f"cantor swapped must be true or false: {swapped!r}")
+        return CantorSpace(recode_swap=swapped)
     if kind == "finite":
-        try:
-            n = int(spec.get("n", 0))
-        except (TypeError, ValueError) as e:
-            raise SpecError(f"bad finite space size: {e}")
+        n = spec.get("n", 0)
+        # a JSON true is a Python int, and a float would be truncated
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise SpecError(f"bad finite space size: {n!r}")
         return FiniteSpace(n)
     if kind == "product":
         if "left" not in spec or "right" not in spec:
@@ -349,23 +309,19 @@ def product_metric_naming(left: Space, right: Space) -> ProductSpace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointedSpace:
-    """A registry space extended with the added point.
+def is_star(f: Oracle) -> bool:
+    """Whether f names the added point of a space's one-point extension.
 
     The added point's name is the constant zero function; every real name
-    is positive at index 0, so membership of the added point is decided by
-    one query.
+    is positive at index 0, so one query decides it, in every space.
     """
-
-    space: Space
-
-    def is_star(self, f: Oracle) -> bool:
-        return f(0) == 0
+    return f(0) == 0
 
 
-def star_extension(space: Space) -> PointedSpace:
-    return PointedSpace(space)
+def star_extension(space: Space) -> Space:
+    """The one-point extension of a space, which is the space itself:
+    ``is_star`` tells its added point apart."""
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +361,22 @@ class NameSequence:
     def eventually_star(self) -> bool:
         return self.tail == "star"
 
-    def star_onset(self, pointed: PointedSpace) -> int:
+    def onset_below(self, bound: int) -> int:
+        """One past the last real entry below the bound and the horizon:
+        the least m with entry(i) the added point for m <= i < bound,
+        within the declared horizon; 0 when there is no real entry."""
+        onset = 0
+        for i in range(min(bound, self.horizon)):
+            if not is_star(self.entry(i)):
+                onset = i + 1
+        return onset
+
+    def star_onset(self) -> int:
         """The exact settling index: least m with entry(i) the added point
         for all i >= m, within the declared horizon."""
         if not self.eventually_star:
             raise ValueError("sequence never settles on the added point")
-        onset = 0
-        for i, f in enumerate(self.prefix):
-            if not pointed.is_star(f):
-                onset = i + 1
-        return onset
+        return self.onset_below(self.horizon)
 
 
 def parse_name_sequence(spec) -> NameSequence:

@@ -36,19 +36,19 @@ from baire.antispecker import (AntiSpeckerRealizer, AvoidanceName, BuiltinBase,
                                CoverAtom, CoversReport, EvalOutcome,
                                ProbeConfig, ProbedBase, ProductBase, Theta,
                                _blind_candidates, _compositions,
-                               _exact_settling_value, default_cover_depth,
-                               product_atom)
+                               default_cover_depth, product_atom)
 from baire.k2 import (FinPartialFn, Oracle, PartialResult, PrefixCodeTrie,
                       RecordingOracle, decode_pair, decode_seq, encode_pair,
                       seq_length)
-from baire.naming import NameSequence, PointedSpace, Space, star_extension
+from baire.naming import (CantorSpace, FiniteSpace, NameSequence, ProductSpace,
+                          Space)
 
 
 class ReferenceBuiltinBase(BuiltinBase):
     """The canonical base, rebuilding member i's atoms on every call."""
 
     def iter_atoms(self, i: int):
-        if self.space.kind == "cantor":
+        if isinstance(self.space, CantorSpace):
             for word in itertools.product((1, 2), repeat=i):
                 yield CoverAtom(FinPartialFn.from_seq(word), i)
         else:
@@ -81,7 +81,7 @@ class ReferenceProductBase(ProductBase):
 
 
 def reference_builtin_base(space: Space):
-    if space.kind == "product":
+    if isinstance(space, ProductSpace):
         return ReferenceProductBase(reference_builtin_base(space.left),
                                     reference_builtin_base(space.right))
     return ReferenceBuiltinBase(space)
@@ -89,34 +89,32 @@ def reference_builtin_base(space: Space):
 
 def _atom_possibly_inhabited(space: Space, atom: CoverAtom) -> bool:
     """Whether some name of the space extends sigma (registry check)."""
-    kind = space.kind
-    if kind == "cantor":
+    if isinstance(space, CantorSpace):
         return all(v in (1, 2) for _, v in atom.sigma.entries)
-    if kind == "finite":
+    if isinstance(space, FiniteSpace):
         vals = {v for _, v in atom.sigma.entries}
         if not vals:
             return True
         return len(vals) == 1 and 1 <= next(iter(vals)) <= space.n
-    if kind == "product":
+    if isinstance(space, ProductSpace):
         sl, sr = atom.sigma.split()
         return (_atom_possibly_inhabited(space.left, CoverAtom(sl, atom.n))
                 and _atom_possibly_inhabited(space.right, CoverAtom(sr, atom.n)))
-    raise ValueError(f"not a registry space: {kind}")
+    raise ValueError(f"not a registry space: {space!r}")
 
 
 def _constrained_indices(space: Space, atom: CoverAtom) -> list[int]:
     """Name indices whose values the atom membership actually constrains."""
-    kind = space.kind
-    if kind == "cantor":
+    if isinstance(space, CantorSpace):
         return [i for i, _ in atom.sigma.entries if i <= atom.n]
-    if kind == "finite":
+    if isinstance(space, FiniteSpace):
         return [i for i, _ in atom.sigma.entries]
-    if kind == "product":
+    if isinstance(space, ProductSpace):
         sl, sr = atom.sigma.split()
         out = [2 * i for i in _constrained_indices(space.left, CoverAtom(sl, atom.n))]
         out += [2 * i + 1 for i in _constrained_indices(space.right, CoverAtom(sr, atom.n))]
         return out
-    raise ValueError(f"not a registry space: {kind}")
+    raise ValueError(f"not a registry space: {space!r}")
 
 
 def _atom_constraints(space: Space, atom: CoverAtom
@@ -173,10 +171,8 @@ def covers(theta: Theta, space: Space,
     return CoversReport(True, depth)
 
 
-def trie_walk_realizer(base, pointed=None, max_prefix_len: int = 16):
+def trie_walk_realizer(base, space=None, max_prefix_len: int = 16):
     """The base realizer walking every atom's run through one trie."""
-    if pointed is None:
-        pointed = star_extension(base.space)
     trie = PrefixCodeTrie()
 
     def evaluate(seq, h, fuel: int) -> EvalOutcome:
@@ -226,22 +222,21 @@ def trie_walk_realizer(base, pointed=None, max_prefix_len: int = 16):
                 continue
             if certified:
                 bound = max(bounds) if bounds else 0
-                value = _exact_settling_value(seq, pointed, bound)
+                value = seq.onset_below(bound)
                 return EvalOutcome(PartialResult.of(value, spent=spent),
                                    certificate=Theta(tuple(certified_atoms)),
                                    bound=bound,
                                    member_index=member_index,
                                    malformed=tuple(malformed))
 
-    return AntiSpeckerRealizer(evaluate, "trie_walk", pointed)
+    return AntiSpeckerRealizer(evaluate, base.space if space is None else space)
 
 
-def base_from_realizer(m: AntiSpeckerRealizer, pointed: PointedSpace,
+def base_from_realizer(m: AntiSpeckerRealizer, space: Space,
                        config: Optional[ProbeConfig] = None) -> ProbedBase:
     """The probe that evaluates every candidate of both phases."""
     cfg = config if config is not None else ProbeConfig()
     all_star = NameSequence((), "star")
-    space = pointed.space
     emissions: list[Theta] = []
     seen: set = set()
     evals = 0

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from baire.bdn import EvalTranscript, IntensionalName, _SCAN_DEPTH_CAP
+from baire.bdn import EvalTranscript, _SCAN_DEPTH_CAP
 from baire.k2 import (Exhausted, FueledOracle, Oracle, PartialResult,
                       RecordingOracle, cons)
 
@@ -257,10 +257,9 @@ def apply_candidate(alpha: Oracle, h: Oracle, g: Oracle, fuel: int) -> EvalTrans
 def extract_bound(g, h, fuel: int) -> int:
     """Upper bound for g from an intensional name: feed identity prefixes
     until the name answers v+1 at length t, then return max(t, v)."""
-    oracle = h.h if isinstance(h, IntensionalName) else h
     code = 0
     for t in range(fuel):
-        v = oracle(code)
+        v = h(code)
         if v > 0:
             return max(t, v - 1)
         code = cantor_pair(code, t) + 1

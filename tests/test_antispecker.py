@@ -11,13 +11,11 @@ from baire.antispecker import (AvoidanceName, CoverAtom, ProbeConfig, Theta,
                                point_in_atom, product_anti_specker, product_atom,
                                product_base, realizer_from_base)
 from baire.k2 import FinPartialFn, constant, encode_pair, from_values
-from baire.naming import NameSequence, cantor_space, finite_space, star_extension
+from baire.naming import NameSequence, cantor_space, finite_space
 
 CANTOR = cantor_space()
 FIN2 = finite_space(2)
 FIN3 = finite_space(3)
-P_CANTOR = star_extension(CANTOR)
-P_FIN3 = star_extension(FIN3)
 
 
 def seq_of(*names):
@@ -83,10 +81,9 @@ def test_builtin_cantor_members_cover():
 
 
 def test_probe_is_deterministic():
-    realizer = realizer_from_base(builtin_base(FIN2), star_extension(FIN2))
-    pointed = star_extension(FIN2)
-    first = base_from_realizer(realizer, pointed, config=ProbeConfig(budget=120))
-    second = base_from_realizer(realizer, pointed, config=ProbeConfig(budget=120))
+    realizer = realizer_from_base(builtin_base(FIN2))
+    first = base_from_realizer(realizer, FIN2, config=ProbeConfig(budget=120))
+    second = base_from_realizer(realizer, FIN2, config=ProbeConfig(budget=120))
     assert first.members == second.members
     assert first.evals_spent == second.evals_spent
 
@@ -102,19 +99,19 @@ def test_builtin_finite_members_cover():
 # --- avoidance names -------------------------------------------------------------
 
 def test_all_star_avoidance_name():
-    h = make_avoidance_name(seq_of(), P_CANTOR)
+    h = make_avoidance_name(seq_of())
     assert h.h(0) == encode_pair(0, 0) + 1
 
 
 def test_onset_avoidance_name_checks_against_metric():
     name = from_values([1, 1], tail_value=1)
     seq = seq_of(name)
-    h = make_avoidance_name(seq, P_CANTOR)
+    h = make_avoidance_name(seq)
     n, m = k2.decode_pair(h.h(0) - 1)
     point = CANTOR.point_of(name)
     for i in range(m, seq.horizon):
         entry = seq.entry(i)
-        if not P_CANTOR.is_star(entry):
+        if not naming.is_star(entry):
             d = CANTOR.dist(point, CANTOR.point_of(entry))
             assert d >= Fraction(1, 2 ** n)
 
@@ -122,20 +119,20 @@ def test_onset_avoidance_name_checks_against_metric():
 def test_non_star_sequence_needs_witness():
     seq = NameSequence((constant(1),), "repeat")
     with pytest.raises(ValueError):
-        make_avoidance_name(seq, P_CANTOR)
+        make_avoidance_name(seq)
 
 
 # --- the realizer from a base -----------------------------------------------------
 
 def test_all_star_value_zero():
-    realizer = realizer_from_base(builtin_base(CANTOR), P_CANTOR)
-    h = make_avoidance_name(seq_of(), P_CANTOR)
+    realizer = realizer_from_base(builtin_base(CANTOR))
+    h = make_avoidance_name(seq_of())
     out = realizer.evaluate(seq_of(), h, 2000)
     assert out.result.value == 0
 
 
 def test_one_name_then_stars():
-    realizer = realizer_from_base(builtin_base(CANTOR), P_CANTOR)
+    realizer = realizer_from_base(builtin_base(CANTOR))
     seq = seq_of(constant(1))
     h = AvoidanceName(constant(encode_pair(0, 1) + 1))
     out = realizer.evaluate(seq, h, 2000)
@@ -143,13 +140,13 @@ def test_one_name_then_stars():
 
 
 def test_silent_name_exhausts():
-    realizer = realizer_from_base(builtin_base(CANTOR), P_CANTOR)
+    realizer = realizer_from_base(builtin_base(CANTOR))
     out = realizer.evaluate(seq_of(), AvoidanceName(constant(0)), 250)
     assert not out.result.is_value and out.result.spent == 250
 
 
 def test_malformed_answers_reported():
-    realizer = realizer_from_base(builtin_base(CANTOR), P_CANTOR)
+    realizer = realizer_from_base(builtin_base(CANTOR))
     # 1 decodes to a one-element sequence, not a pair
     out = realizer.evaluate(seq_of(), AvoidanceName(constant(2)), 150)
     assert out.malformed
@@ -169,11 +166,11 @@ def test_an_empty_product_factor_exhausts_like_an_empty_base():
 
 
 def test_deep_answering_names_certify_at_depth():
-    realizer = realizer_from_base(builtin_base(CANTOR), P_CANTOR)
+    realizer = realizer_from_base(builtin_base(CANTOR))
     seq = seq_of(from_values([2, 2], tail_value=2), k2.star_name())
-    want = direct_scan_realizer(P_CANTOR).evaluate(seq, None, 10).result.value
+    want = direct_scan_realizer(CANTOR).evaluate(seq, None, 10).result.value
     for depth in range(5):
-        h = make_avoidance_name(seq, P_CANTOR, answer_depth=depth)
+        h = make_avoidance_name(seq, answer_depth=depth)
         out = realizer.evaluate(seq, h, 4000)
         assert out.result.value == want == 1
         assert len(out.certificate.atoms) == 2 ** depth
@@ -182,7 +179,7 @@ def test_deep_answering_names_certify_at_depth():
 def test_direct_scan_refuses_a_sequence_that_never_settles():
     # a repeating tail never reaches the added point: the oracle has no
     # settling index to report, and says so without reading the names
-    oracle = direct_scan_realizer(P_CANTOR)
+    oracle = direct_scan_realizer(CANTOR)
     seq = NameSequence((k2.star_name(), constant(1)), "repeat")
     out = oracle.evaluate(seq, None, 10)
     assert not out.result.is_value and out.result.spent == 0
@@ -193,9 +190,9 @@ def test_direct_scan_refuses_a_sequence_that_never_settles():
 
 def test_exactness_on_random_sequences():
     rng = random.Random(42)
-    for m, pointed in ((CANTOR, P_CANTOR), (FIN3, P_FIN3)):
-        realizer = realizer_from_base(builtin_base(m), pointed)
-        oracle = direct_scan_realizer(pointed)
+    for m in (CANTOR, FIN3):
+        realizer = realizer_from_base(builtin_base(m))
+        oracle = direct_scan_realizer(m)
         sp = m
         for _ in range(20):
             entries = tuple(
@@ -203,8 +200,7 @@ def test_exactness_on_random_sequences():
                 else sp.canonical_name(sp.sample_point(rng))
                 for _ in range(rng.randrange(0, 9)))
             seq = NameSequence(entries, "star")
-            h = make_avoidance_name(seq, pointed,
-                                    radius_exp=rng.randrange(3),
+            h = make_avoidance_name(seq, radius_exp=rng.randrange(3),
                                     answer_depth=rng.randrange(4))
             want = oracle.evaluate(seq, h, 10).result.value
             assert realizer.evaluate(seq, h, 4000).result.value == want
@@ -213,8 +209,8 @@ def test_exactness_on_random_sequences():
 # --- probing a realizer back into a base --------------------------------------
 
 def test_probe_harvests_coverings():
-    realizer = realizer_from_base(builtin_base(CANTOR), P_CANTOR)
-    probed = base_from_realizer(realizer, P_CANTOR, config=ProbeConfig(budget=300))
+    realizer = realizer_from_base(builtin_base(CANTOR))
+    probed = base_from_realizer(realizer, CANTOR, config=ProbeConfig(budget=300))
     # 300 evaluations are more than the 163 candidates, so none is left out
     assert probed.members and not probed.exhausted
     for theta in probed.members:
@@ -222,38 +218,36 @@ def test_probe_harvests_coverings():
 
 
 def test_probe_is_exhausted_exactly_when_the_budget_leaves_a_candidate():
-    pointed = star_extension(FIN2)
-    realizer = realizer_from_base(builtin_base(FIN2), pointed)
-    full = base_from_realizer(realizer, pointed, config=ProbeConfig(budget=5000))
+    realizer = realizer_from_base(builtin_base(FIN2))
+    full = base_from_realizer(realizer, FIN2, config=ProbeConfig(budget=5000))
     every = full.evals_spent                 # one evaluation per candidate
     assert not full.exhausted and every < 5000
-    assert not base_from_realizer(realizer, pointed,
+    assert not base_from_realizer(realizer, FIN2,
                                   config=ProbeConfig(budget=every)).exhausted
     # cut off in phase two (the last candidate) and in phase one
     for budget in (every - 1, 3, 0):
-        cut = base_from_realizer(realizer, pointed, config=ProbeConfig(budget=budget))
+        cut = base_from_realizer(realizer, FIN2, config=ProbeConfig(budget=budget))
         assert cut.exhausted and cut.evals_spent == budget
 
 
 def test_probe_finite_space_covers_both_points():
-    pointed = star_extension(FIN2)
-    realizer = realizer_from_base(builtin_base(FIN2), pointed)
-    probed = base_from_realizer(realizer, pointed, config=ProbeConfig(budget=300))
+    realizer = realizer_from_base(builtin_base(FIN2))
+    probed = base_from_realizer(realizer, FIN2, config=ProbeConfig(budget=300))
     assert probed.members
     assert covers(probed.members[0], FIN2).covered
 
 
 def test_round_trip_value_equality():
     rng = random.Random(5)
-    realizer = realizer_from_base(builtin_base(CANTOR), P_CANTOR)
-    probed = base_from_realizer(realizer, P_CANTOR, config=ProbeConfig(budget=300))
-    again = realizer_from_base(probed, P_CANTOR)
+    realizer = realizer_from_base(builtin_base(CANTOR))
+    probed = base_from_realizer(realizer, CANTOR, config=ProbeConfig(budget=300))
+    again = realizer_from_base(probed, CANTOR)
     sp = CANTOR
     for _ in range(10):
         entries = tuple(sp.canonical_name(sp.sample_point(rng))
                         for _ in range(rng.randrange(0, 5)))
         seq = NameSequence(entries, "star")
-        h = make_avoidance_name(seq, P_CANTOR, answer_depth=rng.randrange(3))
+        h = make_avoidance_name(seq, answer_depth=rng.randrange(3))
         a = realizer.evaluate(seq, h, 4000).result.value
         b = again.evaluate(seq, h, 4000).result.value
         assert a == b
@@ -307,21 +301,20 @@ def test_product_base_finite_square():
 
 def test_product_realizer_matches_direct_scan():
     prod = naming.product_metric_naming(CANTOR, FIN2)
-    pointed = star_extension(prod)
-    left = realizer_from_base(builtin_base(CANTOR), P_CANTOR)
-    right = realizer_from_base(builtin_base(FIN2), star_extension(FIN2))
-    combined = product_anti_specker(left, right, pointed, config=ProbeConfig(budget=250))
+    left = realizer_from_base(builtin_base(CANTOR))
+    right = realizer_from_base(builtin_base(FIN2))
+    combined = product_anti_specker(left, right, prod, config=ProbeConfig(budget=250))
 
-    h_all = make_avoidance_name(seq_of(), pointed)
+    h_all = make_avoidance_name(seq_of())
     assert combined.evaluate(seq_of(), h_all, 30000).result.value == 0
 
     pairname = k2.pair_names(constant(2), constant(1))
     seq = seq_of(pairname)
-    h = make_avoidance_name(seq, pointed)
+    h = make_avoidance_name(seq)
     assert combined.evaluate(seq, h, 30000).result.value == 1
 
     reference = realizer_from_base(
-        product_base(builtin_base(CANTOR), builtin_base(FIN2)), pointed)
+        product_base(builtin_base(CANTOR), builtin_base(FIN2)), prod)
     rng = random.Random(31)
     sp = prod
     for _ in range(10):
@@ -330,7 +323,7 @@ def test_product_realizer_matches_direct_scan():
             else sp.canonical_name(sp.sample_point(rng))
             for _ in range(rng.randrange(0, 6)))
         seq = NameSequence(entries, "star")
-        h = make_avoidance_name(seq, pointed, answer_depth=rng.randrange(3))
+        h = make_avoidance_name(seq, answer_depth=rng.randrange(3))
         a = combined.evaluate(seq, h, 30000).result.value
         b = reference.evaluate(seq, h, 30000).result.value
         assert a == b is not None

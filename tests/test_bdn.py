@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from baire import bdn, k2
+from baire import k2
 from baire.bdn import (adversary_pair, adversary_refute, apply_candidate,
                        check_domination_hypothesis, extract_bound,
                        functional_of_pair, make_valid_realizer, threshold_name)
@@ -29,8 +29,16 @@ def test_extract_takes_max_of_answer_and_length():
 
 def test_extract_exhausts_on_silent_name():
     with pytest.raises(k2.Exhausted) as e:
-        extract_bound(constant(0), bdn.IntensionalName(constant(0)), 12)
+        extract_bound(constant(0), constant(0), 12)
     assert e.value.reason == "fuel"
+
+
+def test_extract_never_reads_g():
+    def unread(k):
+        raise AssertionError(f"g read at {k}")
+
+    h = make_valid_realizer(constant(0), 4, answer_len=3)
+    assert extract_bound(k2.Oracle(unread, label="unread"), h, 50) == 4
 
 
 def test_make_valid_realizer_rejects_unbounded():
@@ -43,7 +51,7 @@ def test_clamped_identity_accepts_matching_bound():
     clamped = k2.Oracle(lambda m: min(m, 3), label="id-clamped-3")
     h = make_valid_realizer(clamped, 4, answer_len=1)
     samples = [TableOracle({0: 9, 1: 2}, 0), constant(7), k2.identity_oracle()]
-    assert check_domination_hypothesis(h.h, clamped, samples, fuel=60, horizon=50)
+    assert check_domination_hypothesis(h, clamped, samples, fuel=60, horizon=50)
     assert extract_bound(clamped, h, 50) == 4
 
 
@@ -53,7 +61,7 @@ def test_realizer_validity_on_samples():
     h = make_valid_realizer(g, 4, answer_len=1)
     samples = [TableOracle({i: rng.randrange(12) for i in range(5)}, 0)
                for _ in range(10)]
-    assert check_domination_hypothesis(h.h, g, samples, fuel=60, horizon=50)
+    assert check_domination_hypothesis(h, g, samples, fuel=60, horizon=50)
 
 
 def test_extraction_is_sound_across_random_pairs():

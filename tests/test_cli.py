@@ -291,6 +291,11 @@ MALFORMED_SPACES = [
     '{"kind":"finite","n":null}',
     '{"kind":"finite","n":"x"}',
     '{"kind":"finite","n":0}',
+    '{"kind":"finite","n":2.7}',
+    '{"kind":"finite","n":true}',
+    '{"kind":"finite","n":"3"}',
+    '{"kind":"cantor","swapped":"false"}',
+    '{"kind":"cantor","swapped":0}',
     '{"kind":"torus"}',
     '"cantor"',
 ]

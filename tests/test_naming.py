@@ -9,8 +9,9 @@ import antispecker_reference as ref
 from baire import k2, naming
 from baire.antispecker import CoverAtom
 from baire.k2 import FinPartialFn, constant, from_values, pair_names, project_names
-from baire.naming import (CantorPoint, NameSequence, cantor_space, finite_space,
-                          product_metric_naming, star_extension)
+from baire.naming import (CantorPoint, CantorSpace, FiniteSpace, NameSequence,
+                          ProductSpace, cantor_space, finite_space,
+                          product_metric_naming)
 
 
 # --- registry spaces -------------------------------------------------------
@@ -125,21 +126,38 @@ def test_product_stream_on_random_pairs():
 # --- one-point extension ----------------------------------------------------
 
 def test_star_detection_reads_one_query():
-    pointed = star_extension(finite_space(2))
     meter_star, m1 = k2.with_usage_tracking(k2.star_name())
-    assert pointed.is_star(meter_star) and m1.max_index == 0 and m1.count == 1
+    assert naming.is_star(meter_star) and m1.max_index == 0 and m1.count == 1
     meter_real, m2 = k2.with_usage_tracking(constant(1))
-    assert not pointed.is_star(meter_real) and m2.count == 1
+    assert not naming.is_star(meter_real) and m2.count == 1
 
 
 # --- sequences ---------------------------------------------------------------
 
 def test_sequence_onset():
-    pointed = star_extension(cantor_space())
     f = constant(1)
     seq = NameSequence((f, k2.star_name(), f), "star")
-    assert seq.star_onset(pointed) == 3
-    assert NameSequence((), "star").star_onset(pointed) == 0
+    assert seq.star_onset() == 3
+    assert NameSequence((), "star").star_onset() == 0
+
+
+@given(st.lists(st.booleans(), max_size=12), st.integers(0, 6))
+def test_bounded_scan_is_the_onset_once_the_bound_reaches_it(real, past):
+    """The realizer's bounded scan, on a star-tailed sequence, is the exact
+    settling index once the bound reaches it."""
+    seq = NameSequence(tuple(from_values([1, 2], tail_value=2) if r else k2.star_name()
+                             for r in real), "star")
+    onset = max((i + 1 for i, r in enumerate(real) if r), default=0)
+    assert seq.star_onset() == onset
+    assert seq.onset_below(onset + past) == onset
+
+
+def test_bounded_scan_runs_on_a_repeat_tail():
+    f = constant(1)
+    seq = NameSequence((f, k2.star_name(), f, k2.star_name()), "repeat")
+    assert [seq.onset_below(b) for b in range(6)] == [0, 1, 1, 3, 3, 3]
+    with pytest.raises(ValueError):
+        seq.star_onset()
 
 
 def test_repeat_tail_never_settles():
@@ -173,29 +191,45 @@ def test_swapped_cantor_names_round_trip_with_the_standard_metric():
 
 # --- space specs --------------------------------------------------------------
 
-def test_space_spec_round_trip():
+def test_space_spec_parses_to_its_fields():
     spec = {"kind": "product", "left": {"kind": "cantor"},
             "right": {"kind": "finite", "n": 2}}
     sp = naming.parse_space_spec(spec)
     assert sp.space_id == "(cantor x finite(2))"
-    assert sp.to_json() == spec
+    assert isinstance(sp, ProductSpace)
+    assert isinstance(sp.left, CantorSpace) and sp.left.recode_swap is False
+    assert isinstance(sp.right, FiniteSpace) and sp.right.n == 2
     with pytest.raises(k2.SpecError):
         naming.parse_space_spec({"kind": "torus"})
 
 
 SWAPPED = cantor_space(recode_swap=True)
+SWAPPED_SPEC = {"kind": "cantor", "swapped": True}
+CANTOR_SPEC = {"kind": "cantor"}
 
 
-@pytest.mark.parametrize("space", [
-    cantor_space(), SWAPPED, finite_space(1), finite_space(3),
-    product_metric_naming(SWAPPED, finite_space(2)),
-    product_metric_naming(cantor_space(),
-                          product_metric_naming(finite_space(2), SWAPPED)),
-    product_metric_naming(product_metric_naming(SWAPPED, SWAPPED), cantor_space()),
-], ids=lambda s: s.space_id)
-def test_space_to_json_round_trips_the_space_id(space):
-    assert naming.parse_space_spec(space.to_json()).space_id == space.space_id
+def product(left, right):
+    return {"kind": "product", "left": left, "right": right}
 
+
+SPACE_SPECS = [
+    (CANTOR_SPEC, "cantor"),
+    (SWAPPED_SPEC, "cantor-swapped"),
+    ({"kind": "cantor", "swapped": False}, "cantor"),
+    ({"kind": "finite", "n": 1}, "finite(1)"),
+    ({"kind": "finite", "n": 3}, "finite(3)"),
+    (product(SWAPPED_SPEC, {"kind": "finite", "n": 2}), "(cantor-swapped x finite(2))"),
+    (product(CANTOR_SPEC, product({"kind": "finite", "n": 2}, SWAPPED_SPEC)),
+     "(cantor x (finite(2) x cantor-swapped))"),
+    (product(product(SWAPPED_SPEC, SWAPPED_SPEC), CANTOR_SPEC),
+     "((cantor-swapped x cantor-swapped) x cantor)"),
+]
+
+
+@pytest.mark.parametrize("spec,space_id", SPACE_SPECS,
+                         ids=[space_id for _, space_id in SPACE_SPECS])
+def test_space_spec_parses_to_the_space_id(spec, space_id):
+    assert naming.parse_space_spec(spec).space_id == space_id
 
 
 @pytest.mark.parametrize("space", [
