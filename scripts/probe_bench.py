@@ -12,8 +12,10 @@ defaults (``ProbeConfig(budget=200)``).
 
 For each shape it probes the builtin realizer once through a wrapper
 that sorts the realizer's evaluations by phase, and records per phase the
-candidates decided, the evaluations run and the avoidance-name queries
-they spent (the eval fuel).  It then records the median wall time of
+candidates decided, the evaluations run, the prefix steps they spent (the
+eval fuel) and the distinct codes they asked the avoidance name (the
+queries; an evaluation asks each code at most once, so queries never
+exceed the eval fuel).  It then records the median wall time of
 ``repeats`` probes (default 5), each on a new realizer, without the
 wrapper.  It prints all of it as one JSON document.
 """
@@ -49,10 +51,11 @@ def new_realizer(m):
 
 
 def phase_counts(m, config: aspk.ProbeConfig) -> dict:
-    """Candidates, evaluations and eval fuel of each phase of one probe."""
+    """Candidates, evaluations, eval fuel and queries of each phase of one
+    probe."""
     realizer = new_realizer(m)
-    phases = {"phase_one": {"evaluations": 0, "eval_fuel": 0},
-              "phase_two": {"evaluations": 0, "eval_fuel": 0}}
+    phases = {"phase_one": {"evaluations": 0, "eval_fuel": 0, "queries": 0},
+              "phase_two": {"evaluations": 0, "eval_fuel": 0, "queries": 0}}
 
     def evaluate(seq, h, fuel):
         out = realizer.evaluate(seq, h, fuel)
@@ -60,6 +63,7 @@ def phase_counts(m, config: aspk.ProbeConfig) -> dict:
                        else "phase_two"]
         phase["evaluations"] += 1
         phase["eval_fuel"] += out.result.spent
+        phase["queries"] += len(h.h.transcript)
         return out
 
     counted = aspk.AntiSpeckerRealizer(evaluate, realizer.space)

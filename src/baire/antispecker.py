@@ -465,14 +465,18 @@ def realizer_from_base(base: CompactnessBase,
     maximum of the certified m's; the final value is recomputed exactly by
     scanning the sequence below the bound, so it does not depend on which
     member certified.  ``space`` is the space of the sequence entries, the
-    base's own by default.  Fuel counts avoidance-name queries; prefixes
-    longer than ``MAX_PREFIX_LEN`` are never queried.  The prefix codes
-    come from one trie that lives as long as the realizer, so the members
-    of a base, and repeated evaluations, share the codes of their common
-    prefixes.  The realizer also keeps, for each atom it has walked, the
-    codes the walk reached, and extends them from the trie only when a walk
-    goes further; it drops them whenever the trie drops its nodes, so it
-    never holds a code that the trie does not.
+    base's own by default.  Fuel counts prefix steps, one per prefix
+    scanned, and a malformed answer is recorded once per step; prefixes
+    longer than ``MAX_PREFIX_LEN`` are never scanned.  One evaluation asks
+    the name for each code at most once and reuses the answer on every
+    later step that reaches the code, so the name must be deterministic
+    (every name this package builds is).  The prefix codes come from one
+    trie that lives as long as the realizer, so the members of a base, and
+    repeated evaluations, share the codes of their common prefixes.  The
+    realizer also keeps, for each atom it has walked, the codes the walk
+    reached, and extends them from the trie only when a walk goes further;
+    it drops them whenever the trie drops its nodes, so it never holds a
+    code that the trie does not.
     """
     trie = PrefixCodeTrie()
     # (member index, atom position) -> (the values of the atom's run, the
@@ -485,6 +489,9 @@ def realizer_from_base(base: CompactnessBase,
         oracle = h.h
         spent = 0
         malformed: list[tuple[int, int]] = []
+        # code -> (the name's answer, its decoded pair or None), for this
+        # evaluation only
+        asked: dict[int, tuple[int, Optional[tuple[int, int]]]] = {}
         for member_index in itertools.count():
             bounds: list[int] = []
             certified_atoms: list[CoverAtom] = []
@@ -520,9 +527,13 @@ def realizer_from_base(base: CompactnessBase,
                             code = next(more)
                             codes.append(code)
                         spent += 1
-                        v = oracle(code)
+                        answer = asked.get(code)
+                        if answer is None:
+                            v = oracle(code)
+                            answer = asked[code] = (
+                                v, decode_pair(v - 1) if v > 0 else None)
+                        v, nm = answer
                         if v > 0:
-                            nm = decode_pair(v - 1)
                             if nm is None:
                                 malformed.append((code, v))
                                 continue
@@ -572,7 +583,7 @@ class ProbeConfig:
     """
 
     budget: int = 400           # candidates decided
-    eval_fuel: int = 600        # avoidance-name queries per evaluation
+    eval_fuel: int = 600        # prefix steps per evaluation
     blind_size_cap: int = 8     # total code size of blindly enumerated tables
     depth_cap: int = 4          # structured candidates answer at length >= D
     radius_grid: tuple[int, ...] = (0, 1, 2)

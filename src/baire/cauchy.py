@@ -838,9 +838,6 @@ class PermutationSpec:
         ends = [max(i, v) + 1 for i, v in self.table]
         return max(ends) if ends else 0
 
-    def to_json(self) -> dict:
-        return {"table": [list(e) for e in sorted(self.table)]}
-
 
 def parse_permutation_spec(spec) -> PermutationSpec:
     if spec == "identity":

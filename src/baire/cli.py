@@ -121,8 +121,8 @@ def _avoidance(text: str):
     doc = _json_arg(text)
     if isinstance(doc, dict) and doc.get("kind") == "onset":
         try:
-            radius_exp = int(doc.get("radius_exp", 0))
-            answer_depth = int(doc.get("depth", 0))
+            radius_exp = k2.spec_int(doc.get("radius_exp", 0))
+            answer_depth = k2.spec_int(doc.get("depth", 0))
         except (TypeError, ValueError) as e:
             raise k2.SpecError(f"bad onset avoidance: {e}")
         return lambda seq: aspk.make_avoidance_name(

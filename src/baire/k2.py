@@ -670,6 +670,15 @@ def bullet(f: Oracle, g: Oracle) -> FueledOracle:
 # ---------------------------------------------------------------------------
 
 
+def spec_int(value) -> int:
+    """An integer field of a spec document: a JSON integer or a numeric
+    string.  A float or a bool raises ValueError, where ``int`` would
+    truncate the one and read the other as 0 or 1."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _eval_arg(recode: Callable[[int], int]) -> Callable[[int], int]:
     # Name of the identity operation on oracles, read through a digitwise
     # recoding: once the argument prefix (k, f(0), ..., f(k)) is long
@@ -694,9 +703,9 @@ def depth_answer(answer: int, depth: int, label: str) -> Oracle:
 
 def _registry_depth_answer(params: dict) -> Callable[[int], int]:
     # Answer the fixed pair (n, m) on every sequence of length >= depth.
-    depth = int(params.get("depth", 0))
-    n = int(params.get("n", 0))
-    m = int(params.get("m", 0))
+    depth = spec_int(params.get("depth", 0))
+    n = spec_int(params.get("n", 0))
+    m = spec_int(params.get("m", 0))
     return _depth_rule(encode_pair(n, m) + 1, depth)
 
 
@@ -723,7 +732,7 @@ def parse_oracle_spec(spec) -> Oracle:
         raise SpecError("oracle spec must be a string shorthand or an object")
     table_pairs = spec.get("table", [])
     try:
-        table = {int(i): int(v) for i, v in table_pairs}
+        table = {spec_int(i): spec_int(v) for i, v in table_pairs}
     except (TypeError, ValueError) as e:
         raise SpecError(f"bad oracle table: {e}")
     tail = spec.get("tail", {"kind": "constant", "value": 0})
@@ -732,7 +741,7 @@ def parse_oracle_spec(spec) -> Oracle:
     kind = tail.get("kind")
     if kind == "constant":
         try:
-            value = int(tail.get("value", 0))
+            value = spec_int(tail.get("value", 0))
         except (TypeError, ValueError) as e:
             raise SpecError(f"bad constant tail: {e}")
         return TableOracle(table, value, label="spec")

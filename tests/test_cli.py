@@ -368,6 +368,13 @@ MALFORMED_NAME_SPECS = [
     ("--avoidance", '{"kind":"onset","radius_exp":"x"}'),
     ("--avoidance", '{"tail":{"kind":"constant","value":[1]}}'),
     ("--avoidance", '{"tail":{"kind":"registry","name":"depth_answer","params":7}}'),
+    # a float or a bool where a natural is read, which int() would truncate
+    ("--avoidance", '{"kind":"onset","depth":1.9}'),
+    ("--avoidance", '{"kind":"onset","radius_exp":1.0}'),
+    ("--avoidance", '{"kind":"onset","depth":true}'),
+    ("--avoidance", '{"table":[[0,1.5]]}'),
+    ("--sequence", '{"names":[{"table":[[0,true]]}]}'),
+    ("--sequence", '{"names":[{"tail":{"kind":"constant","value":2.0}}]}'),
 ]
 
 
@@ -377,6 +384,43 @@ def test_malformed_sequence_and_avoidance_specs_are_exit_two(capsys, flag, spec)
                              "--space", '{"kind":"cantor"}', flag, spec)
     assert code == 2 and doc is None
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+FLOAT_OR_BOOL_ORACLES = [
+    '{"table":[[0,1.5]]}',
+    '{"table":[[1e400,1]]}',
+    '{"table":[[0,true]]}',
+    '{"table":[[false,1]]}',
+    '{"tail":{"kind":"constant","value":1.0}}',
+    '{"tail":{"kind":"constant","value":NaN}}',
+    '{"tail":{"kind":"registry","name":"depth_answer","params":{"depth":1.5}}}',
+    '{"tail":{"kind":"registry","name":"depth_answer","params":{"n":true}}}',
+]
+
+
+@pytest.mark.parametrize("spec", FLOAT_OR_BOOL_ORACLES)
+def test_an_oracle_spec_with_a_float_or_bool_natural_is_exit_two(capsys, spec):
+    code, doc, err = run_cli(capsys, "k2", "star", "--f", spec, "--g", "const:0",
+                             "--fuel", "3")
+    assert code == 2 and doc is None
+    assert err.startswith("error: --f: ") and "not an integer" in err
+
+
+@pytest.mark.parametrize("argv,as_strings,as_ints", [
+    (["k2", "star", "--g", "const:0", "--fuel", "3", "--f"],
+     '{"table":[["0","1"]],"tail":{"kind":"constant","value":"2"}}',
+     '{"table":[[0,1]],"tail":{"kind":"constant","value":2}}'),
+    (["k2", "star", "--g", "const:0", "--fuel", "6", "--f"],
+     '{"tail":{"kind":"registry","name":"depth_answer","params":{"depth":"2","m":"1"}}}',
+     '{"tail":{"kind":"registry","name":"depth_answer","params":{"depth":2,"m":1}}}'),
+    (["antispecker", "demo", "--space", '{"kind":"cantor"}', "--avoidance"],
+     '{"kind":"onset","depth":"1","radius_exp":"1"}',
+     '{"kind":"onset","depth":1,"radius_exp":1}'),
+], ids=["table", "registry", "onset"])
+def test_numeric_strings_still_read_as_naturals(capsys, argv, as_strings, as_ints):
+    assert (run_bytes(capsys, argv + [as_strings], fresh=False)
+            == run_bytes(capsys, argv + [as_ints], fresh=False))
+    assert run_bytes(capsys, argv + [as_ints], fresh=False)[0] == 0
 
 
 ONE = '{"prefix":["1"],"tail":{"kind":"constant","value":"1"}}'

@@ -53,7 +53,7 @@ ORACLES = specs(
     ["const:-1", "const:x", "nope:1", "5", "[]", '{"table":5}',
      '{"table":[[0,-1]]}', '{"tail":{"kind":"constant","value":[1]}}',
      '{"tail":{"kind":"registry","name":"depth_answer","params":7}}',
-     '{"tail":{"kind":"torus"}}'])
+     '{"tail":{"kind":"torus"}}', '{"table":[[0,1.5]]}'])
 SPACES = specs(
     ['{"kind":"cantor"}', '{"kind":"cantor","swapped":true}',
      '{"kind":"finite","n":2}', '{"kind":"finite","n":1}',
@@ -90,7 +90,7 @@ AVOIDANCES = specs(
     ['{"kind":"onset","depth":2,"radius_exp":1}', '{"kind":"onset","depth":0}',
      "const:0"],
     ['{"kind":"onset","depth":-1}', '{"kind":"onset","radius_exp":"x"}',
-     '{"tail":{"kind":"constant","value":[1]}}'])
+     '{"kind":"onset","depth":1.9}', '{"tail":{"kind":"constant","value":[1]}}'])
 THETAS = specs(
     ['[{"sigma":[[0,1]],"n":1},{"sigma":[[0,2]],"n":1}]',
      '[{"sigma":[[0,1]],"n":3}]', '[{"sigma":[],"n":0}]', "[]"],

@@ -2,9 +2,12 @@
 
 ``realizer_from_base`` takes its prefix codes from a trie shared by all of
 its evaluations.  The reference below is the evaluator as it was before
-the trie: it builds each code with ``sigma.prefix_code(length)``.  Both
-must make the same queries in the same order and return equal outcomes,
-whether the realizer's trie is cold or warm.
+the trie: it builds each code with ``sigma.prefix_code(length)``, and it
+asks the avoidance name on every prefix step.  The realizer asks each code
+at most once per evaluation, so its query log is the reference's with
+every repeated code dropped (``first_asks``).  The outcomes must be equal,
+and so must the warm and cold realizers' logs, whether the trie is cold or
+warm.
 
 The realizer also keeps each atom's codes, and the builtin and product
 bases keep their members' atoms; ``covers`` computes each atom's
@@ -97,6 +100,14 @@ def reference_realizer(base, max_prefix_len=16):
     return AntiSpeckerRealizer(evaluate, base.space)
 
 
+def first_asks(log):
+    """The log with each code kept once, at its first ask: the log that one
+    evaluation of ``realizer_from_base`` leaves where the reference asks on
+    every step."""
+    seen = set()
+    return [(c, v) for c, v in log if not (c in seen or seen.add(c))]
+
+
 def random_sequence(rng, m):
     sp = m
     return NameSequence(tuple(
@@ -123,7 +134,7 @@ def avoidance_oracles(rng, seq):
 def assert_same_evaluations(base, m, rng, cases):
     """Evaluate one realizer on every case, so that its trie warms up, and
     check each outcome and query log against a cold realizer and the
-    reference."""
+    reference's first asks."""
     shared = realizer_from_base(base)
     reference = reference_realizer(base)
     for _ in range(cases):
@@ -138,7 +149,7 @@ def assert_same_evaluations(base, m, rng, cases):
                              h.transcript))
             (warm_out, warm_log), (cold_out, cold_log), (ref_out, ref_log) = runs
             assert warm_out == cold_out == ref_out
-            assert warm_log == cold_log == ref_log
+            assert warm_log == cold_log == first_asks(ref_log)
 
 
 def test_builtin_bases_match_reference():
@@ -319,7 +330,12 @@ def test_kept_bases_and_codes_match_rebuilding_ones(m):
                     h = RecordingOracle(oracle)
                     runs.append((r.evaluate(seq, AvoidanceName(h, "test"), fuel),
                                  h.transcript))
-                assert all(run == runs[-1] for run in runs)
+                outs = [out for out, _log in runs]
+                logs = [log for _out, log in runs]
+                assert all(out == outs[-1] for out in outs)
+                # the two references ask on every step, and alike
+                assert logs[2] == logs[3]
+                assert logs[0] == logs[1] == first_asks(logs[3])
 
 
 def test_fuel_running_out_mid_atom_of_a_product_member():
@@ -363,7 +379,8 @@ def test_probed_bases_match_rebuilding_realizers(m):
                     h = RecordingOracle(oracle)
                     logs.append((r.evaluate(seq, AvoidanceName(h, "t"), fuel),
                                  h.transcript))
-                assert logs[0] == logs[1]
+                assert logs[0][0] == logs[1][0]
+                assert logs[0][1] == first_asks(logs[1][1])
 
 
 # -- what an evaluation builds ---------------------------------------------------
@@ -422,7 +439,9 @@ def test_a_base_of_fresh_atoms_evaluates_and_pairs_alike():
                     with counted_construction() as log:
                         out = r.evaluate(seq, AvoidanceName(h, "t"), fuel)
                     runs.append((out, h.transcript, log["pairs"]))
-                assert runs[0] == runs[1]
+                (out, log, pairs), (ref_out, ref_log, ref_pairs) = runs
+                assert (out, pairs) == (ref_out, ref_pairs)
+                assert log == first_asks(ref_log)
 
 
 def depth_oracle(depth, n=0, m=1):
@@ -509,7 +528,9 @@ def test_kept_codes_follow_the_trie_through_restarts(runs):
                                      fuel)
                 logs.append((out, h.transcript))
                 pairs.append(log["pairs"])
-            assert logs[0] == logs[1] == logs[2]
+            assert logs[0][0] == logs[1][0] == logs[2][0]
+            assert logs[1][1] == logs[2][1]
+            assert logs[0][1] == first_asks(logs[1][1])
             assert pairs[0] == pairs[1]
             trie, walks = kept_walks(fast)
             for values, codes in walks.values():
@@ -522,6 +543,48 @@ def test_kept_codes_follow_the_trie_through_restarts(runs):
             assert log["pairs"] == 0
             held = {c for _values, codes in walks.values() for c in codes}
             assert sum(c.bit_length() for c in held) <= trie.bits
+
+
+@given(st.sampled_from(range(len(ALL_SPACES))), st.integers(min_value=0),
+       st.sampled_from(FUELS))
+def test_an_evaluation_asks_each_code_once(space_index, seed, fuel):
+    """No code repeats in one evaluation's log, while the reference asks
+    again on every step that reaches a code; a name whose every answer is
+    malformed still gets one malformed entry per step."""
+    m = ALL_SPACES[space_index]
+    rng = random.Random(seed)
+    seq = random_sequence(rng, m)
+    base = builtin_base(m)
+    for oracle in avoidance_oracles(rng, seq):
+        runs = []
+        for r in (realizer_from_base(base), reference_realizer(base)):
+            h = RecordingOracle(oracle)
+            runs.append((r.evaluate(seq, AvoidanceName(h, "t"), fuel), h.transcript))
+        (out, log), (ref_out, ref_log) = runs
+        codes = [c for c, _ in log]
+        assert len(codes) == len(set(codes))
+        assert out == ref_out and log == first_asks(ref_log)
+    always_malformed = k2.constant(2)
+    h = RecordingOracle(always_malformed)
+    out = realizer_from_base(base).evaluate(seq, AvoidanceName(h, "t"), fuel)
+    ref_h = RecordingOracle(always_malformed)
+    reference_realizer(base).evaluate(seq, AvoidanceName(ref_h, "t"), fuel)
+    assert list(out.malformed) == ref_h.transcript
+    assert h.transcript == first_asks(ref_h.transcript)
+
+
+def test_the_reference_asks_again_where_the_realizer_does_not():
+    """The builtin Cantor base's members share prefixes, so a silent name
+    makes the reference repeat codes that the realizer asks once."""
+    base = builtin_base(CANTOR)
+    seq = NameSequence((), "star")
+    runs = []
+    for r in (realizer_from_base(base), reference_realizer(base)):
+        h = RecordingOracle(k2.constant(0))
+        runs.append((r.evaluate(seq, AvoidanceName(h, "t"), 200), h.transcript))
+    (out, log), (ref_out, ref_log) = runs
+    assert out == ref_out and out.result.spent == 200
+    assert len(log) == len({c for c, _ in ref_log}) < len(ref_log)
 
 
 # -- the probe against the probe that evaluates every candidate -----------------
