@@ -13,9 +13,12 @@ defaults (``ProbeConfig(budget=200)``).
 For each shape it probes the builtin realizer once through a wrapper
 that sorts the realizer's evaluations by phase, and records per phase the
 candidates decided, the evaluations run, the prefix steps they spent (the
-eval fuel) and the distinct codes they asked the avoidance name (the
+eval fuel), the distinct codes they asked the avoidance name (the
 queries; an evaluation asks each code at most once, so queries never
-exceed the eval fuel).  It then records the median wall time of
+exceed the eval fuel) and the codes they paired, counted through
+``k2.cantor_pair`` (the pairings; a code is paired only where the
+realizer's trie has no node for it yet, and the same evaluation then asks
+it, so pairings never exceed queries).  It then records the median wall time of
 ``repeats`` probes (default 5), each on a new realizer, without the
 wrapper.  It prints all of it as one JSON document.
 """
@@ -26,7 +29,7 @@ import sys
 import time
 
 from baire import antispecker as aspk
-from baire import naming
+from baire import k2, naming
 
 SPACES = {
     "cantor": naming.cantor_space(),
@@ -51,23 +54,36 @@ def new_realizer(m):
 
 
 def phase_counts(m, config: aspk.ProbeConfig) -> dict:
-    """Candidates, evaluations, eval fuel and queries of each phase of one
-    probe."""
+    """Candidates, evaluations, eval fuel, queries and pairings of each
+    phase of one probe."""
     realizer = new_realizer(m)
-    phases = {"phase_one": {"evaluations": 0, "eval_fuel": 0, "queries": 0},
-              "phase_two": {"evaluations": 0, "eval_fuel": 0, "queries": 0}}
+    phases = {phase: {"evaluations": 0, "eval_fuel": 0, "queries": 0, "pairings": 0}
+              for phase in ("phase_one", "phase_two")}
+    pair = k2.cantor_pair
+    pairings = 0
+
+    def counting_pair(x, y):
+        nonlocal pairings
+        pairings += 1
+        return pair(x, y)
 
     def evaluate(seq, h, fuel):
+        before = pairings
         out = realizer.evaluate(seq, h, fuel)
         phase = phases["phase_one" if h.h.label == "recorded(probe-table)"
                        else "phase_two"]
         phase["evaluations"] += 1
         phase["eval_fuel"] += out.result.spent
         phase["queries"] += len(h.h.transcript)
+        phase["pairings"] += pairings - before
         return out
 
     counted = aspk.AntiSpeckerRealizer(evaluate, realizer.space)
-    probed = aspk.base_from_realizer(counted, counted.space, config)
+    k2.cantor_pair = counting_pair
+    try:
+        probed = aspk.base_from_realizer(counted, counted.space, config)
+    finally:
+        k2.cantor_pair = pair
     blind = sum(1 for _ in aspk._blind_candidates(config.blind_size_cap))
     phases["phase_one"]["candidates"] = min(probed.evals_spent, blind)
     phases["phase_two"]["candidates"] = probed.evals_spent - min(probed.evals_spent,

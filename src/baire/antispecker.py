@@ -25,10 +25,10 @@ realizer records the space it realizes.
 
 Nothing is built twice.  The builtin and product bases build a member's
 atoms once, as far as some search has asked for them, and keep them for
-as long as the base lives; a realizer keeps the prefix codes it has paired
-for each atom for as long as its prefix-code trie holds them; and
-``covers`` computes each atom's constraints once per call, not once per
-cell.
+as long as the base lives; a realizer pairs each prefix code once into
+the one trie it walks, which it empties only past a bit bound, and asks
+the name for each code once per evaluation; and ``covers`` computes each
+atom's constraints once per call, not once per cell.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import k2
-from .k2 import (FinPartialFn, Oracle, PartialResult, PrefixCodeTrie,
-                 RecordingOracle, SpecError, TableOracle, decode_pair,
-                 decode_seq, encode_pair)
+from .k2 import (FinPartialFn, Oracle, PartialResult, RecordingOracle,
+                 SpecError, TableOracle, decode_pair, decode_seq, encode_pair)
 from .naming import NameSequence, ProductSpace, Space
 
 
@@ -83,8 +82,9 @@ class Theta:
 def parse_theta(spec) -> Theta:
     try:
         atoms = tuple(
-            CoverAtom(FinPartialFn(tuple((int(i), int(v)) for i, v in a["sigma"])),
-                      int(a["n"]))
+            CoverAtom(FinPartialFn(tuple((k2.spec_int(i), k2.spec_int(v))
+                                         for i, v in a["sigma"])),
+                      k2.spec_int(a["n"]))
             for a in spec)
     except (KeyError, TypeError, ValueError) as e:
         raise SpecError(f"bad covering descriptor: {e}")
@@ -453,6 +453,11 @@ def direct_scan_realizer(space: Space) -> AntiSpeckerRealizer:
 # doubly exponentially with length
 MAX_PREFIX_LEN = 16
 
+# The largest realizer trie in the test suite holds about 235 kbit of
+# codes, so this bound only keeps a long-lived realizer from growing
+# without end.
+PREFIX_TRIE_MAX_BITS = 1 << 20
+
 
 def realizer_from_base(base: CompactnessBase,
                        space: Optional[Space] = None) -> AntiSpeckerRealizer:
@@ -470,22 +475,22 @@ def realizer_from_base(base: CompactnessBase,
     longer than ``MAX_PREFIX_LEN`` are never scanned.  One evaluation asks
     the name for each code at most once and reuses the answer on every
     later step that reaches the code, so the name must be deterministic
-    (every name this package builds is).  The prefix codes come from one
-    trie that lives as long as the realizer, so the members of a base, and
-    repeated evaluations, share the codes of their common prefixes.  The
-    realizer also keeps, for each atom it has walked, the codes the walk
-    reached, and extends them from the trie only when a walk goes further;
-    it drops them whenever the trie drops its nodes, so it never holds a
-    code that the trie does not.
+    (every name this package builds is).
+
+    The prefix codes come from one trie that lives as long as the
+    realizer, a nested dict from a value to the code of the prefix it
+    extends and the child node; a step walks one node and pairs only where
+    no earlier walk went, so the members of a base, and repeated
+    evaluations, share the codes of their common prefixes.  An atom whose
+    walk starts with the trie past ``PREFIX_TRIE_MAX_BITS`` bits of codes
+    starts it from an empty trie, so the trie holds at most that bound
+    plus one walk.
     """
-    trie = PrefixCodeTrie()
-    # (member index, atom position) -> (the values of the atom's run, the
-    # codes of the run's prefixes reached so far, the empty prefix first);
-    # a base's member i is the same every time it is asked for
-    walks: dict[tuple[int, int], tuple[tuple[int, ...], list[int]]] = {}
+    root: dict[int, tuple[int, dict]] = {}
+    bits = 0
 
     def evaluate(seq: NameSequence, h: AvoidanceName, fuel: int) -> EvalOutcome:
-        nonlocal trie
+        nonlocal root, bits
         oracle = h.h
         spent = 0
         malformed: list[tuple[int, int]] = []
@@ -499,33 +504,25 @@ def realizer_from_base(base: CompactnessBase,
             # a lazily built member raises on the first atom pulled, not
             # when its stream is made
             try:
-                for position, atom in enumerate(base.iter_atoms(member_index)):
-                    # the trie's own rule: a walk that starts past the bound
-                    # starts from empty, and so do the kept codes
-                    if trie.bits > k2.PREFIX_TRIE_MAX_BITS:
-                        trie = PrefixCodeTrie()
-                        walks.clear()
-                    walk = walks.get((member_index, position))
-                    if walk is None:
-                        run = min(atom.sigma.initial_run, MAX_PREFIX_LEN)
-                        walk = walks[member_index, position] = (
-                            tuple(v for _, v in atom.sigma.entries[:run]), [])
-                    values, codes = walk
-                    more = None
+                for atom in base.iter_atoms(member_index):
+                    if bits > PREFIX_TRIE_MAX_BITS:
+                        root, bits = {}, 0
+                    node = root
+                    code = 0
+                    entries = atom.sigma.entries
                     found = None
-                    for length in range(len(values) + 1):
+                    for length in range(min(atom.sigma.initial_run,
+                                            MAX_PREFIX_LEN) + 1):
                         if spent >= fuel:
                             return EvalOutcome(PartialResult.exhausted(spent),
                                                malformed=tuple(malformed))
-                        if length < len(codes):
-                            code = codes[length]
-                        else:
-                            if more is None:
-                                # the kept codes are trie nodes: passing them
-                                # again pairs nothing
-                                more = itertools.islice(trie.codes(values), length, None)
-                            code = next(more)
-                            codes.append(code)
+                        if length:
+                            a = entries[length - 1][1]
+                            hit = node.get(a)
+                            if hit is None:
+                                hit = node[a] = (k2.cantor_pair(code, a) + 1, {})
+                                bits += hit[0].bit_length()
+                            code, node = hit
                         spent += 1
                         answer = asked.get(code)
                         if answer is None:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
-from .k2 import Exhausted, Oracle, SpecError
+from .k2 import Exhausted, Oracle, SpecError, spec_int
 from .reals import format_rational, parse_rational
 
 
@@ -845,7 +845,7 @@ def parse_permutation_spec(spec) -> PermutationSpec:
     if not isinstance(spec, dict):
         raise SpecError("permutation spec must be an object or 'identity'")
     try:
-        return PermutationSpec(tuple((int(i), int(v))
+        return PermutationSpec(tuple((spec_int(i), spec_int(v))
                                      for i, v in spec.get("table", [])))
     except (TypeError, ValueError) as e:
         raise SpecError(f"bad permutation: {e}")

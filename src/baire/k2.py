@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 
 class SpecError(ValueError):
@@ -270,52 +270,6 @@ def decode_pair(code: int) -> Optional[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Shared prefix codes
-#
-# A trie node maps a value a to (code of the node's prefix extended by a,
-# child node).  Codes are built only by cantor_pair, one pairing per node.
-# ---------------------------------------------------------------------------
-
-# The largest realizer trie in the test suite holds about 235 kbit of
-# codes, so this bound only keeps a long-lived realizer from growing
-# without end.
-PREFIX_TRIE_MAX_BITS = 1 << 20
-
-
-class PrefixCodeTrie:
-    """Sequence codes stored along the prefixes they share.
-
-    Walking a sequence through the trie costs one pairing per prefix that
-    no earlier walk reached, and a dict lookup per prefix that one did.
-    ``bits`` is the total bit length of the codes held.  A walk that
-    starts with ``bits`` past ``PREFIX_TRIE_MAX_BITS`` first drops every
-    node, so the trie holds at most that bound plus one walk.
-    """
-
-    def __init__(self):
-        self._root: dict[int, tuple[int, dict]] = {}
-        self.bits = 0
-
-    def codes(self, values: Iterable[int]) -> Iterator[int]:
-        """Lazily yield the code of every prefix of ``values``, the empty
-        prefix first; each code is built only when it is asked for."""
-        if self.bits > PREFIX_TRIE_MAX_BITS:
-            self._root, self.bits = {}, 0
-        node = self._root
-        code = 0
-        yield code
-        for a in values:
-            hit = node.get(a)
-            if hit is None:
-                if a < 0:
-                    raise ValueError("sequence entries must be naturals")
-                hit = node[a] = (cantor_pair(code, a) + 1, {})
-                self.bits += hit[0].bit_length()
-            code, node = hit
-            yield code
-
-
-# ---------------------------------------------------------------------------
 # Finite partial functions
 # ---------------------------------------------------------------------------
 
@@ -397,27 +351,23 @@ class Oracle:
     """A deterministic total function from naturals to naturals.
 
     An oracle is anything with a ``label`` and ``__call__(k)``.  This class,
-    the opaque-rule kind, is the only one that keeps a memo: its rule can be
-    costly, and a realizer reads one avoidance name on the same codes again
-    and again, so each answer is checked to be a natural once and kept.  The
-    table, pair and recording kinds answer from their description and keep
-    nothing; they subclass this class for its name and ``repr`` only.
+    the opaque-rule kind, runs its rule on every query and checks that each
+    answer is a natural; like every oracle here it keeps nothing, and a
+    caller that reads one code again (the base realizer) keeps the answer
+    itself.  The table, pair and recording kinds answer from their
+    description; they subclass this class for its name and ``repr`` only.
     """
 
     def __init__(self, fn: Callable[[int], int], label: str = "oracle"):
         self._fn = fn
-        self._memo: dict[int, int] = {}
         self.label = label
 
     def __call__(self, k: int) -> int:
         if k < 0:
             raise ValueError("oracle indices are naturals")
-        v = self._memo.get(k)
-        if v is None:
-            v = self._fn(k)
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"{self.label} returned a non-natural at {k}: {v!r}")
-            self._memo[k] = v
+        v = self._fn(k)
+        if not isinstance(v, int) or v < 0:
+            raise ValueError(f"{self.label} returned a non-natural at {k}: {v!r}")
         return v
 
     def __repr__(self):
@@ -709,7 +659,7 @@ def _registry_depth_answer(params: dict) -> Callable[[int], int]:
     return _depth_rule(encode_pair(n, m) + 1, depth)
 
 
-# Each entry returns a plain rule: the spec's ``Oracle`` is its one memo.
+# Each entry returns a plain rule, which the spec's ``Oracle`` checks.
 ORACLE_REGISTRY: dict[str, Callable[[dict], Callable[[int], int]]] = {
     "identity": lambda params: lambda k: k,
     "eval_arg": lambda params: _eval_arg(lambda v: v),

@@ -206,17 +206,17 @@ def parse_real_spec(spec) -> SignedDigitReal:
     {"int": i, "digits": [d, ...], "tail": "zero" | {"kind":"constant","digit":d}}
     or {"rational": "p/q"}.
     """
-    from .k2 import SpecError
+    from .k2 import SpecError, spec_int
 
     if not isinstance(spec, dict):
         raise SpecError("real spec must be an object")
     if "rational" in spec:
         return from_rational(parse_rational(spec["rational"]))
     try:
-        int_part = int(spec.get("int", 0))
-        digits = [int(d) for d in spec.get("digits", [])]
+        int_part = spec_int(spec.get("int", 0))
+        digits = [spec_int(d) for d in spec.get("digits", [])]
         tail = spec.get("tail", "zero")
-        tail_digit = int(tail.get("digit", 0)) if isinstance(tail, dict) else 0
+        tail_digit = spec_int(tail.get("digit", 0)) if isinstance(tail, dict) else 0
     except (TypeError, ValueError) as e:
         raise SpecError(f"bad real spec: {e}")
     if isinstance(tail, dict):

@@ -23,12 +23,18 @@ unchanged and are the oracle of ``Space.atom_constraints``
 tables from their harvest: it runs the realizer on every candidate.  Its
 body is unchanged but for the program's ``covers``, which it reaches as
 ``aspk.covers``.
+
+``PrefixCodeTrie`` is the generator trie ``trie_walk_realizer`` walks,
+moved here from ``k2`` when the realizer came to walk its own nested dict
+inline.  It and its bound ``PREFIX_TRIE_MAX_BITS`` are unchanged but for
+reaching the pairing as ``k2.cantor_pair``, so that a test that counts
+pairings there counts the trie's too.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from baire import antispecker as aspk
 from baire import k2
@@ -37,8 +43,8 @@ from baire.antispecker import (AntiSpeckerRealizer, AvoidanceName, BuiltinBase,
                                ProbeConfig, ProbedBase, ProductBase, Theta,
                                _blind_candidates, _compositions,
                                default_cover_depth, product_atom)
-from baire.k2 import (FinPartialFn, Oracle, PartialResult, PrefixCodeTrie,
-                      RecordingOracle, decode_pair, decode_seq, encode_pair,
+from baire.k2 import (FinPartialFn, Oracle, PartialResult, RecordingOracle,
+                      decode_pair, decode_seq, encode_pair,
                       seq_length)
 from baire.naming import (CantorSpace, FiniteSpace, NameSequence, ProductSpace,
                           Space)
@@ -169,6 +175,49 @@ def covers(theta: Theta, space: Space,
                     f"cell {cell!r} undecided at depth {depth}", "depth")
             return CoversReport(False, depth, witness_cell=cell)
     return CoversReport(True, depth)
+
+
+# A trie node maps a value a to (code of the node's prefix extended by a,
+# child node).  Codes are built only by k2.cantor_pair, one pairing per
+# node.
+
+# The largest realizer trie in the test suite holds about 235 kbit of
+# codes, so this bound only keeps a long-lived realizer from growing
+# without end.
+PREFIX_TRIE_MAX_BITS = 1 << 20
+
+
+class PrefixCodeTrie:
+    """Sequence codes stored along the prefixes they share.
+
+    Walking a sequence through the trie costs one pairing per prefix that
+    no earlier walk reached, and a dict lookup per prefix that one did.
+    ``bits`` is the total bit length of the codes held.  A walk that
+    starts with ``bits`` past ``PREFIX_TRIE_MAX_BITS`` first drops every
+    node, so the trie holds at most that bound plus one walk.
+    """
+
+    def __init__(self):
+        self._root: dict[int, tuple[int, dict]] = {}
+        self.bits = 0
+
+    def codes(self, values: Iterable[int]) -> Iterator[int]:
+        """Lazily yield the code of every prefix of ``values``, the empty
+        prefix first; each code is built only when it is asked for."""
+        if self.bits > PREFIX_TRIE_MAX_BITS:
+            self._root, self.bits = {}, 0
+        node = self._root
+        code = 0
+        yield code
+        for a in values:
+            hit = node.get(a)
+            if hit is None:
+                if a < 0:
+                    raise ValueError("sequence entries must be naturals")
+                hit = node[a] = (k2.cantor_pair(code, a) + 1, {})
+                self.bits += hit[0].bit_length()
+            code, node = hit
+            yield code
 
 
 def trie_walk_realizer(base, space=None, max_prefix_len: int = 16):

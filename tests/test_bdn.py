@@ -115,7 +115,7 @@ def _candidate(p: int, depth: int, reach: int) -> k2.Oracle:
 def test_apply_candidate_scans_never_query_a_name_twice_on_one_code(p, depth, reach,
                                                                      fuel, seed):
     # every scan, the outer one over alpha.h included, reads its name on
-    # rising codes, so the alpha.h memo never answers a repeated query
+    # rising codes, so no oracle needs a memo to answer each code once
     rng = random.Random(seed)
     h = TableOracle({i: rng.randrange(5) for i in range(4)}, rng.randrange(1, 5))
     g = TableOracle({i: rng.randrange(5) for i in range(4)}, rng.randrange(5))

@@ -406,6 +406,34 @@ def test_an_oracle_spec_with_a_float_or_bool_natural_is_exit_two(capsys, spec):
     assert err.startswith("error: --f: ") and "not an integer" in err
 
 
+FLOAT_OR_BOOL_SPEC_FIELDS = [
+    (["antispecker", "covers", "--space", '{"kind":"cantor"}', "--theta"],
+     '[{"sigma":[[0,1.7]],"n":1}]'),
+    (["antispecker", "covers", "--space", '{"kind":"cantor"}', "--theta"],
+     '[{"sigma":[[0,1]],"n":1.9}]'),
+    (["antispecker", "covers", "--space", '{"kind":"cantor"}', "--theta"],
+     '[{"sigma":[[true,1]],"n":1}]'),
+    (["rpt", "fabar", "--a",
+      '{"prefix":["1"],"tail":{"kind":"constant","value":"1"}}', "--n", "2", "--p"],
+     '{"table":[[0,1.5],[1,0]]}'),
+    (["rpt", "fabar", "--a",
+      '{"prefix":["1"],"tail":{"kind":"constant","value":"1"}}', "--n", "2", "--p"],
+     '{"table":[[0,1],[1.0,0]]}'),
+    (["reals", "approx", "--prec", "3", "--x"], '{"digits":[1.5]}'),
+    (["reals", "approx", "--prec", "3", "--x"], '{"int":2.5}'),
+    (["reals", "approx", "--prec", "3", "--x"],
+     '{"tail":{"kind":"constant","digit":true}}'),
+]
+
+
+@pytest.mark.parametrize("argv,spec", FLOAT_OR_BOOL_SPEC_FIELDS)
+def test_theta_permutation_and_real_specs_refuse_a_float_or_bool(capsys, argv, spec):
+    code, doc, err = run_cli(capsys, *argv, spec)
+    assert code == 2 and doc is None
+    assert err.startswith(f"error: {argv[-1]}: ") and "not an integer" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv,as_strings,as_ints", [
     (["k2", "star", "--g", "const:0", "--fuel", "3", "--f"],
      '{"table":[["0","1"]],"tail":{"kind":"constant","value":"2"}}',

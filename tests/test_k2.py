@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import antispecker_reference as ref
 from baire import k2
-from baire.k2 import (FinPartialFn, PrefixCodeTrie, bar, bullet, cons, constant,
-                      decode_seq, encode_seq, identity_oracle, pair_names, star,
+from baire.k2 import (FinPartialFn, bar, bullet, cons, constant, decode_seq,
+                      encode_seq, identity_oracle, pair_names, star,
                       with_usage_tracking)
 
 
@@ -212,17 +213,21 @@ def test_structural_oracles_keep_no_code_they_answered():
     assert pair_names(constant(0), constant(1))(code) == code % 2
 
 
-def test_opaque_oracle_runs_its_rule_once_per_index():
+def test_opaque_oracle_runs_its_rule_on_every_query():
     calls = []
 
     def rule(k):
         calls.append(k)
-        return k % 3
+        return k % 3 if k != 7 else -1
 
     f = k2.Oracle(rule, label="counted")
-    assert [f(k) for k in (4, 1, 4, 4, 1, LONG_CODE, LONG_CODE)] == \
-        [1, 1, 1, 1, 1, LONG_CODE % 3, LONG_CODE % 3]
-    assert calls == [4, 1, LONG_CODE]
+    queries = (4, 1, 4, 4, 1, LONG_CODE, LONG_CODE)
+    assert [f(k) for k in queries] == [1, 1, 1, 1, 1, LONG_CODE % 3, LONG_CODE % 3]
+    assert calls == list(queries)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-natural"):
+            f(7)
+    assert calls[-2:] == [7, 7]
 
 
 def test_opaque_oracle_refuses_a_non_natural_answer():
@@ -380,6 +385,8 @@ def test_bad_specs_rejected():
 
 
 # --- shared prefix codes ------------------------------------------------------
+# The generator trie lives in tests/antispecker_reference.py as the oracle of
+# the realizer's inline walk; these tests keep it honest against encode_seq.
 
 def reference_codes(values):
     return [encode_seq(values[:depth]) for depth in range(len(values) + 1)]
@@ -400,7 +407,7 @@ def check_walks(trie, drawn):
 
 @given(walks)
 def test_trie_codes_match_encode_seq_cold_and_warm(drawn):
-    trie = PrefixCodeTrie()
+    trie = ref.PrefixCodeTrie()
     check_walks(trie, drawn)          # cold: every walk builds its own nodes
     check_walks(trie, drawn)          # warm: the same walks reuse them
     check_walks(trie, drawn[::-1])
@@ -408,8 +415,8 @@ def test_trie_codes_match_encode_seq_cold_and_warm(drawn):
 
 @given(walks)
 def test_trie_codes_survive_frequent_restarts(drawn):
-    with mock.patch.object(k2, "PREFIX_TRIE_MAX_BITS", 40):
-        trie = PrefixCodeTrie()
+    with mock.patch.object(ref, "PREFIX_TRIE_MAX_BITS", 40):
+        trie = ref.PrefixCodeTrie()
         check_walks(trie, drawn)
         check_walks(trie, drawn)
 
@@ -418,8 +425,8 @@ def test_trie_drops_and_restarts_past_the_bits_bound():
     values = [1] * 20
     want = reference_codes(values)
     held = sum(c.bit_length() for c in want)
-    assert held > k2.PREFIX_TRIE_MAX_BITS
-    trie = PrefixCodeTrie()
+    assert held > ref.PREFIX_TRIE_MAX_BITS
+    trie = ref.PrefixCodeTrie()
     assert list(trie.codes(values)) == want
     assert trie.bits == held
     # the next walk finds the trie past its bound and starts from empty
@@ -431,4 +438,4 @@ def test_trie_drops_and_restarts_past_the_bits_bound():
 
 def test_trie_rejects_negative_entries():
     with pytest.raises(ValueError):
-        list(PrefixCodeTrie().codes([1, -1]))
+        list(ref.PrefixCodeTrie().codes([1, -1]))

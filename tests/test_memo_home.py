@@ -1,14 +1,17 @@
-"""Only the opaque-rule oracle ``k2.Oracle`` keeps a memo.  A table, pair or
-recording oracle answers from its description, and a registry rule is a
-plain function wrapped by one spec ``Oracle``; a second ``_memo`` anywhere
-in ``src/baire`` would be a cache that no rule asked for, and fails this
-test."""
+"""No oracle keeps a memo.  A table, pair or recording oracle answers from
+its description, and the opaque-rule ``k2.Oracle`` runs its rule on every
+query; the one caller that reads a name on the same code again, the base
+realizer, keeps the answers of one evaluation itself.  A ``_memo`` anywhere
+in ``src/baire`` would be a per-query cache that no caller asked for, and
+fails this test."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
+from baire import k2, naming
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "baire"
-HOME = ("k2.py", "Oracle")
 
 
 def memo_assignments(source: str) -> list[tuple[int, str]]:
@@ -42,11 +45,27 @@ def memo_assignments(source: str) -> list[tuple[int, str]]:
     return found
 
 
-def test_only_the_opaque_oracle_keeps_a_memo():
+def test_no_class_keeps_a_memo():
     found = {(path.name, cls): line
              for path in sorted(PACKAGE.glob("*.py"))
              for line, cls in memo_assignments(path.read_text())}
-    assert set(found) == {HOME}, found
+    assert found == {}
+
+
+def test_a_long_membership_check_holds_no_per_index_state():
+    """``spaces check`` on a registry name reads 20,000 indices of one
+    opaque oracle; what it holds at its peak must not grow with them (a
+    memo of every answer held over 1 MiB here)."""
+    f = k2.parse_oracle_spec({"tail": {"kind": "registry", "name": "depth_answer",
+                                       "params": {"n": 0, "m": 0}}})
+    space = naming.finite_space(3)
+    tracemalloc.start()
+    try:
+        assert space.contains_name(f, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_the_guard_sees_each_form_of_a_memo():

@@ -9,10 +9,11 @@ every repeated code dropped (``first_asks``).  The outcomes must be equal,
 and so must the warm and cold realizers' logs, whether the trie is cold or
 warm.
 
-The realizer also keeps each atom's codes, and the builtin and product
-bases keep their members' atoms; ``covers`` computes each atom's
-constraints once.  ``tests/antispecker_reference.py`` holds the versions
-that rebuilt all of these every time, and the later tests compare the two:
+The builtin and product bases keep their members' atoms, and ``covers``
+computes each atom's constraints once.  ``tests/antispecker_reference.py``
+holds the versions that rebuilt all of these every time, and the
+generator trie that ``trie_walk_realizer`` walks per atom where the
+realizer walks its nested dict inline; the later tests compare the two:
 member atoms, covering reports, evaluations, probed bases, and the number
 of objects and pairings each evaluation builds.
 """
@@ -489,13 +490,6 @@ def test_a_cold_realizer_pairs_as_the_trie_walk_does():
             assert pairs[0] == pairs[1]
 
 
-def kept_walks(realizer):
-    """The trie and the kept per-atom codes inside a base realizer."""
-    cells = dict(zip(realizer.evaluate.__code__.co_freevars,
-                     (c.cell_contents for c in realizer.evaluate.__closure__)))
-    return cells["trie"], cells["walks"]
-
-
 evaluation_runs = st.lists(
     st.tuples(st.sampled_from(range(len(ALL_SPACES))),
               st.integers(min_value=0, max_value=7),     # answer depth
@@ -505,13 +499,12 @@ evaluation_runs = st.lists(
 
 
 @given(evaluation_runs)
-def test_kept_codes_follow_the_trie_through_restarts(runs):
-    """Under a 40-bit trie bound the trie restarts on nearly every walk.
-    The kept codes must still be the codes ``encode_seq`` gives, a warm
-    realizer must pair exactly as often as the trie walk does, and every
-    kept code must be a node of the current trie: checking them pairs
-    nothing, because the kept lists were dropped with the old nodes."""
-    with mock.patch.object(k2, "PREFIX_TRIE_MAX_BITS", 40):
+def test_the_inline_trie_follows_the_trie_walk_through_restarts(runs):
+    """Under a 40-bit bound on both tries, each restarts on nearly every
+    atom.  A warm realizer must still give the trie walk's outcomes, ask
+    the trie walk's first asks, and pair exactly as often."""
+    with mock.patch.object(aspk, "PREFIX_TRIE_MAX_BITS", 40), \
+            mock.patch.object(ref, "PREFIX_TRIE_MAX_BITS", 40):
         realizers = {}
         for space_index, depth, radius, fuel in runs:
             m = ALL_SPACES[space_index]
@@ -532,17 +525,22 @@ def test_kept_codes_follow_the_trie_through_restarts(runs):
             assert logs[1][1] == logs[2][1]
             assert logs[0][1] == first_asks(logs[1][1])
             assert pairs[0] == pairs[1]
-            trie, walks = kept_walks(fast)
-            for values, codes in walks.values():
-                assert codes == [k2.encode_seq(values[:k]) for k in range(len(codes))]
-            # look the kept codes up without letting the trie restart
-            with mock.patch.object(k2, "PREFIX_TRIE_MAX_BITS", 1 << 20), \
-                    counted_construction() as log:
-                for values, codes in walks.values():
-                    assert list(itertools.islice(trie.codes(values), len(codes))) == codes
-            assert log["pairs"] == 0
-            held = {c for _values, codes in walks.values() for c in codes}
-            assert sum(c.bit_length() for c in held) <= trie.bits
+
+
+@pytest.mark.parametrize("depth, pairings", [(10, 2056), (12, 8386)])
+def test_the_cantor_demo_pairs_each_prefix_once(depth, pairings):
+    """``antispecker demo`` on Cantor space against an onset name that
+    answers only from ``depth`` on walks members 0..depth, whose atoms
+    share their prefixes.  At depth 10 that is one pairing per trie node
+    (the 2,046 {1,2}-words of length 1 to 10), 2 for the name's answer
+    code and 8 re-paired after the trie passes its bit bound and restarts.
+    Per-atom code lists without the shared trie pair 10,287 at depth 10."""
+    seq = NameSequence((), "star")
+    realizer = realizer_from_base(builtin_base(CANTOR))
+    with counted_construction() as log:
+        out = realizer.evaluate(seq, make_avoidance_name(seq, 0, depth), 10 ** 7)
+    assert out.result.is_value and out.member_index == depth
+    assert log["pairs"] == pairings
 
 
 @given(st.sampled_from(range(len(ALL_SPACES))), st.integers(min_value=0),

@@ -64,10 +64,13 @@ def test_probe_bench_counts_both_phases():
         one, two = row["phase_one"], row["phase_two"]
         assert one["candidates"] + two["candidates"] == row["evals_spent"]
         assert two["evaluations"] == two["candidates"] and row["median_ms"] > 0
-        # each code is asked at most once per evaluation, on one of its steps
-        assert one["queries"] <= one["eval_fuel"] and two["queries"] <= two["eval_fuel"]
+        # each code is asked at most once per evaluation, on one of its steps,
+        # and every code the realizer pairs is asked in that same evaluation
+        for phase in (one, two):
+            assert phase["pairings"] <= phase["queries"] <= phase["eval_fuel"]
     # the workload's blind tables are all decided without an evaluation
     assert all(row["phase_one"] == {"evaluations": 0, "eval_fuel": 0, "queries": 0,
+                                    "pairings": 0,
                                     "candidates": {2: 4, 3: 8}[row["blind_size_cap"]]}
                for row in doc["workload"])
     # a base's members share prefixes, so phase two re-reaches codes
