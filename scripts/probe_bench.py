@@ -18,9 +18,14 @@ queries; an evaluation asks each code at most once, so queries never
 exceed the eval fuel) and the codes they paired, counted through
 ``k2.cantor_pair`` (the pairings; a code is paired only where the
 realizer's trie has no node for it yet, and the same evaluation then asks
-it, so pairings never exceed queries).  It then records the median wall time of
-``repeats`` probes (default 5), each on a new realizer, without the
-wrapper.  It prints all of it as one JSON document.
+it, so pairings never exceed queries), the codes it unpaired, counted
+through ``k2.cantor_unpair`` (the unpairs, by the avoidance name's rule
+and by the decoding of its answers), and the answers it decoded, counted
+through ``k2.decode_pair`` (the answer decodes; an evaluation decodes
+each distinct answer once, so a phase-two name, which answers a single
+value, costs at most one per evaluation).  It then records the median
+wall time of ``repeats`` probes (default 5), each on a new realizer,
+without the wrapper.  It prints all of it as one JSON document.
 """
 
 import json
@@ -53,37 +58,48 @@ def new_realizer(m):
     return aspk.realizer_from_base(aspk.builtin_base(m))
 
 
-def phase_counts(m, config: aspk.ProbeConfig) -> dict:
-    """Candidates, evaluations, eval fuel, queries and pairings of each
-    phase of one probe."""
-    realizer = new_realizer(m)
-    phases = {phase: {"evaluations": 0, "eval_fuel": 0, "queries": 0, "pairings": 0}
-              for phase in ("phase_one", "phase_two")}
-    pair = k2.cantor_pair
-    pairings = 0
+COUNTED = {"pairings": "cantor_pair", "unpairs": "cantor_unpair",
+           "answer_decodes": "decode_pair"}
 
-    def counting_pair(x, y):
-        nonlocal pairings
-        pairings += 1
-        return pair(x, y)
+
+def phase_counts(m, config: aspk.ProbeConfig) -> dict:
+    """Candidates, evaluations, eval fuel, queries, pairings, unpairs and
+    answer decodes of each phase of one probe."""
+    realizer = new_realizer(m)
+    phases = {phase: {"evaluations": 0, "eval_fuel": 0, "queries": 0,
+                      **{count: 0 for count in COUNTED}}
+              for phase in ("phase_one", "phase_two")}
+    calls = dict.fromkeys(COUNTED, 0)
+    originals = {count: getattr(k2, fn) for count, fn in COUNTED.items()}
+
+    def counting(count):
+        fn = originals[count]
+
+        def counted_fn(*args):
+            calls[count] += 1
+            return fn(*args)
+        return counted_fn
 
     def evaluate(seq, h, fuel):
-        before = pairings
+        before = dict(calls)
         out = realizer.evaluate(seq, h, fuel)
         phase = phases["phase_one" if h.h.label == "recorded(probe-table)"
                        else "phase_two"]
         phase["evaluations"] += 1
         phase["eval_fuel"] += out.result.spent
         phase["queries"] += len(h.h.transcript)
-        phase["pairings"] += pairings - before
+        for count in COUNTED:
+            phase[count] += calls[count] - before[count]
         return out
 
     counted = aspk.AntiSpeckerRealizer(evaluate, realizer.space)
-    k2.cantor_pair = counting_pair
+    for count, fn in COUNTED.items():
+        setattr(k2, fn, counting(count))
     try:
         probed = aspk.base_from_realizer(counted, counted.space, config)
     finally:
-        k2.cantor_pair = pair
+        for count, fn in COUNTED.items():
+            setattr(k2, fn, originals[count])
     blind = sum(1 for _ in aspk._blind_candidates(config.blind_size_cap))
     phases["phase_one"]["candidates"] = min(probed.evals_spent, blind)
     phases["phase_two"]["candidates"] = probed.evals_spent - min(probed.evals_spent,

@@ -27,8 +27,9 @@ Nothing is built twice.  The builtin and product bases build a member's
 atoms once, as far as some search has asked for them, and keep them for
 as long as the base lives; a realizer pairs each prefix code once into
 the one trie it walks, which it empties only past a bit bound, and asks
-the name for each code once per evaluation; and ``covers`` computes each
-atom's constraints once per call, not once per cell.
+the name for each code, and decodes each answer, once per evaluation;
+the harvest unpairs each answered code once, up its prefixes; and
+``covers`` computes each atom's constraints once per call, not per cell.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import k2
 from .k2 import (FinPartialFn, Oracle, PartialResult, RecordingOracle,
-                 SpecError, TableOracle, decode_pair, decode_seq, encode_pair)
+                 SpecError, TableOracle, encode_pair)
 from .naming import NameSequence, ProductSpace, Space
 
 
@@ -473,9 +474,9 @@ def realizer_from_base(base: CompactnessBase,
     base's own by default.  Fuel counts prefix steps, one per prefix
     scanned, and a malformed answer is recorded once per step; prefixes
     longer than ``MAX_PREFIX_LEN`` are never scanned.  One evaluation asks
-    the name for each code at most once and reuses the answer on every
-    later step that reaches the code, so the name must be deterministic
-    (every name this package builds is).
+    the name for each code at most once, decodes each distinct answer
+    once, and reuses both on every later step, so the name must be
+    deterministic (every name this package builds is).
 
     The prefix codes come from one trie that lives as long as the
     realizer, a nested dict from a value to the code of the prefix it
@@ -494,9 +495,11 @@ def realizer_from_base(base: CompactnessBase,
         oracle = h.h
         spent = 0
         malformed: list[tuple[int, int]] = []
-        # code -> (the name's answer, its decoded pair or None), for this
-        # evaluation only
-        asked: dict[int, tuple[int, Optional[tuple[int, int]]]] = {}
+        # for this evaluation only: code -> its answer's pair, None for 0 or
+        # the answer itself when it decodes to no pair (False: not asked);
+        # answer -> the same, so each distinct answer is decoded once
+        asked: dict[int, object] = {}
+        decoded: dict[int, object] = {}
         for member_index in itertools.count():
             bounds: list[int] = []
             certified_atoms: list[CoverAtom] = []
@@ -510,7 +513,7 @@ def realizer_from_base(base: CompactnessBase,
                     node = root
                     code = 0
                     entries = atom.sigma.entries
-                    found = None
+                    radius = atom.n
                     for length in range(min(atom.sigma.initial_run,
                                             MAX_PREFIX_LEN) + 1):
                         if spent >= fuel:
@@ -524,24 +527,23 @@ def realizer_from_base(base: CompactnessBase,
                                 bits += hit[0].bit_length()
                             code, node = hit
                         spent += 1
-                        answer = asked.get(code)
-                        if answer is None:
+                        nm = asked.get(code, False)
+                        if nm is False:
                             v = oracle(code)
-                            answer = asked[code] = (
-                                v, decode_pair(v - 1) if v > 0 else None)
-                        v, nm = answer
-                        if v > 0:
-                            if nm is None:
-                                malformed.append((code, v))
-                                continue
-                            n_ans, m_ans = nm
-                            if n_ans <= atom.n:
-                                found = m_ans
-                                break
-                    if found is None:
+                            nm = decoded.get(v, False) if v > 0 else None
+                            if nm is False:
+                                nm = decoded[v] = k2.decode_pair(v - 1) or v
+                            asked[code] = nm
+                        if nm is None:
+                            continue
+                        if nm.__class__ is not tuple:
+                            malformed.append((code, nm))
+                        elif nm[0] <= radius:
+                            break
+                    else:
                         certified = False
                         break
-                    bounds.append(found)
+                    bounds.append(nm[1])
                     certified_atoms.append(atom)
             except SpecError:
                 return EvalOutcome(PartialResult.exhausted(spent), stage="empty-base",
@@ -611,17 +613,26 @@ def _blind_candidates(size_cap: int):
 
 
 def _harvest(answered: dict[int, int]) -> Optional[Theta]:
-    """Atoms at the prefix-minimal answered sequences of an answer table."""
-    answered_seqs = {code: decode_seq(code) for code, v in answered.items() if v > 0}
+    """Atoms at the prefix-minimal answered sequences of an answer table:
+    one walk up each positive code's prefixes, which stops at the first
+    answered positively (well-formed or not), and one decode per answer."""
     atoms = []
-    for code, s in answered_seqs.items():
-        if any(other != s and s[:len(other)] == other
-               for other in answered_seqs.values()):
+    decoded: dict[int, Optional[tuple[int, int]]] = {}
+    for code, v in answered.items():
+        if v <= 0:
             continue
-        nm = decode_pair(answered[code] - 1)
-        if nm is None:
-            continue
-        atoms.append(CoverAtom(FinPartialFn.from_seq(s), nm[0]))
+        values, prefix = [], code
+        while prefix > 0:
+            prefix, a = k2.cantor_unpair(prefix - 1)
+            if answered.get(prefix, 0) > 0:
+                break
+            values.append(a)
+        else:
+            if v not in decoded:
+                decoded[v] = k2.decode_pair(v - 1)
+            nm = decoded[v]
+            if nm is not None:
+                atoms.append(CoverAtom(FinPartialFn.from_seq(values[::-1]), nm[0]))
     if not atoms:
         return None
     return Theta(tuple(atoms))

@@ -248,14 +248,6 @@ def decode_seq(code: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def seq_length(code: int) -> int:
-    n = 0
-    while code > 0:
-        code, _ = cantor_unpair(code - 1)
-        n += 1
-    return n
-
-
 def encode_pair(n: int, m: int) -> int:
     """Code of the two-element sequence (n, m)."""
     return encode_seq((n, m))
@@ -286,6 +278,16 @@ class FinPartialFn:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        last = -1
+        try:
+            for k, v in self.entries:
+                if k <= last or v < 0:
+                    break
+                last = k
+            else:
+                return  # strictly increasing naturals, in one pass
+        except TypeError:
+            pass
         idxs = [k for k, _ in self.entries]
         if any(k < 0 for k in idxs) or any(v < 0 for _, v in self.entries):
             raise ValueError("finite partial functions map naturals to naturals")
@@ -642,18 +644,27 @@ def _eval_arg(recode: Callable[[int], int]) -> Callable[[int], int]:
 
 
 def _depth_rule(answer: int, depth: int) -> Callable[[int], int]:
-    return lambda code: answer if seq_length(code) >= depth else 0
+    def rule(code: int) -> int:
+        for _ in range(depth):
+            if code == 0:
+                return 0
+            code = cantor_unpair(code - 1)[0]
+        return answer
+    return rule
 
 
 def depth_answer(answer: int, depth: int, label: str) -> Oracle:
     """The name answering ``answer`` on every sequence of length at least
-    ``depth`` and 0 on every shorter one."""
+    ``depth`` and 0 on every shorter one; a query unpairs at most ``depth``
+    times, however long the code."""
     return Oracle(_depth_rule(answer, depth), label=label)
 
 
 def _registry_depth_answer(params: dict) -> Callable[[int], int]:
     # Answer the fixed pair (n, m) on every sequence of length >= depth.
     depth = spec_int(params.get("depth", 0))
+    if depth < 0:
+        raise ValueError(f"depth must be a natural: {depth}")
     n = spec_int(params.get("n", 0))
     m = spec_int(params.get("m", 0))
     return _depth_rule(encode_pair(n, m) + 1, depth)

@@ -22,7 +22,16 @@ unchanged and are the oracle of ``Space.atom_constraints``
 ``base_from_realizer`` is the probe as it was before it decided blind
 tables from their harvest: it runs the realizer on every candidate.  Its
 body is unchanged but for the program's ``covers``, which it reaches as
-``aspk.covers``.
+``aspk.covers``, and the harvest, which is the module-level ``harvest``.
+
+``harvest`` is ``antispecker._harvest`` as it was before it walked each
+answered code up its prefix codes: it decodes every positive code and
+compares every sequence with every other.  ``fin_partial_fn_entries`` is
+``FinPartialFn``'s check as it was before its one pass over sorted
+naturals: the entries it keeps, or the ``ValueError`` it raises.  Both
+bodies are unchanged (the check returns what it stored).  The probe above
+calls ``harvest``, and ``seq_length`` is the sequence length that
+``k2.seq_length`` computed before ``k2`` stopped needing it.
 
 ``PrefixCodeTrie`` is the generator trie ``trie_walk_realizer`` walks,
 moved here from ``k2`` when the realizer came to walk its own nested dict
@@ -44,8 +53,7 @@ from baire.antispecker import (AntiSpeckerRealizer, AvoidanceName, BuiltinBase,
                                _blind_candidates, _compositions,
                                default_cover_depth, product_atom)
 from baire.k2 import (FinPartialFn, Oracle, PartialResult, RecordingOracle,
-                      decode_pair, decode_seq, encode_pair,
-                      seq_length)
+                      decode_pair, decode_seq, encode_pair)
 from baire.naming import (CantorSpace, FiniteSpace, NameSequence, ProductSpace,
                           Space)
 
@@ -281,6 +289,40 @@ def trie_walk_realizer(base, space=None, max_prefix_len: int = 16):
     return AntiSpeckerRealizer(evaluate, base.space if space is None else space)
 
 
+def seq_length(code: int) -> int:
+    return len(decode_seq(code))
+
+
+def harvest(answered: dict[int, int]) -> Optional[Theta]:
+    """Atoms at the prefix-minimal answered sequences of an answer table."""
+    answered_seqs = {code: decode_seq(code) for code, v in answered.items() if v > 0}
+    atoms = []
+    for code, s in answered_seqs.items():
+        if any(other != s and s[:len(other)] == other
+               for other in answered_seqs.values()):
+            continue
+        nm = decode_pair(answered[code] - 1)
+        if nm is None:
+            continue
+        atoms.append(CoverAtom(FinPartialFn.from_seq(s), nm[0]))
+    if not atoms:
+        return None
+    return Theta(tuple(atoms))
+
+
+def fin_partial_fn_entries(entries):
+    """The entries ``FinPartialFn`` keeps for ``entries``, or the
+    ``ValueError`` it raises."""
+    idxs = [k for k, _ in entries]
+    if any(k < 0 for k in idxs) or any(v < 0 for _, v in entries):
+        raise ValueError("finite partial functions map naturals to naturals")
+    if len(set(idxs)) != len(idxs):
+        raise ValueError("duplicate indices")
+    if list(idxs) != sorted(idxs):
+        return tuple(sorted(entries))
+    return entries
+
+
 def base_from_realizer(m: AntiSpeckerRealizer, space: Space,
                        config: Optional[ProbeConfig] = None) -> ProbedBase:
     """The probe that evaluates every candidate of both phases."""
@@ -290,22 +332,6 @@ def base_from_realizer(m: AntiSpeckerRealizer, space: Space,
     seen: set = set()
     evals = 0
     exhausted = False
-
-    def harvest(answered: dict[int, int]) -> Optional[Theta]:
-        """Atoms at the prefix-minimal answered sequences."""
-        answered_seqs = {code: decode_seq(code) for code, v in answered.items() if v > 0}
-        atoms = []
-        for code, s in answered_seqs.items():
-            if any(other != s and s[:len(other)] == other
-                   for other in answered_seqs.values()):
-                continue
-            nm = decode_pair(answered[code] - 1)
-            if nm is None:
-                continue
-            atoms.append(CoverAtom(FinPartialFn.from_seq(s), nm[0]))
-        if not atoms:
-            return None
-        return Theta(tuple(atoms))
 
     def consider(theta: Optional[Theta]) -> None:
         if theta is None or theta in seen:

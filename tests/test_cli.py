@@ -375,6 +375,10 @@ MALFORMED_NAME_SPECS = [
     ("--avoidance", '{"table":[[0,1.5]]}'),
     ("--sequence", '{"names":[{"table":[[0,true]]}]}'),
     ("--sequence", '{"names":[{"tail":{"kind":"constant","value":2.0}}]}'),
+    # a negative answer depth, which once acted as depth 0
+    ("--avoidance", '{"kind":"onset","depth":-5}'),
+    ("--avoidance", '{"tail":{"kind":"registry","name":"depth_answer",'
+                    '"params":{"depth":-3}}}'),
 ]
 
 
@@ -383,7 +387,7 @@ def test_malformed_sequence_and_avoidance_specs_are_exit_two(capsys, flag, spec)
     code, doc, err = run_cli(capsys, "antispecker", "demo",
                              "--space", '{"kind":"cantor"}', flag, spec)
     assert code == 2 and doc is None
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
 
 
 FLOAT_OR_BOOL_ORACLES = [

@@ -47,9 +47,26 @@ def test_pairing_round_trip(x, y):
     assert k2.cantor_unpair(k2.cantor_pair(x, y)) == (x, y)
 
 
-@given(st.integers(min_value=0, max_value=20000))
-def test_seq_length_agrees_with_decode(code):
-    assert k2.seq_length(code) == len(decode_seq(code))
+codes = st.one_of(st.integers(min_value=0, max_value=20000),
+                  st.lists(st.integers(min_value=0, max_value=5),
+                           max_size=9).map(encode_seq))
+
+
+@given(codes, st.integers(min_value=-3, max_value=11),
+       st.integers(min_value=0, max_value=50))
+def test_depth_answer_agrees_with_decode(code, depth, answer):
+    assert (k2.depth_answer(answer, depth, "")(code)
+            == (answer if len(decode_seq(code)) >= depth else 0))
+
+
+@given(codes, st.integers(min_value=-3, max_value=11))
+def test_depth_answer_unpairs_at_most_depth_times(code, depth):
+    calls = []
+    unpair = k2.cantor_unpair
+    with mock.patch.object(k2, "cantor_unpair",
+                           lambda z: calls.append(z) or unpair(z)):
+        k2.depth_answer(1, depth, "")(code)
+    assert len(calls) == min(max(depth, 0), len(decode_seq(code)))
 
 
 def test_code_dominates_values():
@@ -344,6 +361,43 @@ def test_interleave_of_uneven_sequences():
 def test_duplicate_indices_rejected():
     with pytest.raises(ValueError):
         FinPartialFn(((0, 1), (0, 2)))
+
+
+def same_check(entries):
+    """FinPartialFn keeps the reference check's entries, or raises its
+    error with its text."""
+    try:
+        want = ref.fin_partial_fn_entries(entries)
+    except (TypeError, ValueError) as e:
+        with pytest.raises(type(e)) as got:
+            FinPartialFn(entries)
+        assert str(got.value) == str(e)
+        return
+    assert FinPartialFn(entries).entries == want
+
+
+entry_tuples = st.tuples(st.integers(min_value=-3, max_value=12),
+                         st.integers(min_value=-2, max_value=9))
+
+
+@given(st.one_of(
+    # strictly increasing naturals, which the one pass accepts
+    st.dictionaries(st.integers(min_value=0, max_value=12),
+                    st.integers(min_value=0, max_value=9), max_size=8)
+    .map(lambda d: tuple(sorted(d.items()))),
+    # sorted, with duplicate indices or negatives
+    st.lists(entry_tuples, max_size=8).map(lambda e: tuple(sorted(e))),
+    # in any order
+    st.lists(entry_tuples, max_size=8).map(tuple)))
+def test_fin_partial_fn_checks_as_the_reference_does(entries):
+    same_check(entries)
+
+
+@pytest.mark.parametrize("entries", [
+    (("a", 1),), ((0, 1), (1, "b")), ((0, 1), (2, 3, 4)), ((0, 1), 5), (None,),
+    ((1, 1), (0, None)), ((0, 1.5), (1, 2)), ((True, 1), (3, 0))])
+def test_fin_partial_fn_keeps_the_reference_errors_on_odd_entries(entries):
+    same_check(entries)
 
 
 # --- oracle specs --------------------------------------------------------

@@ -15,7 +15,10 @@ holds the versions that rebuilt all of these every time, and the
 generator trie that ``trie_walk_realizer`` walks per atom where the
 realizer walks its nested dict inline; the later tests compare the two:
 member atoms, covering reports, evaluations, probed bases, and the number
-of objects and pairings each evaluation builds.
+of objects and pairings each evaluation builds.  The last tests hold the
+harvest's walk up each answered code to the reference's pairwise scan,
+and a cold realizer to the trie walk at every fuel up to a certifying
+spend.
 """
 
 import contextlib
@@ -28,6 +31,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import antispecker_reference as ref
+from antispecker_reference import seq_length
 from baire import antispecker as aspk
 from baire import k2, naming
 from baire.antispecker import (AntiSpeckerRealizer, AvoidanceName, EvalOutcome,
@@ -35,7 +39,7 @@ from baire.antispecker import (AntiSpeckerRealizer, AvoidanceName, EvalOutcome,
                                builtin_base, make_avoidance_name,
                                realizer_from_base)
 from baire.k2 import (Oracle, PartialResult, RecordingOracle, decode_pair,
-                      encode_pair, seq_length)
+                      encode_pair)
 from baire.naming import NameSequence, ProductSpace
 
 CANTOR = naming.cantor_space()
@@ -697,3 +701,85 @@ def test_only_tables_that_could_add_a_member_are_evaluated(m):
         assert list(got.members[:len(seen)]) == seen, label
         want = ref.base_from_realizer(realizer, m, config=config)
         assert probed_fields(got) == probed_fields(want), label
+
+
+# -- the harvest walk against the pairwise scan -------------------------------
+
+short_sequences = st.lists(st.integers(min_value=0, max_value=3), max_size=4)
+# 0 answers nothing, 1 and 2 are malformed, the rest decode to pairs
+answers = st.sampled_from((0, 1, 2) + tuple(encode_pair(n, m) + 1
+                                            for n in range(3) for m in range(3)))
+blind_tables = st.dictionaries(
+    st.one_of(short_sequences.map(k2.encode_seq),
+              st.integers(min_value=0, max_value=400)),
+    answers, max_size=10)
+
+
+@given(blind_tables)
+def test_harvest_matches_the_pairwise_scan_on_tables(table):
+    """Tables that are not prefix-closed, with malformed answers and with
+    code 0, the empty sequence's, answered or not."""
+    assert aspk._harvest(table) == ref.harvest(table)
+
+
+@given(st.sampled_from(range(len(ALL_SPACES))), st.integers(min_value=0, max_value=6),
+       st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=5),
+       st.integers(min_value=0, max_value=400), st.integers(min_value=0, max_value=7))
+def test_harvest_matches_the_pairwise_scan_on_transcripts(space_index, depth, n, m,
+                                                          fuel, salt):
+    """The frozen transcripts of realizer evaluations, as phase two of the
+    probe harvests them, under depth names and under hashed names whose
+    answers are often malformed."""
+    base = builtin_base(ALL_SPACES[space_index])
+    for oracle in (depth_oracle(depth, n, m),
+                   Oracle(lambda c: (c * 2654435761 + salt) % 7)):
+        h = RecordingOracle(oracle)
+        realizer_from_base(base).evaluate(NameSequence((), "star"),
+                                          AvoidanceName(h, "t"), fuel)
+        frozen = dict(h.transcript)
+        assert aspk._harvest(frozen) == ref.harvest(frozen)
+
+
+def test_a_malformed_prefix_answer_hides_its_extensions():
+    """A positive answer on a proper prefix hides every extension, even
+    when it decodes to no pair and so adds no atom of its own."""
+    prefix, extension = k2.encode_seq((1,)), k2.encode_seq((1, 2))
+    pair = encode_pair(0, 1) + 1
+    assert decode_pair(2 - 1) is None
+    for harvest in (aspk._harvest, ref.harvest):
+        assert harvest({prefix: 2, extension: pair}) is None
+        assert harvest({0: 2, extension: pair}) is None
+        assert harvest({extension: pair}) == Theta((aspk.CoverAtom(
+            k2.FinPartialFn.from_seq((1, 2)), 0),))
+
+
+# -- exhaustion at every fuel -----------------------------------------------------
+
+
+@pytest.mark.parametrize("m", (CANTOR, FIN3, CANTOR_X_FIN2), ids=lambda m: m.space_id)
+def test_every_fuel_up_to_the_certifying_spend_matches_the_trie_walk(m):
+    """At each fuel from 0 to the spend of the certifying evaluation, a
+    cold realizer stops where the trie walk stops: the same outcome, the
+    trie walk's first asks and the same number of pairings."""
+    seq = NameSequence((), "star")
+    names = [depth_oracle(depth, n, 1) for depth in range(4) for n in (0, 2)]
+    # malformed on every third code, and a pair that only atoms of radius
+    # 1 or more accept elsewhere
+    pair = encode_pair(1, 2) + 1
+    names.append(Oracle(lambda c: 2 if c % 3 == 1 else pair))
+    for oracle in names:
+        full = realizer_from_base(builtin_base(m)).evaluate(
+            seq, AvoidanceName(oracle, "t"), 10 ** 6)
+        assert full.result.is_value
+        for fuel in range(full.result.spent + 1):
+            runs = []
+            for r in (realizer_from_base(builtin_base(m)),
+                      ref.trie_walk_realizer(ref.reference_builtin_base(m))):
+                h = RecordingOracle(oracle)
+                with counted_construction() as log:
+                    out = r.evaluate(seq, AvoidanceName(h, "t"), fuel)
+                runs.append((out, h.transcript, log["pairs"]))
+            (out, log, pairs), (ref_out, ref_log, ref_pairs) = runs
+            assert (out, pairs) == (ref_out, ref_pairs)
+            assert log == first_asks(ref_log)
+            assert out.result.is_value == (fuel == full.result.spent)

@@ -68,9 +68,12 @@ def test_probe_bench_counts_both_phases():
         # and every code the realizer pairs is asked in that same evaluation
         for phase in (one, two):
             assert phase["pairings"] <= phase["queries"] <= phase["eval_fuel"]
+            assert phase["answer_decodes"] <= phase["queries"]
+        # a depth name answers one value, which an evaluation decodes once
+        assert two["answer_decodes"] <= two["evaluations"]
     # the workload's blind tables are all decided without an evaluation
     assert all(row["phase_one"] == {"evaluations": 0, "eval_fuel": 0, "queries": 0,
-                                    "pairings": 0,
+                                    "pairings": 0, "unpairs": 0, "answer_decodes": 0,
                                     "candidates": {2: 4, 3: 8}[row["blind_size_cap"]]}
                for row in doc["workload"])
     # a base's members share prefixes, so phase two re-reaches codes

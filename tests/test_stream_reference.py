@@ -448,7 +448,7 @@ def _name(kind: str, param: int) -> Oracle:
         return Oracle(lambda c: param + 1 if c.bit_length() > param else 0,
                       label=f"bits({param})")
     if kind == "depth":
-        return Oracle(lambda c: param + 2 if k2.seq_length(c) >= param else 0,
+        return Oracle(lambda c: param + 2 if len(k2.decode_seq(c)) >= param else 0,
                       label=f"depth({param})")
     return k2.parse_oracle_spec({"tail": {"kind": "registry", "name": "eval_arg"}})
 
