@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Walk the protected splitting stage by stage and narrate the ledger.
 
+For each positive stage it prints the subset-sum classes the splitter
+classified next to the (mask, n) pairs they stand for: the splitter's
+work goes with the first number, the pair views' with the second.
+
 Usage: python scripts/splitter_trace.py [stages]
 """
 
@@ -27,6 +31,9 @@ def main() -> None:
             print(f"  protections set: {len(rec.case2)} by gap, "
                   f"{len(rec.case3)} by fresh block; "
                   f"{rec.checked} clearances re-checked")
+            classes = sum(len(g.by_gap) + len(g.on_target) for g in rec.ranges)
+            pairs = sum(g.hi - g.lo for g in rec.ranges)
+            print(f"  classified {classes} subset-sum classes for {pairs} pairs")
     report = cauchy.verify_clearances(ledger, Fraction(0))
     print(f"\nindependent recomputation: ok={report.ok} "
           f"pairs={report.pairs_checked} limit-certified={report.limit_certified}")

@@ -24,9 +24,11 @@ and the window search answers its queries from a block max/min index of
 the rearranged partial sums.  The splitter also works by class: a
 protected pair's gap, clearance floor and stage-end clearance depend only
 on its subset sum, its target index and its protection, so each is
-computed once per class and counted with the class's size.  Its ledger
-stores the classes, too; the (mask, n) pairs are expanded from them only
-for a reader that asks for them.
+computed once per class and counted with the class's size.  The sizes
+are counted without a table of the 2^width subset sums: a block of k
+alternating entries has k + 1 subset sums, so they are a small
+convolution.  Its ledger stores the classes, too; the (mask, n) pairs, and
+the table they need, are expanded only for a reader that asks for them.
 """
 
 from __future__ import annotations
@@ -356,6 +358,16 @@ class StageRecord:
         }
 
 
+def _mask_sums(entries: Iterable[Fraction], scale: int) -> list[int]:
+    """The subset sums of the entries, held over ``scale``, indexed by mask:
+    the table of the pair views and of the stage-end failure message."""
+    sums = [0]
+    for v in entries:
+        held = v.numerator * (scale // v.denominator)
+        sums += [u + held for u in sums]
+    return sums
+
+
 def _expand(rec: StageRecord) -> tuple[list, list]:
     """The ((mask, n), protection) pairs a stage protects, case 2 and case
     3 apart, each in ledger order: by n, then by mask.
@@ -363,10 +375,7 @@ def _expand(rec: StageRecord) -> tuple[list, list]:
     Rebuilds the subset sums of the stage's entries, over the record's
     scale, for the length of the call only.
     """
-    sums = [0]
-    for v in rec.entries:
-        held = v.numerator * (rec.scale // v.denominator)
-        sums += [u + held for u in sums]
+    sums = _mask_sums(rec.entries, rec.scale)
     case2: list = []
     case3: list = []
     for g in rec.ranges:
@@ -488,8 +497,10 @@ class _ScaledState:
     Every rational v in play is held as the integer v * scale.  The scale
     is twice the lcm of every denominator admitted so far, so half of any
     gap between held values is an integer too; admitting a new denominator
-    multiplies the held integers up.  The subset-sum table is kept at its
-    own scale and brought up to date only when a positive stage reads it.
+    multiplies the held integers up.  The subset sums are kept as two
+    multisets, subset sum -> number of masks: over every entry
+    (``counts``) and over the entries before the last positive block
+    (``before``).  A positive stage brings them up to date (``count``).
     """
 
     def __init__(self):
@@ -499,8 +510,8 @@ class _ScaledState:
         self.b: list[int] = []
         # (subset sum, n, protection) -> number of protected pairs
         self.classes: Counter = Counter()
-        self.sums = [0]
-        self.sums_scale = 2
+        self.counts: dict[int, int] = {}
+        self.before: dict[int, int] = {}
 
     def admit(self, q: Fraction) -> int:
         """Grow the scale until q * scale / 2 is an integer; returns the
@@ -515,25 +526,28 @@ class _ScaledState:
             self.b = [v * grow for v in self.b]
             self.classes = Counter({(v * grow, n, r * grow): c
                                     for (v, n, r), c in self.classes.items()})
+            self.counts = {v * grow: c for v, c in self.counts.items()}
+            self.before = {v * grow: c for v, c in self.before.items()}
         return grow
 
     def held(self, q: Fraction) -> int:
         return q.numerator * (self.scale // q.denominator)
 
-    def table(self, width: int) -> list[int]:
-        """Subset sums of the first ``width`` entries, indexed by mask."""
-        if self.sums_scale != self.scale:
-            grow = self.scale // self.sums_scale
-            self.sums = [v * grow for v in self.sums]
-            self.sums_scale = self.scale
-        sums = self.sums
-        for idx in range(len(sums).bit_length() - 1, width):
-            v = self.flat[idx]
-            if v:
-                sums += [u + v for u in sums]
-            else:
-                sums *= 2
-        return sums
+    def count(self, width: int, start: Optional[int], k: int) -> None:
+        """Count the first ``width`` entries, ``counts`` holding the first
+        ``start`` (None: all are zeros).  The block (+p, -p, ..., +p) of k
+        entries from ``start`` adds j * p in C(k, j + k // 2) ways, and each
+        zero after it doubles every count; sums come in mask-table order."""
+        if start is None:
+            self.counts = {0: 1 << width}
+            return
+        self.before, self.counts = self.counts, {}
+        half, p = k // 2, self.flat[start]
+        # over the block's masks in order, j first shows as 0, 1, -1, 2, ...
+        for j in [0, *(j for m in range(1, half + 1) for j in (m, -m)), half + 1]:
+            c = math.comb(k, j + half) << (width - start - k)
+            for v, m in self.before.items():
+                self.counts[v + j * p] = self.counts.get(v + j * p, 0) + m * c
 
 
 # a block is refused before it is built past this many entries
@@ -561,9 +575,11 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
     The arithmetic runs on ``_ScaledState`` integers.  A pair's gap, floor
     and clearance depend only on its class (subset sum, n, protection), so
     each is computed once per class and weighed by the class's size.  The
-    ledger keeps the classes too: for each n, the range of masks the stage
-    protects and one protection per subset sum (``ProtectedRange``).  No
-    pair is written; only a failure message is looked up pair by pair.
+    sizes are convolved block by block (``_ScaledState.count``), with no
+    table of the 2^width subset sums.  The ledger keeps the classes too:
+    for each n, the range of masks the stage protects and one protection
+    per subset sum (``ProtectedRange``).  No pair is written; only a
+    failure message is looked up pair by pair, on a mask table.
     """
     if not x.is_nonneg or not b.is_nonneg:
         raise ValueError("both sequences must be non-negative")
@@ -588,26 +604,26 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
             bn = b.value_at(n)
             st.admit(bn)
             st.b.append(st.held(bn))
-        sums = st.table(width)
-        total = st.total
-        scale = st.scale
-        classes = st.classes
-
         # after the last positive stage s' at width w', exactly the pairs
         # [0, 2^w') x [0, s'] are protected
         last = ledger.last_positive_stage
-        done = 1 << ledger.block_start[last] if last is not None else 0
-        counts = {}
+        if last is None:
+            st.count(width, None, 0)
+            counts = {0: st.counts}
+        else:
+            start = ledger.block_start[last]
+            st.count(width, start, ledger.stages[last].k)
+            # the masks below 2^w' are the few the last positive stage saw
+            done = 1 << start
+            counts = {0: st.counts, done: Counter(st.counts) - Counter(st.before)}
+        total = st.total
+        scale = st.scale
+        classes = st.classes
         waiting: list[tuple[int, int, int]] = []   # (sum, n, pairs) on b_n
         halves: dict[int, Fraction] = {}
         ranges: list[tuple[int, int, dict[int, Fraction], list[int]]] = []
         for n in range(s + 1):
             lo = done if last is not None and n <= last else 0
-            if lo not in counts:
-                # the masks below lo are the few the last positive stage saw
-                if 0 not in counts:
-                    counts[0] = Counter(sums)
-                counts[lo] = counts[0] - Counter(sums[:lo])
             bn = st.b[n]
             by_gap: dict[int, Fraction] = {}   # subset sum -> protection
             on_target: list[int] = []
@@ -677,9 +693,6 @@ def _raise_first_violation(ledger: SplitterLedger, st: _ScaledState, s: int):
     stage-end invariant.  Protections are checked once per class, and the
     masks are scanned in order only inside a range with a failing class."""
     for rec in ledger.stages:
-        if not rec.ranges:
-            continue
-        sums = st.table(len(rec.entries))
         grow = st.scale // rec.scale
         for case in ("by_gap", "on_target"):
             for g in rec.ranges:
@@ -690,6 +703,7 @@ def _raise_first_violation(ledger: SplitterLedger, st: _ScaledState, s: int):
                         failing[v * grow] = (r, clear)
                 if not failing:
                     continue
+                sums = _mask_sums(rec.entries, st.scale)
                 mask = next(m for m in range(g.lo, g.hi) if sums[m] in failing)
                 r, clear = failing[sums[mask]]
                 raise ClearanceViolation(
@@ -721,17 +735,20 @@ def verify_clearances(ledger: SplitterLedger,
     are additionally certified to keep the limit inequality.
 
     The check scales the entries, the targets and the bound to one common
-    denominator and builds its own subset-sum table; it shares no state or
-    code with ``protected_split``.  A pair's clearance depends only on its
+    denominator and counts its own subset sums; it shares no state or code
+    with ``protected_split``.  A pair's clearance depends only on its
     subset sum and n, so for each protected range it counts the sums of
-    the range's masks and checks each class once.  Only in a range with a
-    failing class are the masks scanned, in order, to name the failing
-    pairs.
+    the range's masks and checks each class once.  The counts are
+    convolved entry by entry, with no assumption on the blocks, and kept
+    for the masks below each range bound 2^i.  The mask table is built
+    only for a range with a failing class, whose masks are then scanned in
+    order to name the failing pairs, or for a range whose bounds are not
+    powers of two.
 
     The ledger finds a pair's protection by the subset sum of the entries
-    its stage classified (``StageRecord.entries``).  When ``ledger.flat``
-    no longer agrees with those, a class is a (protection sum, clearance
-    sum) pair and both tables are built.
+    its stage classified (``StageRecord.entries``), so a class is a
+    (protection sum, clearance sum) pair.  The two differ only when
+    ``ledger.flat`` no longer agrees with those entries.
     """
     ranges = [(rec, g) for rec in ledger.stages for g in rec.ranges]
     keyed = max((rec.entries for rec in ledger.stages), key=len, default=())
@@ -744,25 +761,31 @@ def verify_clearances(ledger: SplitterLedger,
     def held(q: Fraction) -> int:
         return q.numerator * (scale // q.denominator)
 
-    def subset_sums(values: list[int]) -> list[int]:
-        out = [0]
-        for v in values:
-            out += [u + v for u in out]
-        return out
-
     entries = [held(v) for v in ledger.flat]
     total = sum(entries)
     b_held = {n: held(bn) for n, bn in targets.items()}
     width = len(keyed)
-    sums = subset_sums(entries[:width])
     keys = [held(v) for v in keyed]
-    keys = sums if keys == entries[:width] else subset_sums(keys)
 
-    def below(hi: int) -> Counter:
-        """(protection sum, clearance sum) -> number of masks below hi."""
-        if keys is sums:
-            return Counter({(v, v): c for v, c in Counter(sums[:hi]).items()})
-        return Counter(zip(keys[:hi], sums[:hi]))
+    @functools.cache
+    def tables() -> tuple[list[int], list[int]]:
+        """The protection sum and the clearance sum of every mask."""
+        key_sums, sums = [0], [0]
+        for key, v in zip(keys, entries):
+            key_sums += [u + key for u in key_sums]
+            sums += [u + v for u in sums]
+        return key_sums, sums
+
+    # (protection sum, clearance sum) -> number of masks below 2^i
+    paired = list(zip(keys, entries))
+    below: dict[int, dict[tuple[int, int], int]] = {0: {}}
+    counts = {(0, 0): 1}
+    for i, (key, v) in enumerate(paired):
+        below[1 << i] = counts
+        counts = dict(counts)
+        for (a, u), c in below[1 << i].items():
+            counts[a + key, u + v] = counts.get((a + key, u + v), 0) + c
+    below[1 << len(paired)] = counts
 
     counted: dict[tuple[int, int], Counter] = {}
     failed: list[tuple[int, int, Fraction, int]] = []
@@ -772,9 +795,12 @@ def verify_clearances(ledger: SplitterLedger,
     for rec, g in ranges:
         pairs += g.hi - g.lo
         if (g.lo, g.hi) not in counted:
-            if (0, g.hi) not in counted:
-                counted[(0, g.hi)] = below(g.hi)
-            counted[(g.lo, g.hi)] = counted[(0, g.hi)] - below(g.lo)
+            if g.lo in below and g.hi in below:
+                counted[(g.lo, g.hi)] = Counter(below[g.hi]) - Counter(below[g.lo])
+            else:
+                key_sums, sums = tables()
+                counted[(g.lo, g.hi)] = Counter(zip(key_sums[g.lo:g.hi],
+                                                    sums[g.lo:g.hi]))
         # the ranges hold their sums over the stage's scale; the sums' own
         # denominators divide this scale as well
         protection = {v * scale // rec.scale: r for table in (g.by_gap, g.on_target)
@@ -790,9 +816,10 @@ def verify_clearances(ledger: SplitterLedger,
             if bound is not None and clear > bound:
                 certified += c
         if bad:
+            key_sums, sums = tables()
             for mask in range(g.lo, g.hi):
-                if (keys[mask], sums[mask]) in bad:
-                    failed.append((mask, g.n, *bad[(keys[mask], sums[mask])]))
+                if (key_sums[mask], sums[mask]) in bad:
+                    failed.append((mask, g.n, *bad[(key_sums[mask], sums[mask])]))
     failures = tuple(
         {"A": _mask_indices(mask), "n": n, "r": format_rational(r),
          "clearance": format_rational(Fraction(clear, scale))}

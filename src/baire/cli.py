@@ -125,6 +125,8 @@ def _avoidance(text: str):
             answer_depth = k2.spec_int(doc.get("depth", 0))
             if answer_depth < 0:
                 raise ValueError(f"depth must be a natural: {answer_depth}")
+            if radius_exp < 0:
+                raise ValueError(f"radius_exp must be a natural: {radius_exp}")
         except (TypeError, ValueError) as e:
             raise k2.SpecError(f"bad onset avoidance: {e}")
         return lambda seq: aspk.make_avoidance_name(

@@ -8,7 +8,10 @@ clearance reports, the same verdicts, and raise the same exceptions with
 the same messages.
 """
 
+import copy
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction as Q
 from functools import lru_cache
 
@@ -176,11 +179,83 @@ def test_split_verify_and_window_search_never_expand_pairs(monkeypatch):
     assert expanded == [0]
 
 
+# the width-18 input: 3 stages, 786,432 pairs at the last
+WIDTH_18 = mk([Q(1, 2), Q(9, 16)], "constant", Q(9, 16))
+WIDTH_14 = (mk([Q(1, 2), Q(1, 16), Q(1, 64)]), mk([], "constant", Q(1, 3)), 3)
+
+
+def test_split_and_verify_count_without_a_mask_table(monkeypatch):
+    # a count, not a timing: every per-mask subset-sum table the program
+    # reads goes through cauchy._mask_sums
+    built = []
+
+    def refuse(entries, scale):
+        built.append(len(entries))
+        raise AssertionError(f"a mask table of width {len(entries)}")
+
+    monkeypatch.setattr(cauchy, "_mask_sums", refuse)
+    for x, b, stages in (_template(11, 0), WIDTH_14, (WIDTH_18, WIDTH_18, 3)):
+        ledger = cauchy.protected_split(x, b, stages)
+        report = cauchy.verify_clearances(ledger, Q(0))
+        assert report.ok and report.pairs_checked == len(ledger.protections)
+    assert built == []
+    tracemalloc.start()
+    try:
+        ledger = cauchy.protected_split(WIDTH_18, WIDTH_18, 3)
+        report = cauchy.verify_clearances(ledger, Q(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert report.pairs_checked == 786432
+    assert [rec.checked for rec in ledger.stages] == [1, 64, 786432]
+    assert built == []
+    with pytest.raises(AssertionError):
+        list(ledger.protections.items())
+    assert built == [0]
+
+
+def _mask_table(values):
+    """The subset sums of the values, indexed by mask."""
+    sums = [0]
+    for v in values:
+        sums += [u + v for u in sums]
+    return sums
+
+
+@given(st.lists(st.tuples(st.sampled_from([0, 1, 3, 5, 7]), st.integers(1, 6),
+                          st.integers(1, 12), st.integers(1, 9)), max_size=10))
+def test_class_counts_match_a_counter_over_the_mask_table(layout):
+    # stages of k entries (k = 0: a zero stage), each followed by a
+    # denominator admitted; a positive stage counts before its block
+    state = cauchy._ScaledState()
+    width, last = 0, (None, 0)
+    for k, num, den, admitted in layout:
+        if width + max(k, 1) > 16:
+            break
+        if k == 0:
+            state.flat.append(0)
+            width += 1
+        else:
+            state.count(width, *last)
+            table = _mask_table(state.flat)
+            assert list(state.counts.items()) == list(Counter(table).items())
+            if last[0] is not None:
+                assert list(state.before.items()) == \
+                    list(Counter(table[:1 << last[0]]).items())
+            piece = Q(num, den)
+            state.admit(piece)
+            held = state.held(piece)
+            state.flat += [held, -held] * (k // 2) + [held]
+            last = (width, k)
+            width += k
+        state.admit(Q(1, admitted))
+
+
 def test_width_14_split_verifies_like_the_reference():
     # 49,152 pairs at the last stage: the class check against the pair
     # scan of the reference, on the ledger's expanded pairs
-    x, b = mk([Q(1, 2), Q(1, 16), Q(1, 64)]), mk([], "constant", Q(1, 3))
-    ledger = cauchy.protected_split(x, b, 3)
+    ledger = cauchy.protected_split(*WIDTH_14)
     assert len(ledger.stages[-1].entries) == 14
     report = cauchy.verify_clearances(ledger, Q(0))
     assert report == ref.verify_clearances(ledger, Q(0))
@@ -324,6 +399,52 @@ def test_corrupted_protection_is_reported_alike():
     assert report == ref.verify_clearances(slow, Q(0))
     assert not report.ok and len(report.failures) == sum(
         1 for r in slow.protections.values() if r == 9)
+
+
+@lru_cache(maxsize=None)
+def _reference_split(x, b, stages):
+    return ref.protected_split(x, b, stages)
+
+
+@st.composite
+def damaged_ledgers(draw):
+    """A split in both forms, damaged alike in one or more of three ways: an
+    entry of ``flat`` moved off its stage's entries, one class's protection
+    changed, and one range cut in two at a mask that is no power of two."""
+    x, b, stages = draw(st.sampled_from(
+        [_template(8, i) for i in range(6)] + [(mk([1, 0, Q(1, 16)]),
+                                                cauchy.dyadic_targets(), 4)]))
+    fast = cauchy.protected_split(x, b, stages)
+    slow = copy.deepcopy(_reference_split(x, b, stages))
+    tamper, corrupt, cut = draw(st.tuples(st.booleans(), st.booleans(), st.booleans())
+                                .filter(any))
+    if corrupt:
+        classes = _classes(fast)
+        found = classes[draw(st.integers(0, len(classes) - 1))]
+        _corrupt(slow, *found, draw(st.sampled_from([Q(5), Q(-1), Q(1, 3), Q(0)])))
+    if tamper:
+        at = draw(st.integers(0, len(fast.flat) - 1))
+        delta = draw(st.builds(Q, st.integers(-6, 6), st.integers(1, 9)))
+        fast.flat[at] += delta
+        slow.flat[at] += delta
+    if cut:
+        recs = [rec for rec in fast.stages if any(g.hi - g.lo > 4 for g in rec.ranges)]
+        rec = draw(st.sampled_from(recs))
+        i = draw(st.sampled_from([i for i, g in enumerate(rec.ranges) if g.hi - g.lo > 4]))
+        g = rec.ranges[i]
+        mid = draw(st.integers(g.lo + 1, g.hi - 1).filter(lambda m: m & (m - 1)))
+        rec.ranges = (*rec.ranges[:i],
+                      cauchy.ProtectedRange(g.n, g.lo, mid, g.by_gap, g.on_target),
+                      cauchy.ProtectedRange(g.n, mid, g.hi, g.by_gap, g.on_target),
+                      *rec.ranges[i + 1:])
+    return fast, slow
+
+
+@given(damaged_ledgers(), st.sampled_from([None, Q(0), Q(1, 7)]))
+def test_damaged_ledgers_are_reported_alike(ledgers, bound):
+    fast, slow = ledgers
+    assert sorted(fast.protections.items()) == sorted(slow.protections.items())
+    assert cauchy.verify_clearances(fast, bound) == ref.verify_clearances(slow, bound)
 
 
 def test_tampered_entry_is_reported_alike():

@@ -390,6 +390,16 @@ def test_malformed_sequence_and_avoidance_specs_are_exit_two(capsys, flag, spec)
     assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
 
 
+def test_a_negative_onset_radius_is_refused_at_parse_time(capsys):
+    # it once reached the name's pairing and named no option
+    code, doc, err = run_cli(capsys, "antispecker", "demo",
+                             "--space", '{"kind":"cantor"}',
+                             "--avoidance", '{"kind":"onset","radius_exp":-5}')
+    assert code == 2 and doc is None
+    assert err == ("error: --avoidance: bad onset avoidance: "
+                   "radius_exp must be a natural: -5\n")
+
+
 FLOAT_OR_BOOL_ORACLES = [
     '{"table":[[0,1.5]]}',
     '{"table":[[1e400,1]]}',

@@ -30,6 +30,21 @@ def test_script_runs(argv, last_line):
     assert proc.stdout.rstrip("\n").splitlines()[-1] == last_line
 
 
+def test_splitter_trace_counts_classes_next_to_pairs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "splitter_trace.py"),
+                           "6"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # one line per positive stage: the 2^6 masks of the second one fall
+    # into 18 subset-sum classes for its three target indices
+    assert [line for line in proc.stdout.splitlines() if "classified" in line] == [
+        "  classified 1 subset-sum classes for 1 pairs",
+        "  classified 18 subset-sum classes for 191 pairs"]
+
+
 def test_square_bench_at_its_smallest_size():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
