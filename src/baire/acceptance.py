@@ -270,7 +270,7 @@ def criterion_product() -> tuple[bool, str]:
             msgs.append(f"case {ci} (depth {d}): {got.result.to_json()} != {want}")
             break
 
-    pb = aspk.product_base(aspk.builtin_base(mc), aspk.builtin_base(mf))
+    pb = aspk.ProductBase(aspk.builtin_base(mc), aspk.builtin_base(mf))
     for i in range(12):
         if not aspk.covers(pb.enumerate_theta(i), prod).covered:
             msgs.append(f"product member {i} fails the covering check")
@@ -472,6 +472,9 @@ def criterion_modulus_transfer() -> tuple[bool, str]:
         report = cauchy.is_modulus(fg, a, horizon=40)
         if not report.ok:
             msgs.append(f"case {idx}: transfer fails at {report.counterexample}")
+        elif report.checked < 41:
+            msgs.append(f"case {idx}: only {report.checked} of 41 exponents start "
+                        "within the horizon")
     detail = msgs[0] if msgs else "10 transfers pass the horizon-40 check"
     return not msgs, detail
 

@@ -371,10 +371,6 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def product_base(bx: CompactnessBase, by: CompactnessBase) -> CompactnessBase:
-    return ProductBase(bx, by)
-
-
 class ProbedBase(CompactnessBase):
     """A finite base prefix harvested from a realizer; cycles when indexed
     past the end.  ``exhausted`` records that the probe budget cut the
@@ -471,8 +467,9 @@ def realizer_from_base(base: CompactnessBase,
     maximum of the certified m's; the final value is recomputed exactly by
     scanning the sequence below the bound, so it does not depend on which
     member certified.  ``space`` is the space of the sequence entries, the
-    base's own by default.  Fuel counts prefix steps, one per prefix
-    scanned, and a malformed answer is recorded once per step; prefixes
+    base's own by default.  Fuel counts one step per prefix scanned, and
+    one per member left with no atom certified (it has none, or its first
+    atom fails); a malformed answer is recorded once per step; prefixes
     longer than ``MAX_PREFIX_LEN`` are never scanned.  One evaluation asks
     the name for each code at most once, decodes each distinct answer
     once, and reuses both on every later step, so the name must be
@@ -549,7 +546,7 @@ def realizer_from_base(base: CompactnessBase,
                 return EvalOutcome(PartialResult.exhausted(spent), stage="empty-base",
                                    malformed=tuple(malformed))
             if not certified_atoms:
-                # an empty member certifies nothing; burn a step and move on
+                # no atom certified (none, or the first failed): burn a step
                 spent += 1
                 if spent >= fuel:
                     return EvalOutcome(PartialResult.exhausted(spent),
@@ -701,21 +698,17 @@ def base_from_realizer(m: AntiSpeckerRealizer, space: Space,
         consider(theta)
 
     # Phase two: uniform depth candidates, frozen to the queried restriction.
-    for depth in range(cfg.depth_cap + 1):
-        for n_ans in cfg.radius_grid:
-            for m_ans in cfg.onset_grid:
-                if decided >= cfg.budget:
-                    exhausted = True
-                    break
-                h_probe = RecordingOracle(k2.depth_answer(
-                    encode_pair(n_ans, m_ans) + 1, depth, f"probe-depth-{depth}"))
-                out = m.evaluate(all_star, AvoidanceName(h_probe, "probe"),
-                                 cfg.eval_fuel)
-                decided += 1
-                if not out.result.is_value:
-                    continue
-                frozen = {code: v for code, v in h_probe.transcript}
-                consider(_harvest(frozen))
+    for depth, n_ans, m_ans in itertools.product(
+            range(cfg.depth_cap + 1), cfg.radius_grid, cfg.onset_grid):
+        if decided >= cfg.budget:
+            exhausted = True
+            break
+        h_probe = RecordingOracle(k2.depth_answer(
+            encode_pair(n_ans, m_ans) + 1, depth, f"probe-depth-{depth}"))
+        out = m.evaluate(all_star, AvoidanceName(h_probe, "probe"), cfg.eval_fuel)
+        decided += 1
+        if out.result.is_value:
+            consider(_harvest(dict(h_probe.transcript)))
 
     return ProbedBase(space, emissions, exhausted=exhausted, evals_spent=decided)
 
@@ -736,7 +729,7 @@ def product_anti_specker(mx: AntiSpeckerRealizer, my: AntiSpeckerRealizer,
     by = base_from_realizer(my, my.space, config)
     if not by.members:
         raise SpecError("right factor probe harvested nothing")
-    combined = product_base(bx, by)
+    combined = ProductBase(bx, by)
     inner = realizer_from_base(combined, product_space)
 
     def evaluate(seq: NameSequence, h: AvoidanceName, fuel: int) -> EvalOutcome:

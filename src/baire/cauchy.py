@@ -172,24 +172,24 @@ class Modulus:
             raise ValueError("modulus values are naturals")
         return v
 
-    @classmethod
-    def from_oracle(cls, f: Oracle) -> "Modulus":
-        return cls(lambda n: f(n))
-
 
 @dataclass(frozen=True)
 class ModulusReport:
     ok: bool
     counterexample: Optional[tuple[int, int, int]] = None  # (n, i, j)
+    checked: int = 0    # exponents whose start lies within the horizon
 
 
 def is_modulus(f: Modulus, x: RationalSeq, horizon: int) -> ModulusReport:
     """Exhaustive check up to the horizon: |x_i - x_j| < 2^-n whenever
-    i, j >= f(n), for all n <= horizon."""
+    i, j >= f(n), for all n <= horizon.  An exponent whose start lies past
+    the horizon is skipped, and ``checked`` counts the others."""
+    checked = 0
     for n in range(horizon + 1):
         start = f(n)
         if start > horizon:
             continue
+        checked += 1
         bound = Fraction(1, 2 ** n)
         window = [x.value_at(i) for i in range(start, horizon + 1)]
         hi = max(window)
@@ -197,8 +197,8 @@ def is_modulus(f: Modulus, x: RationalSeq, horizon: int) -> ModulusReport:
         if hi - lo >= bound:
             i = start + window.index(hi)
             j = start + window.index(lo)
-            return ModulusReport(False, (n, i, j))
-    return ModulusReport(True)
+            return ModulusReport(False, (n, i, j), checked)
+    return ModulusReport(True, checked=checked)
 
 
 def _held(values: list[Fraction], starts: Iterable[int] = (0,)
@@ -451,10 +451,6 @@ class SplitterLedger:
     last_positive_stage: Optional[int] = None
 
     @property
-    def stage_count(self) -> int:
-        return len(self.stages)
-
-    @property
     def protections(self) -> Mapping:
         return _Protections(self.stages)
 
@@ -473,22 +469,7 @@ class SplitterLedger:
 
 
 def _mask_indices(mask: int) -> list[int]:
-    out = []
-    idx = 0
-    while mask:
-        if mask & 1:
-            out.append(idx)
-        mask >>= 1
-        idx += 1
-    return out
-
-
-def positive_stage_count(x: RationalSeq, stages: int) -> int:
-    """How many of the requested stages will classify; block sizes are not
-    known before the run, so this is only a warning heuristic."""
-    if x.tail_kind != "zero" and x.value_at(max(len(x.prefix), 0)) > 0:
-        return stages
-    return sum(1 for i in range(min(stages, len(x.prefix))) if x.value_at(i) > 0)
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 class _ScaledState:
@@ -500,12 +481,13 @@ class _ScaledState:
     multiplies the held integers up.  The subset sums are kept as two
     multisets, subset sum -> number of masks: over every entry
     (``counts``) and over the entries before the last positive block
-    (``before``).  A positive stage brings them up to date (``count``).
+    (``before``).  A positive stage brings them up to date (``count``);
+    ``piece`` is the held +p of the last positive block.
     """
 
     def __init__(self):
         self.scale = 2
-        self.flat: list[int] = []
+        self.piece = 0
         self.total = 0
         self.b: list[int] = []
         # (subset sum, n, protection) -> number of protected pairs
@@ -521,7 +503,7 @@ class _ScaledState:
         grow = d // math.gcd(half, d)
         if grow > 1:
             self.scale *= grow
-            self.flat = [v * grow for v in self.flat]
+            self.piece *= grow
             self.total *= grow
             self.b = [v * grow for v in self.b]
             self.classes = Counter({(v * grow, n, r * grow): c
@@ -536,13 +518,14 @@ class _ScaledState:
     def count(self, width: int, start: Optional[int], k: int) -> None:
         """Count the first ``width`` entries, ``counts`` holding the first
         ``start`` (None: all are zeros).  The block (+p, -p, ..., +p) of k
-        entries from ``start`` adds j * p in C(k, j + k // 2) ways, and each
-        zero after it doubles every count; sums come in mask-table order."""
+        entries from ``start``, p being ``piece``, adds j * p in
+        C(k, j + k // 2) ways, and each zero after it doubles every count;
+        sums come in mask-table order."""
         if start is None:
             self.counts = {0: 1 << width}
             return
         self.before, self.counts = self.counts, {}
-        half, p = k // 2, self.flat[start]
+        half, p = k // 2, self.piece
         # over the block's masks in order, j first shows as 0, 1, -1, 2, ...
         for j in [0, *(j for m in range(1, half + 1) for j in (m, -m)), half + 1]:
             c = math.comb(k, j + half) << (width - start - k)
@@ -593,7 +576,6 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
                 stage=s, x=xs, positive=False, k=1, y=(Fraction(0),), t=None))
             ledger.block_start.append(len(ledger.flat))
             ledger.flat.append(Fraction(0))
-            st.flat.append(0)
             continue
 
         width = len(ledger.flat)
@@ -673,7 +655,7 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
         held = st.held(piece)
         for v, n, c in waiting:
             st.classes[(v * grow, n, held // 2)] += c
-        st.flat += [held, -held] * (k // 2) + [held]
+        st.piece = held
         st.total += held
 
         # stage-end invariant: strict clearance for every protected pair
@@ -689,26 +671,17 @@ def protected_split(x: RationalSeq, b: RationalSeq, stages: int,
 
 
 def _raise_first_violation(ledger: SplitterLedger, st: _ScaledState, s: int):
-    """Raise on the first protected pair, in ledger order, that fails the
-    stage-end invariant.  Protections are checked once per class, and the
-    masks are scanned in order only inside a range with a failing class."""
+    """Raise on the first protected pair, in ledger order (``_expand``'s),
+    that fails the stage-end invariant; the pairs are read off a mask
+    table of each stage's entries at the state's scale."""
     for rec in ledger.stages:
-        grow = st.scale // rec.scale
-        for case in ("by_gap", "on_target"):
-            for g in rec.ranges:
-                failing = {}
-                for v, r in getattr(g, case).items():
-                    clear = abs(abs(st.total - v * grow) - st.b[g.n])
-                    if not clear > st.held(r):
-                        failing[v * grow] = (r, clear)
-                if not failing:
-                    continue
-                sums = _mask_sums(rec.entries, st.scale)
-                mask = next(m for m in range(g.lo, g.hi) if sums[m] in failing)
-                r, clear = failing[sums[mask]]
+        sums = _mask_sums(rec.entries, st.scale)
+        for (mask, n), r in itertools.chain(*_expand(rec)):
+            clear = abs(abs(st.total - sums[mask]) - st.b[n])
+            if not clear > st.held(r):
                 raise ClearanceViolation(
                     ledger,
-                    f"stage {s}: pair (A={_mask_indices(mask)}, n={g.n}) has "
+                    f"stage {s}: pair (A={_mask_indices(mask)}, n={n}) has "
                     f"clearance {Fraction(clear, st.scale)} <= protection {r}")
     raise AssertionError("a protection class failed but no pair does")
 
@@ -748,8 +721,13 @@ def verify_clearances(ledger: SplitterLedger,
     The ledger finds a pair's protection by the subset sum of the entries
     its stage classified (``StageRecord.entries``), so a class is a
     (protection sum, clearance sum) pair.  The two differ only when
-    ``ledger.flat`` no longer agrees with those entries.
+    ``ledger.flat`` no longer agrees with those entries; a ``flat`` shorter
+    than a stage's entries raises ``ValueError``.
     """
+    for rec in ledger.stages:
+        if len(ledger.flat) < len(rec.entries):
+            raise ValueError(f"stage {rec.stage} classified {len(rec.entries)} "
+                             f"entries, but the ledger holds {len(ledger.flat)}")
     ranges = [(rec, g) for rec in ledger.stages for g in rec.ranges]
     keyed = max((rec.entries for rec in ledger.stages), key=len, default=())
     targets = {g.n: ledger.b.value_at(g.n) for _, g in ranges}
@@ -915,7 +893,7 @@ class SplitSeries:
         x = self.ledger.x
         if not x.has_finite_support:
             raise ValueError("window search needs finite-support input")
-        if x.support_end > self.ledger.stage_count:
+        if x.support_end > len(self.ledger.stages):
             raise ValueError("ledger not built through the sequence support")
 
     def value_at(self, k: int) -> Fraction:
@@ -1186,15 +1164,11 @@ def modulus_from_abs_sums(ledger: SplitterLedger, g: Modulus) -> Modulus:
     starts at or beyond g(n), consecutive source values differ by less
     than 2^-n because the in-between blocks carry exactly that mass."""
     starts = ledger.block_start
-    built = len(ledger.flat)
+    # ends[i]: where block i's successor starts
+    ends = [*starts[1:], len(ledger.flat)]
 
     def fn(n: int) -> int:
-        target = g(n)
-        for i in range(len(starts)):
-            nxt = starts[i + 1] if i + 1 < len(starts) else built
-            if nxt >= target:
-                return i
-        return max(len(starts) - 1, 0)
+        return min(bisect.bisect_left(ends, g(n)), max(len(starts) - 1, 0))
 
     return Modulus(fn)
 

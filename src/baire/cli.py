@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_EXHAUSTED = 3
 
+# the most decimal digits an int prints with; ``run`` holds Python at it
+DIGIT_LIMIT = 4300
+
 
 class Exhaustion(Exception):
     """Wraps a result document that still deserves printing, with exit 3."""
@@ -47,20 +50,18 @@ class Exhaustion(Exception):
 def _emit(doc: dict, status: int) -> int:
     """Print one result document and return the exit status.  Rationals
     print as "n/d" text.  A document holding an int, or a rational with a
-    numerator or denominator, of more decimal digits than Python will
-    convert to a string (a long sequence code, a fine approximation) is
-    refused instead, with exit 3."""
+    numerator or denominator, of more than ``DIGIT_LIMIT`` decimal digits
+    (a long sequence code, a fine approximation) is refused instead, with
+    exit 3."""
     doc = {"schema_version": SCHEMA_VERSION, **doc}
     try:
         text = json.dumps(doc, indent=2, default=_rational_text)
     except ValueError:
-        # interpreters older than the digit limit (before 3.10.7) have none
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        found = _first_int_past(doc, 10 ** limit) if limit else None
+        found = _first_int_past(doc, 10 ** DIGIT_LIMIT)
         if found is None:
             raise
         what, value = found
-        refusal = k2.Exhausted(f"{what} has more than {limit} decimal digits",
+        refusal = k2.Exhausted(f"{what} has more than {DIGIT_LIMIT} decimal digits",
                                "depth", **{f"{what}_bits": value.bit_length()})
         text = json.dumps({"schema_version": SCHEMA_VERSION,
                            "result": refusal.to_json()}, indent=2)
@@ -213,12 +214,6 @@ def _probe(space, budget) -> dict:
 
 
 def _splitter(x, b, stages, verify) -> dict:
-    positives = cauchy.positive_stage_count(x, stages)
-    if positives > 3:
-        sys.stderr.write(
-            f"note: {positives} positive stages requested; the classification "
-            "state is exponential in the flattened block count and the run "
-            "aborts cleanly if it outgrows the cap\n")
     ledger = cauchy.protected_split(x, b, stages)
     doc = {"result": ledger.to_json()}
     if verify:
@@ -331,7 +326,7 @@ COMMANDS = {
                                   "stages": Option("natural", None)}),
     ("pc", "realize"): (
         lambda x, f, g, n: {"result": {"index": cauchy.partially_cauchy_index(
-            x, cauchy.Modulus.from_oracle(f), g, n)}},
+            x, cauchy.Modulus(f), g, n)}},
         {"x": SEQUENCE, "f": ORACLE, "g": ORACLE, "n": NATURAL}),
     ("bdn", "extract"): (
         lambda g, h, fuel: {"result": {"bound": bdn.extract_bound(g, h, fuel)}},
@@ -391,6 +386,10 @@ def _values(args, options: dict) -> dict:
 
 
 def run(argv) -> int:
+    """Run one command under the interpreter's int-to-str digit limit set
+    to ``DIGIT_LIMIT``, and restore the caller's setting afterwards."""
+    held = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DIGIT_LIMIT)
     try:
         args = _parser().parse_args(argv)
         op, options = COMMANDS[args.command, args.op]
@@ -404,9 +403,11 @@ def run(argv) -> int:
     except (k2.SpecError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_VALIDATION
-    if args.command == "selftest" and not doc["result"]["all_pass"]:
-        return _emit(doc, 1)
-    return _emit(doc, EXIT_OK)
+    else:
+        failed = args.command == "selftest" and not doc["result"]["all_pass"]
+        return _emit(doc, 1 if failed else EXIT_OK)
+    finally:
+        sys.set_int_max_str_digits(held)
 
 
 def main() -> None:

@@ -537,10 +537,7 @@ class PartialResult:
 
 def bar(f: Oracle, n: int) -> int:
     """Code of the length-n prefix of f; bar(f, 0) = 0."""
-    code = 0
-    for k in range(n):
-        code = cantor_pair(code, f(k)) + 1
-    return code
+    return encode_seq(f(k) for k in range(n))
 
 
 def cons(n: int, g: Oracle) -> Oracle:

@@ -3,7 +3,7 @@ pass exactly; one line per criterion in the verbose log."""
 
 import pytest
 
-from baire import acceptance
+from baire import acceptance, cauchy
 
 
 @pytest.mark.parametrize("name,criterion", acceptance.CRITERIA,
@@ -15,3 +15,15 @@ def test_criterion(name, criterion):
     assert result.ok, f"{result.name}: {result.detail}"
     assert result.seconds < result.limit, \
         f"{result.name} took {result.seconds:.1f}s, over its {result.limit:.0f}s budget"
+
+
+def test_modulus_transfer_checks_every_exponent(monkeypatch):
+    # a transfer shifted past the horizon leaves every exponent unchecked,
+    # which the criterion must refuse rather than pass unseen
+    assert acceptance.criterion_modulus_transfer() == \
+        (True, "10 transfers pass the horizon-40 check")
+    transfer = cauchy.modulus_from_abs_sums
+    monkeypatch.setattr(cauchy, "modulus_from_abs_sums", lambda ledger, g: cauchy.Modulus(
+        lambda n: transfer(ledger, g)(n) + 100))
+    assert acceptance.criterion_modulus_transfer() == \
+        (False, "case 0: only 0 of 41 exponents start within the horizon")

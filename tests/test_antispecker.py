@@ -5,11 +5,11 @@ import pytest
 
 from baire import antispecker as aspk
 from baire import k2, naming
-from baire.antispecker import (AvoidanceName, CoverAtom, ProbeConfig, Theta,
-                               base_from_realizer, builtin_base, covers,
+from baire.antispecker import (AvoidanceName, CoverAtom, ProbeConfig, ProductBase,
+                               Theta, base_from_realizer, builtin_base, covers,
                                direct_scan_realizer, make_avoidance_name,
                                point_in_atom, product_anti_specker, product_atom,
-                               product_base, realizer_from_base)
+                               realizer_from_base)
 from baire.k2 import FinPartialFn, constant, encode_pair, from_values
 from baire.naming import NameSequence, cantor_space, finite_space
 
@@ -145,6 +145,19 @@ def test_silent_name_exhausts():
     assert not out.result.is_value and out.result.spent == 250
 
 
+def test_fuel_counts_prefix_steps_and_members_left_with_no_atom():
+    # on Cantor space against an onset name answering at depth 2: members 0
+    # and 1 fail at their first atom after 1 and 2 prefix steps, and member
+    # 2 certifies after 12, so 15 prefix steps and one step per failed member
+    seq = seq_of()
+    h = make_avoidance_name(seq, answer_depth=2)
+    out = realizer_from_base(builtin_base(CANTOR)).evaluate(seq, h, 4000)
+    assert out.result.value == 0 and out.member_index == 2
+    assert out.result.spent == 17
+    short = realizer_from_base(builtin_base(CANTOR)).evaluate(seq, h, 16)
+    assert not short.result.is_value and short.result.spent == 16
+
+
 def test_malformed_answers_reported():
     realizer = realizer_from_base(builtin_base(CANTOR))
     # 1 decodes to a one-element sequence, not a pair
@@ -155,8 +168,8 @@ def test_malformed_answers_reported():
 def test_an_empty_product_factor_exhausts_like_an_empty_base():
     empty = aspk.ProbedBase(FIN2, (), exhausted=False, evals_spent=0)
     h = AvoidanceName(constant(0))
-    for base in (empty, product_base(builtin_base(FIN2), empty),
-                 product_base(empty, builtin_base(FIN2))):
+    for base in (empty, ProductBase(builtin_base(FIN2), empty),
+                 ProductBase(empty, builtin_base(FIN2))):
         realizer = realizer_from_base(base)
         # the second evaluation meets the failure the kept member replays
         for _ in range(2):
@@ -283,14 +296,14 @@ def test_product_atom_membership_factorizes():
 
 def test_product_base_members_cover():
     prod = naming.product_metric_naming(CANTOR, CANTOR)
-    pb = product_base(builtin_base(CANTOR), builtin_base(CANTOR))
+    pb = ProductBase(builtin_base(CANTOR), builtin_base(CANTOR))
     for i in range(8):
         assert covers(pb.enumerate_theta(i), prod).covered
 
 
 def test_product_base_finite_square():
     prod = naming.product_metric_naming(FIN2, FIN2)
-    pb = product_base(builtin_base(FIN2), builtin_base(FIN2))
+    pb = ProductBase(builtin_base(FIN2), builtin_base(FIN2))
     theta = pb.enumerate_theta(0)
     assert len(theta.atoms) == 4
     for c in (1, 2):
@@ -314,7 +327,7 @@ def test_product_realizer_matches_direct_scan():
     assert combined.evaluate(seq, h, 30000).result.value == 1
 
     reference = realizer_from_base(
-        product_base(builtin_base(CANTOR), builtin_base(FIN2)), prod)
+        ProductBase(builtin_base(CANTOR), builtin_base(FIN2)), prod)
     rng = random.Random(31)
     sp = prod
     for _ in range(10):

@@ -58,6 +58,14 @@ def test_geometric_modulus():
     assert is_modulus(Modulus(lambda n: n + 1), x, 40).ok
 
 
+def test_modulus_report_counts_the_exponents_it_checked():
+    x = mk([], "geometric", 1, F(1, 2))
+    assert is_modulus(Modulus(lambda n: n + 1), x, 40).checked == 40
+    # every start lies past the horizon: nothing is compared
+    report = is_modulus(Modulus(lambda n: 10 ** 9), x, 50)
+    assert report.ok and report.checked == 0
+
+
 def test_too_eager_modulus_caught():
     x = mk([], "geometric", 1, F(1, 2))
     report = is_modulus(Modulus(lambda n: max(n - 1, 0)), x, 40)

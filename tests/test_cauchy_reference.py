@@ -227,29 +227,34 @@ def _mask_table(values):
                           st.integers(1, 12), st.integers(1, 9)), max_size=10))
 def test_class_counts_match_a_counter_over_the_mask_table(layout):
     # stages of k entries (k = 0: a zero stage), each followed by a
-    # denominator admitted; a positive stage counts before its block
+    # denominator admitted; a positive stage counts before its block.  The
+    # state keeps only the last block's piece, so the held entries of the
+    # mask table are kept here
     state = cauchy._ScaledState()
+    flat: list[int] = []
     width, last = 0, (None, 0)
     for k, num, den, admitted in layout:
         if width + max(k, 1) > 16:
             break
         if k == 0:
-            state.flat.append(0)
+            flat.append(0)
             width += 1
         else:
             state.count(width, *last)
-            table = _mask_table(state.flat)
+            table = _mask_table(flat)
             assert list(state.counts.items()) == list(Counter(table).items())
             if last[0] is not None:
                 assert list(state.before.items()) == \
                     list(Counter(table[:1 << last[0]]).items())
             piece = Q(num, den)
-            state.admit(piece)
-            held = state.held(piece)
-            state.flat += [held, -held] * (k // 2) + [held]
+            grow = state.admit(piece)
+            state.piece = held = state.held(piece)
+            flat = [v * grow for v in flat] + [held, -held] * (k // 2) + [held]
             last = (width, k)
             width += k
-        state.admit(Q(1, admitted))
+        grow = state.admit(Q(1, admitted))
+        flat = [v * grow for v in flat]
+        assert state.piece == (flat[last[0]] if last[0] is not None else 0)
 
 
 def test_width_14_split_verifies_like_the_reference():
@@ -344,8 +349,7 @@ def test_stage_end_fallback_names_the_first_failing_pair():
             state = cauchy._ScaledState()
             for v in [*fast.flat, *targets]:
                 state.admit(v)
-            state.flat = [state.held(v) for v in fast.flat]
-            state.total = sum(state.flat)
+            state.total = sum(state.held(v) for v in fast.flat)
             state.b = [state.held(v) for v in targets]
             with pytest.raises(cauchy.ClearanceViolation) as e:
                 cauchy._raise_first_violation(fast, state, stages - 1)
@@ -408,16 +412,17 @@ def _reference_split(x, b, stages):
 
 @st.composite
 def damaged_ledgers(draw):
-    """A split in both forms, damaged alike in one or more of three ways: an
+    """A split in both forms, damaged alike in one or more of four ways: an
     entry of ``flat`` moved off its stage's entries, one class's protection
-    changed, and one range cut in two at a mask that is no power of two."""
+    changed, one range cut in two at a mask that is no power of two, and
+    ``flat`` truncated."""
     x, b, stages = draw(st.sampled_from(
         [_template(8, i) for i in range(6)] + [(mk([1, 0, Q(1, 16)]),
                                                 cauchy.dyadic_targets(), 4)]))
     fast = cauchy.protected_split(x, b, stages)
     slow = copy.deepcopy(_reference_split(x, b, stages))
-    tamper, corrupt, cut = draw(st.tuples(st.booleans(), st.booleans(), st.booleans())
-                                .filter(any))
+    tamper, corrupt, cut, truncate = draw(
+        st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()).filter(any))
     if corrupt:
         classes = _classes(fast)
         found = classes[draw(st.integers(0, len(classes) - 1))]
@@ -437,6 +442,10 @@ def damaged_ledgers(draw):
                       cauchy.ProtectedRange(g.n, g.lo, mid, g.by_gap, g.on_target),
                       cauchy.ProtectedRange(g.n, mid, g.hi, g.by_gap, g.on_target),
                       *rec.ranges[i + 1:])
+    if truncate:
+        end = draw(st.integers(0, len(fast.flat) - 1))
+        del fast.flat[end:]
+        del slow.flat[end:]
     return fast, slow
 
 
@@ -444,7 +453,27 @@ def damaged_ledgers(draw):
 def test_damaged_ledgers_are_reported_alike(ledgers, bound):
     fast, slow = ledgers
     assert sorted(fast.protections.items()) == sorted(slow.protections.items())
-    assert cauchy.verify_clearances(fast, bound) == ref.verify_clearances(slow, bound)
+    try:
+        want = ref.verify_clearances(slow, bound)
+    except IndexError:
+        # a truncated flat holds no entry for some protected mask
+        with pytest.raises(ValueError, match="entries, but the ledger holds"):
+            cauchy.verify_clearances(fast, bound)
+        return
+    assert cauchy.verify_clearances(fast, bound) == want
+
+
+def test_truncated_ledger_is_refused_like_the_reference():
+    x, b = mk([1, 0, Q(1, 16)]), cauchy.dyadic_targets()
+    fast = cauchy.protected_split(x, b, 4)
+    slow = ref.protected_split(x, b, 4)
+    del fast.flat[3:]
+    del slow.flat[3:]
+    with pytest.raises(ValueError) as e:
+        cauchy.verify_clearances(fast, Q(0))
+    assert str(e.value) == "stage 2 classified 6 entries, but the ledger holds 3"
+    with pytest.raises(IndexError):
+        ref.verify_clearances(slow, Q(0))
 
 
 def test_tampered_entry_is_reported_alike():
@@ -647,7 +676,7 @@ def test_window_scan_matches_the_linear_scan(deltas):
                 margin = rng.randrange(1, 2 * got.scale)
                 assert got.windows_clear(m, k0, margin) == want.windows_clear(m, k0, margin)
                 assert got.tail_abs(k0) == want.tail_abs(k0)
-            for blocks in range(z.ledger.stage_count + 6):
+            for blocks in range(len(z.ledger.stages) + 6):
                 assert got.cover_index(blocks) == ref.permutation_cover_index(z, p, blocks)
 
 

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -193,6 +194,21 @@ def test_k2_bar_past_the_digit_limit_is_refused(capsys):
         assert doc["result"]["code_bits"] == k2.bar(k2.constant(1), n).bit_length()
     code, doc, _ = run_cli(capsys, "k2", "bar", "--f", "const:1", "--n", "14")
     assert code == 0 and doc["result"]["code"] == k2.bar(k2.constant(1), 14)
+
+
+def test_run_holds_its_digit_limit_and_restores_the_callers(capsys):
+    held = sys.get_int_max_str_digits()
+    try:
+        for setting in (0, 640, cli.DIGIT_LIMIT + 1):
+            sys.set_int_max_str_digits(setting)
+            code, doc, _ = run_cli(capsys, "k2", "bar", "--f", "const:1", "--n", "15")
+            assert code == 3 and doc["result"]["reason"] == "depth"
+            code, doc, _ = run_cli(capsys, "reals", "from-rational", "--q", "1/3",
+                                   "--prec", "3000")
+            assert code == 0 and len(doc["result"]["digits"]) == 3000
+            assert sys.get_int_max_str_digits() == setting
+    finally:
+        sys.set_int_max_str_digits(held)
 
 
 def test_k2_encode_past_the_digit_limit_is_refused(capsys):
