@@ -10,10 +10,18 @@ at a budget of 200, the middle of the workload's 150-250.  After them
 come the four spaces at the command line's ``antispecker probe``
 defaults (``ProbeConfig(budget=200)``).
 
+Before any of them, at the workload's deepest shape (blind cap 3, depth
+cap 4, radii 0 to 2), it counts the kept members and the cover atoms
+made by the first probe of each space in the process, which builds the
+space's canonical base (``cold``), and by a repeat, which finds it built
+(``warm``); both count the harvested atoms too.
+
 For each shape it probes the builtin realizer once through a wrapper
 that sorts the realizer's evaluations by phase, and records per phase the
-candidates decided, the evaluations run, the prefix steps they spent (the
-eval fuel), the distinct codes they asked the avoidance name (the
+candidates decided, the evaluations run, those a phase-one table stopped
+at their first query outside it (``left_table``), the prefix steps they
+spent (the eval fuel; a stopped evaluation's steps are read from its
+frame), the distinct codes they asked the avoidance name (the
 queries; an evaluation asks each code at most once, so queries never
 exceed the eval fuel) and the codes they paired, counted through
 ``k2.cantor_pair`` (the pairings; a code is paired only where the
@@ -24,8 +32,9 @@ and by the decoding of its answers), and the answers it decoded, counted
 through ``k2.decode_pair`` (the answer decodes; an evaluation decodes
 each distinct answer once, so a phase-two name, which answers a single
 value, costs at most one per evaluation).  It then records the median
-wall time of ``repeats`` probes (default 5), each on a new realizer,
-without the wrapper.  It prints all of it as one JSON document.
+wall time of ``repeats`` probes (default 5), each on a new realizer
+over the canonical base, without the wrapper.  It prints all of it as
+one JSON document.
 """
 
 import json
@@ -62,12 +71,22 @@ COUNTED = {"pairings": "cantor_pair", "unpairs": "cantor_unpair",
            "answer_decodes": "decode_pair"}
 
 
+def steps_at_stop(stop: aspk._LeftTable, evaluate) -> int:
+    """The prefix steps an evaluation had spent when the stop at an
+    outside query left it, read from its frame."""
+    tb = stop.__traceback__
+    while tb.tb_frame.f_code is not evaluate.__code__:
+        tb = tb.tb_next
+    return tb.tb_frame.f_locals["spent"]
+
+
 def phase_counts(m, config: aspk.ProbeConfig) -> dict:
-    """Candidates, evaluations, eval fuel, queries, pairings, unpairs and
-    answer decodes of each phase of one probe."""
+    """Candidates, evaluations, evaluations left at an outside query, eval
+    fuel, queries, pairings, unpairs and answer decodes of each phase of
+    one probe."""
     realizer = new_realizer(m)
-    phases = {phase: {"evaluations": 0, "eval_fuel": 0, "queries": 0,
-                      **{count: 0 for count in COUNTED}}
+    phases = {phase: {"evaluations": 0, "left_table": 0, "eval_fuel": 0,
+                      "queries": 0, **{count: 0 for count in COUNTED}}
               for phase in ("phase_one", "phase_two")}
     calls = dict.fromkeys(COUNTED, 0)
     originals = {count: getattr(k2, fn) for count, fn in COUNTED.items()}
@@ -82,14 +101,21 @@ def phase_counts(m, config: aspk.ProbeConfig) -> dict:
 
     def evaluate(seq, h, fuel):
         before = dict(calls)
-        out = realizer.evaluate(seq, h, fuel)
         phase = phases["phase_one" if h.h.label == "recorded(probe-table)"
                        else "phase_two"]
         phase["evaluations"] += 1
-        phase["eval_fuel"] += out.result.spent
-        phase["queries"] += len(h.h.transcript)
-        for count in COUNTED:
-            phase[count] += calls[count] - before[count]
+        try:
+            out = realizer.evaluate(seq, h, fuel)
+        except aspk._LeftTable as stop:
+            phase["left_table"] += 1
+            phase["eval_fuel"] += steps_at_stop(stop, realizer.evaluate)
+            raise
+        else:
+            phase["eval_fuel"] += out.result.spent
+        finally:
+            phase["queries"] += len(h.h.transcript)
+            for count in COUNTED:
+                phase[count] += calls[count] - before[count]
         return out
 
     counted = aspk.AntiSpeckerRealizer(evaluate, realizer.space)
@@ -106,6 +132,34 @@ def phase_counts(m, config: aspk.ProbeConfig) -> dict:
                                                                  blind)
     return {**phases, "evals_spent": probed.evals_spent,
             "members": len(probed.members), "exhausted": probed.exhausted}
+
+
+BUILT = {"members": aspk._KeptMember, "atoms": aspk.CoverAtom}
+
+
+def built(m, config: aspk.ProbeConfig) -> dict:
+    """The kept members and the cover atoms that one probe, on a new
+    realizer, makes, counted by their ``__init__`` calls."""
+    made = dict.fromkeys(BUILT, 0)
+    originals = {count: cls.__init__ for count, cls in BUILT.items()}
+
+    def counting(count):
+        init = originals[count]
+
+        def counted_init(self, *args, **kw):
+            made[count] += 1
+            init(self, *args, **kw)
+        return counted_init
+
+    for count, cls in BUILT.items():
+        cls.__init__ = counting(count)
+    try:
+        realizer = new_realizer(m)
+        aspk.base_from_realizer(realizer, realizer.space, config)
+    finally:
+        for count, cls in BUILT.items():
+            cls.__init__ = originals[count]
+    return made
 
 
 def median_ms(m, config: aspk.ProbeConfig, repeats: int) -> float:
@@ -128,6 +182,13 @@ def row(space: str, config: aspk.ProbeConfig, repeats: int) -> dict:
 
 def main() -> None:
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 5
+    # before any other probe, at the workload's deepest shape: the first
+    # probe of each space builds its canonical base (cold), and a repeat
+    # finds it built (warm)
+    deepest = aspk.ProbeConfig(budget=BUDGET, blind_size_cap=3, depth_cap=4,
+                               radius_grid=(0, 1, 2), onset_grid=(0, 3))
+    construction = {space: {"cold": built(m, deepest), "warm": built(m, deepest)}
+                    for space, m in SPACES.items()}
     workload = [row(space, aspk.ProbeConfig(budget=BUDGET, blind_size_cap=blind,
                                             depth_cap=depth,
                                             radius_grid=tuple(range(radii)),
@@ -135,8 +196,8 @@ def main() -> None:
                 for space, blind, depth, radii in WORKLOAD_SHAPES]
     cli_default = [row(space, aspk.ProbeConfig(budget=200), repeats)
                    for space in SPACES]
-    print(json.dumps({"repeats": repeats, "workload": workload,
-                      "cli_default": cli_default}, indent=1))
+    print(json.dumps({"repeats": repeats, "construction": construction,
+                      "workload": workload, "cli_default": cli_default}, indent=1))
 
 
 if __name__ == "__main__":

@@ -25,11 +25,15 @@ realizer records the space it realizes.
 
 Nothing is built twice.  The builtin and product bases build a member's
 atoms once, as far as some search has asked for them, and keep them for
-as long as the base lives; a realizer pairs each prefix code once into
-the one trie it walks, which it empties only past a bit bound, and asks
-the name for each code, and decodes each answer, once per evaluation;
-the harvest unpairs each answered code once, up its prefixes; and
-``covers`` computes each atom's constraints once per call, not per cell.
+as long as the base lives; ``builtin_base`` keeps one canonical base per
+registry space for the whole process, keyed by ``space_id`` and replaced
+past ``CANONICAL_ATOM_BOUND`` kept atoms, so every search of the process
+shares its members.  A realizer pairs each prefix code once into the
+one trie it walks, which stays its own and which it empties only past a
+bit bound, and asks the name for each code, and decodes each answer,
+once per evaluation; the harvest unpairs each answered code once, up its
+prefixes; and ``covers`` computes each atom's constraints once per call,
+not per cell.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from . import k2
 from .k2 import (FinPartialFn, Oracle, PartialResult, RecordingOracle,
                  SpecError, TableOracle, encode_pair)
-from .naming import NameSequence, ProductSpace, Space
+from .naming import CantorSpace, FiniteSpace, NameSequence, ProductSpace, Space
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +230,11 @@ class CompactnessBase:
     2^k atoms, so searches that abandon a member early must not pay for
     the whole of it.  The builtin and product bases build each atom once,
     when some stream first reaches it, and keep it for as long as the base
-    lives.
+    lives: for the canonical base of a registry space, which
+    ``builtin_base`` keeps per ``space_id``, that is the whole process,
+    until its members hold more than ``CANONICAL_ATOM_BOUND`` atoms.  A
+    realizer's prefix-code trie is not part of the base: each realizer
+    over a shared base walks its own.
     """
 
     space: Space
@@ -239,52 +247,52 @@ class _KeptMember:
     """One member's atoms, built from ``source`` as far as some stream has
     reached and kept; any number of streams may read it at once."""
 
-    __slots__ = ("atoms", "_source", "_failure")
+    __slots__ = ("atoms", "source", "failure")
 
     def __init__(self, source: Iterator[CoverAtom]):
         self.atoms: list[CoverAtom] = []
-        self._source: Optional[Iterator[CoverAtom]] = source
-        self._failure: Optional[Exception] = None
-
-    def stream(self) -> Iterator[CoverAtom]:
-        if self._source is None:
-            return iter(self.atoms)
-        return self._extend()
-
-    def _extend(self):
-        atoms = self.atoms
-        k = 0
-        while True:
-            if k == len(atoms):
-                if self._failure is not None:
-                    # a rebuilt member would fail at the same atom again
-                    raise self._failure
-                if self._source is None:
-                    return
-                try:
-                    atoms.append(next(self._source))
-                except StopIteration:
-                    self._source = None
-                    return
-                except Exception as e:
-                    self._failure = e
-                    raise
-            yield atoms[k]
-            k += 1
+        self.source: Optional[Iterator[CoverAtom]] = source
+        self.failure: Optional[Exception] = None
 
 
 class _KeptBase(CompactnessBase):
     """A base whose ``_build_atoms(i)`` generates member i; each member is
-    built at most once and kept for as long as the base lives."""
+    built at most once and kept for as long as the base lives, and
+    ``atoms_held`` counts the atoms its members keep."""
 
     def __init__(self):
         self._kept: dict[int, _KeptMember] = {}
+        self.atoms_held = 0
 
     def iter_atoms(self, i: int) -> Iterator[CoverAtom]:
         member = self._kept.get(i)
         if member is None:
             member = self._kept[i] = _KeptMember(self._build_atoms(i))
-        return member.stream()
+        if member.source is None:
+            return iter(member.atoms)
+        return self._extend(member)
+
+    def _extend(self, member: _KeptMember):
+        atoms = member.atoms
+        k = 0
+        while True:
+            if k == len(atoms):
+                if member.failure is not None:
+                    # a rebuilt member would fail at the same atom again
+                    raise member.failure
+                if member.source is None:
+                    return
+                try:
+                    atoms.append(next(member.source))
+                except StopIteration:
+                    member.source = None
+                    return
+                except Exception as e:
+                    member.failure = e
+                    raise
+                self.atoms_held += 1
+            yield atoms[k]
+            k += 1
 
 
 class BuiltinBase(_KeptBase):
@@ -301,12 +309,52 @@ class BuiltinBase(_KeptBase):
             yield CoverAtom(sigma, i)
 
 
+# A canonical base whose own members keep more atoms than this is replaced
+# by a fresh one at the next ``builtin_base`` call.  Just under the bound,
+# the Cantor base's members 0..13 keep 16,383 atoms in 15.4 MiB (traced
+# on CPython 3.11); the next member doubles that.
+CANONICAL_ATOM_BOUND = 1 << 14
+
+# space_id -> the process's canonical base of that registry space
+_canonical: dict[str, _KeptBase] = {}
+
+
+def _is_registry(space: Space) -> bool:
+    """Whether the space is one of ``naming``'s registry classes, whose
+    ``space_id`` determines its canonical base."""
+    if type(space) is ProductSpace:
+        return _is_registry(space.left) and _is_registry(space.right)
+    return type(space) in (CantorSpace, FiniteSpace)
+
+
 def builtin_base(space: Space) -> CompactnessBase:
-    """The canonical base of a registry space; products combine the
-    canonical bases of their factors."""
-    if isinstance(space, ProductSpace):
-        return ProductBase(builtin_base(space.left), builtin_base(space.right))
-    return BuiltinBase(space)
+    """The canonical base of a registry space; a product's combines the
+    canonical bases of its factors.
+
+    A registry space (``CantorSpace``, ``FiniteSpace``, or a
+    ``ProductSpace`` of such) gets the process's one canonical base for
+    its ``space_id``, built on first use, so every search shares the
+    members that any search has built; a product's sits over its factors'
+    canonical bases, so a Cantor member is kept once whether a search
+    reaches it alone or through a product.  The kept base is replaced by
+    a fresh one at a call that finds its own members holding more than
+    ``CANONICAL_ATOM_BOUND`` atoms, or its factors no longer canonical;
+    whoever still holds the old base keeps it.  Any other space, such as
+    a caller's own subclass with a registry ``space_id``, gets a fresh
+    base on every call.  Realizers built over a shared base still each
+    walk their own prefix-code trie.
+    """
+    product = isinstance(space, ProductSpace)
+    if product:
+        bx, by = builtin_base(space.left), builtin_base(space.right)
+    key = space.space_id if _is_registry(space) else None
+    base = _canonical.get(key)
+    if base is None or base.atoms_held > CANONICAL_ATOM_BOUND or (
+            product and (base.bx is not bx or base.by is not by)):
+        base = ProductBase(bx, by) if product else BuiltinBase(space)
+        if key is not None:
+            _canonical[key] = base
+    return base
 
 
 class ProductBase(_KeptBase):
@@ -609,6 +657,27 @@ def _blind_candidates(size_cap: int):
             yield FinPartialFn(entries)
 
 
+class _LeftTable(k2.Exhausted):
+    """Stops a phase-one evaluation at its first query outside the blind
+    table, which then cannot determine the result."""
+
+
+class _BlindTable(RecordingOracle):
+    """A blind table read through its transcript, answering 0 off the
+    table as any table oracle does but stopping the evaluation there: the
+    outside query is recorded first, then ``_LeftTable`` is raised."""
+
+    def __init__(self, answers: dict[int, int]):
+        super().__init__(TableOracle(answers, 0, label="probe-table"))
+
+    def __call__(self, k: int) -> int:
+        v = super().__call__(k)
+        if k not in self.inner.table:
+            raise _LeftTable(f"code {k} is outside the blind table", "depth",
+                             code=k)
+        return v
+
+
 def _harvest(answered: dict[int, int]) -> Optional[Theta]:
     """Atoms at the prefix-minimal answered sequences of an answer table:
     one walk up each positive code's prefixes, which stops at the first
@@ -642,24 +711,27 @@ def base_from_realizer(m: AntiSpeckerRealizer, space: Space,
 
     Two probe phases share the budget.  Phase one enumerates finite answer
     tables by total code size and accepts an evaluation only when every
-    query stayed inside the table ("determined by the table").  Phase two
-    probes with uniform candidates that answer a fixed (n, m) pair on every
-    sequence of the same length or longer, then freezes the queried
-    restriction as the determining table; this is how deep members are
-    reached at all, since blind enumeration cannot.  Every member is
-    emitted only after passing the covering check.  The returned base is
-    ``exhausted`` when the budget stopped the enumeration with a candidate
-    still undecided.
+    query stayed inside the table ("determined by the table"); the first
+    query outside it stops the evaluation, since it already decides the
+    candidate.  Phase two probes with uniform candidates that answer a
+    fixed (n, m) pair on every sequence of the same length or longer,
+    then freezes the queried restriction as the determining table; this
+    is how deep members are reached at all, since blind enumeration
+    cannot.  Every member is emitted only after passing the covering
+    check.  The returned base is ``exhausted`` when the budget stopped
+    the enumeration with a candidate still undecided.
 
     A blind table can add only its own harvest, a function of the table
     alone: the evaluation decides whether it is tried, never what it is.
     So a table whose harvest is None or already emitted is decided without
     running the realizer, and the others are evaluated and checked as
-    above.  This needs only that ``m.evaluate`` returns an outcome and
-    writes nothing the probe reads, which every realizer of this module
-    meets.  The budget counts candidates decided, evaluated or not, so
-    ``evals_spent``, ``exhausted`` and every member are what evaluating
-    every candidate gives.
+    above.  This needs only that ``m.evaluate`` returns an outcome, or
+    lets the stop at an outside query through, and writes nothing the
+    probe reads, which every realizer of this module meets; one that
+    catches the stop and returns a value is still refused, since the
+    outside query is in its transcript.  The budget counts candidates
+    decided, evaluated or not, so ``evals_spent``, ``exhausted`` and every
+    member are what evaluating every candidate gives.
     """
     cfg = config if config is not None else ProbeConfig()
     all_star = NameSequence((), "star")
@@ -688,10 +760,14 @@ def base_from_realizer(m: AntiSpeckerRealizer, space: Space,
         theta = _harvest(answers)
         if theta is None or theta in seen:
             continue
-        h_tau = RecordingOracle(TableOracle(answers, 0, label="probe-table"))
-        out = m.evaluate(all_star, AvoidanceName(h_tau, "probe"), cfg.eval_fuel)
+        h_tau = _BlindTable(answers)
+        try:
+            out = m.evaluate(all_star, AvoidanceName(h_tau, "probe"), cfg.eval_fuel)
+        except _LeftTable:
+            continue
         if not out.result.is_value:
             continue
+        # a realizer that caught the stop and returned anyway is refused here
         dom = set(table.domain)
         if any(code not in dom for code, _ in h_tau.transcript):
             continue

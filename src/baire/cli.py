@@ -52,20 +52,15 @@ def _emit(doc: dict, status: int) -> int:
     print as "n/d" text.  A document holding an int, or a rational with a
     numerator or denominator, of more than ``DIGIT_LIMIT`` decimal digits
     (a long sequence code, a fine approximation) is refused instead, with
-    exit 3."""
-    doc = {"schema_version": SCHEMA_VERSION, **doc}
-    try:
-        text = json.dumps(doc, indent=2, default=_rational_text)
-    except ValueError:
-        found = _first_int_past(doc, 10 ** DIGIT_LIMIT)
-        if found is None:
-            raise
+    exit 3; the values decide it, whatever the interpreter's own limit."""
+    found = _first_int_past(doc, 10 ** DIGIT_LIMIT)
+    if found is not None:
         what, value = found
         refusal = k2.Exhausted(f"{what} has more than {DIGIT_LIMIT} decimal digits",
                                "depth", **{f"{what}_bits": value.bit_length()})
-        text = json.dumps({"schema_version": SCHEMA_VERSION,
-                           "result": refusal.to_json()}, indent=2)
-        status = EXIT_EXHAUSTED
+        doc, status = {"result": refusal.to_json()}, EXIT_EXHAUSTED
+    text = json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2,
+                      default=_rational_text)
     sys.stdout.write(text + "\n")
     return status
 

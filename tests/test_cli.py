@@ -246,6 +246,24 @@ def test_emit_refuses_the_first_over_limit_int_anywhere(capsys):
     assert cli._emit({"result": {"n": 10 ** 4299}}, 0) == 0
 
 
+@pytest.mark.parametrize("digits", [0, 100000])
+def test_emit_decides_the_refusal_from_the_values(capsys, digits):
+    """Under an interpreter limit that would print the code, ``_emit``
+    still refuses it: the refusal does not wait for ``json.dumps`` to
+    fail."""
+    held = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        assert cli._emit({"result": {"n": 10 ** 4300}}, 0) == 3
+        refused = json.loads(capsys.readouterr().out)["result"]
+        assert cli._emit({"result": {"n": 10 ** 4299}}, 0) == 0
+        printed = json.loads(capsys.readouterr().out)["result"]
+    finally:
+        sys.set_int_max_str_digits(held)
+    assert refused["code_bits"] == (10 ** 4300).bit_length()
+    assert printed == {"n": 10 ** 4299}
+
+
 REAL_OPS = [
     ["reals", "approx", "--x", '{"rational":"1/3"}'],
     ["reals", "from-rational", "--q", "1/3"],

@@ -627,10 +627,16 @@ def test_probes_match_the_probe_that_evaluates_every_candidate(m):
                 assert probed_fields(got) == probed_fields(want), (label, cap, budget)
 
 
+# what the log records for a phase-one evaluation stopped at its first
+# query outside the table
+LEFT_TABLE = "left the table"
+
+
 @contextlib.contextmanager
 def logged_probe(realizer):
     """The realizer with a log of its evaluations, and of the blind table
-    the probe had last drawn when each one ran."""
+    the probe had last drawn when each one ran; a phase-one evaluation
+    stopped at a query outside its table is logged as ``LEFT_TABLE``."""
     log = {"tables": [], "evaluated": [], "phase_two": 0}
     candidates = aspk._blind_candidates
 
@@ -640,12 +646,17 @@ def logged_probe(realizer):
             yield table
 
     def evaluate(seq, h, fuel):
-        out = realizer.evaluate(seq, h, fuel)
-        if h.h.label == "recorded(probe-table)":
+        if h.h.label != "recorded(probe-table)":
+            log["phase_two"] += 1
+            return realizer.evaluate(seq, h, fuel)
+        try:
+            out = realizer.evaluate(seq, h, fuel)
+        except aspk._LeftTable:
+            out = LEFT_TABLE
+            raise
+        finally:
             log["evaluated"].append((log["tables"][-1], out,
                                      [code for code, _ in h.h.transcript]))
-        else:
-            log["phase_two"] += 1
         return out
 
     counted = AntiSpeckerRealizer(evaluate, realizer.space)
@@ -693,14 +704,48 @@ def test_only_tables_that_could_add_a_member_are_evaluated(m):
                 continue
             evaluated_table, out, queries = next(evaluated)
             assert evaluated_table is table, label
-            if (out.result.is_value and set(queries) <= set(table.domain)
+            domain = set(table.domain)
+            if out is LEFT_TABLE:
+                # stopped at its first query outside the table, just after it
+                assert queries[-1] not in domain, label
+                assert set(queries[:-1]) <= domain, label
+                continue
+            if (out.result.is_value and set(queries) <= domain
                     and aspk.covers(theta, m).covered):
                 seen.append(theta)
         assert next(evaluated, None) is None, label
         assert len(log["evaluated"]) < len(log["tables"]) == blind_count(8)
+        if label != "direct_scan":
+            assert any(out is LEFT_TABLE for _, out, _ in log["evaluated"]), label
         assert list(got.members[:len(seen)]) == seen, label
         want = ref.base_from_realizer(realizer, m, config=config)
         assert probed_fields(got) == probed_fields(want), label
+
+
+@pytest.mark.parametrize("m", SPACES, ids=lambda m: m.space_id)
+def test_a_realizer_that_swallows_the_stop_is_still_refused(m):
+    """A realizer that first asks a code past every blind table, catches
+    the stop and then evaluates as the builtin realizer does is refused by
+    the transcript check, as the probe that never stops refuses it."""
+    honest = realizer_from_base(builtin_base(m))
+
+    def evaluate(seq, h, fuel):
+        try:
+            h.h(1000)
+        except k2.Exhausted:
+            pass
+        return honest.evaluate(seq, h, fuel)
+
+    swallowing = AntiSpeckerRealizer(evaluate, m)
+    # phase two then harvests no radius-0 member, which blind tables can
+    config = ProbeConfig(radius_grid=(1, 2))
+    with logged_probe(swallowing) as (counted, log):
+        got = base_from_realizer(counted, m, config=config)
+    want = ref.base_from_realizer(swallowing, m, config=config)
+    assert probed_fields(got) == probed_fields(want)
+    assert any(out is not LEFT_TABLE and out.result.is_value
+               and queries[0] not in table.domain
+               for table, out, queries in log["evaluated"])
 
 
 # -- the harvest walk against the pairwise scan -------------------------------

@@ -75,6 +75,12 @@ def test_probe_bench_counts_both_phases():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert len(doc["workload"]) == 15 and len(doc["cli_default"]) == 4
+    # a repeated probe finds its space's canonical base built
+    assert set(doc["construction"]) == {row["space"] for row in doc["cli_default"]}
+    for counts in doc["construction"].values():
+        cold, warm = counts["cold"], counts["warm"]
+        assert warm["members"] == 0 < cold["members"]
+        assert warm["atoms"] <= cold["atoms"]
     for row in doc["workload"] + doc["cli_default"]:
         one, two = row["phase_one"], row["phase_two"]
         assert one["candidates"] + two["candidates"] == row["evals_spent"]
@@ -87,8 +93,9 @@ def test_probe_bench_counts_both_phases():
         # a depth name answers one value, which an evaluation decodes once
         assert two["answer_decodes"] <= two["evaluations"]
     # the workload's blind tables are all decided without an evaluation
-    assert all(row["phase_one"] == {"evaluations": 0, "eval_fuel": 0, "queries": 0,
-                                    "pairings": 0, "unpairs": 0, "answer_decodes": 0,
+    assert all(row["phase_one"] == {"evaluations": 0, "left_table": 0, "eval_fuel": 0,
+                                    "queries": 0, "pairings": 0, "unpairs": 0,
+                                    "answer_decodes": 0,
                                     "candidates": {2: 4, 3: 8}[row["blind_size_cap"]]}
                for row in doc["workload"])
     # a base's members share prefixes, so phase two re-reaches codes
@@ -97,6 +104,14 @@ def test_probe_bench_counts_both_phases():
     assert all(row["phase_one"]["candidates"] == 133
                and 0 < row["phase_one"]["evaluations"] < 133
                for row in doc["cli_default"])
+    # phase one stops each evaluation at its first query outside the table
+    for row in doc["cli_default"]:
+        one = row["phase_one"]
+        assert 0 < one["left_table"] < one["evaluations"]
+        assert one["queries"] <= 20
+    # no depth name leaves a table
+    assert all(row["phase_two"]["left_table"] == 0
+               for row in doc["workload"] + doc["cli_default"])
 
 
 def test_window_bench_at_a_short_tail():
