@@ -134,31 +134,33 @@ def phase_counts(m, config: aspk.ProbeConfig) -> dict:
             "members": len(probed.members), "exhausted": probed.exhausted}
 
 
-BUILT = {"members": aspk._KeptMember, "atoms": aspk.CoverAtom}
+# (class, method, count): a kept member stream starts with the one call of
+# ``_build_atoms`` that makes its source, and an atom with its ``__init__``
+BUILT = ((aspk.BuiltinBase, "_build_atoms", "members"),
+         (aspk.ProductBase, "_build_atoms", "members"),
+         (aspk.CoverAtom, "__init__", "atoms"))
 
 
 def built(m, config: aspk.ProbeConfig) -> dict:
     """The kept members and the cover atoms that one probe, on a new
-    realizer, makes, counted by their ``__init__`` calls."""
-    made = dict.fromkeys(BUILT, 0)
-    originals = {count: cls.__init__ for count, cls in BUILT.items()}
+    realizer, makes, counted by the calls that make them."""
+    made = {count: 0 for _, _, count in BUILT}
+    originals = [vars(cls)[method] for cls, method, _ in BUILT]
 
-    def counting(count):
-        init = originals[count]
-
-        def counted_init(self, *args, **kw):
+    def counting(count, fn):
+        def counted(self, *args, **kw):
             made[count] += 1
-            init(self, *args, **kw)
-        return counted_init
+            return fn(self, *args, **kw)
+        return counted
 
-    for count, cls in BUILT.items():
-        cls.__init__ = counting(count)
+    for (cls, method, count), fn in zip(BUILT, originals):
+        setattr(cls, method, counting(count, fn))
     try:
         realizer = new_realizer(m)
         aspk.base_from_realizer(realizer, realizer.space, config)
     finally:
-        for count, cls in BUILT.items():
-            cls.__init__ = originals[count]
+        for (cls, method, _), fn in zip(BUILT, originals):
+            setattr(cls, method, fn)
     return made
 
 

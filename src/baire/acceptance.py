@@ -272,7 +272,7 @@ def criterion_product() -> tuple[bool, str]:
 
     pb = aspk.ProductBase(aspk.builtin_base(mc), aspk.builtin_base(mf))
     for i in range(12):
-        if not aspk.covers(pb.enumerate_theta(i), prod).covered:
+        if not aspk.covers(aspk.Theta(tuple(pb.iter_atoms(i))), prod).covered:
             msgs.append(f"product member {i} fails the covering check")
             break
     detail = msgs[0] if msgs else "25 product sequences exact; 12 members cover"
@@ -489,7 +489,8 @@ def _brute_pc_index(x: cauchy.RationalSeq, f: cauchy.Modulus, g, n: int) -> int:
     cap = f(n + 1)
     worst = -1
     for m in range(cap + 1):
-        if cauchy.diam_window(x, m, g(m)) >= bound:
+        window = [x.value_at(i) for i in range(m, g(m) + 1)]
+        if any(abs(u - v) >= bound for u in window for v in window):
             worst = m
     return worst + 1
 

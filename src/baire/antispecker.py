@@ -25,15 +25,17 @@ realizer records the space it realizes.
 
 Nothing is built twice.  The builtin and product bases build a member's
 atoms once, as far as some search has asked for them, and keep them for
-as long as the base lives; ``builtin_base`` keeps one canonical base per
-registry space for the whole process, keyed by ``space_id`` and replaced
-past ``CANONICAL_ATOM_BOUND`` kept atoms, so every search of the process
-shares its members.  A realizer pairs each prefix code once into the
-one trie it walks, which stays its own and which it empties only past a
-bit bound, and asks the name for each code, and decodes each answer,
-once per evaluation; the harvest unpairs each answered code once, up its
-prefixes; and ``covers`` computes each atom's constraints once per call,
-not per cell.
+as long as the base lives, in one kind of kept stream (``_Kept``), which
+also holds the product base's member shapes and has one rule for a
+source that fails; ``builtin_base`` keeps one canonical base per registry
+space, keyed by ``space_id``, and drops them all once they keep more than
+``CANONICAL_ATOM_BOUND`` atoms between them, so every search of the
+process shares their members.  A realizer pairs each prefix code once
+into the one trie it walks, which stays its own and which it empties
+only past a bit bound, and asks the name for each code, and decodes each
+answer, once per evaluation; the harvest unpairs each answered code
+once, up its prefixes; and ``covers`` computes each atom's constraints
+once per call, not per cell.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from . import k2
 from .k2 import (FinPartialFn, Oracle, PartialResult, RecordingOracle,
                  SpecError, TableOracle, encode_pair)
-from .naming import CantorSpace, FiniteSpace, NameSequence, ProductSpace, Space
+from .naming import NameSequence, ProductSpace, Space, is_registry
 
 
 # ---------------------------------------------------------------------------
@@ -228,71 +230,82 @@ class CompactnessBase:
     A subclass defines ``iter_atoms(i)``, which streams member i's atoms
     without materializing the member; the canonical Cantor member k holds
     2^k atoms, so searches that abandon a member early must not pay for
-    the whole of it.  The builtin and product bases build each atom once,
-    when some stream first reaches it, and keep it for as long as the base
-    lives: for the canonical base of a registry space, which
-    ``builtin_base`` keeps per ``space_id``, that is the whole process,
-    until its members hold more than ``CANONICAL_ATOM_BOUND`` atoms.  A
-    realizer's prefix-code trie is not part of the base: each realizer
-    over a shared base walks its own.
+    the whole of it.  ``Theta(tuple(base.iter_atoms(i)))`` is the whole
+    member.  The builtin and product bases keep each member as one
+    ``_Kept`` stream, which builds an atom once, when some reader first
+    reaches it, and keeps it for as long as the base lives: for the
+    canonical bases that ``builtin_base`` keeps, that is until they hold
+    more than ``CANONICAL_ATOM_BOUND`` atoms between them.  A realizer's
+    prefix-code trie is not part of the base: each realizer over a shared
+    base walks its own.
     """
 
     space: Space
 
-    def enumerate_theta(self, i: int) -> Theta:
-        return Theta(tuple(self.iter_atoms(i)))
 
+class _Kept:
+    """The items of ``source``, built as far as some reader has reached
+    and kept; any number of readers may read at once.  A source that
+    raised raises the same exception to every reader that reaches past
+    its last item, since building again would fail at the same item."""
 
-class _KeptMember:
-    """One member's atoms, built from ``source`` as far as some stream has
-    reached and kept; any number of streams may read it at once."""
+    __slots__ = ("items", "source", "failure")
 
-    __slots__ = ("atoms", "source", "failure")
-
-    def __init__(self, source: Iterator[CoverAtom]):
-        self.atoms: list[CoverAtom] = []
-        self.source: Optional[Iterator[CoverAtom]] = source
+    def __init__(self, source: Iterator):
+        self.items: list = []
+        self.source: Optional[Iterator] = source
         self.failure: Optional[Exception] = None
+
+    def _grow(self) -> bool:
+        """Build one more item; False once the source has ended."""
+        if self.failure is not None:
+            raise self.failure
+        if self.source is None:
+            return False
+        try:
+            self.items.append(next(self.source))
+        except StopIteration:
+            self.source = None
+            return False
+        except Exception as e:
+            self.failure = e
+            raise
+        return True
+
+    def __iter__(self) -> Iterator:
+        return iter(self.items) if self.source is None else self._extend()
+
+    def _extend(self):
+        items = self.items
+        k = 0
+        while k < len(items) or self._grow():
+            yield items[k]
+            k += 1
+
+    def at(self, i: int):
+        """Item i; ``IndexError`` when the source ends before it."""
+        while len(self.items) <= i and self._grow():
+            pass
+        return self.items[i]
 
 
 class _KeptBase(CompactnessBase):
-    """A base whose ``_build_atoms(i)`` generates member i; each member is
-    built at most once and kept for as long as the base lives, and
-    ``atoms_held`` counts the atoms its members keep."""
+    """A base whose ``_build_atoms(i)`` generates member i, kept as a
+    ``_Kept`` stream for as long as the base lives."""
 
     def __init__(self):
-        self._kept: dict[int, _KeptMember] = {}
-        self.atoms_held = 0
+        self._kept: dict[int, _Kept] = {}
+
+    @property
+    def atoms_held(self) -> int:
+        """The atoms the base's members keep."""
+        return sum(len(member.items) for member in self._kept.values())
 
     def iter_atoms(self, i: int) -> Iterator[CoverAtom]:
         member = self._kept.get(i)
         if member is None:
-            member = self._kept[i] = _KeptMember(self._build_atoms(i))
-        if member.source is None:
-            return iter(member.atoms)
-        return self._extend(member)
-
-    def _extend(self, member: _KeptMember):
-        atoms = member.atoms
-        k = 0
-        while True:
-            if k == len(atoms):
-                if member.failure is not None:
-                    # a rebuilt member would fail at the same atom again
-                    raise member.failure
-                if member.source is None:
-                    return
-                try:
-                    atoms.append(next(member.source))
-                except StopIteration:
-                    member.source = None
-                    return
-                except Exception as e:
-                    member.failure = e
-                    raise
-                self.atoms_held += 1
-            yield atoms[k]
-            k += 1
+            member = self._kept[i] = _Kept(self._build_atoms(i))
+        return iter(member)
 
 
 class BuiltinBase(_KeptBase):
@@ -309,49 +322,39 @@ class BuiltinBase(_KeptBase):
             yield CoverAtom(sigma, i)
 
 
-# A canonical base whose own members keep more atoms than this is replaced
-# by a fresh one at the next ``builtin_base`` call.  Just under the bound,
-# the Cantor base's members 0..13 keep 16,383 atoms in 15.4 MiB (traced
-# on CPython 3.11); the next member doubles that.
+# When the canonical bases keep more atoms than this between them, the next
+# ``builtin_base`` call drops them all.  Just under the bound, the Cantor
+# base's members 0..13 keep 16,383 atoms in 15.4 MiB (traced on CPython
+# 3.11); the next member doubles that.
 CANONICAL_ATOM_BOUND = 1 << 14
 
 # space_id -> the process's canonical base of that registry space
 _canonical: dict[str, _KeptBase] = {}
 
 
-def _is_registry(space: Space) -> bool:
-    """Whether the space is one of ``naming``'s registry classes, whose
-    ``space_id`` determines its canonical base."""
-    if type(space) is ProductSpace:
-        return _is_registry(space.left) and _is_registry(space.right)
-    return type(space) in (CantorSpace, FiniteSpace)
-
-
 def builtin_base(space: Space) -> CompactnessBase:
     """The canonical base of a registry space; a product's combines the
     canonical bases of its factors.
 
-    A registry space (``CantorSpace``, ``FiniteSpace``, or a
-    ``ProductSpace`` of such) gets the process's one canonical base for
-    its ``space_id``, built on first use, so every search shares the
-    members that any search has built; a product's sits over its factors'
-    canonical bases, so a Cantor member is kept once whether a search
-    reaches it alone or through a product.  The kept base is replaced by
-    a fresh one at a call that finds its own members holding more than
-    ``CANONICAL_ATOM_BOUND`` atoms, or its factors no longer canonical;
-    whoever still holds the old base keeps it.  Any other space, such as
-    a caller's own subclass with a registry ``space_id``, gets a fresh
-    base on every call.  Realizers built over a shared base still each
-    walk their own prefix-code trie.
+    A registry space (``naming.is_registry``) gets the process's one
+    canonical base for its ``space_id``, built on first use, so every
+    search shares the members that any search has built; a product's sits
+    over its factors' canonical bases, so a Cantor member is kept once
+    whether a search reaches it alone or through a product.  A call that
+    finds the canonical bases holding more than ``CANONICAL_ATOM_BOUND``
+    atoms between them drops them all, so a product and its factors are
+    dropped together; whoever still holds a dropped base keeps it.  Any
+    other space, such as a caller's own subclass with a registry
+    ``space_id``, gets a fresh base on every call.  Realizers built over a
+    shared base still each walk their own prefix-code trie.
     """
-    product = isinstance(space, ProductSpace)
-    if product:
-        bx, by = builtin_base(space.left), builtin_base(space.right)
-    key = space.space_id if _is_registry(space) else None
+    if sum(base.atoms_held for base in _canonical.values()) > CANONICAL_ATOM_BOUND:
+        _canonical.clear()
+    key = space.space_id if is_registry(space) else None
     base = _canonical.get(key)
-    if base is None or base.atoms_held > CANONICAL_ATOM_BOUND or (
-            product and (base.bx is not bx or base.by is not by)):
-        base = ProductBase(bx, by) if product else BuiltinBase(space)
+    if base is None:
+        base = (ProductBase(builtin_base(space.left), builtin_base(space.right))
+                if isinstance(space, ProductSpace) else BuiltinBase(space))
         if key is not None:
             _canonical[key] = base
     return base
@@ -375,9 +378,8 @@ class ProductBase(_KeptBase):
         self.bx = bx
         self.by = by
         self.space = ProductSpace(bx.space, by.space)
-        # members are cached as (left index, right index | per-atom tuple)
-        self._specs: list[tuple[int, object]] = []
-        self._gen = self._generate_specs()
+        # member i as (left index, right index | per-atom tuple)
+        self._specs = _Kept(self._generate_specs())
 
     def _generate_specs(self):
         for total in itertools.count():
@@ -396,9 +398,7 @@ class ProductBase(_KeptBase):
                             yield (a, combo)
 
     def _spec(self, i: int) -> tuple[int, object]:
-        while len(self._specs) <= i:
-            self._specs.append(next(self._gen))
-        return self._specs[i]
+        return self._specs.at(i)
 
     def _build_atoms(self, i: int):
         a, rights = self._spec(i)

@@ -89,9 +89,6 @@ class RationalSeq:
             return self.tail_value
         return self.tail_value * self.tail_ratio ** (i - len(self.prefix))
 
-    def window(self, lo: int, hi: int) -> list[Fraction]:
-        return [self.value_at(i) for i in range(lo, hi + 1)]
-
     @property
     def is_nonneg(self) -> bool:
         if any(p < 0 for p in self.prefix):
@@ -103,9 +100,7 @@ class RationalSeq:
 
     @property
     def has_finite_support(self) -> bool:
-        return self.tail_kind == "zero" or (
-            self.tail_kind == "constant" and self.tail_value == 0) or (
-            self.tail_kind == "geometric" and self.tail_value == 0)
+        return self.tail_kind == "zero" or self.tail_value == 0
 
     @property
     def support_end(self) -> int:
@@ -251,14 +246,6 @@ def exact_modulus(x: RationalSeq, horizon: int) -> Modulus:
     return Modulus(lambda m: values[m] if m < len(values) else last)
 
 
-def diam_window(x: RationalSeq, lo: int, hi: int) -> Fraction:
-    """max - min over the inclusive window, exact."""
-    if lo > hi:
-        raise ValueError("empty window")
-    window = x.window(lo, hi)
-    return max(window) - min(window)
-
-
 # ---------------------------------------------------------------------------
 # Partially Cauchy realizer
 # ---------------------------------------------------------------------------
@@ -269,22 +256,23 @@ def partially_cauchy_index(x: RationalSeq, f: Modulus, g: Oracle, n: int) -> int
     diameter < 2^-n.
 
     Past K = f(n+1) every such window is small because all entries are
-    within 2^-(n+1) of each other, so scanning m in [0, K] is exhaustive.
-    Rejects g below the identity on the scanned range.
+    within 2^-(n+1) of each other, so scanning m in [0, K] is exhaustive;
+    the scan runs down from K and returns one past the first window whose
+    max - min reaches 2^-n.  Rejects g below the identity on the scanned
+    range.
     """
     if n < 0:
         raise ValueError(f"the exponent n must be a natural, got {n}")
     bound = Fraction(1, 2 ** n)
     cap = f(n + 1)
-    least = 0
     for m in range(cap, -1, -1):
         top = g(m)
         if top < m:
             raise ValueError(f"g({m}) = {top} < {m}: not above the identity")
-        if diam_window(x, m, top) >= bound:
-            least = m + 1
-            break
-    return least
+        window = [x.value_at(i) for i in range(m, top + 1)]
+        if max(window) - min(window) >= bound:
+            return m + 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +730,6 @@ def verify_clearances(ledger: SplitterLedger,
     entries = [held(v) for v in ledger.flat]
     total = sum(entries)
     b_held = {n: held(bn) for n, bn in targets.items()}
-    width = len(keyed)
     keys = [held(v) for v in keyed]
 
     @functools.cache

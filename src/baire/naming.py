@@ -264,6 +264,15 @@ class ProductSpace(Space):
         return (self.left.sample_point(rng), self.right.sample_point(rng))
 
 
+def is_registry(space: Space) -> bool:
+    """Whether the space is exactly ``CantorSpace``, ``FiniteSpace`` or a
+    ``ProductSpace`` of such, so that its ``space_id`` determines it; a
+    subclass may take a registry ``space_id`` for a space of its own."""
+    if type(space) is ProductSpace:
+        return is_registry(space.left) and is_registry(space.right)
+    return type(space) in (CantorSpace, FiniteSpace)
+
+
 def parse_space_spec(spec) -> Space:
     """The registry space a JSON document describes; SpecError when the
     document is malformed."""
@@ -289,19 +298,10 @@ def parse_space_spec(spec) -> Space:
     raise SpecError(f"unknown space kind: {kind!r}")
 
 
-# Constructor functions; the benchmark workloads call the spaces by these names.
-
-
-def cantor_space(recode_swap: bool = False) -> CantorSpace:
-    return CantorSpace(recode_swap=recode_swap)
-
-
-def finite_space(n: int) -> FiniteSpace:
-    return FiniteSpace(n)
-
-
-def product_metric_naming(left: Space, right: Space) -> ProductSpace:
-    return ProductSpace(left, right)
+# The benchmark workloads build the spaces by these names.
+cantor_space = CantorSpace
+finite_space = FiniteSpace
+product_metric_naming = ProductSpace
 
 
 # ---------------------------------------------------------------------------

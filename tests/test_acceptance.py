@@ -1,6 +1,8 @@
 """The acceptance gate: every criterion runs at its stated budget and must
 pass exactly; one line per criterion in the verbose log."""
 
+from fractions import Fraction
+
 import pytest
 
 from baire import acceptance, cauchy
@@ -27,3 +29,22 @@ def test_modulus_transfer_checks_every_exponent(monkeypatch):
         lambda n: transfer(ledger, g)(n) + 100))
     assert acceptance.criterion_modulus_transfer() == \
         (False, "case 0: only 0 of 41 exponents start within the horizon")
+
+
+def test_pc_index_checks_the_windows_of_pc_realize(monkeypatch):
+    # a scan whose windows drop their last entry gives the wrong index, and
+    # the criterion's oracle, which builds its own windows, must see it
+    assert acceptance.criterion_pc_index() == \
+        (True, "50 instances exact; identity always 0")
+
+    def short_windows(x, f, g, n):
+        bound = Fraction(1, 2 ** n)
+        for m in range(f(n + 1), -1, -1):
+            window = [x.value_at(i) for i in range(m, g(m))] or [x.value_at(m)]
+            if max(window) - min(window) >= bound:
+                return m + 1
+        return 0
+
+    monkeypatch.setattr(cauchy, "partially_cauchy_index", short_windows)
+    ok, detail = acceptance.criterion_pc_index()
+    assert not ok and "!= brute" in detail

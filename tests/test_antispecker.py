@@ -75,9 +75,9 @@ def test_point_membership_in_atoms():
 def test_builtin_cantor_members_cover():
     base = builtin_base(CANTOR)
     for i in range(4):
-        assert covers(base.enumerate_theta(i), CANTOR).covered
+        assert covers(Theta(tuple(base.iter_atoms(i))), CANTOR).covered
     # decidable already at the member's own resolution
-    assert covers(base.enumerate_theta(2), CANTOR, depth=2).covered
+    assert covers(Theta(tuple(base.iter_atoms(2))), CANTOR, depth=2).covered
 
 
 def test_probe_is_deterministic():
@@ -90,8 +90,8 @@ def test_probe_is_deterministic():
 
 def test_builtin_finite_members_cover():
     base = builtin_base(FIN2)
-    assert covers(base.enumerate_theta(0), FIN2).covered
-    theta = base.enumerate_theta(2)
+    assert covers(Theta(tuple(base.iter_atoms(0))), FIN2).covered
+    theta = Theta(tuple(base.iter_atoms(2)))
     assert all(a.sigma.initial_run == 3 for a in theta.atoms)
     assert covers(theta, FIN2).covered
 
@@ -298,13 +298,13 @@ def test_product_base_members_cover():
     prod = naming.product_metric_naming(CANTOR, CANTOR)
     pb = ProductBase(builtin_base(CANTOR), builtin_base(CANTOR))
     for i in range(8):
-        assert covers(pb.enumerate_theta(i), prod).covered
+        assert covers(Theta(tuple(pb.iter_atoms(i))), prod).covered
 
 
 def test_product_base_finite_square():
     prod = naming.product_metric_naming(FIN2, FIN2)
     pb = ProductBase(builtin_base(FIN2), builtin_base(FIN2))
-    theta = pb.enumerate_theta(0)
+    theta = Theta(tuple(pb.iter_atoms(0)))
     assert len(theta.atoms) == 4
     for c in (1, 2):
         for d in (1, 2):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from baire import cauchy, k2
 from baire.cauchy import (Modulus, PermutationSpec, RationalSeq,
                           SplitSeries, abs_sum_modulus, classify_windows,
-                          diam_window, dyadic_targets,
+                          dyadic_targets,
                           exact_modulus, is_modulus, modulus_from_abs_sums,
                           partially_cauchy_index, protected_split, settling_index,
                           split_series_for, verify_clearances, TailCertificate,
@@ -84,25 +84,25 @@ def test_exact_modulus_is_least():
             assert not is_modulus(looser, x, 40).ok
 
 
-# --- window diameters ---------------------------------------------------------------
-
-def test_diam_examples():
-    assert diam_window(mk([3]), 0, 0) == 0
-    assert diam_window(mk([F(1, 2), F(1, 4), F(1, 8)]), 0, 2) == F(3, 8)
-
+# --- the window-diameter settling index ----------------------------------------------
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
-def test_diam_matches_pairwise_max(seed):
+def test_pc_index_matches_a_pairwise_window_scan(seed):
+    # the least k past which every window {x_m, ..., x_g(m)} has all its
+    # pairs closer than 2^-n, scanned past the point where x settles
     rng = random.Random(seed)
-    x = mk([F(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(8)])
-    lo = rng.randrange(0, 6)
-    hi = rng.randrange(lo, 8)
-    want = max(abs(x.value_at(i) - x.value_at(j))
-               for i in range(lo, hi + 1) for j in range(lo, hi + 1))
-    assert diam_window(x, lo, hi) == want
+    prefix = [F(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(8)]
+    x = mk(prefix, "constant", prefix[-1])
+    jitter = [rng.randrange(0, 4) for _ in range(16)]
+    g = k2.Oracle(lambda m: m + jitter[m], label="g")
+    n = rng.randrange(0, 5)
+    bound = F(1, 2 ** n)
+    want = max((m + 1 for m in range(12)
+                if any(abs(x.value_at(i) - x.value_at(j)) >= bound
+                       for i in range(m, g(m) + 1) for j in range(m, g(m) + 1))),
+               default=0)
+    assert partially_cauchy_index(x, exact_modulus(x, 10), g, n) == want
 
-
-# --- the window-diameter settling index ----------------------------------------------
 
 def test_identity_windows_settle_at_zero():
     x = mk([F(1), F(9), F(-3)], "constant", 1)

@@ -263,6 +263,20 @@ def test_a_failing_member_fails_again_at_the_same_atom():
                     list(stream)
 
 
+def test_every_member_of_a_product_over_an_empty_base_raises_its_error():
+    # the left factor fails at member 0, in a product member and in the
+    # enumeration of member shapes alike; every index, read once or again,
+    # raises that failure, never a StopIteration turned RuntimeError
+    empty = aspk.ProbedBase(CANTOR, (), exhausted=False, evals_spent=0)
+    kept = aspk.ProductBase(empty, builtin_base(FIN2))
+    slow = ref.ReferenceProductBase(empty, ref.reference_builtin_base(FIN2))
+    for i in [*range(6), *range(6)]:
+        for base in (kept, slow):
+            with pytest.raises(k2.SpecError,
+                               match="probe harvested no covering members"):
+                next(base.iter_atoms(i))
+
+
 def random_theta(rng, m):
     """Atoms over the first few name indices, some with values no name of
     the space takes, so that every branch of the covering check runs."""
@@ -293,7 +307,7 @@ def same_covers(theta, m, depth=None):
 def test_covers_matches_the_per_cell_check(m):
     rng = random.Random(11)
     seen = set()
-    thetas = [builtin_base(m).enumerate_theta(i) for i in range(7)]
+    thetas = [Theta(tuple(builtin_base(m).iter_atoms(i))) for i in range(7)]
     thetas += [random_theta(rng, m) for _ in range(60)]
     config = ProbeConfig(budget=40, eval_fuel=300, blind_size_cap=3,
                          depth_cap=3, radius_grid=(0, 1), onset_grid=(0, 2))
@@ -314,6 +328,45 @@ def test_covers_reports_the_same_witness_cell():
     got = aspk.covers(theta, CANTOR)
     assert got == ref.covers(theta, CANTOR)
     assert got.witness_cell == (1, 1)
+
+
+def foreign_value(m, i: int) -> int:
+    """A value that no name of the space takes at index i."""
+    while isinstance(m, ProductSpace):
+        m, i = (m.left, i // 2) if i % 2 == 0 else (m.right, i // 2)
+    return 3 if isinstance(m, naming.CantorSpace) else m.n + 1
+
+
+def damage(theta, m, kind: int, rng):
+    """Theta with one atom dropped (one is kept), one atom's radius
+    exponent raised by 1 or 2, or one sigma value set to a foreign value."""
+    atoms = list(theta.atoms)
+    j = rng.randrange(len(atoms))
+    a = atoms[j]
+    if kind == 0 and len(atoms) > 1:
+        del atoms[j]
+    elif kind == 1:
+        atoms[j] = aspk.CoverAtom(a.sigma, a.n + rng.randrange(1, 3))
+    elif kind == 2 and a.sigma.entries:
+        entries = dict(a.sigma.entries)
+        i = rng.choice(sorted(entries))
+        entries[i] = foreign_value(m, i)
+        atoms[j] = aspk.CoverAtom(k2.FinPartialFn.from_dict(entries), a.n)
+    return Theta(tuple(atoms))
+
+
+def test_damaged_members_are_refused_as_the_reference_refuses_them():
+    outcomes = []
+
+    @given(st.sampled_from(ALL_SPACES), st.integers(0, 4), st.integers(0, 2),
+           st.integers(min_value=0))
+    def check(m, i, kind, seed):
+        theta = damage(Theta(tuple(builtin_base(m).iter_atoms(i))), m, kind,
+                       random.Random(seed))
+        outcomes.append(same_covers(theta, m))
+
+    check()
+    assert True in outcomes and {False, "undecided"} & set(outcomes)
 
 
 @pytest.mark.parametrize("m", ALL_SPACES, ids=lambda m: m.space_id)
