@@ -11,10 +11,12 @@ come the four spaces at the command line's ``antispecker probe``
 defaults (``ProbeConfig(budget=200)``).
 
 Before any of them, at the workload's deepest shape (blind cap 3, depth
-cap 4, radii 0 to 2), it counts the kept members and the cover atoms
-made by the first probe of each space in the process, which builds the
-space's canonical base (``cold``), and by a repeat, which finds it built
-(``warm``); both count the harvested atoms too.
+cap 4, radii 0 to 2), it counts the kept members, the cover atoms made
+and the coverings decided by the first probe of each space in the
+process, which builds the space's canonical base and decides each
+harvested member's covering (``cold``), and by a repeat, which finds the
+base built and reads the kept ``covers`` reports (``warm``); both count
+the harvested atoms too.
 
 For each shape it probes the builtin realizer once through a wrapper
 that sorts the realizer's evaluations by phase, and records per phase the
@@ -134,33 +136,36 @@ def phase_counts(m, config: aspk.ProbeConfig) -> dict:
             "members": len(probed.members), "exhausted": probed.exhausted}
 
 
-# (class, method, count): a kept member stream starts with the one call of
-# ``_build_atoms`` that makes its source, and an atom with its ``__init__``
+# (owner, name, count): a kept member stream starts with the one call of
+# ``_build_atoms`` that makes its source, an atom with its ``__init__``,
+# and a covering decided, not read from the kept reports, with a call of
+# ``_decide_cover``
 BUILT = ((aspk.BuiltinBase, "_build_atoms", "members"),
          (aspk.ProductBase, "_build_atoms", "members"),
-         (aspk.CoverAtom, "__init__", "atoms"))
+         (aspk.CoverAtom, "__init__", "atoms"),
+         (aspk, "_decide_cover", "coverings"))
 
 
 def built(m, config: aspk.ProbeConfig) -> dict:
-    """The kept members and the cover atoms that one probe, on a new
-    realizer, makes, counted by the calls that make them."""
+    """The kept members, the cover atoms and the coverings that one probe,
+    on a new realizer, makes, counted by the calls that make them."""
     made = {count: 0 for _, _, count in BUILT}
-    originals = [vars(cls)[method] for cls, method, _ in BUILT]
+    originals = [vars(owner)[name] for owner, name, _ in BUILT]
 
     def counting(count, fn):
-        def counted(self, *args, **kw):
+        def counted(*args, **kw):
             made[count] += 1
-            return fn(self, *args, **kw)
+            return fn(*args, **kw)
         return counted
 
-    for (cls, method, count), fn in zip(BUILT, originals):
-        setattr(cls, method, counting(count, fn))
+    for (owner, name, count), fn in zip(BUILT, originals):
+        setattr(owner, name, counting(count, fn))
     try:
         realizer = new_realizer(m)
         aspk.base_from_realizer(realizer, realizer.space, config)
     finally:
-        for (cls, method, _), fn in zip(BUILT, originals):
-            setattr(cls, method, fn)
+        for (owner, name, _), fn in zip(BUILT, originals):
+            setattr(owner, name, fn)
     return made
 
 

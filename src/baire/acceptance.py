@@ -452,6 +452,15 @@ def criterion_settling_index() -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
+def _least_starts(a: cauchy.RationalSeq, horizon: int) -> list[int]:
+    """For each n <= horizon, the least m whose values a_m, ..., a_horizon
+    all lie within less than 2^-n of each other, from ``value_at`` alone."""
+    values = [a.value_at(i) for i in range(horizon + 1)]
+    spreads = [max(values[m:]) - min(values[m:]) for m in range(horizon + 1)]
+    return [next(m for m, s in enumerate(spreads) if s < Fraction(1, 2 ** n))
+            for n in range(horizon + 1)]
+
+
 def criterion_modulus_transfer() -> tuple[bool, str]:
     rng = random.Random(909)
     msgs: list[str] = []
@@ -475,7 +484,16 @@ def criterion_modulus_transfer() -> tuple[bool, str]:
         elif report.checked < 41:
             msgs.append(f"case {idx}: only {report.checked} of 41 exponents start "
                         "within the horizon")
-    detail = msgs[0] if msgs else "10 transfers pass the horizon-40 check"
+        else:
+            # a valid transfer may still start late: bound it from above too
+            least = _least_starts(a, 40)
+            late = [n for n in range(41) if fg(n) != least[n]]
+            if late:
+                n = late[0]
+                msgs.append(f"case {idx}: transfer starts at {fg(n)} for n={n}, "
+                            f"where the least start is {least[n]}")
+    detail = msgs[0] if msgs else \
+        "10 transfers equal the least start at every n <= 40"
     return not msgs, detail
 
 

@@ -28,14 +28,16 @@ atoms once, as far as some search has asked for them, and keep them for
 as long as the base lives, in one kind of kept stream (``_Kept``), which
 also holds the product base's member shapes and has one rule for a
 source that fails; ``builtin_base`` keeps one canonical base per registry
-space, keyed by ``space_id``, and drops them all once they keep more than
-``CANONICAL_ATOM_BOUND`` atoms between them, so every search of the
-process shares their members.  A realizer pairs each prefix code once
-into the one trie it walks, which stays its own and which it empties
-only past a bit bound, and asks the name for each code, and decodes each
-answer, once per evaluation; the harvest unpairs each answered code
-once, up its prefixes; and ``covers`` computes each atom's constraints
-once per call, not per cell.
+space, keyed by ``space_id``, so every search of the process shares their
+members.  Beside them ``covers`` keeps its report on a registry space,
+keyed by the space, the depth and the Theta, so each covering is decided
+once per process, and computes each atom's constraints once per
+decision, not per cell; the bases and the reports are dropped together
+once their atoms pass the one ``CANONICAL_ATOM_BOUND``.  A realizer pairs
+each prefix code once into the one trie it walks, which stays its own
+and which it empties only past a bit bound, and asks the name for each
+code, and decodes each answer, once per evaluation; and the harvest
+unpairs each answered code once, up its prefixes.
 """
 
 from __future__ import annotations
@@ -81,6 +83,15 @@ class Theta:
             raise ValueError("a covering descriptor needs at least one atom")
         object.__setattr__(self, "atoms", tuple(sorted(
             self.atoms, key=lambda a: (a.n, a.sigma.entries))))
+
+    def __hash__(self) -> int:
+        # the dataclass hash, kept: the probe's seen set and the kept
+        # ``covers`` reports hash the same Theta again and again
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.atoms,))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def to_json(self) -> list:
         return [a.to_json() for a in self.atoms]
@@ -147,9 +158,30 @@ def covers(theta: Theta, space: Space,
     is neither inside some atom nor excluded from all raises
     ``k2.Exhausted`` with reason ``depth``, and so does a depth with more
     than ``COVER_CELL_CAP`` cells, before any cell is scanned.
+
+    On a registry space (``naming.is_registry``) the report is kept under
+    ``(space_id, depth, theta)``, the depth resolved first, beside the
+    canonical bases and under their bound (see ``builtin_base``), so each
+    covering is decided once per process.  A call that raises keeps
+    nothing; any other space is decided on every call.
     """
+    global _held
     if depth is None:
         depth = default_cover_depth(theta)
+    if not is_registry(space):
+        return _decide_cover(theta, space, depth)
+    if _held > CANONICAL_ATOM_BOUND:
+        _drop()
+    key = (space.space_id, depth, theta)
+    report = _verdicts.get(key)
+    if report is None:
+        report = _verdicts[key] = _decide_cover(theta, space, depth)
+        _held += len(theta.atoms)
+    return report
+
+
+def _decide_cover(theta: Theta, space: Space, depth: int) -> CoversReport:
+    """The covering decision of ``covers``, scanned cell by cell."""
     if space.cell_count(depth, COVER_CELL_CAP) > COVER_CELL_CAP:
         raise k2.Exhausted(
             f"more than {COVER_CELL_CAP} cells at depth {depth}", "depth",
@@ -234,10 +266,10 @@ class CompactnessBase:
     member.  The builtin and product bases keep each member as one
     ``_Kept`` stream, which builds an atom once, when some reader first
     reaches it, and keeps it for as long as the base lives: for the
-    canonical bases that ``builtin_base`` keeps, that is until they hold
-    more than ``CANONICAL_ATOM_BOUND`` atoms between them.  A realizer's
-    prefix-code trie is not part of the base: each realizer over a shared
-    base walks its own.
+    canonical bases that ``builtin_base`` keeps, that is until they and
+    the kept ``covers`` reports hold more than ``CANONICAL_ATOM_BOUND``
+    atoms between them.  A realizer's prefix-code trie is not part of the
+    base: each realizer over a shared base walks its own.
     """
 
     space: Space
@@ -295,17 +327,25 @@ class _KeptBase(CompactnessBase):
 
     def __init__(self):
         self._kept: dict[int, _Kept] = {}
-
-    @property
-    def atoms_held(self) -> int:
-        """The atoms the base's members keep."""
-        return sum(len(member.items) for member in self._kept.values())
+        # the atoms the base's members keep
+        self.atoms_held = 0
 
     def iter_atoms(self, i: int) -> Iterator[CoverAtom]:
         member = self._kept.get(i)
         if member is None:
-            member = self._kept[i] = _Kept(self._build_atoms(i))
+            member = self._kept[i] = _Kept(self._counted(self._build_atoms(i)))
         return iter(member)
+
+    def _counted(self, atoms: Iterator[CoverAtom]) -> Iterator[CoverAtom]:
+        """The atoms, each counted as the base keeps it, and toward the
+        store's ``_held`` while the base is a canonical one."""
+        global _held
+        key = self.space.space_id
+        for atom in atoms:
+            self.atoms_held += 1
+            if _canonical.get(key) is self:
+                _held += 1
+            yield atom
 
 
 class BuiltinBase(_KeptBase):
@@ -322,14 +362,29 @@ class BuiltinBase(_KeptBase):
             yield CoverAtom(sigma, i)
 
 
-# When the canonical bases keep more atoms than this between them, the next
-# ``builtin_base`` call drops them all.  Just under the bound, the Cantor
-# base's members 0..13 keep 16,383 atoms in 15.4 MiB (traced on CPython
-# 3.11); the next member doubles that.
+# When the canonical bases and the kept reports of ``covers`` hold more
+# atoms than this between them, the next ``builtin_base`` or registry
+# ``covers`` call drops them all.  Just under the bound, the Cantor base's
+# members 0..13 keep 16,383 atoms in 15.4 MiB (traced on CPython 3.11);
+# the next member doubles that.
 CANONICAL_ATOM_BOUND = 1 << 14
 
 # space_id -> the process's canonical base of that registry space
 _canonical: dict[str, _KeptBase] = {}
+# (space_id, depth, theta) -> the report ``covers`` gave on that registry
+# space at that depth
+_verdicts: dict[tuple, CoversReport] = {}
+# the atoms that the canonical bases keep and the kept reports' Thetas hold
+_held = 0
+
+
+def _drop() -> None:
+    """Drop the canonical bases and the kept reports together; whoever
+    holds a dropped base or report keeps it."""
+    global _held
+    _canonical.clear()
+    _verdicts.clear()
+    _held = 0
 
 
 def builtin_base(space: Space) -> CompactnessBase:
@@ -341,15 +396,16 @@ def builtin_base(space: Space) -> CompactnessBase:
     search shares the members that any search has built; a product's sits
     over its factors' canonical bases, so a Cantor member is kept once
     whether a search reaches it alone or through a product.  A call that
-    finds the canonical bases holding more than ``CANONICAL_ATOM_BOUND``
-    atoms between them drops them all, so a product and its factors are
-    dropped together; whoever still holds a dropped base keeps it.  Any
-    other space, such as a caller's own subclass with a registry
-    ``space_id``, gets a fresh base on every call.  Realizers built over a
-    shared base still each walk their own prefix-code trie.
+    finds the bases' atoms and those of the kept ``covers`` reports'
+    Thetas, one count, past ``CANONICAL_ATOM_BOUND`` drops them all, so a
+    product, its factors and the reports go together; whoever still holds
+    a dropped base keeps it.  Any other space, such as a caller's own
+    subclass with a registry ``space_id``, gets a fresh base on every
+    call.  Realizers built over a shared base still each walk their own
+    prefix-code trie.
     """
-    if sum(base.atoms_held for base in _canonical.values()) > CANONICAL_ATOM_BOUND:
-        _canonical.clear()
+    if _held > CANONICAL_ATOM_BOUND:
+        _drop()
     key = space.space_id if is_registry(space) else None
     base = _canonical.get(key)
     if base is None:

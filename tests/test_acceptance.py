@@ -23,12 +23,25 @@ def test_modulus_transfer_checks_every_exponent(monkeypatch):
     # a transfer shifted past the horizon leaves every exponent unchecked,
     # which the criterion must refuse rather than pass unseen
     assert acceptance.criterion_modulus_transfer() == \
-        (True, "10 transfers pass the horizon-40 check")
+        (True, "10 transfers equal the least start at every n <= 40")
     transfer = cauchy.modulus_from_abs_sums
     monkeypatch.setattr(cauchy, "modulus_from_abs_sums", lambda ledger, g: cauchy.Modulus(
         lambda n: transfer(ledger, g)(n) + 100))
     assert acceptance.criterion_modulus_transfer() == \
         (False, "case 0: only 0 of 41 exponents start within the horizon")
+
+
+def test_modulus_transfer_is_bounded_from_above(monkeypatch):
+    # a transfer one start late is still a valid modulus, which the
+    # horizon check alone passes; the least start refuses it
+    transfer = cauchy.modulus_from_abs_sums
+    late = lambda ledger, g: cauchy.Modulus(lambda n: transfer(ledger, g)(n) + 1)
+    monkeypatch.setattr(cauchy, "modulus_from_abs_sums", late)
+    ledger = cauchy.split_series_for(cauchy.RationalSeq.make([1], "constant", 1)).ledger
+    shifted = late(ledger, cauchy.abs_sum_modulus(ledger))
+    assert cauchy.is_modulus(shifted, ledger.x, 40).ok
+    assert acceptance.criterion_modulus_transfer() == \
+        (False, "case 0: transfer starts at 1 for n=0, where the least start is 0")
 
 
 def test_pc_index_checks_the_windows_of_pc_realize(monkeypatch):

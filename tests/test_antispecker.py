@@ -1,7 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from baire import antispecker as aspk
 from baire import k2, naming
@@ -24,6 +27,31 @@ def seq_of(*names):
 
 def atom(d, n):
     return CoverAtom(FinPartialFn.from_dict(d), n)
+
+
+@dataclasses.dataclass(frozen=True)
+class PlainTheta:
+    """Theta's one field, with the hash and equality the dataclass makes."""
+
+    atoms: tuple
+
+
+atoms_st = st.lists(st.builds(atom, st.dictionaries(st.integers(0, 5), st.integers(0, 3),
+                                                    max_size=3),
+                              st.integers(0, 3)),
+                    min_size=1, max_size=4)
+
+
+@given(atoms_st, atoms_st)
+def test_a_kept_theta_hash_is_the_dataclass_hash(xs, ys):
+    x, y = Theta(tuple(xs)), Theta(tuple(ys))
+    for t in (x, y):
+        assert hash(t) == hash(PlainTheta(t.atoms)) == hash(t)
+    assert (x == y) == (PlainTheta(x.atoms) == PlainTheta(y.atoms))
+    again = Theta(tuple(reversed(xs)))
+    assert again == x and hash(again) == hash(x) and again is not x
+    assert [f.name for f in dataclasses.fields(x)] == ["atoms"]
+    assert repr(x) == repr(PlainTheta(x.atoms)).replace("PlainTheta", "Theta", 1)
 
 
 # --- covering decisions ------------------------------------------------------

@@ -8,20 +8,26 @@ same calls give over a fresh ``antispecker_reference.reference_builtin_base``.
 The plain tests pin which spaces share, that a product sits over its
 factors' canonical bases, and that a base past the atom bound is
 replaced while its holders keep it.
+
+Beside the bases the store keeps the reports of ``covers`` on registry
+spaces, under the same bound: the later tests pin what is kept, under
+which key, and that bases and reports are dropped together.
 """
 
 import itertools
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import antispecker_reference as ref
 from baire import antispecker as aspk
 from baire import k2, naming
-from baire.antispecker import (AvoidanceName, ProbeConfig, base_from_realizer,
-                               builtin_base, make_avoidance_name,
+from baire.antispecker import (AvoidanceName, CoverAtom, ProbeConfig, Theta,
+                               base_from_realizer, builtin_base, covers,
+                               default_cover_depth, make_avoidance_name,
                                realizer_from_base)
 from baire.k2 import Oracle, encode_pair
 from baire.naming import NameSequence
@@ -33,6 +39,13 @@ CANTOR_X_FIN2 = naming.product_metric_naming(CANTOR, FIN2)
 NESTED = naming.product_metric_naming(CANTOR, CANTOR_X_FIN2)
 ALL_SPACES = (CANTOR, FIN2, FIN3, CANTOR_X_FIN2, NESTED,
               naming.cantor_space(recode_swap=True))
+
+
+@pytest.fixture(autouse=True)
+def empty_store():
+    """Each test starts from an empty store, so the count it reads holds
+    only what its own calls kept."""
+    aspk._drop()
 
 
 def sequence_and_names(rng, m):
@@ -141,3 +154,104 @@ def test_a_base_past_the_atom_bound_is_replaced():
         # the product over the old factor base is replaced with it
         assert builtin_base(CANTOR_X_FIN2) is not product
         assert builtin_base(CANTOR_X_FIN2).bx is new
+
+
+def held_atoms() -> int:
+    """The atoms the store holds, counted afresh: those the canonical bases
+    keep and those of the Thetas whose reports are kept."""
+    return (sum(len(member.items) for base in aspk._canonical.values()
+                for member in base._kept.values())
+            + sum(len(theta.atoms) for _, _, theta in aspk._verdicts))
+
+
+def cover_atom(entries: dict, n: int) -> CoverAtom:
+    return CoverAtom(k2.FinPartialFn.from_dict(entries), n)
+
+
+def test_only_registry_spaces_keep_reports_keyed_by_the_resolved_depth():
+    theta = Theta((cover_atom({0: 1}, 1), cover_atom({0: 2}, 1)))
+    depth = default_cover_depth(theta)
+    report = covers(theta, CANTOR)
+    assert covers(theta, CANTOR, depth) is report
+    assert covers(Theta(theta.atoms), CANTOR) is report
+    deeper = covers(theta, CANTOR, depth + 1)
+    assert deeper == aspk.CoversReport(True, depth + 1)
+    assert aspk._verdicts == {("cantor", depth, theta): report,
+                              ("cantor", depth + 1, theta): deeper}
+    assert aspk._held == held_atoms() == 4
+    # a caller's own space with a registry space_id, and a product over it,
+    # read and write nothing
+    own = OwnSpace()
+    product = naming.product_metric_naming(own, FIN2)
+    for m in (own, product):
+        own_theta = Theta(tuple(builtin_base(m).iter_atoms(1)))
+        assert covers(own_theta, m) == ref.covers(own_theta, m)
+        assert len(aspk._verdicts) == 2
+    assert covers(theta, own) == report and covers(theta, own) is not report
+    # the product's factor FIN2 is a registry space, whose canonical base
+    # now keeps the atoms the product read
+    assert len(aspk._verdicts) == 2 and aspk._held == held_atoms()
+
+
+def test_a_call_that_raises_keeps_nothing():
+    # an atom that reads index 4 leaves the depth-2 cell (0, 0) undecided
+    undecided = Theta((cover_atom({0: 1, 4: 2}, 6), cover_atom({0: 2}, 0)))
+    past_cap = Theta((cover_atom({0: 1}, 1000000),))
+    for theta, depth in ((undecided, 2), (past_cap, None)):
+        for _ in range(2):
+            with pytest.raises(k2.Exhausted):
+                covers(theta, CANTOR, depth)
+            assert not aspk._verdicts and aspk._held == 0
+
+
+def test_reports_and_bases_are_dropped_together():
+    with mock.patch.object(aspk, "CANONICAL_ATOM_BOUND", 6):
+        base = builtin_base(CANTOR)
+        theta = Theta(tuple(base.iter_atoms(1)))
+        report = covers(theta, CANTOR)
+        assert aspk._held == held_atoms() == 4
+        list(base.iter_atoms(2))
+        assert aspk._held == held_atoms() == 8
+        # past the bound, the next builtin_base drops the report too
+        assert builtin_base(CANTOR) is not base
+        assert not aspk._verdicts and aspk._held == 0
+        # a report held across the drop stays usable, and an equal one is
+        # decided afresh
+        assert report.covered and report.to_json() == {"covered": True, "depth": 2}
+        again = covers(theta, CANTOR)
+        assert again == report and again is not report
+        # past the bound, the next covers drops the bases too
+        base = builtin_base(CANTOR)
+        fin2 = Theta(tuple(builtin_base(FIN2).iter_atoms(0)))
+        list(base.iter_atoms(3))
+        assert aspk._held == held_atoms() == 2 + len(fin2.atoms) + 8
+        assert covers(fin2, FIN2).covered
+        assert list(aspk._verdicts) == [("finite(2)", 1, fin2)]
+        assert builtin_base(CANTOR) is not base
+        assert aspk._held == held_atoms() == len(fin2.atoms)
+
+
+store_calls = st.lists(
+    st.tuples(st.sampled_from(range(len(ALL_SPACES))),
+              st.integers(0, 3),                          # member
+              st.booleans(),                              # cover it, or build it
+              st.sampled_from((None, 0, 1, 2, 3))),       # cover depth
+    min_size=1, max_size=12)
+
+
+@given(st.integers(0, 12), store_calls)
+def test_the_store_holds_at_most_the_bound_and_one_theta(bound, runs):
+    aspk._drop()
+    with mock.patch.object(aspk, "CANONICAL_ATOM_BOUND", bound):
+        for space_index, i, cover, depth in runs:
+            m = ALL_SPACES[space_index]
+            base = builtin_base(m)
+            assert aspk._held == held_atoms() <= bound
+            theta = Theta(tuple(base.iter_atoms(i)))
+            if not cover:
+                continue
+            try:
+                covers(theta, m, depth)
+            except k2.Exhausted:
+                pass
+            assert aspk._held == held_atoms() <= bound + len(theta.atoms)

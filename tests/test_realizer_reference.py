@@ -10,7 +10,9 @@ and so must the warm and cold realizers' logs, whether the trie is cold or
 warm.
 
 The builtin and product bases keep their members' atoms, and ``covers``
-computes each atom's constraints once.  ``tests/antispecker_reference.py``
+computes each atom's constraints once and keeps its reports on a registry
+space, so each covering comparison runs twice, with the store emptied and
+then warm.  ``tests/antispecker_reference.py``
 holds the versions that rebuilt all of these every time, and the
 generator trie that ``trie_walk_realizer`` walks per atom where the
 realizer walks its nested dict inline; the later tests compare the two:
@@ -290,17 +292,26 @@ def random_theta(rng, m):
 
 
 def same_covers(theta, m, depth=None):
+    """``covers`` against the reference twice: cold, with the store
+    emptied, so that it scans the cells, and warm, when a registry space
+    reads the report the cold call kept."""
+    aspk._drop()
     try:
         want = ref.covers(theta, m, depth)
     except k2.Exhausted as e:
-        with pytest.raises(k2.Exhausted) as got:
-            aspk.covers(theta, m, depth)
-        assert got.value.to_json() == e.to_json()
+        for _ in ("cold", "warm"):
+            with pytest.raises(k2.Exhausted) as got:
+                aspk.covers(theta, m, depth)
+            assert got.value.to_json() == e.to_json()
+        assert not aspk._verdicts
         return "undecided"
-    got = aspk.covers(theta, m, depth)
-    assert got == want
-    assert got.to_json() == want.to_json()
-    return got.covered
+    cold = aspk.covers(theta, m, depth)
+    warm = aspk.covers(theta, m, depth)
+    for got in (cold, warm):
+        assert got == want
+        assert got.to_json() == want.to_json()
+    assert (warm is cold) == naming.is_registry(m)
+    return want.covered
 
 
 @pytest.mark.parametrize("m", ALL_SPACES, ids=lambda m: m.space_id)
@@ -328,6 +339,38 @@ def test_covers_reports_the_same_witness_cell():
     got = aspk.covers(theta, CANTOR)
     assert got == ref.covers(theta, CANTOR)
     assert got.witness_cell == (1, 1)
+
+
+class OwnCantor(naming.CantorSpace):
+    """A caller's own space that takes the registry's ``space_id``."""
+
+
+def test_equal_thetas_over_a_registry_space_are_scanned_once(monkeypatch):
+    atoms = (aspk.CoverAtom(k2.FinPartialFn.from_seq((1,)), 1),
+             aspk.CoverAtom(k2.FinPartialFn.from_seq((2,)), 1))
+    one, two = Theta(atoms), Theta(atoms)
+    assert one == two and one is not two
+    own = OwnCantor()
+    assert own.space_id == CANTOR.space_id
+    want = ref.covers(one, CANTOR)
+    scans = []
+    cells = naming.CantorSpace.cells
+
+    def counted(self, depth):
+        scans.append(self.space_id)
+        return cells(self, depth)
+
+    monkeypatch.setattr(naming.CantorSpace, "cells", counted)
+    aspk._drop()
+    # a space outside the registry scans on every call and keeps nothing
+    assert [aspk.covers(theta, own) for theta in (one, two, one)] == [want] * 3
+    assert scans == ["cantor"] * 3 and not aspk._verdicts
+    # the registry's Cantor space scans once for both, at the default
+    # depth given or not
+    got = aspk.covers(one, CANTOR)
+    assert aspk.covers(two, CANTOR) is got and aspk.covers(one, CANTOR, 2) is got
+    assert got == want and scans == ["cantor"] * 4
+    assert list(aspk._verdicts) == [("cantor", 2, one)]
 
 
 def foreign_value(m, i: int) -> int:

@@ -75,12 +75,14 @@ def test_probe_bench_counts_both_phases():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert len(doc["workload"]) == 15 and len(doc["cli_default"]) == 4
-    # a repeated probe finds its space's canonical base built
+    # a repeated probe finds its space's canonical base built, and every
+    # covering it asks already decided
     assert set(doc["construction"]) == {row["space"] for row in doc["cli_default"]}
     for counts in doc["construction"].values():
         cold, warm = counts["cold"], counts["warm"]
         assert warm["members"] == 0 < cold["members"]
         assert warm["atoms"] <= cold["atoms"]
+        assert warm["coverings"] == 0 < cold["coverings"]
     for row in doc["workload"] + doc["cli_default"]:
         one, two = row["phase_one"], row["phase_two"]
         assert one["candidates"] + two["candidates"] == row["evals_spent"]
