@@ -37,6 +37,9 @@ EXIT_EXHAUSTED = 3
 
 # the most decimal digits an int prints with; ``run`` holds Python at it
 DIGIT_LIMIT = 4300
+_LIMIT = 10 ** DIGIT_LIMIT
+# a code of more bits passes the limit, and a code of fewer stays under it
+_LIMIT_BITS = _LIMIT.bit_length()
 
 
 class Exhaustion(Exception):
@@ -53,16 +56,20 @@ def _emit(doc: dict, status: int) -> int:
     numerator or denominator, of more than ``DIGIT_LIMIT`` decimal digits
     (a long sequence code, a fine approximation) is refused instead, with
     exit 3; the values decide it, whatever the interpreter's own limit."""
-    found = _first_int_past(doc, 10 ** DIGIT_LIMIT)
+    found = _first_int_past(doc, _LIMIT)
     if found is not None:
         what, value = found
-        refusal = k2.Exhausted(f"{what} has more than {DIGIT_LIMIT} decimal digits",
-                               "depth", **{f"{what}_bits": value.bit_length()})
+        refusal = _past_limit(what, **{f"{what}_bits": value.bit_length()})
         doc, status = {"result": refusal.to_json()}, EXIT_EXHAUSTED
     text = json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2,
                       default=_rational_text)
     sys.stdout.write(text + "\n")
     return status
+
+
+def _past_limit(what: str, **amounts: int) -> k2.Exhausted:
+    return k2.Exhausted(f"{what} has more than {DIGIT_LIMIT} decimal digits",
+                        "depth", **amounts)
 
 
 def _rational_text(value) -> str:
@@ -160,6 +167,23 @@ def _partial(doc: dict, done: bool) -> dict:
     if not done:
         raise Exhaustion(doc)
     return doc
+
+
+def _code(seq: list) -> dict:
+    """The document of the code of ``seq``.  Its size comes first, from
+    ``k2.code_size``: a code known to pass the digit limit is refused as
+    ``_emit`` refuses it, with its exact ``code_bits``, and is not built.
+    Where the size is undecided the code is built as before, unless it
+    may have 2^64 bits or more, which no memory holds: it is refused then
+    with ``code_bits_log2_min``, an m with code_bits >= 2^m.  A decided
+    size has fewer than about 2^130 bits, so ``code_bits`` always prints."""
+    least, most = k2.code_size(seq)
+    if least > _LIMIT_BITS:
+        if least == most:
+            raise _past_limit("code", code_bits=least)
+        if most >= 1 << 64:
+            raise _past_limit("code", code_bits_log2_min=least.bit_length() - 1)
+    return {"result": {"code": k2.encode_seq(seq)}}
 
 
 def _star(f, g, fuel, track) -> dict:
@@ -276,11 +300,10 @@ SEQUENCE, NATURAL, FLAG = Option("sequence"), Option("natural"), Option("flag", 
 PREC, FUEL = Option("natural", "10"), Option("natural", "20000")
 
 COMMANDS = {
-    ("k2", "encode"): (lambda seq: {"result": {"code": k2.encode_seq(seq)}},
-                       {"seq": Option("naturals", "")}),
+    ("k2", "encode"): (_code, {"seq": Option("naturals", "")}),
     ("k2", "decode"): (lambda code: {"result": {"seq": list(k2.decode_seq(code))}},
                        {"code": Option("natural", "0")}),
-    ("k2", "bar"): (lambda f, n: {"result": {"code": k2.bar(f, n)}},
+    ("k2", "bar"): (lambda f, n: _code([f(k) for k in range(n)]),
                     {"f": ORACLE, "n": Option("natural", "0")}),
     ("k2", "star"): (_star, {"f": ORACLE, "g": ORACLE,
                              "fuel": Option("natural", "16"), "track": FLAG}),

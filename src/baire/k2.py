@@ -12,7 +12,8 @@ and a bounded search of a later layer that stops raises ``Exhausted``
 with its reason.  All arithmetic is exact (arbitrary-precision ints);
 each appended element squares a sequence code (its bit length doubles),
 so prefix scans must stay shallow: depth ~22 is the practical ceiling
-(README, "A note on scale", has the timings).  A pairing is one squaring
+(README, "A note on scale", has the timings); ``code_size`` bounds the
+bit length of a code without building it.  A pairing is one squaring
 of the sum of its arguments, by ``_square``: CPython's own below 2^15
 bits, Toom-3 up to 2^18 and one Schonhage-Strassen level, an exact FFT
 modulo 2^K + 1, from there.  A scan that runs out of fuel still reads
@@ -235,6 +236,72 @@ def encode_seq(values: Iterable[int]) -> int:
             raise ValueError("sequence entries must be naturals")
         code = cantor_pair(code, a) + 1
     return code
+
+
+# the mantissa bits of the bounds of code_size
+_SIZE_PRECISION = 128
+
+
+def _rounded(m: int, e: int, up: bool) -> tuple[int, int]:
+    """m 2^e as m' 2^e' with m' of at most ``_SIZE_PRECISION`` bits, rounded
+    down or up."""
+    t = m.bit_length() - _SIZE_PRECISION
+    if t <= 0:
+        return m, e
+    m = -(-m >> t) if up else m >> t
+    if m.bit_length() > _SIZE_PRECISION:  # rounded up to 2^_SIZE_PRECISION
+        m >>= 1
+        t += 1
+    return m, e + t
+
+
+def _next_code_bound(m: int, e: int, a: int, up: bool) -> tuple[int, int]:
+    """A bound m' 2^e' on pair(code, a) + 1, below it or above it as ``up``
+    says, from the like bound m 2^e on the code: the new code is monotone
+    in the old one."""
+    # s = code + a: exact while a reaches the exponent, else a only
+    # moves the upper bound, by at most one unit of 2^e
+    if e <= a.bit_length():
+        s, e = _rounded((m << e) + a, 0, up)
+    else:
+        s, e = _rounded(m + (1 if up and a else 0), e, up)
+    if e == 0:
+        return _rounded((_square(s) + s >> 1) + a + 1, 0, up)
+    # (s^2 2^2e + s 2^e) / 2 + a + 1: the last three terms come to at most
+    # 2^(2e-1) once e passes both the precision and a's bits, since
+    # s < 2^_SIZE_PRECISION; below that they are rounded up exactly
+    if not up:
+        return _rounded(_square(s), 2 * e - 1, False)
+    if e > max(_SIZE_PRECISION, a.bit_length()):
+        rest = 1
+    else:
+        rest = -(-((s << e - 1) + a + 1) >> 2 * e - 1)
+    return _rounded(_square(s) + rest, 2 * e - 1, True)
+
+
+def code_size(values: Iterable[int]) -> tuple[int, int]:
+    """The least and the greatest bit length that ``encode_seq(values)``
+    can have, found without building the code: equal where the size is
+    decided.
+
+    The code is held between m 2^e below and m' 2^e' above, each mantissa
+    rounded outward to ``_SIZE_PRECISION`` bits after every step (Brent
+    and Zimmermann, Modern Computer Arithmetic, 2010, ch. 1 and 3, on
+    truncated products).  A step is monotone in the code, so the bounds
+    hold whatever the rounding.  They are exact while the code and the
+    entries have at most ``_SIZE_PRECISION`` bits; after that each step
+    doubles their relative width, so they part where the code lies near a
+    power of two, and from about 120 entries on, where the bit count is
+    still known to about 100 of its leading bits.  A step squares two
+    mantissas and doubles two exponents, whose bits grow by one a step."""
+    lo = hi = (0, 0)
+    for a in values:
+        if a < 0:
+            raise ValueError("sequence entries must be naturals")
+        lo = _next_code_bound(*lo, a, False)
+        hi = _next_code_bound(*hi, a, True)
+    return (lo[0].bit_length() + lo[1] if lo[0] else 0,
+            hi[0].bit_length() + hi[1] if hi[0] else 0)
 
 
 def decode_seq(code: int) -> tuple[int, ...]:

@@ -185,6 +185,17 @@ CASES = {
     "k2-star-track-past-digit-limit": [
         "k2", "star", "--f", "const:0", "--g", "const:1", "--fuel", "17",
         "--track"],
+    # codes past the digit limit, refused from their sizes before they are
+    # built: the first ones that are, as the built codes were refused ...
+    "k2-bar-past-digit-limit": ["k2", "bar", "--f", "const:1", "--n", "15"],
+    "k2-encode-past-digit-limit": [
+        "k2", "encode", "--seq", ",".join(str(v) for v in range(1, 17))],
+    # ... codes of about 2^40 and 2^30 bits, too long to build ...
+    "k2-bar-n-40": ["k2", "bar", "--f", "const:1", "--n", "40"],
+    "k2-encode-30-entries": [
+        "k2", "encode", "--seq", ",".join(str(v) for v in range(1, 31))],
+    # ... and one whose size is not decided, with a bound on it
+    "k2-bar-n-20000": ["k2", "bar", "--f", "const:1", "--n", "20000"],
     "k2-bullet-exhausted": [
         "k2", "bullet", "--f", "const:0", "--g", "const:1", "--k", "2",
         "--fuel", "9"],

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from baire import acceptance, cauchy
+from baire import acceptance, cauchy, k2
+from baire import antispecker as aspk
 
 
 @pytest.mark.parametrize("name,criterion", acceptance.CRITERIA,
@@ -61,3 +62,24 @@ def test_pc_index_checks_the_windows_of_pc_realize(monkeypatch):
     monkeypatch.setattr(cauchy, "partially_cauchy_index", short_windows)
     ok, detail = acceptance.criterion_pc_index()
     assert not ok and "!= brute" in detail
+
+
+def test_base_round_trip_checks_members_without_covers(monkeypatch):
+    # covers keeps the report the probe read, so a re-check through it
+    # cannot fail; one non-covering member must fail the criterion even
+    # with covers saying every Theta covers
+    assert acceptance.criterion_base_round_trip() == (
+        True, "harvests verified; re-derived realizers value-equal on the full suite")
+    probe = aspk.base_from_realizer
+    left_half = aspk.Theta((aspk.CoverAtom(k2.FinPartialFn(((0, 1),)), 1),))
+
+    def injected(m, space, config=None):
+        probed = probe(m, space, config)
+        return aspk.ProbedBase(space, probed.members + (left_half,),
+                               probed.exhausted, probed.evals_spent)
+
+    monkeypatch.setattr(aspk, "base_from_realizer", injected)
+    monkeypatch.setattr(aspk, "covers", lambda theta, space, depth=None:
+                        aspk.CoversReport(True, aspk.default_cover_depth(theta)))
+    assert acceptance.criterion_base_round_trip() == (
+        False, "cantor: non-covering member emitted")

@@ -18,7 +18,6 @@ PACKAGE = ROOT / "src" / "baire"
 PROGRAM = ("src", "perfbench", "scripts")
 
 TEST_ORACLES = {
-    "point_in_atom": "exact membership oracle of the product-atom tests (claim 3)",
     "total_abs": "the splitter's absolute mass, read by tests/cauchy_reference.py",
     "from_values": "builds the finitely described names the tests feed in",
 }

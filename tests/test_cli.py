@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import sys
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from baire import acceptance, cli, k2, naming
+from golden_cases import CASES, EXIT_CODES, GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +223,72 @@ def test_k2_encode_past_the_digit_limit_is_refused(capsys):
         assert doc["result"]["code_bits"] == k2.encode_seq(seq).bit_length()
     code, doc, _ = run_cli(capsys, "k2", "encode", "--seq", "1,1,1,1,1,1,1,1,1,1")
     assert code == 0 and doc["result"]["code"] == k2.encode_seq([1] * 10)
+
+
+def _least_entry(target: int) -> int:
+    """The least x whose one-entry code, (x + 1)(x + 2) / 2, is at least
+    ``target``."""
+    x = max(math.isqrt(2 * target) - 2, 0)
+    while k2.encode_seq([x]) < target:
+        x += 1
+    return x
+
+
+_AT_LIMIT = _least_entry(10 ** cli.DIGIT_LIMIT)
+
+
+@pytest.mark.parametrize("seq,bits", [
+    ([_least_entry(1 << 14283)], 14284),
+    ([_AT_LIMIT - 1], 14285),  # the last code under 10^4300
+    ([_AT_LIMIT], 14285),
+    ([_least_entry(1 << 14285)], 14286),
+    # codes within 2^-7000 of 2^14301, whose sizes code_size leaves undecided
+    ([5, (1 << 7151) - 1 - k2.encode_seq([5])], 14302),
+    ([5, (1 << 7151) - 2 - k2.encode_seq([5])], 14301),
+])
+def test_codes_at_the_digit_limit_exit_as_the_value_check_says(capsys, seq, bits):
+    value = k2.encode_seq(seq)
+    assert value.bit_length() == bits
+    want = cli._emit({"result": {"code": value}}, cli.EXIT_OK), capsys.readouterr().out
+    code = cli.run(["k2", "encode", "--seq", ",".join(map(str, seq))])
+    assert (code, capsys.readouterr().out) == want
+    assert want[0] == (cli.EXIT_OK if value < 10 ** cli.DIGIT_LIMIT else cli.EXIT_EXHAUSTED)
+
+
+@pytest.mark.parametrize("argv", [
+    ["k2", "bar", "--f", "const:1", "--n", "40"],
+    ["k2", "encode", "--seq", ",".join(map(str, range(1, 31)))]])
+def test_a_code_refused_from_its_size_squares_nothing_long(capsys, monkeypatch, argv):
+    squared, transformed = [], []
+    square = k2._square
+    monkeypatch.setattr(k2, "_square", lambda a: squared.append(a.bit_length()) or square(a))
+    monkeypatch.setattr(k2, "_ssa_square", lambda a: transformed.append(a) or a * a)
+    code, doc, _ = run_cli(capsys, *argv)
+    assert code == 3 and set(doc["result"]) == {"error", "reason", "code_bits"}
+    assert squared and max(squared) <= k2._SIZE_PRECISION
+    assert transformed == []
+
+
+@pytest.mark.parametrize("name", ["k2-bar-past-digit-limit", "k2-encode-past-digit-limit",
+                                  "readme-k2-encode", "k2-bar-table"])
+def test_an_undecided_code_size_builds_the_code(capsys, monkeypatch, name):
+    # bounds one bit apart: the code is built, and printed or refused by the
+    # value check, as it was before sizes were known
+    size = k2.code_size
+    monkeypatch.setattr(k2, "code_size", lambda seq: (size(seq)[0] - 1, size(seq)[1]))
+    assert cli.run(CASES[name]) == json.loads(EXIT_CODES.read_text())[name]
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("n", [200, 20000])
+def test_a_code_whose_size_is_undecided_past_any_memory_is_refused_with_a_bound(capsys, n):
+    # each entry 1 takes a code of b bits to one of 2b - 2 to 2b bits, and
+    # the code of (1, 1, 1) has 7: from there the code of n ones has at
+    # least 2^(n - 1) and fewer than 2^n bits
+    code, doc, _ = run_cli(capsys, "k2", "bar", "--f", "const:1", "--n", str(n))
+    assert code == 3 and doc["result"] == {
+        "error": "code has more than 4300 decimal digits", "reason": "depth",
+        "code_bits_log2_min": n - 1}
 
 
 def test_k2_star_tracking_a_code_past_the_digit_limit_is_refused(capsys):

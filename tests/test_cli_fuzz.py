@@ -10,10 +10,13 @@ traceback.
 
 Counts stay small where a larger one costs seconds, and an option whose
 default lies past its bound is always given:
-- fuel at most 20 for ``k2 star``/``bullet`` and ``bdn extract``, and n
-  at most 14 for ``k2 bar``, since these scans have no depth cap of their
-  own and every further step squares a sequence code (``bdn extract --g
-  const:0 --h const:0`` takes about 0.2 s at fuel 20 and 5 s at 26);
+- fuel at most 20 for ``k2 star``/``bullet`` and ``bdn extract``, since
+  these scans have no depth cap of their own and every further step
+  squares a sequence code (``bdn extract --g const:0 --h const:0`` takes
+  about 0.2 s at fuel 20 and 5 s at 26);
+- n at most 64 for ``k2 bar``, and ``k2 encode`` lists of up to 40
+  entries: these codes are refused from their size before any is built
+  past the digit limit, so a long one costs about what a short one does;
 - stages at most 2 for ``splitter run``: its state doubles with every
   entry, and a third stage can take seconds inside the state cap;
 - a probe's budget at most 200, its default, so that it may be left out
@@ -100,7 +103,8 @@ THETAS = specs(
 POOLS = {"oracle": ORACLES, "space": SPACES, "real": REALS, "rational": RATIONALS,
          "sequence": SEQUENCES, "permutation": PERMUTATIONS,
          "names": NAME_SEQUENCES, "avoidance": AVOIDANCES, "theta": THETAS,
-         "naturals": specs(["", "3,1,4", "0", ",".join(["1"] * 16)],
+         "naturals": specs(["", "3,1,4", "0", ",".join(["1"] * 16),
+                            ",".join(map(str, range(40)))],
                            ["-1", "x", "1,,2"]),
          "text": st.just("no-such-criterion")}
 
@@ -108,7 +112,7 @@ POOLS = {"oracle": ORACLES, "space": SPACES, "real": REALS, "rational": RATIONAL
 # needs a tighter bound than the others
 BOUNDS = {"fuel": 20, "n": 4, "k": 3, "m": 8, "code": 10 ** 6, "prec": 40,
           "horizon": 20, "depth": 4, "budget": 200, "stages": 3,
-          ("k2", "bar", "n"): 14, ("spaces", "dist", "prec"): 20,
+          ("k2", "bar", "n"): 64, ("spaces", "dist", "prec"): 20,
           ("antispecker", "demo", "fuel"): 60, ("splitter", "run", "stages"): 2,
           ("pc", "realize", "n"): 6, ("bdn", "adversary", "fuel"): 300}
 

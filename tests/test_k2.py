@@ -6,7 +6,7 @@ import weakref
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import antispecker_reference as ref
@@ -73,6 +73,45 @@ def test_code_dominates_values():
     for seq in [(7,), (0, 9), (3, 3, 3)]:
         code = encode_seq(seq)
         assert all(v < code for v in seq)
+
+
+# --- code sizes ----------------------------------------------------------
+
+sizes_entries = st.sampled_from([0, 1, 10 ** 9]) | st.integers(min_value=0,
+                                                                max_value=10 ** 9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(sizes_entries, max_size=21))
+def test_code_size_is_the_bit_length_or_undecided(seq):
+    # every prefix of seq, against one chain of built codes
+    code = 0
+    assert k2.code_size([]) == (0, 0)
+    for i, a in enumerate(seq):
+        code = k2.cantor_pair(code, a) + 1
+        bits = code.bit_length()
+        assert k2.code_size(seq[:i + 1]) in ((bits, bits), (bits - 1, bits),
+                                             (bits, bits + 1))
+
+
+def test_code_size_of_long_sequences():
+    assert k2.code_size([1] * 25) == (23_332_024, 23_332_024)
+    assert k2.code_size(range(1, 31)) == (926_658_356, 926_658_356)
+    assert k2.code_size([1] * 23) == (encode_seq([1] * 23).bit_length(),) * 2
+    # past the precision the bounds part, but the bit count stays known to
+    # far better than its own bit length
+    least, most = k2.code_size([1] * 20000)
+    assert least < most and (most - least) >> (least.bit_length() - 100) == 0
+    with pytest.raises(ValueError):
+        k2.code_size([1, -1])
+
+
+def test_code_size_is_undecided_where_the_code_straddles_a_power_of_two():
+    # the last entry puts the code within 2^-7000 of 2^14301, on either side
+    for gap, bits in ((1, 14302), (2, 14301)):
+        seq = [5, (1 << 7151) - gap - encode_seq([5])]
+        assert encode_seq(seq).bit_length() == bits
+        assert k2.code_size(seq) == (14301, 14302)
 
 
 # --- bar / cons ----------------------------------------------------------
