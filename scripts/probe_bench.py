@@ -12,11 +12,11 @@ defaults (``ProbeConfig(budget=200)``).
 
 Before any of them, at the workload's deepest shape (blind cap 3, depth
 cap 4, radii 0 to 2), it counts the kept members, the cover atoms made
-and the coverings decided by the first probe of each space in the
-process, which builds the space's canonical base and decides each
-harvested member's covering (``cold``), and by a repeat, which finds the
-base built and reads the kept ``covers`` reports (``warm``); both count
-the harvested atoms too.
+and the coverings decided by the first probe of each space in a fresh
+``antispecker.Run``, which builds the space's canonical base and decides
+each harvested member's covering (``cold``), and by a repeat in the same
+run, which finds the base built and reads the kept ``covers`` reports
+(``warm``); both count the harvested atoms too.
 
 For each shape it probes the builtin realizer once through a wrapper
 that sorts the realizer's evaluations by phase, and records per phase the
@@ -35,10 +35,14 @@ through ``k2.decode_pair`` (the answer decodes; an evaluation decodes
 each distinct answer once, so a phase-two name, which answers a single
 value, costs at most one per evaluation).  It then records the median
 wall time of ``repeats`` probes (default 5), each on a new realizer
-over the canonical base, without the wrapper.  It prints all of it as
-one JSON document.
+over the canonical base, without the wrapper: in the process's run,
+whose bases and ``covers`` reports the earlier probes of the shape have
+filled (``median_ms``), and each in a fresh run, which builds the base
+members and decides the coverings again (``cold_median_ms``).  It
+prints all of it as one JSON document.
 """
 
+import contextlib
 import json
 import statistics
 import sys
@@ -169,13 +173,16 @@ def built(m, config: aspk.ProbeConfig) -> dict:
     return made
 
 
-def median_ms(m, config: aspk.ProbeConfig, repeats: int) -> float:
+def median_ms(m, config: aspk.ProbeConfig, repeats: int, cold: bool) -> float:
+    """The median time of ``repeats`` probes, each in a fresh run when
+    ``cold``, and in the process's run otherwise."""
     times = []
     for _ in range(repeats):
-        realizer = new_realizer(m)
-        t = time.perf_counter()
-        aspk.base_from_realizer(realizer, realizer.space, config)
-        times.append(time.perf_counter() - t)
+        with aspk.Run() if cold else contextlib.nullcontext():
+            realizer = new_realizer(m)
+            t = time.perf_counter()
+            aspk.base_from_realizer(realizer, realizer.space, config)
+            times.append(time.perf_counter() - t)
     return round(1000 * statistics.median(times), 3)
 
 
@@ -184,18 +191,21 @@ def row(space: str, config: aspk.ProbeConfig, repeats: int) -> dict:
     return {"space": space, "blind_size_cap": config.blind_size_cap,
             "depth_cap": config.depth_cap, "radius_grid": list(config.radius_grid),
             "onset_grid": list(config.onset_grid), "budget": config.budget,
-            **phase_counts(m, config), "median_ms": median_ms(m, config, repeats)}
+            **phase_counts(m, config),
+            "median_ms": median_ms(m, config, repeats, cold=False),
+            "cold_median_ms": median_ms(m, config, repeats, cold=True)}
 
 
 def main() -> None:
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 5
-    # before any other probe, at the workload's deepest shape: the first
-    # probe of each space builds its canonical base (cold), and a repeat
-    # finds it built (warm)
+    # at the workload's deepest shape, in a fresh run: the first probe of
+    # each space builds its canonical base (cold), and a repeat finds it
+    # built (warm)
     deepest = aspk.ProbeConfig(budget=BUDGET, blind_size_cap=3, depth_cap=4,
                                radius_grid=(0, 1, 2), onset_grid=(0, 3))
-    construction = {space: {"cold": built(m, deepest), "warm": built(m, deepest)}
-                    for space, m in SPACES.items()}
+    with aspk.Run():
+        construction = {space: {"cold": built(m, deepest), "warm": built(m, deepest)}
+                        for space, m in SPACES.items()}
     workload = [row(space, aspk.ProbeConfig(budget=BUDGET, blind_size_cap=blind,
                                             depth_cap=depth,
                                             radius_grid=tuple(range(radii)),

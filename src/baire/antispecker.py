@@ -27,22 +27,19 @@ Nothing is built twice.  The builtin and product bases build a member's
 atoms once, as far as some search has asked for them, and keep them for
 as long as the base lives, in one kind of kept stream (``_Kept``), which
 also holds the product base's member shapes and has one rule for a
-source that fails; ``builtin_base`` keeps one canonical base per registry
-space, keyed by ``space_id``, so every search of the process shares their
-members.  Beside them ``covers`` keeps its report on a registry space,
-keyed by the space, the depth and the Theta, so each covering is decided
-once per process, and computes each atom's constraints once per
-decision, not per cell; the bases and the reports are dropped together
-once their atoms pass the one ``CANONICAL_ATOM_BOUND``.  A realizer pairs
-each prefix code once into the one trie it walks, which stays its own
-and which it empties only past a bit bound, and asks the name for each
-code, and decodes each answer, once per evaluation; and the harvest
-unpairs each answered code once, up its prefixes.
+source that fails.  A ``Run`` keeps the canonical bases and the reports
+of ``covers`` (see ``Run``); ``covers`` computes each atom's constraints
+once per decision, not per cell.  A realizer pairs each prefix code once
+into the one trie it walks, which stays its own and which it empties
+only past a bit bound, and asks the name for each code, and decodes each
+answer, once per evaluation; and the harvest unpairs each answered code
+once, up its prefixes.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -159,24 +156,20 @@ def covers(theta: Theta, space: Space,
     ``k2.Exhausted`` with reason ``depth``, and so does a depth with more
     than ``COVER_CELL_CAP`` cells, before any cell is scanned.
 
-    On a registry space (``naming.is_registry``) the report is kept under
-    ``(space_id, depth, theta)``, the depth resolved first, beside the
-    canonical bases and under their bound (see ``builtin_base``), so each
-    covering is decided once per process.  A call that raises keeps
-    nothing; any other space is decided on every call.
+    On a registry space (``naming.is_registry``) the current ``Run`` keeps
+    the report under the resolved depth; a call that raises keeps nothing,
+    and any other space is decided on every call.
     """
-    global _held
     if depth is None:
         depth = default_cover_depth(theta)
     if not is_registry(space):
         return _decide_cover(theta, space, depth)
-    if _held > CANONICAL_ATOM_BOUND:
-        _drop()
+    run = _current.get().within_bound()
     key = (space.space_id, depth, theta)
-    report = _verdicts.get(key)
+    report = run.reports.get(key)
     if report is None:
-        report = _verdicts[key] = _decide_cover(theta, space, depth)
-        _held += len(theta.atoms)
+        report = run.reports[key] = _decide_cover(theta, space, depth)
+        run.held += len(theta.atoms)
     return report
 
 
@@ -265,11 +258,9 @@ class CompactnessBase:
     the whole of it.  ``Theta(tuple(base.iter_atoms(i)))`` is the whole
     member.  The builtin and product bases keep each member as one
     ``_Kept`` stream, which builds an atom once, when some reader first
-    reaches it, and keeps it for as long as the base lives: for the
-    canonical bases that ``builtin_base`` keeps, that is until they and
-    the kept ``covers`` reports hold more than ``CANONICAL_ATOM_BOUND``
-    atoms between them.  A realizer's prefix-code trie is not part of the
-    base: each realizer over a shared base walks its own.
+    reaches it, and keeps it for as long as the base lives; a ``Run``
+    keeps the canonical bases.  A realizer's prefix-code trie is not part
+    of the base: each realizer over a shared base walks its own.
     """
 
     space: Space
@@ -323,12 +314,11 @@ class _Kept:
 
 class _KeptBase(CompactnessBase):
     """A base whose ``_build_atoms(i)`` generates member i, kept as a
-    ``_Kept`` stream for as long as the base lives."""
+    ``_Kept`` stream; ``run`` is the run that keeps it canonical, if any."""
 
     def __init__(self):
         self._kept: dict[int, _Kept] = {}
-        # the atoms the base's members keep
-        self.atoms_held = 0
+        self.run: Optional[Run] = None
 
     def iter_atoms(self, i: int) -> Iterator[CoverAtom]:
         member = self._kept.get(i)
@@ -337,14 +327,12 @@ class _KeptBase(CompactnessBase):
         return iter(member)
 
     def _counted(self, atoms: Iterator[CoverAtom]) -> Iterator[CoverAtom]:
-        """The atoms, each counted as the base keeps it, and toward the
-        store's ``_held`` while the base is a canonical one."""
-        global _held
-        key = self.space.space_id
+        """The atoms, each counted toward the ``held`` of the run that
+        keeps the base, while that run still keeps it."""
+        run, key = self.run, self.space.space_id
         for atom in atoms:
-            self.atoms_held += 1
-            if _canonical.get(key) is self:
-                _held += 1
+            if run is not None and run.bases.get(key) is self:
+                run.held += 1
             yield atom
 
 
@@ -362,57 +350,68 @@ class BuiltinBase(_KeptBase):
             yield CoverAtom(sigma, i)
 
 
-# When the canonical bases and the kept reports of ``covers`` hold more
-# atoms than this between them, the next ``builtin_base`` or registry
-# ``covers`` call drops them all.  Just under the bound, the Cantor base's
-# members 0..13 keep 16,383 atoms in 15.4 MiB (traced on CPython 3.11);
-# the next member doubles that.
+# A ``Run`` drops what it keeps past this many atoms.  The Cantor base's
+# members 0..13 keep 16,383 in 15.4 MiB (CPython 3.11); member 14 doubles it.
 CANONICAL_ATOM_BOUND = 1 << 14
 
-# space_id -> the process's canonical base of that registry space
-_canonical: dict[str, _KeptBase] = {}
-# (space_id, depth, theta) -> the report ``covers`` gave on that registry
-# space at that depth
-_verdicts: dict[tuple, CoversReport] = {}
-# the atoms that the canonical bases keep and the kept reports' Thetas hold
-_held = 0
+
+class Run:
+    """The work kept across calls: ``bases``, the canonical base of each
+    registry space by ``space_id``; ``reports``, those of ``covers`` on
+    registry spaces by ``(space_id, depth, theta)``; and ``held``, the
+    atoms the bases' members and the reports' Thetas hold between them.
+
+    ``builtin_base`` and a registry ``covers`` call use the current run,
+    the innermost ``with Run():`` block's or else the process's one run,
+    and first drop its bases and reports together once ``held`` is past
+    ``CANONICAL_ATOM_BOUND``; whoever holds a dropped base or report
+    keeps it.  A base counts each atom it builds toward the run that
+    keeps it, whichever run is current, and toward none once dropped.
+    """
+
+    def __init__(self):
+        self.bases: dict[str, _KeptBase] = {}
+        self.reports: dict[tuple, CoversReport] = {}
+        self.held = 0
+        self._tokens: list = []
+
+    def __enter__(self) -> Run:
+        self._tokens.append(_current.set(self))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _current.reset(self._tokens.pop())
+
+    def within_bound(self) -> Run:
+        """The run, its bases and reports dropped first if past the bound."""
+        if self.held > CANONICAL_ATOM_BOUND:
+            self.bases, self.reports, self.held = {}, {}, 0
+        return self
 
 
-def _drop() -> None:
-    """Drop the canonical bases and the kept reports together; whoever
-    holds a dropped base or report keeps it."""
-    global _held
-    _canonical.clear()
-    _verdicts.clear()
-    _held = 0
+_current: ContextVar[Run] = ContextVar("run", default=Run())
 
 
 def builtin_base(space: Space) -> CompactnessBase:
     """The canonical base of a registry space; a product's combines the
     canonical bases of its factors.
 
-    A registry space (``naming.is_registry``) gets the process's one
-    canonical base for its ``space_id``, built on first use, so every
-    search shares the members that any search has built; a product's sits
-    over its factors' canonical bases, so a Cantor member is kept once
-    whether a search reaches it alone or through a product.  A call that
-    finds the bases' atoms and those of the kept ``covers`` reports'
-    Thetas, one count, past ``CANONICAL_ATOM_BOUND`` drops them all, so a
-    product, its factors and the reports go together; whoever still holds
-    a dropped base keeps it.  Any other space, such as a caller's own
-    subclass with a registry ``space_id``, gets a fresh base on every
-    call.  Realizers built over a shared base still each walk their own
-    prefix-code trie.
+    A registry space (``naming.is_registry``) gets the current ``Run``'s
+    base for its ``space_id``, built on first use; a product's sits over
+    its factors' canonical bases, so a Cantor member is kept once whether
+    a search reaches it alone or through a product.  Any other space,
+    such as a caller's own subclass with a registry ``space_id``, gets a
+    fresh base on every call.
     """
-    if _held > CANONICAL_ATOM_BOUND:
-        _drop()
+    run = _current.get().within_bound()
     key = space.space_id if is_registry(space) else None
-    base = _canonical.get(key)
+    base = run.bases.get(key)
     if base is None:
         base = (ProductBase(builtin_base(space.left), builtin_base(space.right))
                 if isinstance(space, ProductSpace) else BuiltinBase(space))
         if key is not None:
-            _canonical[key] = base
+            run.bases[key] = base
+            base.run = run
     return base
 
 

@@ -21,6 +21,10 @@ certificate try; ``scan_classify`` and ``scan_settling_index`` drive the
 old scan as ``classify_windows`` and ``settling_index`` did.  They are
 copied unchanged but for their names.
 
+``check_tail_certificate`` reads a ``TailCertificate`` against its
+definition, from the ledger's entries and block starts and the
+permutation alone, with `Fraction`s.
+
 The reference splitter writes its ledger pair by pair, into
 ``PairLedger`` and ``PairStage``: the mask-level ledger and stage record
 ``baire.cauchy`` had before it stored protections by class, kept here as
@@ -429,3 +433,42 @@ def permutation_cover_index(z: SplitSeries, p: PermutationSpec,
             if seen == need:
                 return k + 1
     return 0 if need == 0 else None
+
+
+def check_tail_certificate(ledger, p: PermutationSpec, m: int, n: int, f: Modulus,
+                           cert: TailCertificate) -> list[str]:
+    """The conditions of a tail certificate for the windows from m at
+    exponent n that ``cert`` fails, recomputed from ``ledger.flat``,
+    ``ledger.block_start`` and p; empty when it holds.  Past the built
+    ledger every block is one zero entry."""
+    flat, starts = ledger.flat, ledger.block_start
+
+    def value(v: int) -> Fraction:
+        return flat[v] if v < len(flat) else Fraction(0)
+
+    failed = []
+    if not cert.n0 > n:
+        failed.append("n0 > n")
+    if cert.n1 != f(cert.n0 + 1) + 1:
+        failed.append("n1 = f(n0 + 1) + 1")
+    # the flat indices of the blocks below n1, and the least k whose
+    # p(0), ..., p(k - 1) cover them
+    need = starts[cert.n1] if cert.n1 < len(starts) else len(flat) + cert.n1 - len(starts)
+    missing, k = set(range(need)), 0
+    while missing:
+        missing.discard(p(k))
+        k += 1
+    if cert.k0 != k:
+        failed.append("k0 is the least cover index")
+    fine = Fraction(1, 2 ** cert.n0)
+    # the rearranged absolute mass from k0 on
+    taken = sum((abs(value(p(j))) for j in range(cert.k0)), Fraction(0))
+    if not sum(map(abs, flat), Fraction(0)) - taken < fine:
+        failed.append("tail below 2^-n0")
+    margin = Fraction(1, 2 ** n) - fine
+    for i in range(m, cert.k0):
+        sums = itertools.accumulate(value(p(j)) for j in range(i, cert.k0))
+        if not all(abs(t) < margin for t in sums):
+            failed.append(f"windows from {i} below 2^-n - 2^-n0")
+            break
+    return failed

@@ -1,4 +1,4 @@
-"""The process's one canonical base per registry space.
+"""One canonical base per registry space in each ``Run``.
 
 ``builtin_base`` hands every caller the same base for a registry space's
 ``space_id``, so a member one search has built is there for the next.
@@ -9,11 +9,14 @@ The plain tests pin which spaces share, that a product sits over its
 factors' canonical bases, and that a base past the atom bound is
 replaced while its holders keep it.
 
-Beside the bases the store keeps the reports of ``covers`` on registry
+Beside the bases the run keeps the reports of ``covers`` on registry
 spaces, under the same bound: the later tests pin what is kept, under
-which key, and that bases and reports are dropped together.
+which key, that bases and reports are dropped together, and which run a
+base counts its atoms toward.  Each test opens its own run, so the
+counts it reads hold only what its own calls kept.
 """
 
+import contextvars
 import itertools
 import random
 from unittest import mock
@@ -42,10 +45,9 @@ ALL_SPACES = (CANTOR, FIN2, FIN3, CANTOR_X_FIN2, NESTED,
 
 
 @pytest.fixture(autouse=True)
-def empty_store():
-    """Each test starts from an empty store, so the count it reads holds
-    only what its own calls kept."""
-    aspk._drop()
+def run():
+    with aspk.Run() as run:
+        yield run
 
 
 def sequence_and_names(rng, m):
@@ -78,7 +80,7 @@ calls = st.lists(
 
 @given(calls)
 def test_shared_bases_give_what_fresh_reference_bases_give(runs):
-    with mock.patch.dict(aspk._canonical, clear=True):
+    with aspk.Run():
         for space_index, probe, seed, fuel in runs:
             m = ALL_SPACES[space_index]
             rng = random.Random(seed)
@@ -136,39 +138,45 @@ def test_a_space_outside_the_registry_gets_its_own_base():
     assert product.by is builtin_base(FIN2)
 
 
-def test_a_base_past_the_atom_bound_is_replaced():
-    with mock.patch.dict(aspk._canonical, clear=True), \
-            mock.patch.object(aspk, "CANONICAL_ATOM_BOUND", 6):
+def kept_atoms(base) -> int:
+    """The atoms a base's member streams keep."""
+    return sum(len(member.items) for member in base._kept.values())
+
+
+def test_a_base_past_the_atom_bound_is_replaced(run):
+    with mock.patch.object(aspk, "CANONICAL_ATOM_BOUND", 6):
         old = builtin_base(CANTOR)
         product = builtin_base(CANTOR_X_FIN2)
         kept = list(itertools.chain(old.iter_atoms(1), old.iter_atoms(2)))
-        assert old.atoms_held == 6 and builtin_base(CANTOR) is old
+        assert kept_atoms(old) == run.held == 6 and builtin_base(CANTOR) is old
         list(old.iter_atoms(3))
-        assert old.atoms_held == 14
+        assert kept_atoms(old) == run.held == 14
         new = builtin_base(CANTOR)
-        assert new is not old and new.atoms_held == 0
+        assert new is not old and kept_atoms(new) == run.held == 0
         assert builtin_base(CANTOR) is new
-        # whoever holds the old base keeps it and its atoms
+        # whoever holds the old base keeps it and its atoms, and the atoms
+        # it builds now count toward no run
         again = list(itertools.chain(old.iter_atoms(1), old.iter_atoms(2)))
         assert len(again) == len(kept) and all(x is y for x, y in zip(again, kept))
+        list(old.iter_atoms(4))
+        assert kept_atoms(old) == 30 and run.held == 0
         # the product over the old factor base is replaced with it
         assert builtin_base(CANTOR_X_FIN2) is not product
         assert builtin_base(CANTOR_X_FIN2).bx is new
 
 
-def held_atoms() -> int:
-    """The atoms the store holds, counted afresh: those the canonical bases
-    keep and those of the Thetas whose reports are kept."""
-    return (sum(len(member.items) for base in aspk._canonical.values()
-                for member in base._kept.values())
-            + sum(len(theta.atoms) for _, _, theta in aspk._verdicts))
+def held_atoms(run) -> int:
+    """The atoms a run holds, counted afresh: those its canonical bases
+    keep and those of the Thetas whose reports it keeps."""
+    return (sum(kept_atoms(base) for base in run.bases.values())
+            + sum(len(theta.atoms) for _, _, theta in run.reports))
 
 
 def cover_atom(entries: dict, n: int) -> CoverAtom:
     return CoverAtom(k2.FinPartialFn.from_dict(entries), n)
 
 
-def test_only_registry_spaces_keep_reports_keyed_by_the_resolved_depth():
+def test_only_registry_spaces_keep_reports_keyed_by_the_resolved_depth(run):
     theta = Theta((cover_atom({0: 1}, 1), cover_atom({0: 2}, 1)))
     depth = default_cover_depth(theta)
     report = covers(theta, CANTOR)
@@ -176,9 +184,9 @@ def test_only_registry_spaces_keep_reports_keyed_by_the_resolved_depth():
     assert covers(Theta(theta.atoms), CANTOR) is report
     deeper = covers(theta, CANTOR, depth + 1)
     assert deeper == aspk.CoversReport(True, depth + 1)
-    assert aspk._verdicts == {("cantor", depth, theta): report,
-                              ("cantor", depth + 1, theta): deeper}
-    assert aspk._held == held_atoms() == 4
+    assert run.reports == {("cantor", depth, theta): report,
+                           ("cantor", depth + 1, theta): deeper}
+    assert run.held == held_atoms(run) == 4
     # a caller's own space with a registry space_id, and a product over it,
     # read and write nothing
     own = OwnSpace()
@@ -186,14 +194,14 @@ def test_only_registry_spaces_keep_reports_keyed_by_the_resolved_depth():
     for m in (own, product):
         own_theta = Theta(tuple(builtin_base(m).iter_atoms(1)))
         assert covers(own_theta, m) == ref.covers(own_theta, m)
-        assert len(aspk._verdicts) == 2
+        assert len(run.reports) == 2
     assert covers(theta, own) == report and covers(theta, own) is not report
     # the product's factor FIN2 is a registry space, whose canonical base
     # now keeps the atoms the product read
-    assert len(aspk._verdicts) == 2 and aspk._held == held_atoms()
+    assert len(run.reports) == 2 and run.held == held_atoms(run)
 
 
-def test_a_call_that_raises_keeps_nothing():
+def test_a_call_that_raises_keeps_nothing(run):
     # an atom that reads index 4 leaves the depth-2 cell (0, 0) undecided
     undecided = Theta((cover_atom({0: 1, 4: 2}, 6), cover_atom({0: 2}, 0)))
     past_cap = Theta((cover_atom({0: 1}, 1000000),))
@@ -201,20 +209,20 @@ def test_a_call_that_raises_keeps_nothing():
         for _ in range(2):
             with pytest.raises(k2.Exhausted):
                 covers(theta, CANTOR, depth)
-            assert not aspk._verdicts and aspk._held == 0
+            assert not run.reports and run.held == 0
 
 
-def test_reports_and_bases_are_dropped_together():
+def test_reports_and_bases_are_dropped_together(run):
     with mock.patch.object(aspk, "CANONICAL_ATOM_BOUND", 6):
         base = builtin_base(CANTOR)
         theta = Theta(tuple(base.iter_atoms(1)))
         report = covers(theta, CANTOR)
-        assert aspk._held == held_atoms() == 4
+        assert run.held == held_atoms(run) == 4
         list(base.iter_atoms(2))
-        assert aspk._held == held_atoms() == 8
+        assert run.held == held_atoms(run) == 8
         # past the bound, the next builtin_base drops the report too
         assert builtin_base(CANTOR) is not base
-        assert not aspk._verdicts and aspk._held == 0
+        assert not run.reports and run.held == 0
         # a report held across the drop stays usable, and an equal one is
         # decided afresh
         assert report.covered and report.to_json() == {"covered": True, "depth": 2}
@@ -224,11 +232,11 @@ def test_reports_and_bases_are_dropped_together():
         base = builtin_base(CANTOR)
         fin2 = Theta(tuple(builtin_base(FIN2).iter_atoms(0)))
         list(base.iter_atoms(3))
-        assert aspk._held == held_atoms() == 2 + len(fin2.atoms) + 8
+        assert run.held == held_atoms(run) == 2 + len(fin2.atoms) + 8
         assert covers(fin2, FIN2).covered
-        assert list(aspk._verdicts) == [("finite(2)", 1, fin2)]
+        assert list(run.reports) == [("finite(2)", 1, fin2)]
         assert builtin_base(CANTOR) is not base
-        assert aspk._held == held_atoms() == len(fin2.atoms)
+        assert run.held == held_atoms(run) == len(fin2.atoms)
 
 
 store_calls = st.lists(
@@ -241,12 +249,11 @@ store_calls = st.lists(
 
 @given(st.integers(0, 12), store_calls)
 def test_the_store_holds_at_most_the_bound_and_one_theta(bound, runs):
-    aspk._drop()
-    with mock.patch.object(aspk, "CANONICAL_ATOM_BOUND", bound):
+    with aspk.Run() as run, mock.patch.object(aspk, "CANONICAL_ATOM_BOUND", bound):
         for space_index, i, cover, depth in runs:
             m = ALL_SPACES[space_index]
             base = builtin_base(m)
-            assert aspk._held == held_atoms() <= bound
+            assert run.held == held_atoms(run) <= bound
             theta = Theta(tuple(base.iter_atoms(i)))
             if not cover:
                 continue
@@ -254,4 +261,35 @@ def test_the_store_holds_at_most_the_bound_and_one_theta(bound, runs):
                 covers(theta, m, depth)
             except k2.Exhausted:
                 pass
-            assert aspk._held == held_atoms() <= bound + len(theta.atoms)
+            assert run.held == held_atoms(run) <= bound + len(theta.atoms)
+
+
+def test_a_base_counts_toward_the_run_that_keeps_it(run):
+    base = builtin_base(CANTOR)
+    with aspk.Run() as other:
+        assert builtin_base(CANTOR) is not base
+        list(base.iter_atoms(2))
+        theta = Theta(tuple(base.iter_atoms(1)))
+        assert covers(theta, CANTOR) is other.reports[("cantor", 2, theta)]
+        assert other.held == held_atoms(other) == 2
+    assert run.held == held_atoms(run) == 6 and not run.reports
+    # once its run drops it, the base counts toward no run
+    with mock.patch.object(aspk, "CANONICAL_ATOM_BOUND", 5):
+        assert builtin_base(CANTOR) is not base and run.held == 0
+    with aspk.Run() as other:
+        list(base.iter_atoms(3))
+        assert other.held == run.held == 0 and kept_atoms(base) == 14
+
+
+def test_a_run_is_current_inside_its_blocks_only(run):
+    base = builtin_base(CANTOR)
+    inner = aspk.Run()
+    with inner:
+        with inner:
+            nested = builtin_base(CANTOR)
+        assert builtin_base(CANTOR) is nested is not base
+    assert builtin_base(CANTOR) is base
+    assert inner.bases == {"cantor": nested} and run.bases == {"cantor": base}
+    # outside every block, the process has one run
+    outside = [contextvars.Context().run(builtin_base, CANTOR) for _ in range(2)]
+    assert outside[0] is outside[1] and base is not outside[0] is not nested

@@ -9,6 +9,7 @@ the same messages.
 """
 
 import copy
+import dataclasses
 import random
 import tracemalloc
 from collections import Counter
@@ -538,6 +539,55 @@ def test_random_window_search_matches_reference(deltas, seed, n, m):
         _outcome(ref.classify_windows, z, p, m, n, f)
     assert _outcome(cauchy.settling_index, z, p, n, f, 400) == \
         _outcome(ref.settling_index, z, p, n, f, 400)
+
+
+def damaged_certificates(cert):
+    """Copies of a certificate with k0 off by one, n1 one past f(n0 + 1) + 1,
+    or n0 down to n; each breaks one condition of the definition."""
+    yield dataclasses.replace(cert, k0=cert.k0 + 1)
+    if cert.k0 > 0:
+        yield dataclasses.replace(cert, k0=cert.k0 - 1)
+    yield dataclasses.replace(cert, n1=cert.n1 + 1)
+
+
+@given(st.sampled_from(SETTLE_DELTAS), st.integers(0, 10 ** 6))
+def test_every_tail_certificate_meets_its_definition(deltas, seed):
+    z, f = _series(deltas)
+    rng = random.Random(seed)
+    p = _permutation(rng, rng.randrange(0, z.built_end + 6))
+    certified = 0
+    for n in range(6):
+        for m in range(z.built_end + 3):
+            try:
+                verdict = cauchy.classify_windows(z, p, m, n, f)
+            except k2.Exhausted:
+                continue
+            if not isinstance(verdict, cauchy.TailCertificate):
+                continue
+            certified += 1
+            assert ref.check_tail_certificate(z.ledger, p, m, n, f, verdict) == []
+            for bad in damaged_certificates(verdict):
+                assert ref.check_tail_certificate(z.ledger, p, m, n, f, bad) != []
+            assert "n0 > n" in ref.check_tail_certificate(
+                z.ledger, p, m, n, f, dataclasses.replace(verdict, n0=n))
+    # a window that starts past the series' last entry is empty, so every
+    # n has a certificate
+    assert certified >= 6
+
+
+def test_the_golden_tail_certificate_meets_its_definition():
+    a = cauchy.parse_seq_spec({"prefix": ["1/2", "9/16", "37/64"],
+                               "tail": {"kind": "constant", "value": "37/64"}})
+    p = cauchy.parse_permutation_spec(
+        {"table": [[0, 4], [4, 8], [8, 0], [1, 2], [2, 1], [10, 11], [11, 10]]})
+    z = cauchy.split_series_for(a)
+    f = cauchy.exact_modulus(a, len(a.prefix) + 4)
+    # the document of the rpt-decide-three-steps-tail golden
+    cert = cauchy.TailCertificate(n0=5, n1=3, k0=9)
+    assert cauchy.classify_windows(z, p, 0, 2, f) == cert
+    assert ref.check_tail_certificate(z.ledger, p, 0, 2, f, cert) == []
+    for bad in [*damaged_certificates(cert), dataclasses.replace(cert, n0=2)]:
+        assert ref.check_tail_certificate(z.ledger, p, 0, 2, f, bad) != []
 
 
 def test_permutation_lookup_matches_table_scan():

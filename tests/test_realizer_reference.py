@@ -292,21 +292,22 @@ def random_theta(rng, m):
 
 
 def same_covers(theta, m, depth=None):
-    """``covers`` against the reference twice: cold, with the store
-    emptied, so that it scans the cells, and warm, when a registry space
-    reads the report the cold call kept."""
-    aspk._drop()
+    """``covers`` against the reference twice: cold, in a fresh run, so
+    that it scans the cells, and warm, when a registry space reads the
+    report the cold call kept."""
     try:
         want = ref.covers(theta, m, depth)
     except k2.Exhausted as e:
-        for _ in ("cold", "warm"):
-            with pytest.raises(k2.Exhausted) as got:
-                aspk.covers(theta, m, depth)
-            assert got.value.to_json() == e.to_json()
-        assert not aspk._verdicts
+        with aspk.Run() as run:
+            for _ in ("cold", "warm"):
+                with pytest.raises(k2.Exhausted) as got:
+                    aspk.covers(theta, m, depth)
+                assert got.value.to_json() == e.to_json()
+        assert not run.reports
         return "undecided"
-    cold = aspk.covers(theta, m, depth)
-    warm = aspk.covers(theta, m, depth)
+    with aspk.Run():
+        cold = aspk.covers(theta, m, depth)
+        warm = aspk.covers(theta, m, depth)
     for got in (cold, warm):
         assert got == want
         assert got.to_json() == want.to_json()
@@ -361,16 +362,16 @@ def test_equal_thetas_over_a_registry_space_are_scanned_once(monkeypatch):
         return cells(self, depth)
 
     monkeypatch.setattr(naming.CantorSpace, "cells", counted)
-    aspk._drop()
-    # a space outside the registry scans on every call and keeps nothing
-    assert [aspk.covers(theta, own) for theta in (one, two, one)] == [want] * 3
-    assert scans == ["cantor"] * 3 and not aspk._verdicts
-    # the registry's Cantor space scans once for both, at the default
-    # depth given or not
-    got = aspk.covers(one, CANTOR)
-    assert aspk.covers(two, CANTOR) is got and aspk.covers(one, CANTOR, 2) is got
-    assert got == want and scans == ["cantor"] * 4
-    assert list(aspk._verdicts) == [("cantor", 2, one)]
+    with aspk.Run() as run:
+        # a space outside the registry scans on every call and keeps nothing
+        assert [aspk.covers(theta, own) for theta in (one, two, one)] == [want] * 3
+        assert scans == ["cantor"] * 3 and not run.reports
+        # the registry's Cantor space scans once for both, at the default
+        # depth given or not
+        got = aspk.covers(one, CANTOR)
+        assert aspk.covers(two, CANTOR) is got and aspk.covers(one, CANTOR, 2) is got
+        assert got == want and scans == ["cantor"] * 4
+        assert list(run.reports) == [("cantor", 2, one)]
 
 
 def foreign_value(m, i: int) -> int:

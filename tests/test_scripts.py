@@ -86,7 +86,8 @@ def test_probe_bench_counts_both_phases():
     for row in doc["workload"] + doc["cli_default"]:
         one, two = row["phase_one"], row["phase_two"]
         assert one["candidates"] + two["candidates"] == row["evals_spent"]
-        assert two["evaluations"] == two["candidates"] and row["median_ms"] > 0
+        assert two["evaluations"] == two["candidates"]
+        assert row["median_ms"] > 0 and row["cold_median_ms"] > 0
         # each code is asked at most once per evaluation, on one of its steps,
         # and every code the realizer pairs is asked in that same evaluation
         for phase in (one, two):
