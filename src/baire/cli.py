@@ -7,7 +7,9 @@ prints as {"error", "reason", ...}: ``fuel`` (bdn extract), ``depth``
 (splitter, rpt) or ``budget`` (rpt); the star, bullet, demo and
 adversary documents print as they are, with no reason.  Result
 documents are byte-identical across identical invocations; diagnostics
-go to stderr.
+go to stderr.  ``selftest`` is the exception: it exits 1 when a
+criterion fails, and its document gives each criterion's ``seconds``,
+which differ from run to run.
 
 Every command is one entry of ``COMMANDS``, keyed by (group, op): its run
 function and its options, each with a kind (the name of its parser in

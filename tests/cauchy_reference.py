@@ -23,7 +23,8 @@ copied unchanged but for their names.
 
 ``check_tail_certificate`` reads a ``TailCertificate`` against its
 definition, from the ledger's entries and block starts and the
-permutation alone, with `Fraction`s.
+permutation alone, with `Fraction`s; ``check_window_witness`` reads a
+``WindowWitness`` the same way, from the entries and the permutation.
 
 The reference splitter writes its ledger pair by pair, into
 ``PairLedger`` and ``PairStage``: the mask-level ledger and stage record
@@ -471,4 +472,28 @@ def check_tail_certificate(ledger, p: PermutationSpec, m: int, n: int, f: Modulu
         if not all(abs(t) < margin for t in sums):
             failed.append(f"windows from {i} below 2^-n - 2^-n0")
             break
+    return failed
+
+
+def check_window_witness(ledger, p: PermutationSpec, m: int, n: int,
+                         witness: WindowWitness) -> list[str]:
+    """The conditions of a window witness for the windows from m at
+    exponent n that ``witness`` fails, recomputed from ``ledger.flat`` and
+    p; empty when it holds.  Past the built ledger every entry is zero."""
+    flat = ledger.flat
+    i, j = witness.i, witness.j
+
+    def value(v: int) -> Fraction:
+        return flat[v] if v < len(flat) else Fraction(0)
+
+    failed = []
+    if not i >= m:
+        failed.append("i >= m")
+    reach = Fraction(1, 2 ** n)
+    sums = list(itertools.accumulate((value(p(k)) for k in range(i, j + 1)),
+                                     initial=Fraction(0)))
+    if not abs(sums[-1]) >= reach:
+        failed.append("window [i, j] reaches 2^-n")
+    if any(abs(t) >= reach for t in sums[1:-1]):
+        failed.append("no shorter window of row i reaches 2^-n")
     return failed

@@ -575,6 +575,40 @@ def test_every_tail_certificate_meets_its_definition(deltas, seed):
     assert certified >= 6
 
 
+def damaged_witnesses(z, p, n, w):
+    """Copies of a witness with j one short, one long (a shorter window then
+    reaches), or i one late where that leaves the window below 2^-n."""
+    yield dataclasses.replace(w, j=w.j - 1)
+    yield dataclasses.replace(w, j=w.j + 1)
+    late = sum(z.value_at(p(k)) for k in range(w.i + 1, w.j + 1))
+    if abs(late) < Q(1, 2 ** n):
+        yield dataclasses.replace(w, i=w.i + 1)
+
+
+@given(st.sampled_from(SETTLE_DELTAS), st.integers(0, 10 ** 6))
+def test_every_window_witness_meets_its_definition(deltas, seed):
+    z, f = _series(deltas)
+    rng = random.Random(seed)
+    p = _permutation(rng, rng.randrange(0, z.built_end + 6))
+    witnessed = 0
+    for n in range(6):
+        for m in range(z.built_end + 3):
+            try:
+                verdict = cauchy.classify_windows(z, p, m, n, f)
+            except k2.Exhausted:
+                continue
+            if not isinstance(verdict, cauchy.WindowWitness):
+                continue
+            witnessed += 1
+            assert ref.check_window_witness(z.ledger, p, m, n, verdict) == []
+            for bad in damaged_witnesses(z, p, n, verdict):
+                assert ref.check_window_witness(z.ledger, p, m, n, bad) != []
+            assert "i >= m" in ref.check_window_witness(z.ledger, p, verdict.i + 1, n,
+                                                        verdict)
+    # every series sums to at least 1/3, so some window from 0 reaches 2^-5
+    assert witnessed >= 1
+
+
 def test_the_golden_tail_certificate_meets_its_definition():
     a = cauchy.parse_seq_spec({"prefix": ["1/2", "9/16", "37/64"],
                                "tail": {"kind": "constant", "value": "37/64"}})

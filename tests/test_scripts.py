@@ -55,13 +55,12 @@ def test_square_bench_at_its_smallest_size():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert [row["bits"] for row in doc["square"]] == [1 << 14]
+    assert set(doc) == {"python", "ssa_cutoff_bits", "repeats", "square", "bar"}
     assert set(doc["square"][0]) == {
-        "bits", "builtin_ms", "one_level_ms", "toom3_ms", "ssa_ms",
-        "one_level_ratio", "toom3_ratio", "ssa_ratio", "ssa_toom3_ratio",
-        "builtin_peak_kb", "toom3_peak_kb", "ssa_peak_kb"}
-    assert doc["square_cutoff_bits"] < doc["ssa_cutoff_bits"]
-    assert set(doc["bar"]) == {"depth", "code_bits", "seconds", "toom3_seconds",
-                               "builtin_seconds", "tracemalloc_peak_kb"}
+        "bits", "builtin_ms", "ssa_ms", "ssa_ratio", "builtin_peak_kb", "ssa_peak_kb"}
+    assert doc["ssa_cutoff_bits"] == 1 << 18
+    assert set(doc["bar"]) == {"depth", "code_bits", "seconds", "builtin_seconds",
+                               "tracemalloc_peak_kb"}
     assert doc["bar"]["depth"] == 14 and doc["bar"]["tracemalloc_peak_kb"] > 0
 
 
