@@ -217,14 +217,23 @@ def _held(values: list[Fraction], starts: Iterable[int] = (0,)
     return held, scale
 
 
+def _least_start(measures: list[int], scale: int) -> Modulus:
+    """The modulus whose value at n is the least s with measures[s] below
+    scale / 2^n: the suffix measures of a sequence, held over ``scale``,
+    fall to 0, so one ``bisect`` finds each start."""
+    # negated, they rise; an integer is below scale / 2^n when it is below
+    # its ceiling -((-scale) >> n)
+    rising = [-v for v in measures]
+    return Modulus(lambda n: bisect.bisect_right(rising, -scale >> n))
+
+
 def exact_modulus(x: RationalSeq, horizon: int) -> Modulus:
     """The least valid modulus of an eventually-constant sequence, computed
     from the prefix (requires a zero or constant tail).
 
     Its value at n is the least start whose suffix x_start, ..., x_end (end
     being the prefix length, where the tail begins) has diameter below 2^-n.
-    The values rise with n to the least start of diameter 0 and stay there;
-    past n = 65 they stay at their value there.  ``horizon`` is not read.
+    ``horizon`` is not read.
     """
     if x.tail_kind == "geometric" and x.tail_value != 0:
         raise ValueError("use a hand-built modulus for geometric tails")
@@ -233,17 +242,7 @@ def exact_modulus(x: RationalSeq, horizon: int) -> Modulus:
     diam = [hi - lo for hi, lo in zip(itertools.accumulate(held, max),
                                       itertools.accumulate(held, min))]
     diam.reverse()   # diam[s]: diameter of x_s, ..., x_end, over the scale
-    settled = diam.index(0)
-    values: list[int] = []
-    start = 0
-    for n in range(66):
-        while diam[start] << n >= scale:
-            start += 1
-        values.append(start)
-        if start == settled:
-            break
-    last = values[-1]
-    return Modulus(lambda m: values[m] if m < len(values) else last)
+    return _least_start(diam, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -905,9 +904,6 @@ class SplitSeries:
         for every window search on the series."""
         return _held(self.ledger.flat, self.ledger.block_start)
 
-    def total_abs(self) -> Fraction:
-        return sum((abs(v) for v in self.ledger.flat), Fraction(0))
-
 
 def split_series_for(a: RationalSeq, stages: Optional[int] = None) -> SplitSeries:
     """Protected split of the difference sequence of an increasing a,
@@ -1083,6 +1079,12 @@ def classify_windows(z: SplitSeries, p: PermutationSpec, m: int, n: int,
     Round r of the witness scan sums every window [i, j] with
     m <= i <= j <= m + 8(r + 1), row by row, and ``budget`` caps the
     window steps summed over all rounds.
+
+    f is assumed to be a Cauchy modulus of the source sequence, such as
+    ``exact_modulus``.  A returned verdict is sound for any f, since the
+    certificate's conditions are checked on the series itself; only a
+    valid modulus guarantees an answer.  With any other f the search may
+    give up after 200 rounds, raising ``k2.Exhausted`` (reason ``budget``).
     """
     if m < 0:
         raise ValueError(f"the start index m must be a natural, got {m}")
@@ -1137,7 +1139,9 @@ def _classify(scan: _WindowScan, m: int, n: int, f: Modulus, budget: int
 def settling_index(z: SplitSeries, p: PermutationSpec, n: int, f: Modulus,
                    budget: int = 10 ** 6) -> int:
     """The least m past which every window of the rearranged series stays
-    strictly below 2^-n in absolute sum."""
+    strictly below 2^-n in absolute sum.  f is assumed to be a Cauchy
+    modulus of the source sequence; ``classify_windows`` says what any
+    other f does."""
     scan = _WindowScan(z, p, n)
     for m in itertools.count():
         verdict = _classify(scan, m, n, f, budget)
@@ -1166,13 +1170,6 @@ def abs_sum_modulus(ledger: SplitterLedger) -> Modulus:
     if not ledger.x.has_finite_support:
         raise ValueError("finite support required")
     entries, scale = _held(ledger.flat, ledger.block_start)
-    mass = list(itertools.accumulate(map(abs, entries), initial=0))
-    # minus the absolute mass from entry mm on, over the scale: it rises
-    rising = [v - mass[-1] for v in mass]
-
-    def fn(n: int) -> int:
-        # the least mm whose mass from mm on, an integer, is below
-        # scale / 2^n, so below its ceiling -((-scale) >> n)
-        return bisect.bisect_right(rising, -scale >> n)
-
-    return Modulus(fn)
+    # the absolute mass of the entries from s on, over the scale, at s
+    mass = itertools.accumulate(map(abs, reversed(entries)), initial=0)
+    return _least_start([*mass][::-1], scale)

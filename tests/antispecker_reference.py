@@ -38,6 +38,10 @@ moved here from ``k2`` when the realizer came to walk its own nested dict
 inline.  It and its bound ``PREFIX_TRIE_MAX_BITS`` are unchanged but for
 reaching the pairing as ``k2.cantor_pair``, so that a test that counts
 pairings there counts the trie's too.
+
+``check_outcome`` reads an answered ``antispecker demo`` outcome against
+its definition, from the reference builtin base, the avoidance name and
+the sequence alone.
 """
 
 from __future__ import annotations
@@ -379,3 +383,49 @@ def base_from_realizer(m: AntiSpeckerRealizer, space: Space,
                 consider(harvest(frozen))
 
     return ProbedBase(space, emissions, exhausted=exhausted, evals_spent=evals)
+
+
+def _certified_m(h: AvoidanceName, atom: CoverAtom) -> Optional[int]:
+    """The m of the answer (n', m) with n' <= n that the avoidance name
+    gives on the shortest prefix of the atom's sigma, of at most
+    ``MAX_PREFIX_LEN`` entries, that has one; None when none has."""
+    run = atom.sigma.initial_run
+    values = [v for _, v in atom.sigma.entries[:run]]
+    for length in range(min(run, aspk.MAX_PREFIX_LEN) + 1):
+        answer = h.h(k2.encode_seq(values[:length]))
+        pair = decode_pair(answer - 1) if answer > 0 else None
+        if pair is not None and pair[0] <= atom.n:
+            return pair[1]
+    return None
+
+
+def check_outcome(space: Space, seq: NameSequence, h: AvoidanceName,
+                  outcome: EvalOutcome) -> list[str]:
+    """The conditions of an answered evaluation of the builtin base's
+    realizer on an eventually-star sequence that ``outcome`` fails; empty
+    when it holds.
+
+    The certificate is all of member ``member_index`` of the reference
+    builtin base; each of that member's atoms (sigma, n) has an answer
+    (n', m) with n' <= n (``_certified_m``); ``bound`` is the largest such
+    m, 0 with no atom; and ``value`` is one past the last real entry of
+    the sequence below ``bound``, 0 when there is none.
+    """
+    if outcome.member_index is None or not outcome.result.is_value:
+        return ["an answer with its member"]
+    failed = []
+    member = Theta(tuple(reference_builtin_base(space).iter_atoms(outcome.member_index)))
+    if outcome.certificate != member:
+        failed.append("the certificate is member member_index")
+    ms = [_certified_m(h, atom) for atom in member.atoms]
+    if None in ms:
+        failed.append("every atom of the member is certified")
+    elif outcome.bound != max(ms, default=0):
+        failed.append("bound is the largest certified m")
+    # the added point's name is 0 at index 0; past the prefix of an
+    # eventually-star sequence every entry is the added point
+    bound = outcome.bound if outcome.bound is not None else 0
+    real = [i for i in range(min(bound, seq.horizon)) if seq.entry(i)(0) != 0]
+    if outcome.result.value != (real[-1] + 1 if real else 0):
+        failed.append("value is one past the last real entry below bound")
+    return failed

@@ -7,19 +7,23 @@ state.  They stay here as the oracle the fast versions are tested against
 (``tests/test_cauchy_reference.py``).  The only edits are the three
 budget raises, which raise ``k2.Exhausted`` (reason ``state`` with the
 width, or ``budget``) with the messages of the deleted
-``StageBudgetExceeded`` and ``SearchBudgetExceeded``, and ``subset_sum``,
-a ``SplitterLedger`` method before it left the program and is now called
-as a function.
+``StageBudgetExceeded`` and ``SearchBudgetExceeded``; ``subset_sum``, a
+``SplitterLedger`` method before it left the program and is now called
+as a function; and the absolute mass of the series, once the
+``SplitSeries`` method ``total_abs``, now summed from ``ledger.flat``.
 
 Below them are the versions ``baire.cauchy`` ran before its window search
-moved to a block max/min index: ``exact_modulus``, which rebuilt every
-`Fraction` window for each of up to 66 exponents; ``abs_sum_modulus``,
-which scanned `Fraction` prefix sums for each exponent; ``WindowScan``,
-which rescaled the ledger and walked the prefix sums on every query; and
+moved to a block max/min index: ``exact_modulus``, which rebuilds every
+`Fraction` window for each exponent; ``abs_sum_modulus``, which scans
+`Fraction` prefix sums for each exponent; ``WindowScan``, which rescaled
+the ledger and walked the prefix sums on every query; and
 ``permutation_cover_index``, which rescanned the permutation on every
 certificate try; ``scan_classify`` and ``scan_settling_index`` drive the
 old scan as ``classify_windows`` and ``settling_index`` did.  They are
-copied unchanged but for their names.
+copied unchanged but for their names, and for ``exact_modulus``, which
+answers each exponent when asked, as ``abs_sum_modulus`` does.  It used to
+tabulate n = 0..65 and repeat the last entry, which is no modulus of a
+sequence with a step below 2^-65.
 
 ``check_tail_certificate`` reads a ``TailCertificate`` against its
 definition, from the ledger's entries and block starts and the
@@ -243,7 +247,7 @@ def classify_windows(z: SplitSeries, p: PermutationSpec, m: int, n: int,
         k0 = permutation_cover_index(z, p, n1)
         if k0 is not None:
             fine = Fraction(1, 2 ** n0)
-            tail = z.total_abs() - sum(
+            tail = sum(map(abs, z.ledger.flat), Fraction(0)) - sum(
                 (abs(z.value_at(p(kk))) for kk in range(k0)), Fraction(0))
             if tail < fine and _windows_clear(z, p, m, k0, bound - fine):
                 return TailCertificate(n0, n1, k0)
@@ -280,22 +284,15 @@ def exact_modulus(x: RationalSeq, horizon: int) -> Modulus:
     if x.tail_kind == "geometric" and x.tail_value != 0:
         raise ValueError("use a hand-built modulus for geometric tails")
     end = len(x.prefix)
-    values: list[int] = []
-    n = 0
-    while True:
+
+    def fn(n: int) -> int:
         bound = Fraction(1, 2 ** n)
-        best = 0
         for start in range(end + 1):
             window = [x.value_at(i) for i in range(start, end + 1)]
             if max(window) - min(window) < bound:
-                best = start
-                break
-        values.append(best)
-        if best == end or n > 64:
-            break
-        n += 1
-    last = values[-1]
-    return Modulus(lambda m: values[m] if m < len(values) else last)
+                return start
+
+    return Modulus(fn)
 
 
 def abs_sum_modulus(ledger: SplitterLedger) -> Modulus:

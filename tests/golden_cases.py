@@ -37,6 +37,9 @@ NESTED_PRODUCT = '{"kind":"product","left":{"kind":"cantor"},"right":' + PRODUCT
 # steps 1/2, 1/16, 1/64: blocks of 3, 3 and 3 entries
 THREE_STEPS = '{"prefix":["1/2","9/16","37/64"],"tail":{"kind":"constant","value":"37/64"}}'
 CYCLES = '{"table":[[0,4],[4,8],[8,0],[1,2],[2,1],[10,11],[11,10]]}'
+# one step of 2^-70: its least modulus rises past exponent 65
+STEP_2_70 = ('{"prefix":["1/2","590295810358705651713/1180591620717411303424"],'
+             '"tail":{"kind":"constant","value":"590295810358705651713/1180591620717411303424"}}')
 
 CASES = {
     # the README examples, in README order
@@ -168,6 +171,10 @@ CASES = {
         "--a", '{"prefix":["1/2","9/16"],"tail":{"kind":"constant","value":3}}',
         "--p", '{"table":[[0,230],[230,0],[5,120],[120,200],[200,5],[60,300],[300,60]]}',
         "--n", "3", "--m", "10"],
+    # windows of about 2^-70 settle only past exponent 65 of the modulus
+    "rpt-fabar-step-2-70": ["rpt", "fabar", "--a", STEP_2_70, "--n", "75"],
+    "rpt-decide-step-2-70-tail": [
+        "rpt", "decide", "--a", STEP_2_70, "--m", "4", "--n", "75"],
     "splitter-run-block-past-cap": [
         "splitter", "run", "--x", '{"prefix":["1/3",1000000]}',
         "--b", '{"tail":{"kind":"constant","value":"2"}}', "--stages", "2"],

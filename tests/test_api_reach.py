@@ -18,7 +18,6 @@ PACKAGE = ROOT / "src" / "baire"
 PROGRAM = ("src", "perfbench", "scripts")
 
 TEST_ORACLES = {
-    "total_abs": "the splitter's absolute mass, read by tests/cauchy_reference.py",
     "from_values": "builds the finitely described names the tests feed in",
 }
 

@@ -17,11 +17,11 @@ from fractions import Fraction as Q
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cauchy_reference as ref
-from baire import cauchy, k2
+from baire import acceptance, cauchy, k2
 from baire.cauchy import PermutationSpec, RationalSeq
 
 mk = RationalSeq.make
@@ -642,7 +642,8 @@ signed = st.builds(Q, st.integers(-6, 6), st.integers(1, 9))
 @st.composite
 def eventually_constant(draw):
     """A prefix with a zero or constant tail whose steps are rationals,
-    repeats, or moves below 2^-64, so that the modulus runs into its cap."""
+    repeats, or moves of 2^-60 to 2^-72, so that the modulus must answer
+    past exponent 65."""
     prefix: list = []
     for _ in range(draw(st.integers(0, 9))):
         kind = draw(st.sampled_from(["rational", "tiny", "repeat"]))
@@ -669,12 +670,30 @@ def test_exact_modulus_matches_reference(x, horizon):
     assert [got(n) for n in range(80)] == [want(n) for n in range(80)]
 
 
-def test_exact_modulus_stops_at_the_cap_like_the_reference():
+# one step of 2^-70, past the 66 exponents the modulus once tabulated
+STEP_2_70 = mk([Q(1, 2), Q(1, 2) + Q(1, 2 ** 70)], "constant", Q(1, 2) + Q(1, 2 ** 70))
+
+
+@given(eventually_constant())
+@example(STEP_2_70)
+def test_exact_modulus_is_the_least_valid_one_through_exponent_100(x):
+    f = cauchy.exact_modulus(x, 100)
+    report = cauchy.is_modulus(f, x, 100)
+    assert report.ok and report.checked == 101
+    # the least start at each n, from the prefix and the tail value alone
+    values = [x.value_at(i) for i in range(len(x.prefix) + 1)]
+    spreads = [max(values[s:]) - min(values[s:]) for s in range(len(values))]
+    assert [f(n) for n in range(101)] == [
+        next(s for s, d in enumerate(spreads) if d < Q(1, 2 ** n))
+        for n in range(101)]
+
+
+def test_exact_modulus_is_least_past_exponent_65_like_the_reference():
     step = Q(1, 2 ** 70)
     x = mk([Q(1, 2), Q(1, 2) + step, Q(1, 2) + 2 * step], "constant", Q(1, 2) + 2 * step)
     got, want = cauchy.exact_modulus(x, 0), ref.exact_modulus(x, 0)
     assert [got(n) for n in (0, 64, 65, 66, 69, 70, 100)] == \
-        [want(n) for n in (0, 64, 65, 66, 69, 70, 100)] == [0, 0, 0, 0, 0, 0, 0]
+        [want(n) for n in (0, 64, 65, 66, 69, 70, 100)] == [0, 0, 0, 0, 1, 2, 2]
     settled = mk([Q(1, 2), Q(17, 32)], "constant", Q(17, 32))
     got, want = cauchy.exact_modulus(settled, 0), ref.exact_modulus(settled, 0)
     assert [got(n) for n in range(70)] == [want(n) for n in range(70)]
@@ -684,19 +703,33 @@ def test_exact_modulus_stops_at_the_cap_like_the_reference():
         _outcome(ref.exact_modulus, geometric, 3)
 
 
+def _scaled(ledger, factor):
+    return cauchy.SplitterLedger(ledger.x, ledger.b, ledger.stages,
+                                 [v * factor for v in ledger.flat],
+                                 ledger.block_start, ledger.last_positive_stage)
+
+
 @given(st.sampled_from(SETTLE_DELTAS + [("1/2", "1/16", "39/16")]), st.integers(0, 3))
 def test_abs_sum_modulus_matches_reference(deltas, shift):
     ledger = _series(deltas)[0].ledger
-    scaled = cauchy.SplitterLedger(ledger.x, ledger.b, ledger.stages,
-                                   [v * Q(1, 3 ** shift) for v in ledger.flat],
-                                   ledger.block_start, ledger.last_positive_stage)
+    scaled = _scaled(ledger, Q(1, 3 ** shift))
+    # masses below 2^-65, so the least starts move past exponent 65
+    small = Q(1, 3 ** shift * 2 ** 70)
+    tiny = _scaled(ledger, small)
     # an entry that breaks its block's alternation
-    broken = cauchy.SplitterLedger(ledger.x, ledger.b, ledger.stages, list(ledger.flat),
-                                   ledger.block_start, ledger.last_positive_stage)
+    broken = _scaled(ledger, 1)
     broken.flat[len(broken.flat) // 2] += Q(1, 7)
-    for led in (ledger, scaled, broken):
+    for led in (ledger, scaled, tiny, broken):
         got, want = cauchy.abs_sum_modulus(led), ref.abs_sum_modulus(led)
-        assert [got(n) for n in range(40)] == [want(n) for n in range(40)]
+        assert [got(n) for n in range(110)] == [want(n) for n in range(110)]
+    # the transfer from the tiny masses is the least modulus of the source
+    # scaled alike, at every exponent through 110
+    a = _increasing(deltas)
+    a = mk([v * small for v in a.prefix], "constant", a.tail_value * small)
+    fg = cauchy.modulus_from_abs_sums(tiny, cauchy.abs_sum_modulus(tiny))
+    report = cauchy.is_modulus(fg, a, 110)
+    assert report.ok and report.checked == 111
+    assert [fg(n) for n in range(111)] == acceptance._least_starts(a, 110)
 
 
 def _brute_first_outside(values, start, lo, hi):

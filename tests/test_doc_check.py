@@ -1,0 +1,95 @@
+"""The document checkers of ``tests/doc_check.py`` on the goldens, the ops
+they leave unchecked, and one false field per checker that each refuses."""
+
+import dataclasses
+import json
+
+import doc_check
+from baire import cauchy, cli
+from golden_cases import CASES, EXIT_CODES, GOLDEN
+
+# the rpt goldens the checkers skip, with the reason
+EXITS_3 = {
+    "rpt-decide-past-window-budget": "the witness scan runs out of window steps",
+    "rpt-decide-block-past-cap": "a block past the cap is refused before it is built",
+}
+LARGER = {
+    "rpt-decide-long-constant-tail": "28,753 flattened entries",
+    "rpt-decide-window-past-index-blocks": "241 flattened entries",
+}
+# the largest series the window scan of ``doc_check`` runs on here
+MAX_ENTRIES = 100
+
+# the (group, op)s that had no checker when the list was pinned: a new
+# checker takes its op off ``doc_check.UNCHECKED``, and none is added
+PINNED_UNCHECKED = {
+    ("k2", "encode"), ("k2", "decode"), ("k2", "bar"), ("k2", "star"),
+    ("k2", "bullet"), ("reals", "approx"), ("reals", "from-rational"),
+    ("reals", "compare"), ("reals", "max"), ("spaces", "check"),
+    ("spaces", "dist"), ("antispecker", "demo"), ("antispecker", "covers"),
+    ("antispecker", "probe"), ("splitter", "run"), ("pc", "realize"),
+    ("bdn", "extract"), ("bdn", "adversary"), ("selftest", None),
+}
+
+
+def _golden(name: str) -> dict:
+    return json.loads((GOLDEN / f"{name}.out").read_text())
+
+
+def test_every_op_has_a_checker_or_a_reason():
+    checked, unchecked = set(doc_check.CHECKERS), set(doc_check.UNCHECKED)
+    assert checked | unchecked == set(cli.COMMANDS)
+    assert not checked & unchecked
+    assert unchecked <= PINNED_UNCHECKED
+    assert all(doc_check.UNCHECKED.values())
+
+
+def test_rpt_goldens_meet_their_checkers():
+    codes = json.loads(EXIT_CODES.read_text())
+    rpt = [name for name, argv in CASES.items() if argv[0] == "rpt"]
+    assert set(EXITS_3) | set(LARGER) <= set(rpt)
+    checked = []
+    for name in rpt:
+        argv = CASES[name]
+        if codes[name] == cli.EXIT_EXHAUSTED:
+            assert name in EXITS_3
+            continue
+        opts = doc_check.options(argv)
+        size = cauchy.split_series_for(opts["a"], opts["stages"]).built_end
+        if size > MAX_ENTRIES:
+            assert name in LARGER
+            continue
+        assert name not in EXITS_3 and name not in LARGER
+        assert doc_check.check(argv, _golden(name)) == [], name
+        checked.append(name)
+    assert {"rpt-fabar-step-2-70", "rpt-decide-step-2-70-tail",
+            "rpt-decide-three-steps-window",
+            "rpt-decide-three-steps-tail"} <= set(checked)
+
+
+def _run(argv, capsys) -> dict:
+    assert cli.run(list(argv)) == cli.EXIT_OK
+    return json.loads(capsys.readouterr().out)
+
+
+def test_a_settling_index_one_too_large_is_refused(monkeypatch, capsys):
+    real = cauchy.settling_index
+    monkeypatch.setattr(cauchy, "settling_index", lambda *a, **k: real(*a, **k) + 1)
+    for name in ("readme-rpt-fabar", "rpt-fabar-three-steps", "rpt-fabar-step-2-70"):
+        doc = _run(CASES[name], capsys)
+        assert doc != _golden(name)
+        assert doc_check.check(CASES[name], doc) != [], name
+
+
+def test_a_certificate_with_k0_plus_one_is_refused(monkeypatch, capsys):
+    real = cauchy.classify_windows
+
+    def late(*args, **kwargs):
+        cert = real(*args, **kwargs)
+        return dataclasses.replace(cert, k0=cert.k0 + 1)
+
+    monkeypatch.setattr(cauchy, "classify_windows", late)
+    for name in ("rpt-decide-three-steps-tail", "rpt-decide-step-2-70-tail"):
+        doc = _run(CASES[name], capsys)
+        assert doc != _golden(name)
+        assert doc_check.check(CASES[name], doc) != [], name

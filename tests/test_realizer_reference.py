@@ -20,10 +20,13 @@ member atoms, covering reports, evaluations, probed bases, and the number
 of objects and pairings each evaluation builds.  The last tests hold the
 harvest's walk up each answered code to the reference's pairwise scan,
 and a cold realizer to the trie walk at every fuel up to a certifying
-spend.
+spend.  The very last check every answered outcome of the acceptance
+suite's demos, and of demos on cantor x finite(2), against
+``check_outcome``, and refuse copies with one field made false.
 """
 
 import contextlib
+import dataclasses
 import itertools
 import random
 from unittest import mock
@@ -35,7 +38,7 @@ from hypothesis import strategies as st
 import antispecker_reference as ref
 from antispecker_reference import seq_length
 from baire import antispecker as aspk
-from baire import k2, naming
+from baire import acceptance, k2, naming
 from baire.antispecker import (AntiSpeckerRealizer, AvoidanceName, EvalOutcome,
                                ProbeConfig, Theta, base_from_realizer,
                                builtin_base, make_avoidance_name,
@@ -925,3 +928,53 @@ def test_every_fuel_up_to_the_certifying_spend_matches_the_trie_walk(m):
             assert (out, pairs) == (ref_out, ref_pairs)
             assert log == first_asks(ref_log)
             assert out.result.is_value == (fuel == full.result.spent)
+
+
+# -- demo certificates against their definition -----------------------------------
+
+
+def damaged_outcomes(out: EvalOutcome):
+    """Copies of an answered outcome with one field made false: an atom
+    dropped from the certificate, the bound or the value one off, or the
+    next member's index."""
+    atoms = out.certificate.atoms
+    if len(atoms) > 1:
+        yield dataclasses.replace(out, certificate=Theta(atoms[1:]))
+    for d in (1, -1):
+        yield dataclasses.replace(out, bound=out.bound + d)
+        yield dataclasses.replace(
+            out, result=PartialResult.of(out.result.value + d, out.result.spent))
+    yield dataclasses.replace(out, member_index=out.member_index + 1)
+
+
+def assert_outcomes_meet_their_definition(space, seq, names) -> int:
+    """Every demo outcome on the sequence passes ``check_outcome`` and its
+    damaged copies fail it; returns how many certificates had more than one
+    atom."""
+    realizer = realizer_from_base(builtin_base(space))
+    several = 0
+    for h in names:
+        out = realizer.evaluate(seq, h, 4000)
+        assert out.result.is_value
+        assert ref.check_outcome(space, seq, h, out) == []
+        for bad in damaged_outcomes(out):
+            assert ref.check_outcome(space, seq, h, bad) != [], bad
+        several += len(out.certificate.atoms) > 1
+    return several
+
+
+def test_the_exactness_suite_meets_the_demo_definition():
+    several = 0
+    for space, cases in acceptance.build_exactness_suite(random.Random(404)):
+        for seq, names in cases:
+            several += assert_outcomes_meet_their_definition(space, seq, names)
+    assert several > 0
+
+
+@given(st.sampled_from((CANTOR, FIN3, CANTOR_X_FIN2)), st.integers(0, 2 ** 32),
+       st.sampled_from(acceptance._SUITE_SHAPES))
+def test_demo_outcomes_meet_their_definition(space, seed, shape):
+    seq = acceptance._random_star_sequence(random.Random(seed), space)
+    depth, radius_exp = shape
+    h = make_avoidance_name(seq, radius_exp=radius_exp, answer_depth=depth)
+    assert_outcomes_meet_their_definition(space, seq, [h])
