@@ -500,7 +500,7 @@ def criterion_modulus_transfer() -> tuple[bool, str]:
         g = cauchy.abs_sum_modulus(series.ledger)
         fg = cauchy.modulus_from_abs_sums(series.ledger, g)
         report = cauchy.is_modulus(fg, a, horizon=40)
-        if not report.ok:
+        if report.counterexample is not None:
             msgs.append(f"case {idx}: transfer fails at {report.counterexample}")
         elif report.checked < 41:
             msgs.append(f"case {idx}: only {report.checked} of 41 exponents start "

@@ -169,7 +169,7 @@ def covers(theta: Theta, space: Space,
     report = run.reports.get(key)
     if report is None:
         report = run.reports[key] = _decide_cover(theta, space, depth)
-        run.held += len(theta.atoms)
+        run.report_atoms += len(theta.atoms)
     return report
 
 
@@ -314,11 +314,12 @@ class _Kept:
 
 class _KeptBase(CompactnessBase):
     """A base whose ``_build_atoms(i)`` generates member i, kept as a
-    ``_Kept`` stream; ``run`` is the run that keeps it canonical, if any."""
+    ``_Kept`` stream; ``held`` counts the atoms its own members have
+    built, not those of the bases it sits over.  It refers to no run."""
 
     def __init__(self):
         self._kept: dict[int, _Kept] = {}
-        self.run: Optional[Run] = None
+        self.held = 0
 
     def iter_atoms(self, i: int) -> Iterator[CoverAtom]:
         member = self._kept.get(i)
@@ -327,12 +328,8 @@ class _KeptBase(CompactnessBase):
         return iter(member)
 
     def _counted(self, atoms: Iterator[CoverAtom]) -> Iterator[CoverAtom]:
-        """The atoms, each counted toward the ``held`` of the run that
-        keeps the base, while that run still keeps it."""
-        run, key = self.run, self.space.space_id
         for atom in atoms:
-            if run is not None and run.bases.get(key) is self:
-                run.held += 1
+            self.held += 1
             yield atom
 
 
@@ -359,21 +356,26 @@ class Run:
     """The work kept across calls: ``bases``, the canonical base of each
     registry space by ``space_id``; ``reports``, those of ``covers`` on
     registry spaces by ``(space_id, depth, theta)``; and ``held``, the
-    atoms the bases' members and the reports' Thetas hold between them.
+    atoms its bases have built plus those of its reports' Thetas, which
+    ``covers`` counts in ``report_atoms`` as it keeps each report.
 
     ``builtin_base`` and a registry ``covers`` call use the current run,
     the innermost ``with Run():`` block's or else the process's one run,
     and first drop its bases and reports together once ``held`` is past
     ``CANONICAL_ATOM_BOUND``; whoever holds a dropped base or report
-    keeps it.  A base counts each atom it builds toward the run that
-    keeps it, whichever run is current, and toward none once dropped.
+    keeps it.  A held base keeps no run: a base counts its own atoms,
+    so the atoms a dropped base builds count toward no run.
     """
 
     def __init__(self):
         self.bases: dict[str, _KeptBase] = {}
         self.reports: dict[tuple, CoversReport] = {}
-        self.held = 0
+        self.report_atoms = 0
         self._tokens: list = []
+
+    @property
+    def held(self) -> int:
+        return sum(base.held for base in self.bases.values()) + self.report_atoms
 
     def __enter__(self) -> Run:
         self._tokens.append(_current.set(self))
@@ -385,7 +387,7 @@ class Run:
     def within_bound(self) -> Run:
         """The run, its bases and reports dropped first if past the bound."""
         if self.held > CANONICAL_ATOM_BOUND:
-            self.bases, self.reports, self.held = {}, {}, 0
+            self.bases, self.reports, self.report_atoms = {}, {}, 0
         return self
 
 
@@ -411,7 +413,6 @@ def builtin_base(space: Space) -> CompactnessBase:
                 if isinstance(space, ProductSpace) else BuiltinBase(space))
         if key is not None:
             run.bases[key] = base
-            base.run = run
     return base
 
 
@@ -572,11 +573,13 @@ def realizer_from_base(base: CompactnessBase,
     member certified.  ``space`` is the space of the sequence entries, the
     base's own by default.  Fuel counts one step per prefix scanned, and
     one per member left with no atom certified (it has none, or its first
-    atom fails); a malformed answer is recorded once per step; prefixes
-    longer than ``MAX_PREFIX_LEN`` are never scanned.  One evaluation asks
-    the name for each code at most once, decodes each distinct answer
-    once, and reuses both on every later step, so the name must be
-    deterministic (every name this package builds is).
+    atom fails); each step is checked against the fuel before it is
+    charged, so ``spent`` never passes the fuel.  A malformed answer is
+    recorded once per step; prefixes longer than ``MAX_PREFIX_LEN`` are
+    never scanned.  One evaluation asks the name for each code at most
+    once, decodes each distinct answer once, and reuses both on every
+    later step, so the name must be deterministic (every name this
+    package builds is).
 
     The prefix codes come from one trie that lives as long as the
     realizer, a nested dict from a value to the code of the prefix it
@@ -601,9 +604,8 @@ def realizer_from_base(base: CompactnessBase,
         asked: dict[int, object] = {}
         decoded: dict[int, object] = {}
         for member_index in itertools.count():
-            bounds: list[int] = []
+            bound = 0
             certified_atoms: list[CoverAtom] = []
-            certified = True
             # a lazily built member raises on the first atom pulled, not
             # when its stream is made
             try:
@@ -641,28 +643,27 @@ def realizer_from_base(base: CompactnessBase,
                         elif nm[0] <= radius:
                             break
                     else:
-                        certified = False
                         break
-                    bounds.append(nm[1])
+                    if nm[1] > bound:
+                        bound = nm[1]
                     certified_atoms.append(atom)
+                else:
+                    if certified_atoms:
+                        return EvalOutcome(
+                            PartialResult.of(seq.onset_below(bound), spent=spent),
+                            certificate=Theta(tuple(certified_atoms)), bound=bound,
+                            member_index=member_index, malformed=tuple(malformed))
             except SpecError:
                 return EvalOutcome(PartialResult.exhausted(spent), stage="empty-base",
                                    malformed=tuple(malformed))
             if not certified_atoms:
-                # no atom certified (none, or the first failed): burn a step
-                spent += 1
+                # no atom certified (none, or the first failed): one step,
+                # if the fuel has it
+                if spent < fuel:
+                    spent += 1
                 if spent >= fuel:
                     return EvalOutcome(PartialResult.exhausted(spent),
                                        malformed=tuple(malformed))
-                continue
-            if certified:
-                bound = max(bounds) if bounds else 0
-                value = seq.onset_below(bound)
-                return EvalOutcome(PartialResult.of(value, spent=spent),
-                                   certificate=Theta(tuple(certified_atoms)),
-                                   bound=bound,
-                                   member_index=member_index,
-                                   malformed=tuple(malformed))
 
     return AntiSpeckerRealizer(evaluate, base.space if space is None else space)
 
@@ -860,14 +861,4 @@ def product_anti_specker(mx: AntiSpeckerRealizer, my: AntiSpeckerRealizer,
     by = base_from_realizer(my, my.space, config)
     if not by.members:
         raise SpecError("right factor probe harvested nothing")
-    combined = ProductBase(bx, by)
-    inner = realizer_from_base(combined, product_space)
-
-    def evaluate(seq: NameSequence, h: AvoidanceName, fuel: int) -> EvalOutcome:
-        out = inner.evaluate(seq, h, fuel)
-        if not out.result.is_value and out.stage is None:
-            return EvalOutcome(out.result, malformed=out.malformed,
-                               stage="product-eval")
-        return out
-
-    return AntiSpeckerRealizer(evaluate, product_space)
+    return realizer_from_base(ProductBase(bx, by), product_space)

@@ -178,7 +178,8 @@ class ModulusReport:
 def is_modulus(f: Modulus, x: RationalSeq, horizon: int) -> ModulusReport:
     """Exhaustive check up to the horizon: |x_i - x_j| < 2^-n whenever
     i, j >= f(n), for all n <= horizon.  An exponent whose start lies past
-    the horizon is skipped, and ``checked`` counts the others."""
+    the horizon is skipped, and ``checked`` counts the others; with none
+    checked the report is not ok, with no counterexample."""
     checked = 0
     for n in range(horizon + 1):
         start = f(n)
@@ -193,7 +194,7 @@ def is_modulus(f: Modulus, x: RationalSeq, horizon: int) -> ModulusReport:
             i = start + window.index(hi)
             j = start + window.index(lo)
             return ModulusReport(False, (n, i, j), checked)
-    return ModulusReport(True, checked=checked)
+    return ModulusReport(checked > 0, checked=checked)
 
 
 def _held(values: list[Fraction], starts: Iterable[int] = (0,)

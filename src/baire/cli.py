@@ -407,13 +407,16 @@ def _values(args, options: dict) -> dict:
 
 def run(argv) -> int:
     """Run one command under the interpreter's int-to-str digit limit set
-    to ``DIGIT_LIMIT``, and restore the caller's setting afterwards."""
+    to ``DIGIT_LIMIT``, and restore the caller's setting afterwards.  The
+    command runs in its own ``antispecker.Run``, so it keeps no base or
+    report in the caller's run."""
     held = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(DIGIT_LIMIT)
     try:
         args = _parser().parse_args(argv)
         op, options = COMMANDS[args.command, args.op]
-        doc = op(**_values(args, options))
+        with aspk.Run():
+            doc = op(**_values(args, options))
     except SystemExit as e:  # --help
         return EXIT_VALIDATION if e.code not in (0, None) else EXIT_OK
     except Exhaustion as e:

@@ -37,7 +37,9 @@ calls ``harvest``, and ``seq_length`` is the sequence length that
 moved here from ``k2`` when the realizer came to walk its own nested dict
 inline.  It and its bound ``PREFIX_TRIE_MAX_BITS`` are unchanged but for
 reaching the pairing as ``k2.cantor_pair``, so that a test that counts
-pairings there counts the trie's too.
+pairings there counts the trie's too.  ``trie_walk_realizer`` is unchanged
+but for the fuel check before a member's extra step, which the program
+gained when it stopped reporting ``spent`` past the fuel.
 
 ``check_outcome`` reads an answered ``antispecker demo`` outcome against
 its definition, from the reference builtin base, the avoidance name and
@@ -276,7 +278,8 @@ def trie_walk_realizer(base, space=None, max_prefix_len: int = 16):
                 certified_atoms.append(atom)
             if not certified_atoms:
                 # an empty member certifies nothing; burn a step and move on
-                spent += 1
+                if spent < fuel:
+                    spent += 1
                 if spent >= fuel:
                     return EvalOutcome(PartialResult.exhausted(spent),
                                        malformed=tuple(malformed))

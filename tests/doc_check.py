@@ -2,10 +2,10 @@
 
 A checker reads one (group, op) of ``cli.COMMANDS``: the options of a
 command line, parsed as ``baire`` parses them, and the ``result`` of the
-document it printed with exit 0.  It returns the conditions the document
-fails, empty when every field it checks holds.  It recomputes each field
-from its definition with `Fraction`s, and never calls the function that
-produced the field.
+document it printed with exit 0 or 3.  It returns the conditions the
+document fails, empty when every field it checks holds.  It recomputes
+each field from its definition, with `Fraction`s where it is rational,
+and never calls the function that produced the field.
 
 * ``rpt fabar``: ``settling_index`` against a scan of every window of the
   rearranged series.
@@ -19,6 +19,22 @@ own (``verify_clearances`` and the reference splitter).  The window scan
 costs the square of the series' length, so it suits series of about a
 hundred entries.
 
+* ``antispecker demo``: ``spent`` at most the fuel, and equal to the
+  ``spent`` of ``antispecker_reference.trie_walk_realizer`` over the
+  reference builtin base; an answer by
+  ``antispecker_reference.check_outcome``, its ``member_index`` the
+  least reference member equal to the certificate.
+* ``antispecker probe``: each member covers by points
+  (``acceptance._covers_by_points``), and ``evals_spent`` is at most the
+  budget.
+* ``k2 star`` and ``k2 bullet``: ``spent`` at most the fuel; f answers 0
+  on the code of each prefix of the argument the scan read, built here
+  by a separate Cantor pairing, but for a value, which fired at
+  ``spent - 1``, where f answers value + 1.
+
+A refusal (exit 3, a ``k2.Exhausted`` with its ``error`` and ``reason``)
+has only its reason checked, which must be one of the four typed ones.
+
 ``UNCHECKED`` names every other (group, op), with what a checker of it
 would read; a checker takes its (group, op) off that list.
 """
@@ -28,8 +44,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import antispecker_reference as aspk_ref
 import cauchy_reference as ref
-from baire import cauchy, cli
+from baire import acceptance, cauchy, cli, k2
+from baire import antispecker as aspk
+
+# the reasons a ``k2.Exhausted`` may carry
+REASONS = ("fuel", "depth", "state", "budget")
 
 
 def options(argv) -> dict:
@@ -40,7 +61,11 @@ def options(argv) -> dict:
 
 def check(argv, doc: dict) -> list[str]:
     """The conditions the document that ``argv`` printed fails."""
-    return CHECKERS[tuple(argv[:2])](options(argv), doc["result"])
+    result = doc["result"]
+    if "error" in result:
+        reason = result.get("reason")
+        return [] if reason in REASONS else [f"refused for {reason!r}"]
+    return CHECKERS[tuple(argv[:2])](options(argv), result)
 
 
 def _ledger(opts: dict) -> cauchy.SplitterLedger:
@@ -82,28 +107,110 @@ def check_decide(opts: dict, result: dict) -> list[str]:
     return [f"case {case!r} is neither window nor tail"]
 
 
+def _within(spent: int, fuel: int, what: str = "fuel") -> list[str]:
+    return [] if spent <= fuel else [f"spent {spent} is past the {what} {fuel}"]
+
+
+def _member_index(space, theta: aspk.Theta, below: int):
+    """The least index below ``below`` of a reference builtin member equal
+    to theta, None if there is none; a member is read only as far as
+    theta's size and one atom more."""
+    base = aspk_ref.reference_builtin_base(space)
+    size = len(theta.atoms)
+    for i in range(below):
+        atoms = tuple(itertools.islice(base.iter_atoms(i), size + 1))
+        if len(atoms) == size and aspk.Theta(atoms) == theta:
+            return i
+    return None
+
+
+def check_demo(opts: dict, result: dict) -> list[str]:
+    space, seq, fuel = opts["space"], opts["sequence"], opts["fuel"]
+    h = opts["avoidance"](seq)
+    spent = result["spent"]
+    failed = _within(spent, fuel)
+    walk = aspk_ref.trie_walk_realizer(aspk_ref.reference_builtin_base(space))
+    want = walk.evaluate(seq, h, fuel).result.spent
+    if spent != want:
+        failed.append(f"spent {spent} is not the reference's {want}")
+    if result["value"] == "exhausted":
+        return failed
+    certificate = aspk.parse_theta(result["certificate"])
+    # each member the search reaches costs at least one step
+    index = _member_index(space, certificate, spent)
+    if index is None:
+        return failed + ["the certificate is no member of the reference base"]
+    outcome = aspk.EvalOutcome(k2.PartialResult.of(result["value"], spent),
+                               certificate=certificate, bound=result["bound"],
+                               member_index=index)
+    return failed + aspk_ref.check_outcome(space, seq, h, outcome)
+
+
+def check_probe(opts: dict, result: dict) -> list[str]:
+    space = opts["space"]
+    failed = _within(result["evals_spent"], opts["budget"], "budget")
+    return failed + [f"member {k} does not cover by points"
+                     for k, member in enumerate(result["members"])
+                     if not acceptance._covers_by_points(aspk.parse_theta(member),
+                                                          space)]
+
+
+def _code_step(code: int, a: int) -> int:
+    """The code of a sequence extended by a: its Cantor pair with a, + 1."""
+    s = code + a
+    return s * (s + 1) // 2 + a + 1
+
+
+def _check_scan(f, g, fuel: int, result: dict) -> list[str]:
+    """The fields of a star scan of f along g."""
+    spent = result["spent"]
+    fired = result["kind"] == "value"
+    if spent > fuel:
+        return _within(spent, fuel)
+    if fired and result["fired_at"] != spent - 1:
+        return [f"fired_at {result['fired_at']} is not spent - 1 = {spent - 1}"]
+    code = 0
+    for n in range(spent):
+        want = result["value"] + 1 if fired and n == spent - 1 else 0
+        got = f(code)
+        if got != want:
+            return [f"f answers {got}, not {want}, on the prefix of length {n}"]
+        if n + 1 < spent:
+            code = _code_step(code, g(n))
+    return []
+
+
+def check_star(opts: dict, result: dict) -> list[str]:
+    return _check_scan(opts["f"], opts["g"], opts["fuel"], result)
+
+
+def check_bullet(opts: dict, result: dict) -> list[str]:
+    k, g = opts["k"], opts["g"]
+    return _check_scan(opts["f"], lambda i: k if i == 0 else g(i - 1),
+                       opts["fuel"], result)
+
+
 CHECKERS = {
     ("rpt", "fabar"): check_fabar,
     ("rpt", "decide"): check_decide,
+    ("antispecker", "demo"): check_demo,
+    ("antispecker", "probe"): check_probe,
+    ("k2", "star"): check_star,
+    ("k2", "bullet"): check_bullet,
 }
 
 UNCHECKED = {
     ("k2", "encode"): "not yet checked: decode the code by a separate unpairing",
     ("k2", "decode"): "not yet checked: encode the sequence again",
     ("k2", "bar"): "not yet checked: decode the code by a separate unpairing",
-    ("k2", "star"): "not yet checked: spent is at most the fuel",
-    ("k2", "bullet"): "not yet checked: spent is at most the fuel",
     ("reals", "approx"): "not yet checked: within 2^-prec of the exact value",
     ("reals", "from-rational"): "not yet checked: within 2^-prec of the rational",
     ("reals", "compare"): "not yet checked: the comparison of the exact values",
     ("reals", "max"): "not yet checked: within 2^-prec of the exact maximum",
     ("spaces", "check"): "not yet checked: membership from the name's entries",
     ("spaces", "dist"): "not yet checked: the exact metric, and the stream within 2^-prec",
-    ("antispecker", "demo"): "not yet checked: the certificate by "
-                             "antispecker_reference.check_outcome",
     ("antispecker", "covers"): "not yet checked: the reference covers, and a witness "
                                "cell inside no atom",
-    ("antispecker", "probe"): "not yet checked: each member covers by points",
     ("splitter", "run"): "not yet checked: the reference verify_clearances",
     ("pc", "realize"): "not yet checked: a brute scan of the windows [m, g(m)]",
     ("bdn", "extract"): "not yet checked: spent is at most the fuel",

@@ -1,10 +1,12 @@
 """The acceptance gate: every criterion runs at its stated budget and must
 pass exactly; one line per criterion in the verbose log."""
 
+import collections
 from fractions import Fraction
 
 import pytest
 
+import antispecker_reference as ref
 from baire import acceptance, cauchy, k2
 from baire import antispecker as aspk
 
@@ -83,3 +85,30 @@ def test_base_round_trip_checks_members_without_covers(monkeypatch):
                         aspk.CoversReport(True, aspk.default_cover_depth(theta)))
     assert acceptance.criterion_base_round_trip() == (
         False, "cantor: non-covering member emitted")
+
+
+def test_a_probed_member_missing_an_atom_is_refused_as_the_reference_refuses_it(
+        monkeypatch):
+    # every copy of a member criterion 6's probes harvest, with one atom
+    # dropped, fails the check by points exactly when it fails the
+    # reference covering check
+    probed = []
+    probe = aspk.base_from_realizer
+
+    def kept(m, space, config=None):
+        probed.append(probe(m, space, config))
+        return probed[-1]
+
+    monkeypatch.setattr(aspk, "base_from_realizer", kept)
+    assert acceptance.criterion_base_round_trip()[0]
+    refused = collections.Counter()
+    for base in probed:
+        # a one-atom member leaves no Theta once its atom is dropped
+        for theta in (t for t in base.members if len(t.atoms) > 1):
+            for j in range(len(theta.atoms)):
+                copy = aspk.Theta(theta.atoms[:j] + theta.atoms[j + 1:])
+                by_points = acceptance._covers_by_points(copy, base.space)
+                assert by_points == ref.covers(copy, base.space).covered
+                refused[base.space.space_id] += not by_points
+    assert sorted(refused) == ["cantor", "finite(2)", "finite(3)"]
+    assert all(refused.values())

@@ -17,8 +17,10 @@ counts it reads hold only what its own calls kept.
 """
 
 import contextvars
+import gc
 import itertools
 import random
+import weakref
 from unittest import mock
 
 import pytest
@@ -293,3 +295,19 @@ def test_a_run_is_current_inside_its_blocks_only(run):
     # outside every block, the process has one run
     outside = [contextvars.Context().run(builtin_base, CANTOR) for _ in range(2)]
     assert outside[0] is outside[1] and base is not outside[0] is not nested
+
+
+def test_a_held_base_keeps_no_run():
+    with aspk.Run() as run:
+        cantor = builtin_base(CANTOR)
+        product = builtin_base(CANTOR_X_FIN2)
+        for i in range(6):
+            list(product.iter_atoms(i))
+        covers(Theta(tuple(cantor.iter_atoms(1))), CANTOR)
+        assert run.held == held_atoms(run) > 0
+        gone = [weakref.ref(run), weakref.ref(product)]
+    del run, product
+    gc.collect()
+    # holding the Cantor base keeps neither its run nor the product over it
+    assert [ref() for ref in gone] == [None, None]
+    assert kept_atoms(cantor) == cantor.held > 0

@@ -61,9 +61,10 @@ def test_geometric_modulus():
 def test_modulus_report_counts_the_exponents_it_checked():
     x = mk([], "geometric", 1, F(1, 2))
     assert is_modulus(Modulus(lambda n: n + 1), x, 40).checked == 40
-    # every start lies past the horizon: nothing is compared
+    # every start lies past the horizon: nothing is compared, so not ok
     report = is_modulus(Modulus(lambda n: 10 ** 9), x, 50)
-    assert report.ok and report.checked == 0
+    assert not report.ok and report.checked == 0
+    assert report.counterexample is None
 
 
 def test_too_eager_modulus_caught():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from baire import acceptance, cli, k2, naming
+from baire import antispecker as aspk
 from golden_cases import CASES, EXIT_CODES, GOLDEN
 
 
@@ -37,6 +38,33 @@ def test_antispecker_all_star_demo(capsys):
     assert code == 0
     assert doc["result"]["value"] == 0
     assert doc["result"]["certificate"] == [{"sigma": [], "n": 0}]
+
+
+CANTOR_X_FIN2 = ('{"kind":"product","left":{"kind":"cantor"},'
+                 '"right":{"kind":"finite","n":2}}')
+
+
+@pytest.mark.parametrize("space", ['{"kind":"cantor"}', CANTOR_X_FIN2])
+def test_a_demo_never_spends_past_its_fuel(capsys, space):
+    over = []
+    for avoidance in ('{"kind":"onset","depth":1}', '{"kind":"onset","depth":2}',
+                      '{"kind":"onset","depth":3,"radius_exp":1}'):
+        for fuel in range(1, 60):
+            code, doc, _ = run_cli(capsys, "antispecker", "demo", "--space", space,
+                                   "--avoidance", avoidance, "--fuel", str(fuel))
+            assert code in (0, 3)
+            if doc["result"]["spent"] > fuel:
+                over.append((avoidance, fuel, doc["result"]["spent"]))
+    assert over == []
+
+
+def test_a_command_keeps_nothing_in_the_callers_run(capsys):
+    run = aspk._current.get()
+    kept = (dict(run.bases), dict(run.reports), run.held)
+    code, doc, _ = run_cli(capsys, "antispecker", "probe", "--space", CANTOR_X_FIN2)
+    assert code == 0 and doc["result"]["members"]
+    assert aspk._current.get() is run
+    assert (run.bases, run.reports, run.held) == kept
 
 
 def test_k2_star_exhaustion_is_exit_three(capsys):

@@ -4,9 +4,10 @@ Hypothesis builds argv for every command of ``cli.COMMANDS`` and runs it
 in process.  Each option of the op is drawn from the pools of its kind,
 valid and malformed specs, negative and zero numbers; it is given once
 most of the time, and sometimes twice or not at all.  Exit 0 and 3 print
-exactly one JSON document with ``schema_version`` "1"; exit 2 prints
-nothing on stdout and an ``error: `` line on stderr; no input ends in a
-traceback.
+exactly one JSON document with ``schema_version`` "1", which the
+checker of its (group, op) in ``tests/doc_check.py``, where there is one,
+finds true; exit 2 prints nothing on stdout and an ``error: `` line on
+stderr; no input ends in a traceback.
 
 Counts stay small where a larger one costs seconds, and an option whose
 default lies past its bound is always given:
@@ -32,6 +33,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import doc_check
 from baire import cli
 
 
@@ -172,3 +174,5 @@ def test_every_command_line_is_one_document_or_one_error(argv):
     else:
         doc = json.loads(out)  # exactly one document, nothing after it
         assert doc["schema_version"] == "1"
+        if tuple(argv[:2]) in doc_check.CHECKERS:
+            assert doc_check.check(argv, doc) == [], (argv, code, doc)

@@ -5,7 +5,8 @@ import dataclasses
 import json
 
 import doc_check
-from baire import cauchy, cli
+from baire import antispecker as aspk
+from baire import cauchy, cli, k2
 from golden_cases import CASES, EXIT_CODES, GOLDEN
 
 # the rpt goldens the checkers skip, with the reason
@@ -93,3 +94,76 @@ def test_a_certificate_with_k0_plus_one_is_refused(monkeypatch, capsys):
         doc = _run(CASES[name], capsys)
         assert doc != _golden(name)
         assert doc_check.check(CASES[name], doc) != [], name
+
+
+# the ops whose checkers read documents of exit 0 and of exit 3 alike
+BOTH_EXITS = {("antispecker", "demo"), ("antispecker", "probe"),
+              ("k2", "star"), ("k2", "bullet")}
+
+
+def test_demo_probe_star_and_bullet_goldens_meet_their_checkers():
+    codes = json.loads(EXIT_CODES.read_text())
+    names = [name for name, argv in CASES.items() if tuple(argv[:2]) in BOTH_EXITS]
+    for name in names:
+        assert doc_check.check(CASES[name], _golden(name)) == [], name
+    assert {codes[name] for name in names} == {cli.EXIT_OK, cli.EXIT_EXHAUSTED}
+    assert {tuple(CASES[name][:2]) for name in names} == BOTH_EXITS
+
+
+def _run_any(argv, capsys) -> dict:
+    assert cli.run(list(argv)) in (cli.EXIT_OK, cli.EXIT_EXHAUSTED)
+    return json.loads(capsys.readouterr().out)
+
+
+def _refused(argvs, capsys) -> None:
+    for argv in argvs:
+        doc = _run_any(argv, capsys)
+        assert doc_check.check(argv, doc) != [], (argv, doc)
+
+
+def test_a_demo_spending_one_step_more_is_refused(monkeypatch, capsys):
+    real = aspk.realizer_from_base
+
+    def over(base, space=None):
+        inner = real(base, space)
+
+        def evaluate(seq, h, fuel):
+            out = inner.evaluate(seq, h, fuel)
+            spent = dataclasses.replace(out.result, spent=out.result.spent + 1)
+            return dataclasses.replace(out, result=spent)
+
+        return aspk.AntiSpeckerRealizer(evaluate, inner.space)
+
+    monkeypatch.setattr(aspk, "realizer_from_base", over)
+    _refused([CASES[name] for name in (
+        "readme-antispecker-demo", "antispecker-demo-product",
+        "antispecker-demo-product-exhausted")], capsys)
+
+
+def test_a_probe_member_missing_an_atom_is_refused(monkeypatch, capsys):
+    probe = aspk.base_from_realizer
+
+    def short(m, space, config=None):
+        probed = probe(m, space, config)
+        last = probed.members[-1]
+        return aspk.ProbedBase(space, probed.members[:-1] + (
+            aspk.Theta(last.atoms[1:]),), probed.exhausted, probed.evals_spent)
+
+    monkeypatch.setattr(aspk, "base_from_realizer", short)
+    _refused([CASES[name] for name in (
+        "readme-antispecker-probe", "antispecker-probe-product-default-budget")],
+        capsys)
+
+
+def test_a_star_one_too_large_is_refused(monkeypatch, capsys):
+    real = k2.star
+
+    def plus_one(*args, **kwargs):
+        r = real(*args, **kwargs)
+        return dataclasses.replace(r, value=r.value + 1) if r.is_value else r
+
+    # bullet scans through k2.star too
+    monkeypatch.setattr(k2, "star", plus_one)
+    _refused([CASES["k2-star-track"],
+              ["k2", "bullet", "--f", "const:3", "--g", "const:1", "--k", "2"]],
+             capsys)

@@ -3,7 +3,8 @@
 ``realizer_from_base`` takes its prefix codes from a trie shared by all of
 its evaluations.  The reference below is the evaluator as it was before
 the trie: it builds each code with ``sigma.prefix_code(length)``, and it
-asks the avoidance name on every prefix step.  The realizer asks each code
+asks the avoidance name on every prefix step; like the realizer, it checks
+the fuel before a member's extra step.  The realizer asks each code
 at most once per evaluation, so its query log is the reference's with
 every repeated code dropped (``first_asks``).  The outcomes must be equal,
 and so must the warm and cold realizers' logs, whether the trie is cold or
@@ -93,7 +94,8 @@ def reference_realizer(base, max_prefix_len=16):
                 bounds.append(found)
                 certified_atoms.append(atom)
             if not certified_atoms:
-                spent += 1
+                if spent < fuel:
+                    spent += 1
                 if spent >= fuel:
                     return EvalOutcome(PartialResult.exhausted(spent),
                                        malformed=tuple(malformed))
