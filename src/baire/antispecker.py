@@ -28,7 +28,8 @@ atoms once, as far as some search has asked for them, and keep them for
 as long as the base lives, in one kind of kept stream (``_Kept``), which
 also holds the product base's member shapes and has one rule for a
 source that fails.  A ``Run`` keeps the canonical bases and the reports
-of ``covers`` (see ``Run``); ``covers`` computes each atom's constraints
+of ``covers`` under the space itself, which is a value, so equal spaces
+share them (see ``Run``); ``covers`` computes each atom's constraints
 once per decision, not per cell.  A realizer pairs each prefix code once
 into the one trie it walks, which stays its own and which it empties
 only past a bit bound, and asks the name for each code, and decodes each
@@ -46,7 +47,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from . import k2
 from .k2 import (FinPartialFn, Oracle, PartialResult, RecordingOracle,
                  SpecError, TableOracle, encode_pair)
-from .naming import NameSequence, ProductSpace, Space, is_registry
+from .naming import NameSequence, ProductSpace, Space
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +157,14 @@ def covers(theta: Theta, space: Space,
     ``k2.Exhausted`` with reason ``depth``, and so does a depth with more
     than ``COVER_CELL_CAP`` cells, before any cell is scanned.
 
-    On a registry space (``naming.is_registry``) the current ``Run`` keeps
-    the report under the resolved depth; a call that raises keeps nothing,
-    and any other space is decided on every call.
+    The current ``Run`` keeps the report under the space, the resolved
+    depth and theta, so an equal space reads it; a call that raises keeps
+    nothing.
     """
     if depth is None:
         depth = default_cover_depth(theta)
-    if not is_registry(space):
-        return _decide_cover(theta, space, depth)
     run = _current.get().within_bound()
-    key = (space.space_id, depth, theta)
+    key = (space, depth, theta)
     report = run.reports.get(key)
     if report is None:
         report = run.reports[key] = _decide_cover(theta, space, depth)
@@ -353,13 +352,13 @@ CANONICAL_ATOM_BOUND = 1 << 14
 
 
 class Run:
-    """The work kept across calls: ``bases``, the canonical base of each
-    registry space by ``space_id``; ``reports``, those of ``covers`` on
-    registry spaces by ``(space_id, depth, theta)``; and ``held``, the
-    atoms its bases have built plus those of its reports' Thetas, which
-    ``covers`` counts in ``report_atoms`` as it keeps each report.
+    """The work kept across calls, keyed by the space's value, so equal
+    spaces share it: ``bases``, the canonical base of each space;
+    ``reports``, those of ``covers`` by ``(space, depth, theta)``; and
+    ``held``, the atoms its bases have built plus those of its reports'
+    Thetas, which ``covers`` counts in ``report_atoms`` as it keeps each.
 
-    ``builtin_base`` and a registry ``covers`` call use the current run,
+    ``builtin_base`` and ``covers`` use the current run,
     the innermost ``with Run():`` block's or else the process's one run,
     and first drop its bases and reports together once ``held`` is past
     ``CANONICAL_ATOM_BOUND``; whoever holds a dropped base or report
@@ -368,7 +367,7 @@ class Run:
     """
 
     def __init__(self):
-        self.bases: dict[str, _KeptBase] = {}
+        self.bases: dict[Space, _KeptBase] = {}
         self.reports: dict[tuple, CoversReport] = {}
         self.report_atoms = 0
         self._tokens: list = []
@@ -395,24 +394,20 @@ _current: ContextVar[Run] = ContextVar("run", default=Run())
 
 
 def builtin_base(space: Space) -> CompactnessBase:
-    """The canonical base of a registry space; a product's combines the
-    canonical bases of its factors.
+    """The canonical base of a space; a product's combines the canonical
+    bases of its factors.
 
-    A registry space (``naming.is_registry``) gets the current ``Run``'s
-    base for its ``space_id``, built on first use; a product's sits over
-    its factors' canonical bases, so a Cantor member is kept once whether
-    a search reaches it alone or through a product.  Any other space,
-    such as a caller's own subclass with a registry ``space_id``, gets a
-    fresh base on every call.
+    The current ``Run`` keeps the base under the space, built on first
+    use, so every space equal to it gets the same base; a product's sits
+    over its factors' canonical bases, so a Cantor member is kept once
+    whether a search reaches it alone or through a product.
     """
     run = _current.get().within_bound()
-    key = space.space_id if is_registry(space) else None
-    base = run.bases.get(key)
+    base = run.bases.get(space)
     if base is None:
-        base = (ProductBase(builtin_base(space.left), builtin_base(space.right))
-                if isinstance(space, ProductSpace) else BuiltinBase(space))
-        if key is not None:
-            run.bases[key] = base
+        base = run.bases[space] = (
+            ProductBase(builtin_base(space.left), builtin_base(space.right))
+            if isinstance(space, ProductSpace) else BuiltinBase(space))
     return base
 
 

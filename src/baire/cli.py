@@ -174,17 +174,16 @@ def _partial(doc: dict, done: bool) -> dict:
 def _code(seq: list) -> dict:
     """The document of the code of ``seq``.  Its size comes first, from
     ``k2.code_size``: a code known to pass the digit limit is refused as
-    ``_emit`` refuses it, with its exact ``code_bits``, and is not built.
-    Where the size is undecided the code is built as before, unless it
-    may have 2^64 bits or more, which no memory holds: it is refused then
-    with ``code_bits_log2_min``, an m with code_bits >= 2^m.  A decided
-    size has fewer than about 2^130 bits, so ``code_bits`` always prints."""
+    ``_emit`` refuses it, and is not built, with its exact ``code_bits``
+    where the size is decided and else with ``code_bits_log2_min``, an m
+    with code_bits >= 2^m.  A decided size has fewer than about 2^130
+    bits, so ``code_bits`` always prints.  Any other code is built, and
+    ``_emit`` refuses it if it passes the limit all the same."""
     least, most = k2.code_size(seq)
     if least > _LIMIT_BITS:
         if least == most:
             raise _past_limit("code", code_bits=least)
-        if most >= 1 << 64:
-            raise _past_limit("code", code_bits_log2_min=least.bit_length() - 1)
+        raise _past_limit("code", code_bits_log2_min=least.bit_length() - 1)
     return {"result": {"code": k2.encode_seq(seq)}}
 
 

@@ -14,7 +14,8 @@ every name-level computation has an exact oracle to be tested against.
 All registry names are everywhere positive, which is what lets the added
 point of every space's one-point extension be the constant zero function,
 detected by inspecting index 0 alone (``is_star``).  A space is its own
-one-point extension: no second object carries the added point.
+one-point extension: no second object carries the added point.  A space
+is a value (``_Value``), so what a run keeps for it serves every equal one.
 """
 
 from __future__ import annotations
@@ -58,7 +59,18 @@ class CantorPoint:
 # ---------------------------------------------------------------------------
 
 
-class Space:
+class _Value:
+    """Spaces of one class with equal attributes are equal, whoever built
+    them, and a space hashes as its ``space_id``."""
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(self.space_id)
+
+
+class Space(_Value):
     """A registry space: its names and their decoding into points, the
     exact metric on points and the distance stream on names.
 
@@ -262,15 +274,6 @@ class ProductSpace(Space):
 
     def sample_point(self, rng) -> tuple:
         return (self.left.sample_point(rng), self.right.sample_point(rng))
-
-
-def is_registry(space: Space) -> bool:
-    """Whether the space is exactly ``CantorSpace``, ``FiniteSpace`` or a
-    ``ProductSpace`` of such, so that its ``space_id`` determines it; a
-    subclass may take a registry ``space_id`` for a space of its own."""
-    if type(space) is ProductSpace:
-        return is_registry(space.left) and is_registry(space.right)
-    return type(space) in (CantorSpace, FiniteSpace)
 
 
 def parse_space_spec(spec) -> Space:

@@ -31,9 +31,21 @@ hundred entries.
   on the code of each prefix of the argument the scan read, built here
   by a separate Cantor pairing, but for a value, which fired at
   ``spent - 1``, where f answers value + 1.
+* ``k2 encode`` and ``k2 bar``: the code unpairs, by the checker's own
+  unpairing, to ``--seq`` or to f(0), ..., f(n - 1).  Where the code
+  built by ``_code_step`` has at most ``BUILD_BITS`` bits, a refusal
+  needs it past the digit limit, and a refusal's ``code_bits`` is its bit
+  length; past that, ``code_bits`` is at least the lower bound below.  A
+  refusal's ``code_bits_log2_min`` m has 2^m at most that bit length or
+  lower bound.  The bound: an entry a takes a b-bit code to at least
+  max(2b, 2 bits(a)) - 2 bits, since the code is then above s^2 / 2 with
+  s = code + a.
+* ``k2 decode``: the sequence re-encodes by ``_code_step`` to the code,
+  and no code that the option parses decodes to a refusal.
 
 A refusal (exit 3, a ``k2.Exhausted`` with its ``error`` and ``reason``)
-has only its reason checked, which must be one of the four typed ones.
+has its reason checked, which must be one of the four typed ones; the
+checkers of the ops in ``READS_REFUSALS`` then read its other fields.
 
 ``UNCHECKED`` names every other (group, op), with what a checker of it
 would read; a checker takes its (group, op) off that list.
@@ -42,6 +54,7 @@ would read; a checker takes its (group, op) off that list.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import antispecker_reference as aspk_ref
@@ -51,6 +64,9 @@ from baire import antispecker as aspk
 
 # the reasons a ``k2.Exhausted`` may carry
 REASONS = ("fuel", "depth", "state", "budget")
+
+# the ops whose checkers read the fields of a refusal too
+READS_REFUSALS = {("k2", "encode"), ("k2", "decode"), ("k2", "bar")}
 
 
 def options(argv) -> dict:
@@ -62,10 +78,14 @@ def options(argv) -> dict:
 def check(argv, doc: dict) -> list[str]:
     """The conditions the document that ``argv`` printed fails."""
     result = doc["result"]
+    op = tuple(argv[:2])
     if "error" in result:
         reason = result.get("reason")
-        return [] if reason in REASONS else [f"refused for {reason!r}"]
-    return CHECKERS[tuple(argv[:2])](options(argv), result)
+        if reason not in REASONS:
+            return [f"refused for {reason!r}"]
+        if op not in READS_REFUSALS:
+            return []
+    return CHECKERS[op](options(argv), result)
 
 
 def _ledger(opts: dict) -> cauchy.SplitterLedger:
@@ -190,6 +210,80 @@ def check_bullet(opts: dict, result: dict) -> list[str]:
                        opts["fuel"], result)
 
 
+# the largest code, in bits, that a checker builds
+BUILD_BITS = 1 << 20
+
+
+def _unpair_seq(code: int) -> list[int]:
+    """The sequence whose code is ``code``, by inverting ``_code_step``:
+    code - 1 is the Cantor pair of the shorter code and the last entry."""
+    seq = []
+    while code > 0:
+        z = code - 1
+        s = (math.isqrt(8 * z + 1) - 1) // 2
+        a = z - s * (s + 1) // 2
+        seq.append(a)
+        code = s - a
+    return seq[::-1]
+
+
+def _code_bits(seq) -> tuple[int, bool]:
+    """The bit length of the code of seq and True, where the code built by
+    ``_code_step`` has at most ``BUILD_BITS`` bits; else a lower bound on
+    it and False.  A step whose code may pass ``BUILD_BITS`` is bounded,
+    not built, and so is every later one."""
+    code = 0
+    for k, a in enumerate(seq):
+        if 2 * max(code.bit_length(), a.bit_length()) + 1 > BUILD_BITS:
+            break
+        code = _code_step(code, a)
+    else:
+        return code.bit_length(), True
+    bits = code.bit_length()
+    for a in seq[k:]:
+        bits = max(2 * bits, 2 * a.bit_length(), 3) - 2
+    return bits, False
+
+
+def _check_code(seq: list, result: dict) -> list[str]:
+    """The fields of the code of seq, answered or refused."""
+    if "code" in result:
+        got = _unpair_seq(result["code"])
+        return [] if got == seq else [f"the code unpairs to {got}, not {seq}"]
+    bits, exact = _code_bits(seq)
+    if exact and bits < (10 ** cli.DIGIT_LIMIT).bit_length():
+        return [f"a code of {bits} bits is under the digit limit"]
+    if "code_bits" in result:
+        got = result["code_bits"]
+        if exact and got != bits:
+            return [f"code_bits {got} is not the built code's {bits}"]
+        return [] if got >= bits else [f"code_bits {got} is below the bound {bits}"]
+    if "code_bits_log2_min" in result:
+        m = result["code_bits_log2_min"]
+        return [] if 0 <= m <= bits.bit_length() - 1 else \
+            [f"code_bits_log2_min {m} is past log2 of {bits}"]
+    return ["a refusal with neither code_bits nor code_bits_log2_min"]
+
+
+def check_encode(opts: dict, result: dict) -> list[str]:
+    return _check_code(opts["seq"], result)
+
+
+def check_bar(opts: dict, result: dict) -> list[str]:
+    f = opts["f"]
+    return _check_code([f(k) for k in range(opts["n"])], result)
+
+
+def check_decode(opts: dict, result: dict) -> list[str]:
+    if "seq" not in result:
+        return ["a decode refused, though no entry is longer than the code"]
+    code = 0
+    for a in result["seq"]:
+        code = _code_step(code, a)
+    want = opts["code"]
+    return [] if code == want else [f"the sequence encodes to {code}, not {want}"]
+
+
 CHECKERS = {
     ("rpt", "fabar"): check_fabar,
     ("rpt", "decide"): check_decide,
@@ -197,12 +291,12 @@ CHECKERS = {
     ("antispecker", "probe"): check_probe,
     ("k2", "star"): check_star,
     ("k2", "bullet"): check_bullet,
+    ("k2", "encode"): check_encode,
+    ("k2", "decode"): check_decode,
+    ("k2", "bar"): check_bar,
 }
 
 UNCHECKED = {
-    ("k2", "encode"): "not yet checked: decode the code by a separate unpairing",
-    ("k2", "decode"): "not yet checked: encode the sequence again",
-    ("k2", "bar"): "not yet checked: decode the code by a separate unpairing",
     ("reals", "approx"): "not yet checked: within 2^-prec of the exact value",
     ("reals", "from-rational"): "not yet checked: within 2^-prec of the rational",
     ("reals", "compare"): "not yet checked: the comparison of the exact values",

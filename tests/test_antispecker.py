@@ -375,3 +375,23 @@ def test_product_realizer_matches_direct_scan():
 def test_theta_json_round_trip():
     theta = Theta((atom({0: 1, 3: 2}, 2), atom({}, 0)))
     assert aspk.parse_theta(theta.to_json()) == theta
+
+
+def test_a_phase_one_evaluation_out_of_fuel_is_refused():
+    # no radius grid: every candidate is a blind table of phase one
+    blind = dict(budget=30, blind_size_cap=6, radius_grid=())
+    outcomes = []
+    inner = realizer_from_base(builtin_base(CANTOR))
+
+    def evaluate(seq, h, fuel):
+        out = inner.evaluate(seq, h, fuel)
+        outcomes.append(out)
+        return out
+
+    counted = aspk.AntiSpeckerRealizer(evaluate, CANTOR)
+    fed = base_from_realizer(counted, CANTOR, ProbeConfig(eval_fuel=600, **blind))
+    assert fed.members and all(out.result.is_value for out in outcomes)
+    outcomes.clear()
+    starved = base_from_realizer(counted, CANTOR, ProbeConfig(eval_fuel=0, **blind))
+    assert outcomes and not any(out.result.is_value for out in outcomes)
+    assert starved.members == () and starved.evals_spent == fed.evals_spent

@@ -1,16 +1,18 @@
 """One canonical base per registry space in each ``Run``.
 
-``builtin_base`` hands every caller the same base for a registry space's
-``space_id``, so a member one search has built is there for the next.
+``builtin_base`` hands every caller the same base for equal spaces, since
+a run keys its store by the space's value, so a member one search has
+built is there for the next.
 Sharing must not show in any result: random runs of evaluations and
 probes, over every space of the pool and in any order, give what the
 same calls give over a fresh ``antispecker_reference.reference_builtin_base``.
-The plain tests pin which spaces share, that a product sits over its
+The plain tests pin which spaces share (equal ones, never a subclass's
+with its parent class's), that a product sits over its
 factors' canonical bases, and that a base past the atom bound is
 replaced while its holders keep it.
 
-Beside the bases the run keeps the reports of ``covers`` on registry
-spaces, under the same bound: the later tests pin what is kept, under
+Beside the bases the run keeps the reports of ``covers``, under the
+same bound: the later tests pin what is kept, under
 which key, that bases and reports are dropped together, and which run a
 base counts its atoms toward.  Each test opens its own run, so the
 counts it reads hold only what its own calls kept.
@@ -127,17 +129,41 @@ class OwnSpace(naming.CantorSpace):
         yield k2.FinPartialFn.from_seq((1,) * (i + 1))
 
 
-def test_a_space_outside_the_registry_gets_its_own_base():
+def test_a_space_outside_the_registry_is_kept_under_its_own_value(run):
     own = OwnSpace()
-    assert own.space_id == CANTOR.space_id
+    assert own.space_id == CANTOR.space_id and hash(own) == hash(CANTOR)
+    assert own != CANTOR and CANTOR != own
     base = builtin_base(own)
-    assert base is not builtin_base(own)
-    assert base is not builtin_base(CANTOR) and base.space is own
+    assert base is builtin_base(own) and base.space is own
+    assert base is not builtin_base(CANTOR)
+    assert run.bases[own] is base and run.bases[CANTOR] is not base
     assert [a.sigma.entries for a in base.iter_atoms(2)] == [((0, 1), (1, 1), (2, 1))]
     product = builtin_base(naming.product_metric_naming(own, FIN2))
-    assert product is not builtin_base(naming.product_metric_naming(own, FIN2))
-    assert product.bx is not builtin_base(CANTOR)
-    assert product.by is builtin_base(FIN2)
+    assert product is builtin_base(naming.product_metric_naming(own, FIN2))
+    assert product is not builtin_base(CANTOR_X_FIN2)
+    assert product.bx is base and product.by is builtin_base(FIN2)
+
+
+def test_equal_spaces_share_one_base_and_one_report(run):
+    one, two = OwnSpace(), OwnSpace()
+    assert one == two and one is not two and hash(one) == hash(two)
+    base = builtin_base(one)
+    assert builtin_base(two) is base
+    theta = Theta(tuple(base.iter_atoms(1)))
+    report = covers(theta, one)
+    assert covers(theta, two) is report
+    assert run.bases == {one: base}
+    assert run.reports == {(one, 2, theta): report}
+    # the registry's Cantor space is a parent class's space, and shares
+    # neither with the own space
+    assert covers(theta, CANTOR) == report and covers(theta, CANTOR) is not report
+    assert builtin_base(CANTOR) is not base
+    assert len(run.bases) == 2 and len(run.reports) == 2
+    # equal products share too, over the shared factor base
+    left = naming.product_metric_naming(one, FIN2)
+    right = naming.product_metric_naming(two, FIN2)
+    assert left == right and builtin_base(left) is builtin_base(right)
+    assert builtin_base(left).bx is base
 
 
 def kept_atoms(base) -> int:
@@ -178,7 +204,7 @@ def cover_atom(entries: dict, n: int) -> CoverAtom:
     return CoverAtom(k2.FinPartialFn.from_dict(entries), n)
 
 
-def test_only_registry_spaces_keep_reports_keyed_by_the_resolved_depth(run):
+def test_reports_are_kept_by_space_and_resolved_depth(run):
     theta = Theta((cover_atom({0: 1}, 1), cover_atom({0: 2}, 1)))
     depth = default_cover_depth(theta)
     report = covers(theta, CANTOR)
@@ -186,21 +212,21 @@ def test_only_registry_spaces_keep_reports_keyed_by_the_resolved_depth(run):
     assert covers(Theta(theta.atoms), CANTOR) is report
     deeper = covers(theta, CANTOR, depth + 1)
     assert deeper == aspk.CoversReport(True, depth + 1)
-    assert run.reports == {("cantor", depth, theta): report,
-                           ("cantor", depth + 1, theta): deeper}
+    assert run.reports == {(CANTOR, depth, theta): report,
+                           (CANTOR, depth + 1, theta): deeper}
     assert run.held == held_atoms(run) == 4
     # a caller's own space with a registry space_id, and a product over it,
-    # read and write nothing
+    # keep their reports under their own values, never under CANTOR's
     own = OwnSpace()
     product = naming.product_metric_naming(own, FIN2)
     for m in (own, product):
         own_theta = Theta(tuple(builtin_base(m).iter_atoms(1)))
-        assert covers(own_theta, m) == ref.covers(own_theta, m)
-        assert len(run.reports) == 2
+        got = covers(own_theta, m)
+        assert got == ref.covers(own_theta, m)
+        assert run.reports[(m, default_cover_depth(own_theta), own_theta)] is got
     assert covers(theta, own) == report and covers(theta, own) is not report
-    # the product's factor FIN2 is a registry space, whose canonical base
-    # now keeps the atoms the product read
-    assert len(run.reports) == 2 and run.held == held_atoms(run)
+    assert run.reports[(own, depth, theta)] is covers(theta, own)
+    assert len(run.reports) == 5 and run.held == held_atoms(run)
 
 
 def test_a_call_that_raises_keeps_nothing(run):
@@ -236,7 +262,7 @@ def test_reports_and_bases_are_dropped_together(run):
         list(base.iter_atoms(3))
         assert run.held == held_atoms(run) == 2 + len(fin2.atoms) + 8
         assert covers(fin2, FIN2).covered
-        assert list(run.reports) == [("finite(2)", 1, fin2)]
+        assert list(run.reports) == [(FIN2, 1, fin2)]
         assert builtin_base(CANTOR) is not base
         assert run.held == held_atoms(run) == len(fin2.atoms)
 
@@ -272,7 +298,7 @@ def test_a_base_counts_toward_the_run_that_keeps_it(run):
         assert builtin_base(CANTOR) is not base
         list(base.iter_atoms(2))
         theta = Theta(tuple(base.iter_atoms(1)))
-        assert covers(theta, CANTOR) is other.reports[("cantor", 2, theta)]
+        assert covers(theta, CANTOR) is other.reports[(CANTOR, 2, theta)]
         assert other.held == held_atoms(other) == 2
     assert run.held == held_atoms(run) == 6 and not run.reports
     # once its run drops it, the base counts toward no run
@@ -291,7 +317,7 @@ def test_a_run_is_current_inside_its_blocks_only(run):
             nested = builtin_base(CANTOR)
         assert builtin_base(CANTOR) is nested is not base
     assert builtin_base(CANTOR) is base
-    assert inner.bases == {"cantor": nested} and run.bases == {"cantor": base}
+    assert inner.bases == {CANTOR: nested} and run.bases == {CANTOR: base}
     # outside every block, the process has one run
     outside = [contextvars.Context().run(builtin_base, CANTOR) for _ in range(2)]
     assert outside[0] is outside[1] and base is not outside[0] is not nested

@@ -384,3 +384,24 @@ def test_transfer_on_dyadic_staircase():
     series = split_series_for(a)
     fg = modulus_from_abs_sums(series.ledger, abs_sum_modulus(series.ledger))
     assert is_modulus(fg, a, 40).ok
+
+
+def test_a_geometric_tail_with_no_base_starts_from_the_prefix():
+    # the base is the last prefix entry times the ratio, or 1 with no prefix
+    parsed = cauchy.parse_seq_spec(
+        {"prefix": ["3", "1/3"], "tail": {"kind": "geometric", "ratio": "1/4"}})
+    assert parsed == mk([3, F(1, 3)], "geometric", tail_value=F(1, 12),
+                        tail_ratio=F(1, 4))
+    assert [parsed.value_at(i) for i in range(4)] == [3, F(1, 3), F(1, 12), F(1, 48)]
+    empty = cauchy.parse_seq_spec({"tail": {"kind": "geometric"}})
+    assert empty == mk([], "geometric", tail_value=1, tail_ratio=F(1, 2))
+    assert empty == dyadic_targets()
+
+
+@pytest.mark.parametrize("seq", [
+    mk([]), mk([1, F(-2, 3), 0]),
+    mk([F(1, 2)], "constant", tail_value=F(-5, 7)), mk([], "constant", tail_value=0),
+    mk([2, 1], "geometric", tail_value=F(3, 4), tail_ratio=F(-1, 3)),
+    dyadic_targets()])
+def test_to_json_round_trips_through_the_spec_parser(seq):
+    assert cauchy.parse_seq_spec(seq.to_json()) == seq

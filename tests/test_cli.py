@@ -265,19 +265,26 @@ def _least_entry(target: int) -> int:
 _AT_LIMIT = _least_entry(10 ** cli.DIGIT_LIMIT)
 
 
-@pytest.mark.parametrize("seq,bits", [
-    ([_least_entry(1 << 14283)], 14284),
-    ([_AT_LIMIT - 1], 14285),  # the last code under 10^4300
-    ([_AT_LIMIT], 14285),
-    ([_least_entry(1 << 14285)], 14286),
-    # codes within 2^-7000 of 2^14301, whose sizes code_size leaves undecided
-    ([5, (1 << 7151) - 1 - k2.encode_seq([5])], 14302),
-    ([5, (1 << 7151) - 2 - k2.encode_seq([5])], 14301),
+@pytest.mark.parametrize("seq,bits,log2_min", [
+    ([_least_entry(1 << 14283)], 14284, None),
+    ([_AT_LIMIT - 1], 14285, None),  # the last code under 10^4300
+    ([_AT_LIMIT], 14285, None),
+    ([_least_entry(1 << 14285)], 14286, None),
+    # codes within 2^-7000 of 2^14301, whose sizes code_size leaves
+    # undecided: refused from the size alone, as having 2^13 bits or more
+    ([5, (1 << 7151) - 1 - k2.encode_seq([5])], 14302, 13),
+    ([5, (1 << 7151) - 2 - k2.encode_seq([5])], 14301, 13),
 ])
-def test_codes_at_the_digit_limit_exit_as_the_value_check_says(capsys, seq, bits):
+def test_codes_at_the_digit_limit_exit_as_the_value_check_says(capsys, seq, bits,
+                                                               log2_min):
     value = k2.encode_seq(seq)
     assert value.bit_length() == bits
-    want = cli._emit({"result": {"code": value}}, cli.EXIT_OK), capsys.readouterr().out
+    if log2_min is None:
+        want = cli._emit({"result": {"code": value}}, cli.EXIT_OK)
+    else:
+        refusal = cli._past_limit("code", code_bits_log2_min=log2_min)
+        want = cli._emit({"result": refusal.to_json()}, cli.EXIT_EXHAUSTED)
+    want = want, capsys.readouterr().out
     code = cli.run(["k2", "encode", "--seq", ",".join(map(str, seq))])
     assert (code, capsys.readouterr().out) == want
     assert want[0] == (cli.EXIT_OK if value < 10 ** cli.DIGIT_LIMIT else cli.EXIT_EXHAUSTED)
@@ -300,12 +307,39 @@ def test_a_code_refused_from_its_size_squares_nothing_long(capsys, monkeypatch, 
 @pytest.mark.parametrize("name", ["k2-bar-past-digit-limit", "k2-encode-past-digit-limit",
                                   "readme-k2-encode", "k2-bar-table"])
 def test_an_undecided_code_size_builds_the_code(capsys, monkeypatch, name):
-    # bounds one bit apart: the code is built, and printed or refused by the
-    # value check, as it was before sizes were known
+    # bounds one bit apart: a code under the limit is built and printed as
+    # before sizes were known; one past it is refused from its size alone
     size = k2.code_size
     monkeypatch.setattr(k2, "code_size", lambda seq: (size(seq)[0] - 1, size(seq)[1]))
-    assert cli.run(CASES[name]) == json.loads(EXIT_CODES.read_text())[name]
-    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+    golden = (GOLDEN / f"{name}.out").read_bytes()
+    refused = json.loads(golden)["result"].get("code_bits")
+    code = cli.run(CASES[name])
+    out = capsys.readouterr().out
+    if refused is None:
+        assert code == json.loads(EXIT_CODES.read_text())[name] == 0
+        assert out.encode() == golden
+    else:
+        assert code == 3 and json.loads(out)["result"] == {
+            "error": "code has more than 4300 decimal digits", "reason": "depth",
+            "code_bits_log2_min": (refused - 1).bit_length() - 1}
+
+
+def test_an_undecided_size_past_the_limit_is_refused_within_a_second(capsys, monkeypatch):
+    # A = 2^2001 - 2 then 16 ones: building this code took 17.8 s and
+    # 208 MiB; its size is known to lie between 2^27 and 2^28 bits
+    seq = [(1 << 2001) - 2] + [1] * 16
+    least, most = k2.code_size(seq)
+    assert least < most and least.bit_length() - 1 == 27
+    squared, transformed = [], []
+    square = k2._square
+    monkeypatch.setattr(k2, "_square", lambda a: squared.append(a.bit_length()) or square(a))
+    monkeypatch.setattr(k2, "_ssa_square", lambda a: transformed.append(a) or a * a)
+    code, doc, _ = run_cli(capsys, "k2", "encode", "--seq", ",".join(map(str, seq)))
+    assert code == 3 and doc["result"] == {
+        "error": "code has more than 4300 decimal digits", "reason": "depth",
+        "code_bits_log2_min": 27}
+    assert squared and max(squared) <= k2._SIZE_PRECISION
+    assert transformed == []
 
 
 @pytest.mark.parametrize("n", [200, 20000])
@@ -719,3 +753,12 @@ def test_the_readme_lists_every_command_with_its_options():
             words.append(given if option.default == cli.NEEDED else f"[{given}]")
         lines.append(" ".join(words))
     assert listed.splitlines() == lines
+
+
+def test_a_theta_written_out_of_index_order_covers_as_the_sorted_one(capsys):
+    cover = ["antispecker", "covers", "--space", CANTOR_X_FIN2, "--theta"]
+    shuffled = '[{"sigma":[[1,1],[0,2]],"n":1},{"sigma":[[2,1],[0,1]],"n":1}]'
+    ordered = '[{"sigma":[[0,2],[1,1]],"n":1},{"sigma":[[0,1],[2,1]],"n":1}]'
+    runs = [run_cli(capsys, *cover, theta) for theta in (shuffled, ordered)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1]["result"]["covered"] is False

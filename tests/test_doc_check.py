@@ -167,3 +167,69 @@ def test_a_star_one_too_large_is_refused(monkeypatch, capsys):
     _refused([CASES["k2-star-track"],
               ["k2", "bullet", "--f", "const:3", "--g", "const:1", "--k", "2"]],
              capsys)
+
+
+CODECS = {("k2", "encode"), ("k2", "decode"), ("k2", "bar")}
+
+
+def test_codec_goldens_meet_their_checkers():
+    codes = json.loads(EXIT_CODES.read_text())
+    names = [name for name, argv in CASES.items() if tuple(argv[:2]) in CODECS]
+    for name in names:
+        assert doc_check.check(CASES[name], _golden(name)) == [], name
+    assert {codes[name] for name in names} == {cli.EXIT_OK, cli.EXIT_EXHAUSTED}
+    assert {tuple(CASES[name][:2]) for name in names} == CODECS
+    # refusals of both kinds are read, built and bounded
+    refusals = {tuple(_golden(name)["result"]) for name in names
+                if codes[name] == cli.EXIT_EXHAUSTED}
+    assert refusals == {("error", "reason", "code_bits"),
+                        ("error", "reason", "code_bits_log2_min")}
+
+
+def test_a_code_one_too_large_is_refused(monkeypatch, capsys):
+    real = k2.encode_seq
+    monkeypatch.setattr(k2, "encode_seq", lambda seq: real(seq) + 1)
+    _refused([CASES["readme-k2-encode"], CASES["k2-bar-table"],
+              ["k2", "encode", "--seq", "0"]], capsys)
+
+
+def test_a_decode_that_drops_an_entry_is_refused(monkeypatch, capsys):
+    real = k2.decode_seq
+    monkeypatch.setattr(k2, "decode_seq", lambda code: real(code)[:-1])
+    _refused([CASES["k2-decode-readme-code"], ["k2", "decode", "--code", "1"]],
+             capsys)
+
+
+def test_code_bits_one_too_few_are_refused(monkeypatch, capsys):
+    real = cli._past_limit
+
+    def short(what, **amounts):
+        if "code_bits" in amounts:
+            amounts["code_bits"] -= 1
+        return real(what, **amounts)
+
+    # refused from the size and from the value: both print code_bits
+    monkeypatch.setattr(cli, "_past_limit", short)
+    monkeypatch.setattr(k2, "code_size", lambda seq: (0, 0))
+    _refused([CASES["k2-bar-past-digit-limit"], CASES["k2-encode-past-digit-limit"]],
+             capsys)
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_past_limit", short)
+    _refused([CASES["k2-bar-past-digit-limit"], CASES["k2-encode-past-digit-limit"]],
+             capsys)
+
+
+def test_a_demo_against_an_oracle_spec_meets_its_checker(capsys):
+    # an oracle spec, not an onset name: silent, and then always malformed
+    demo = ["antispecker", "demo", "--space", '{"kind":"cantor"}', "--fuel", "50"]
+    silent = demo + ["--avoidance", "const:0"]
+    malformed = demo + ["--avoidance", '{"table":[[0,5]]}']
+    docs = []
+    for argv in (silent, malformed):
+        assert cli.run(argv) == cli.EXIT_EXHAUSTED
+        docs.append(json.loads(capsys.readouterr().out))
+        assert doc_check.check(argv, docs[-1]) == [], argv
+    assert docs[0]["result"] == {"value": "exhausted", "spent": 50}
+    # 5 decodes to the one-entry sequence (1,), no pair: recorded per step
+    assert docs[1]["result"]["spent"] == 50
+    assert set(map(tuple, docs[1]["result"]["malformed"])) == {(0, 5)}

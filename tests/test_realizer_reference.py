@@ -1,24 +1,23 @@
-"""The base realizer against a reference that re-encodes every prefix.
+"""The base realizer against the trie walk, which asks on every step.
 
-``realizer_from_base`` takes its prefix codes from a trie shared by all of
-its evaluations.  The reference below is the evaluator as it was before
-the trie: it builds each code with ``sigma.prefix_code(length)``, and it
-asks the avoidance name on every prefix step; like the realizer, it checks
-the fuel before a member's extra step.  The realizer asks each code
-at most once per evaluation, so its query log is the reference's with
-every repeated code dropped (``first_asks``).  The outcomes must be equal,
-and so must the warm and cold realizers' logs, whether the trie is cold or
-warm.
+``realizer_from_base`` takes its prefix codes from a nested-dict trie
+shared by all of its evaluations.  The reference is
+``antispecker_reference.trie_walk_realizer``: the same evaluator, walking
+the generator trie per atom, and asking the avoidance name on every prefix
+step; like the realizer, it checks the fuel before a member's extra step.
+Its codes are ``encode_seq``'s (``tests/test_k2.py`` checks the trie cold
+and warm).  The realizer asks each code at most once per evaluation, so
+its query log is the reference's with every repeated code dropped
+(``first_asks``).  The outcomes must be equal, and so must the warm and
+cold realizers' logs, whether the trie is cold or warm.
 
 The builtin and product bases keep their members' atoms, and ``covers``
-computes each atom's constraints once and keeps its reports on a registry
+computes each atom's constraints once and keeps its reports under the
 space, so each covering comparison runs twice, with the store emptied and
-then warm.  ``tests/antispecker_reference.py``
-holds the versions that rebuilt all of these every time, and the
-generator trie that ``trie_walk_realizer`` walks per atom where the
-realizer walks its nested dict inline; the later tests compare the two:
-member atoms, covering reports, evaluations, probed bases, and the number
-of objects and pairings each evaluation builds.  The last tests hold the
+then warm.  ``tests/antispecker_reference.py`` holds the versions that
+rebuilt all of these every time; the later tests compare the two: member
+atoms, covering reports, evaluations, probed bases, and the number of
+objects and pairings each evaluation builds.  The last tests hold the
 harvest's walk up each answered code to the reference's pairwise scan,
 and a cold realizer to the trie walk at every fuel up to a certifying
 spend.  The very last check every answered outcome of the acceptance
@@ -54,62 +53,6 @@ FIN3 = naming.finite_space(3)
 CANTOR_X_FIN2 = naming.product_metric_naming(CANTOR, FIN2)
 SPACES = (CANTOR, FIN2, FIN3, CANTOR_X_FIN2)
 FUELS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 200, 600)
-
-
-def reference_realizer(base, max_prefix_len=16):
-    def evaluate(seq, h, fuel):
-        oracle = h.h if isinstance(h, AvoidanceName) else h
-        spent = 0
-        malformed = []
-        for member_index in itertools.count():
-            bounds = []
-            certified_atoms = []
-            certified = True
-            try:
-                atom_stream = base.iter_atoms(member_index)
-            except k2.SpecError:
-                return EvalOutcome(PartialResult.exhausted(spent), stage="empty-base",
-                                   malformed=tuple(malformed))
-            for atom in atom_stream:
-                found = None
-                for length in range(min(atom.sigma.initial_run, max_prefix_len) + 1):
-                    if spent >= fuel:
-                        return EvalOutcome(PartialResult.exhausted(spent),
-                                           malformed=tuple(malformed))
-                    code = atom.sigma.prefix_code(length)
-                    spent += 1
-                    v = oracle(code)
-                    if v > 0:
-                        nm = decode_pair(v - 1)
-                        if nm is None:
-                            malformed.append((code, v))
-                            continue
-                        n_ans, m_ans = nm
-                        if n_ans <= atom.n:
-                            found = m_ans
-                            break
-                if found is None:
-                    certified = False
-                    break
-                bounds.append(found)
-                certified_atoms.append(atom)
-            if not certified_atoms:
-                if spent < fuel:
-                    spent += 1
-                if spent >= fuel:
-                    return EvalOutcome(PartialResult.exhausted(spent),
-                                       malformed=tuple(malformed))
-                continue
-            if certified:
-                bound = max(bounds) if bounds else 0
-                value = seq.onset_below(bound)
-                return EvalOutcome(PartialResult.of(value, spent=spent),
-                                   certificate=Theta(tuple(certified_atoms)),
-                                   bound=bound,
-                                   member_index=member_index,
-                                   malformed=tuple(malformed))
-
-    return AntiSpeckerRealizer(evaluate, base.space)
 
 
 def first_asks(log):
@@ -148,7 +91,7 @@ def assert_same_evaluations(base, m, rng, cases):
     check each outcome and query log against a cold realizer and the
     reference's first asks."""
     shared = realizer_from_base(base)
-    reference = reference_realizer(base)
+    reference = ref.trie_walk_realizer(base)
     for _ in range(cases):
         seq = random_sequence(rng, m)
         for oracle in avoidance_oracles(rng, seq):
@@ -173,7 +116,7 @@ def test_builtin_bases_match_reference():
 def test_fuel_running_out_mid_atom_matches_reference():
     base = builtin_base(CANTOR)
     shared = realizer_from_base(base, CANTOR)
-    reference = reference_realizer(base)
+    reference = ref.trie_walk_realizer(base)
     seq = NameSequence((), "star")
     for depth in range(4):
         answer = encode_pair(0, 1) + 1
@@ -193,7 +136,7 @@ def test_probed_bases_match_reference():
         base = builtin_base(m)
         probed = base_from_realizer(realizer_from_base(base), m,
                                     config=config)
-        want = base_from_realizer(reference_realizer(base), m,
+        want = base_from_realizer(ref.trie_walk_realizer(base), m,
                                   config=config)
         assert probed.to_json() == want.to_json()
         assert_same_evaluations(probed, m, rng, cases=3)
@@ -298,8 +241,8 @@ def random_theta(rng, m):
 
 def same_covers(theta, m, depth=None):
     """``covers`` against the reference twice: cold, in a fresh run, so
-    that it scans the cells, and warm, when a registry space reads the
-    report the cold call kept."""
+    that it scans the cells, and warm, when it reads the report the cold
+    call kept."""
     try:
         want = ref.covers(theta, m, depth)
     except k2.Exhausted as e:
@@ -316,7 +259,7 @@ def same_covers(theta, m, depth=None):
     for got in (cold, warm):
         assert got == want
         assert got.to_json() == want.to_json()
-    assert (warm is cold) == naming.is_registry(m)
+    assert warm is cold
     return want.covered
 
 
@@ -351,7 +294,7 @@ class OwnCantor(naming.CantorSpace):
     """A caller's own space that takes the registry's ``space_id``."""
 
 
-def test_equal_thetas_over_a_registry_space_are_scanned_once(monkeypatch):
+def test_equal_thetas_over_a_space_are_scanned_once(monkeypatch):
     atoms = (aspk.CoverAtom(k2.FinPartialFn.from_seq((1,)), 1),
              aspk.CoverAtom(k2.FinPartialFn.from_seq((2,)), 1))
     one, two = Theta(atoms), Theta(atoms)
@@ -368,15 +311,17 @@ def test_equal_thetas_over_a_registry_space_are_scanned_once(monkeypatch):
 
     monkeypatch.setattr(naming.CantorSpace, "cells", counted)
     with aspk.Run() as run:
-        # a space outside the registry scans on every call and keeps nothing
-        assert [aspk.covers(theta, own) for theta in (one, two, one)] == [want] * 3
-        assert scans == ["cantor"] * 3 and not run.reports
+        # a space outside the registry scans once for both, under its own key
+        kept = aspk.covers(one, own)
+        assert all(aspk.covers(theta, own) is kept for theta in (two, one))
+        assert kept == want and scans == ["cantor"]
+        assert list(run.reports) == [(own, 2, one)]
         # the registry's Cantor space scans once for both, at the default
-        # depth given or not
+        # depth given or not, and never reads the own space's report
         got = aspk.covers(one, CANTOR)
         assert aspk.covers(two, CANTOR) is got and aspk.covers(one, CANTOR, 2) is got
-        assert got == want and scans == ["cantor"] * 4
-        assert list(run.reports) == [("cantor", 2, one)]
+        assert got == want and got is not kept and scans == ["cantor"] * 2
+        assert list(run.reports) == [(own, 2, one), (CANTOR, 2, one)]
 
 
 def foreign_value(m, i: int) -> int:
@@ -420,29 +365,25 @@ def test_damaged_members_are_refused_as_the_reference_refuses_them():
 
 @pytest.mark.parametrize("m", ALL_SPACES, ids=lambda m: m.space_id)
 def test_kept_bases_and_codes_match_rebuilding_ones(m):
-    """Warm and cold realizers over kept bases against the trie walk and the
-    per-length encoder over bases that rebuild their atoms."""
+    """Warm and cold realizers over kept bases against the trie walk over
+    bases that rebuild their atoms."""
     rng = random.Random(5)
     base, slow_base = builtin_base(m), ref.reference_builtin_base(m)
     warm = realizer_from_base(base)
     walk = ref.trie_walk_realizer(slow_base)
-    per_length = reference_realizer(slow_base)
     for _ in range(4):
         seq = random_sequence(rng, m)
         for oracle in avoidance_oracles(rng, seq):
             for fuel in (rng.choice(FUELS), rng.randrange(1, 40)):
                 runs = []
-                for r in (warm, realizer_from_base(builtin_base(m)),
-                          walk, per_length):
+                for r in (warm, realizer_from_base(builtin_base(m)), walk):
                     h = RecordingOracle(oracle)
                     runs.append((r.evaluate(seq, AvoidanceName(h, "test"), fuel),
                                  h.transcript))
                 outs = [out for out, _log in runs]
                 logs = [log for _out, log in runs]
                 assert all(out == outs[-1] for out in outs)
-                # the two references ask on every step, and alike
-                assert logs[2] == logs[3]
-                assert logs[0] == logs[1] == first_asks(logs[3])
+                assert logs[0] == logs[1] == first_asks(logs[2])
 
 
 def test_fuel_running_out_mid_atom_of_a_product_member():
@@ -618,17 +559,15 @@ def test_the_inline_trie_follows_the_trie_walk_through_restarts(runs):
                 realizers[space_index] = reference_pair(m)
             fast, walk = realizers[space_index]
             oracle = depth_oracle(depth, radius, 1)
-            per_length = reference_realizer(ref.reference_builtin_base(m))
             logs, pairs = [], []
-            for r in (fast, walk, per_length):
+            for r in (fast, walk):
                 h = RecordingOracle(oracle)
                 with counted_construction() as log:
                     out = r.evaluate(NameSequence((), "star"), AvoidanceName(h, "t"),
                                      fuel)
                 logs.append((out, h.transcript))
                 pairs.append(log["pairs"])
-            assert logs[0][0] == logs[1][0] == logs[2][0]
-            assert logs[1][1] == logs[2][1]
+            assert logs[0][0] == logs[1][0]
             assert logs[0][1] == first_asks(logs[1][1])
             assert pairs[0] == pairs[1]
 
@@ -661,7 +600,7 @@ def test_an_evaluation_asks_each_code_once(space_index, seed, fuel):
     base = builtin_base(m)
     for oracle in avoidance_oracles(rng, seq):
         runs = []
-        for r in (realizer_from_base(base), reference_realizer(base)):
+        for r in (realizer_from_base(base), ref.trie_walk_realizer(base)):
             h = RecordingOracle(oracle)
             runs.append((r.evaluate(seq, AvoidanceName(h, "t"), fuel), h.transcript))
         (out, log), (ref_out, ref_log) = runs
@@ -672,7 +611,7 @@ def test_an_evaluation_asks_each_code_once(space_index, seed, fuel):
     h = RecordingOracle(always_malformed)
     out = realizer_from_base(base).evaluate(seq, AvoidanceName(h, "t"), fuel)
     ref_h = RecordingOracle(always_malformed)
-    reference_realizer(base).evaluate(seq, AvoidanceName(ref_h, "t"), fuel)
+    ref.trie_walk_realizer(base).evaluate(seq, AvoidanceName(ref_h, "t"), fuel)
     assert list(out.malformed) == ref_h.transcript
     assert h.transcript == first_asks(ref_h.transcript)
 
@@ -683,7 +622,7 @@ def test_the_reference_asks_again_where_the_realizer_does_not():
     base = builtin_base(CANTOR)
     seq = NameSequence((), "star")
     runs = []
-    for r in (realizer_from_base(base), reference_realizer(base)):
+    for r in (realizer_from_base(base), ref.trie_walk_realizer(base)):
         h = RecordingOracle(k2.constant(0))
         runs.append((r.evaluate(seq, AvoidanceName(h, "t"), 200), h.transcript))
     (out, log), (ref_out, ref_log) = runs
